@@ -21,6 +21,12 @@
      systrace serve --send FILE --connect unix:PATH
                                          -- stream a stored trace at a daemon
      systrace serve --stats --ctl PATH   -- a running daemon's counters
+
+   Exit codes: 0 success; 1 bad data (an unreadable or corrupt trace, a
+   trace analysed against the wrong workload or system, failed checks);
+   2 usage or environment (conflicting options, a missing file or
+   directory, a refused or absent socket); 124 a command line Cmdliner
+   cannot parse.  Errors print one line on stderr.
 *)
 
 open Cmdliner
@@ -1073,11 +1079,26 @@ let serve_cmd =
           $ slot_words $ lossy $ pipeline $ workload $ os_arg $ seed_arg
           $ send $ connect $ do_stats $ do_shutdown)
 
+(* Errors that reach the top are reported, not treated as internal
+   errors (Cmdliner's exit 125): environment failures exit 2, bad trace
+   data exits 1. *)
 let () =
   let doc = "software methods for system address tracing" in
+  let fail code fmt =
+    Printf.ksprintf (fun msg -> prerr_endline ("systrace: " ^ msg); code) fmt
+  in
   exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "systrace" ~doc)
-          [ list_cmd; run_cmd; trace_cmd; validate_cmd; matrix_cmd; profile_cmd;
-            disasm_cmd; dump_cmd; analyze_cmd; sweep_cmd; check_cmd;
-            slice_cmd; serve_cmd ]))
+    (try
+       Cmd.eval ~catch:false
+         (Cmd.group (Cmd.info "systrace" ~doc)
+            [ list_cmd; run_cmd; trace_cmd; validate_cmd; matrix_cmd; profile_cmd;
+              disasm_cmd; dump_cmd; analyze_cmd; sweep_cmd; check_cmd;
+              slice_cmd; serve_cmd ])
+     with
+     | Sys_error msg -> fail 2 "%s" msg
+     | Unix.Unix_error (e, fn, arg) ->
+       fail 2 "%s%s: %s" fn (if arg = "" then "" else " " ^ arg)
+         (Unix.error_message e)
+     | Tracing.Tracefile.Bad_file msg -> fail 1 "unreadable trace: %s" msg
+     | Tracing.Parser.Corrupt msg ->
+       fail 1 "trace does not parse against this workload and system: %s" msg)

@@ -9,7 +9,10 @@
    made from software-collected traces.
 
    Deliberately, nothing in this module knows about tracing: address traces
-   are generated purely by instrumented code running on the machine. *)
+   are generated purely by instrumented code running on the machine.  The
+   stub uops ({!Uop.stub}) recognise the tracing runtime's blocks by their
+   instructions only to interpret them faster; their simulated effects are
+   those of the instructions. *)
 
 open Systrace_isa
 open Uop
@@ -111,12 +114,35 @@ let fresh_counters () =
    TLB match.  Only successful translations are cached, so the exception
    and counter behaviour of the full walk is preserved exactly; the cache
    is flushed on every event that can change a translation (TLB writes,
-   CP0 status/mode changes, ASID/context updates). *)
+   CP0 status/mode changes, ASID/context updates).
+
+   Behind it sits a second level: per class, [l2_slots] direct-mapped
+   entries indexed by [l2_hash vpn].  Traced code alternates its loads
+   and stores between several pages (caller text, bookkeeping page,
+   dispatch table, trace buffer), which defeats a one-entry cache; the
+   second level turns those re-walks into one array probe.  Keys carry
+   the flush generation [l2_gen] above the 20 vpn bits, so a flush is
+   one increment and stale entries can never match. *)
 type tcache = {
   mutable f_vpn : int;  mutable f_frame : int;  mutable f_cached : bool;
   mutable r_vpn : int;  mutable r_frame : int;  mutable r_cached : bool;
   mutable w_vpn : int;  mutable w_frame : int;  mutable w_cached : bool;
+  l2_key : int array;   (* vpn lor l2_gen, per slot; -1 = never filled *)
+  l2_pte : int array;   (* frame lor 1 when uncached *)
+  mutable l2_gen : int; (* multiple of 2^20 *)
 }
+
+let l2_slots = 64
+
+(* A plain [vpn land 63] would put text vpn 0x400 and the bookkeeping
+   page's vpn 0x7e000 in one slot; folding in the higher bits separates
+   the pages one traced reference touches. *)
+let[@inline] l2_hash vpn = (vpn lxor (vpn lsr 6) lxor (vpn lsr 12)) land (l2_slots - 1)
+
+(* Slot base of each access class in [l2_key]/[l2_pte]. *)
+let l2_fetch = 0
+let l2_load = l2_slots
+let l2_store = 2 * l2_slots
 
 (* The uop IR and block representation live in {!Uop} (opened above):
    decode-to-uop lowering, superblock fusion, and the store-generation
@@ -203,6 +229,10 @@ type t = {
   mutable bb_tbudget : int;
   mutable bb_tnext : int;
   mutable bb_tacc : int;
+  (* Host-side dispatch counts of the stub uops: whole-block runs and
+     fall-throughs to the scalar uops.  Not simulated state. *)
+  mutable stub_runs : int;
+  mutable stub_falls : int;
   icache : Cache.t;
   dcache : Cache.t;
   wb : Write_buffer.t;
@@ -264,6 +294,9 @@ let create ?(cfg = default_config) () =
         f_vpn = -1; f_frame = 0; f_cached = false;
         r_vpn = -1; r_frame = 0; r_cached = false;
         w_vpn = -1; w_frame = 0; w_cached = false;
+        l2_key = Array.make (3 * l2_slots) (-1);
+        l2_pte = Array.make (3 * l2_slots) 0;
+        l2_gen = 0;
       };
     tr_cached = false;
     bb_k = 0;
@@ -277,6 +310,8 @@ let create ?(cfg = default_config) () =
     bb_tbudget = 0;
     bb_tnext = 0;
     bb_tacc = 0;
+    stub_runs = 0;
+    stub_falls = 0;
     icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.icache_line;
     dcache = Cache.create ~size_bytes:cfg.dcache_bytes ~line_bytes:cfg.dcache_line;
     wb = Write_buffer.create ~depth:cfg.wb_depth ~drain_cycles:cfg.wb_drain ();
@@ -314,7 +349,7 @@ let phys_ok t pa len = pa >= 0 && pa + len <= t.cfg.mem_bytes
    ({!Uop.Gens} owns the contract), which invalidates any cached basic
    block decoded from that page (bounds checked: callers validate [pa]
    against memory the same way the Bytes accesses do). *)
-let bgen_bump t pa =
+let[@inline] bgen_bump t pa =
   let p = pa lsr Addr.page_shift in
   let g = t.bgen in
   Array.unsafe_set g p (Array.unsafe_get g p + 1)
@@ -389,13 +424,14 @@ let tcache_flush t =
   let tc = t.tc in
   tc.f_vpn <- -1;
   tc.r_vpn <- -1;
-  tc.w_vpn <- -1
+  tc.w_vpn <- -1;
+  tc.l2_gen <- tc.l2_gen + (1 lsl 20)
 
-(* Translation with the last-translation micro-cache in front of the full
-   walk: the common in-page access reuses the previous page frame without
-   re-checking segment permissions or walking the TLB.  Failed walks trap
-   before the cache is filled, so misses, invalid entries and modified
-   faults behave (and count) exactly as in [translate_walk].
+(* Translation with the last-translation micro-cache and its second level
+   in front of the full walk: the common access reuses a page frame
+   without re-checking segment permissions or walking the TLB.  Failed
+   walks trap before either level is filled, so misses, invalid entries
+   and modified faults behave (and count) exactly as in [translate_walk].
 
    [translate_i] returns the physical address and leaves cacheability in
    [t.tr_cached] — the hot paths (fetch, load, store, block entry) read
@@ -418,9 +454,25 @@ let translate_i t va ~write:w ~fetch =
     tc.w_frame lor (va land Addr.page_mask)
   end
   else begin
-    let pa, cached = translate_walk t va ~write:w ~fetch in
-    if Uop.tcache_enabled t.cfg.tier then begin
-      let frame = pa land lnot Addr.page_mask in
+    let s =
+      (if fetch then l2_fetch else if w then l2_store else l2_load)
+      + l2_hash vpn
+    in
+    let hit = Array.unsafe_get tc.l2_key s = vpn lor tc.l2_gen in
+    let pte =
+      if hit then Array.unsafe_get tc.l2_pte s
+      else begin
+        let pa, cached = translate_walk t va ~write:w ~fetch in
+        pa land lnot Addr.page_mask lor if cached then 0 else 1
+      end
+    in
+    let frame = pte land lnot 1 and cached = pte land 1 = 0 in
+    (* only an enabled cache is ever filled, so a hit implies enabled *)
+    if hit || Uop.tcache_enabled t.cfg.tier then begin
+      if not hit then begin
+        Array.unsafe_set tc.l2_key s (vpn lor tc.l2_gen);
+        Array.unsafe_set tc.l2_pte s pte
+      end;
       if fetch then begin
         tc.f_vpn <- vpn; tc.f_frame <- frame; tc.f_cached <- cached
       end
@@ -432,7 +484,7 @@ let translate_i t va ~write:w ~fetch =
       end
     end;
     t.tr_cached <- cached;
-    pa
+    frame lor (va land Addr.page_mask)
   end
 
 let translate t va ~write ~fetch =
@@ -496,11 +548,124 @@ let device_write t pa v =
     disk_refresh_irq t
   end
 
-let is_device_pa pa =
+let[@inline] is_device_pa pa =
   pa >= Addr.device_base_pa && pa < Addr.device_base_pa + Addr.dev_limit
+
+(* The TLB probe behind [ram_pa]'s cache levels: the page-table entry
+   ([frame lor 1] when uncached) of a translation that would succeed,
+   filled into second-level slot [s]; -1 for one that would trap. *)
+let ram_pte_walk t va vpn s ~write:w =
+  let tc = t.tc in
+  let user = user_mode t in
+  let pte =
+    match Addr.segment va with
+    | Addr.Kseg0 ->
+      if user then -1 else Addr.kseg0_pa va land lnot Addr.page_mask
+    | Addr.Kseg1 -> -1
+    | Addr.Kseg2 when user -> -1
+    | Addr.Kuseg | Addr.Kseg2 -> (
+      match Tlb.lookup t.tlb ~vpn ~asid:(asid t) ~write:w with
+      | Tlb.Hit { pfn; noncacheable; _ } ->
+        (pfn lsl Addr.page_shift) lor if noncacheable then 1 else 0
+      | Tlb.Miss | Tlb.Invalid | Tlb.Modified -> -1)
+  in
+  if pte >= 0 then begin
+    Array.unsafe_set tc.l2_key s (vpn lor tc.l2_gen);
+    Array.unsafe_set tc.l2_pte s pte
+  end;
+  pte
+
+(* The physical address of an aligned word access to [va] when it would
+   translate, with no side effect, to cacheable RAM outside the device
+   window; -1 otherwise.  The stub uops' pre-check: it reads both
+   translation-cache levels and, past them, makes a TLB probe that
+   changes no simulated state (a successful one fills the second level,
+   as [translate_i] would).  Anything that would trap or count is left
+   to the scalar path. *)
+let[@inline] ram_pa t va ~write:w =
+  if va land 3 <> 0 then -1
+  else begin
+    let tc = t.tc in
+    let vpn = va lsr Addr.page_shift in
+    let pte =
+      if w && vpn = tc.w_vpn then
+        if tc.w_cached then tc.w_frame else -1
+      else if (not w) && vpn = tc.r_vpn then
+        if tc.r_cached then tc.r_frame else -1
+      else begin
+        let s = (if w then l2_store else l2_load) + l2_hash vpn in
+        if Array.unsafe_get tc.l2_key s = vpn lor tc.l2_gen then
+          Array.unsafe_get tc.l2_pte s
+        else ram_pte_walk t va vpn s ~write:w
+      end
+    in
+    if pte < 0 || pte land 1 <> 0 then -1
+    else begin
+      let pa = pte lor (va land Addr.page_mask) in
+      if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then pa else -1
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Timed memory access                                                 *)
+
+(* A word load from / store to cached RAM at [pa] (an aligned word
+   below [mem_bytes], outside the device window): direct-mapped d-cache
+   probe + raw read; write-through no-allocate on the store side, so
+   only the write buffer, memory, decode cache and page generation are
+   touched. *)
+let[@inline always] bb_dload t pa =
+  let dc = t.dcache in
+  let tg = pa lsr dc.Cache.line_shift in
+  let idx = tg land (dc.Cache.nlines - 1) in
+  if Array.unsafe_get dc.Cache.tags idx = tg then
+    dc.Cache.hits <- dc.Cache.hits + 1
+  else begin
+    dc.Cache.misses <- dc.Cache.misses + 1;
+    Array.unsafe_set dc.Cache.tags idx tg;
+    t.cycles <- t.cycles + t.cfg.read_miss_penalty
+  end;
+  Int32.to_int (Bytes.get_int32_le t.mem pa) land 0xFFFFFFFF
+
+(* [Write_buffer.store] with its free-slot case inlined (the ring fields
+   are public for exactly this: the call dominated the store fast
+   paths); a full buffer takes the out-of-line stall path.  Returns the
+   stall of a store issued at cycle [now]. *)
+let[@inline always] wb_store t now =
+  let wb = t.wb in
+  let dep = wb.Write_buffer.depth in
+  while
+    wb.Write_buffer.count > 0
+    && Array.unsafe_get wb.Write_buffer.ring wb.Write_buffer.head <= now
+  do
+    let ix = wb.Write_buffer.head + 1 in
+    wb.Write_buffer.head <- (if ix >= dep then ix - dep else ix);
+    wb.Write_buffer.count <- wb.Write_buffer.count - 1
+  done;
+  let cnt = wb.Write_buffer.count in
+  if cnt < dep then begin
+    wb.Write_buffer.stores <- wb.Write_buffer.stores + 1;
+    let hd = wb.Write_buffer.head in
+    let last =
+      if cnt = 0 then now
+      else
+        Array.unsafe_get wb.Write_buffer.ring
+          (let ix = hd + cnt - 1 in if ix >= dep then ix - dep else ix)
+    in
+    let retire = (if now > last then now else last) + wb.Write_buffer.drain_cycles in
+    Array.unsafe_set wb.Write_buffer.ring
+      (let ix = hd + cnt in if ix >= dep then ix - dep else ix)
+      retire;
+    wb.Write_buffer.count <- cnt + 1;
+    0
+  end
+  else Write_buffer.store wb ~now
+
+let[@inline always] bb_dstore t pa v =
+  t.cycles <- t.cycles + wb_store t t.cycles;
+  Bytes.set_int32_le t.mem pa (Int32.of_int (v land 0xFFFFFFFF));
+  Bytes.set t.dec_valid (pa lsr 2) '\000';
+  bgen_bump t pa
 
 let load_word_timed t va =
   if va land 3 <> 0 then trap ~badva:va Exc.adel;
@@ -513,15 +678,12 @@ let load_word_timed t va =
   end
   else begin
     if not (phys_ok t pa 4) then trap ~badva:va Exc.adel;
-    if cached then begin
-      if not (Cache.read t.dcache pa) then
-        t.cycles <- t.cycles + t.cfg.read_miss_penalty
-    end
+    if cached then bb_dload t pa
     else begin
       t.c.uncached_reads <- t.c.uncached_reads + 1;
-      t.cycles <- t.cycles + t.cfg.uncached_penalty
-    end;
-    read_phys_u32 t pa
+      t.cycles <- t.cycles + t.cfg.uncached_penalty;
+      read_phys_u32 t pa
+    end
   end
 
 let load_timed t va bytes =
@@ -562,7 +724,6 @@ let store_timed t va bytes v =
   | 2 -> if va land 1 <> 0 then trap ~badva:va Exc.ades
   | _ -> ());
   let pa = translate_i t va ~write:true ~fetch:false in
-  let cached = t.tr_cached in
   if is_device_pa pa then begin
     t.bb_dev <- true;
     t.cycles <- t.cycles + t.cfg.uncached_penalty;
@@ -570,12 +731,16 @@ let store_timed t va bytes v =
   end
   else begin
     if not (phys_ok t pa bytes) then trap ~badva:va Exc.ades;
-    if cached then ignore (Cache.write t.dcache pa);
-    t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
+    (* write-through no-allocate: a store changes no d-cache state, cached
+       or not *)
     (match bytes with
-    | 4 -> write_phys_u32 t pa v
-    | 2 -> write_phys_u16 t pa v
-    | 1 -> write_phys_u8 t pa v
+    | 4 -> bb_dstore t pa v
+    | 2 ->
+      t.cycles <- t.cycles + wb_store t t.cycles;
+      write_phys_u16 t pa v
+    | 1 ->
+      t.cycles <- t.cycles + wb_store t t.cycles;
+      write_phys_u8 t pa v
     | _ -> assert false);
     match t.watchpoint with
     | Some f ->
@@ -1057,43 +1222,37 @@ let bb_fetch_probe t tg =
     t.cycles <- t.cycles + t.cfg.read_miss_penalty
   end
 
+(* Fetch timing of one sequential slot on cached text: a tag compare
+   against the resident line [ptag], else a probe.  Returns the new
+   resident line tag. *)
+let[@inline always] bb_ifetch t pa ptag =
+  let tg = pa lsr t.icache.Cache.line_shift in
+  if tg = ptag then t.icache.Cache.hits <- t.icache.Cache.hits + 1
+  else bb_fetch_probe t tg;
+  tg
+
 (* Seam prologue for the second/third element of a fused run: the fetch
    timing, tracer callback and pc advance of the generic dispatch,
    specialised on a cached fetch mapping (only cacheable text is ever
    fused).  Returns the new resident line tag. *)
 let[@inline always] bb_seam t pa cur ptag =
-  let tg = pa lsr t.icache.Cache.line_shift in
-  if tg = ptag then t.icache.Cache.hits <- t.icache.Cache.hits + 1
-  else bb_fetch_probe t tg;
+  let tg = bb_ifetch t pa ptag in
   (match t.ref_tracer with Some f -> f 0 cur | None -> ());
   t.pc <- t.npc;
   t.npc <- t.npc + 4;
   tg
 
-(* Cached, in-RAM word load/store bodies shared by the scalar
-   [U_lw]/[U_sw] arms and the fused uops: micro-cache hit +
-   direct-mapped d-cache probe + raw access (write-through no-allocate
-   on the store side, so only the write buffer, memory, decode cache and
-   page generation are touched), falling back to the timed helpers for
-   every other case (unaligned, micro-cache miss, uncached, device, out
-   of range). *)
+(* Word load/store bodies shared by the scalar [U_lw]/[U_sw] arms and
+   the fused uops: on a micro-cache hit to cached RAM, the raw access
+   above; every other case (unaligned, micro-cache miss, uncached,
+   device, out of range) takes the timed helpers. *)
 let[@inline always] bb_load_word t rt va =
   let tcc = t.tc in
   if va land 3 = 0 && va lsr Addr.page_shift = tcc.r_vpn && tcc.r_cached
   then begin
     let pa = tcc.r_frame lor (va land Addr.page_mask) in
     if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then begin
-      let dc = t.dcache in
-      let tg = pa lsr dc.Cache.line_shift in
-      let idx = tg land (dc.Cache.nlines - 1) in
-      if Array.unsafe_get dc.Cache.tags idx = tg then
-        dc.Cache.hits <- dc.Cache.hits + 1
-      else begin
-        dc.Cache.misses <- dc.Cache.misses + 1;
-        Array.unsafe_set dc.Cache.tags idx tg;
-        t.cycles <- t.cycles + t.cfg.read_miss_penalty
-      end;
-      let v = Int32.to_int (Bytes.get_int32_le t.mem pa) land 0xFFFFFFFF in
+      let v = bb_dload t pa in
       (match t.ref_tracer with Some f -> f 1 va | None -> ());
       reg_set t rt v
     end
@@ -1115,10 +1274,7 @@ let[@inline always] bb_store_word t v va =
   then begin
     let pa = tcc.w_frame lor (va land Addr.page_mask) in
     if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then begin
-      t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
-      Bytes.set_int32_le t.mem pa (Int32.of_int (v land 0xFFFFFFFF));
-      Bytes.set t.dec_valid (pa lsr 2) '\000';
-      bgen_bump t pa;
+      bb_dstore t pa v;
       (match t.watchpoint with
       | Some f ->
         t.bb_dev <- true;
@@ -1135,6 +1291,236 @@ let[@inline always] bb_store_word t v va =
     store_timed t va 4 v;
     (match t.ref_tracer with Some f -> f 2 va | None -> ())
   end
+
+(* ------------------------------------------------------------------ *)
+(* Stub uops (Super and Trace tiers).  A [U_stub] replays one whole
+   tracing-runtime block ({!Uop.stub}) in one dispatch, applying the
+   interpreted effects in program order: per fetch the icache accounting
+   and miss penalty, per load the d-cache probe and penalty, per store
+   the write-buffer timing, memory write, decode-cache clear and
+   generation bump, one cycle per instruction, then the final registers
+   and pc/npc; the caller's [bb_end] credits the instruction counters.
+   It applies nothing and returns -1 — the caller falls through to the
+   scalar uops — unless every data access translates to cached RAM with
+   no side effect ([ram_pa]), no store hits the block's own text page,
+   and the block fits under the event horizon at worst-case cycles; the
+   caller has already checked the run budget and the observers.  On
+   success it returns the icache line tag of the last fetch.  Slot 0's
+   fetch was charged by [bb_go] before the dispatch. *)
+
+(* Does the block fit under the event horizon at worst case: [n] base
+   cycles, a miss penalty for each of the [n - 1] fetches after slot 0
+   and for each of [nl] loads, and a full write-buffer stall for each of
+   [ns] stores? *)
+let[@inline] stub_fits t n nl ns next_ev =
+  let cfg = t.cfg in
+  t.cycles + n
+  + ((n - 1 + nl) * cfg.read_miss_penalty)
+  + (ns * cfg.wb_depth * cfg.wb_drain)
+  < next_ev
+
+(* True when every icache line holding slots [1, n) of the block at [pa]
+   is resident.  No access a stub block makes touches the icache, so
+   those fetches then all hit and charge nothing: [stub_done] credits
+   them at once and the per-slot fetches are skipped ([res]). *)
+let rec stub_lines_resident tags mask tg last =
+  tg > last
+  || (Array.unsafe_get tags (tg land mask) = tg
+     && stub_lines_resident tags mask (tg + 1) last)
+
+let stub_resident t pa n =
+  let ic = t.icache in
+  let sh = ic.Cache.line_shift in
+  stub_lines_resident ic.Cache.tags (ic.Cache.nlines - 1) ((pa + 4) lsr sh)
+    ((pa + (4 * (n - 1))) lsr sh)
+
+let[@inline always] stub_fetch t pa ptag res =
+  if res then ptag else bb_ifetch t pa ptag
+
+(* Fetch and one cycle for each of [n] ALU slots starting at [pa]. *)
+let rec stub_alu t pa n ptag res =
+  if res then begin
+    t.cycles <- t.cycles + n;
+    ptag
+  end
+  else if n = 0 then ptag
+  else begin
+    let ptag = bb_ifetch t pa ptag in
+    t.cycles <- t.cycles + 1;
+    stub_alu t (pa + 4) (n - 1) ptag res
+  end
+
+(* The line tag of the last of [n] slots at [pa], after crediting the
+   batched hits of a resident block. *)
+let stub_done t pa n ptag res =
+  if res then begin
+    let ic = t.icache in
+    ic.Cache.hits <- ic.Cache.hits + n - 1;
+    (pa + (4 * (n - 1))) lsr ic.Cache.line_shift
+  end
+  else ptag
+
+(* [ram_pa] of [va], given [pa0] = [ram_pa] of [va0]: an address on the
+   same virtual page translates through the same entry, so the stubs'
+   bookkeeping-slot accesses probe their page once. *)
+let[@inline always] ram_pa_near t pa0 va0 va ~write =
+  if pa0 >= 0 && va lsr Addr.page_shift = va0 lsr Addr.page_shift && va land 3 = 0
+  then begin
+    let pa = pa0 + (va - va0) in
+    if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then pa else -1
+  end
+  else ram_pa t va ~write
+
+let[@inline always] stub_off_page b pa =
+  pa lsr Addr.page_shift <> b.bb_pa lsr Addr.page_shift
+
+let stub_run t (b : Uop.block) (s : Uop.stub) next_ev ptag =
+  let regs = t.regs in
+  let pa = b.bb_pa in
+  match s with
+  | Bb_head { rt; book; off; cursor; limit; full } ->
+    let spa = ram_pa t (u32 (Array.unsafe_get regs book + off)) ~write:true in
+    let lpa = ram_pa t (u32 (Array.unsafe_get regs Reg.ra - 4)) ~write:false in
+    if spa < 0 || lpa < 0 || not (stub_off_page b spa && stub_fits t 8 1 1 next_ev)
+    then -1
+    else begin
+      let res = stub_resident t pa 8 in
+      bb_dstore t spa (Array.unsafe_get regs rt);
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_fetch t (pa + 4) ptag res in
+      let w = bb_dload t lpa in
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_alu t (pa + 8) 6 ptag res in
+      let v = u32 (Array.unsafe_get regs cursor + ((w land 0xFFFF) lsl 2)) in
+      let z = if Array.unsafe_get regs limit < v then 1 else 0 in
+      Array.unsafe_set regs rt z;
+      t.pc <- (if z <> 0 then full else b.bb_va + 32);
+      t.npc <- t.pc + 4;
+      stub_done t pa 8 ptag res
+    end
+  | Bb_resume { cursor; book; ra_off; rt; off } ->
+    let c = u32 (Array.unsafe_get regs cursor + 4) in
+    let bk = Array.unsafe_get regs book in
+    let spa = ram_pa t (u32 (c - 4)) ~write:true in
+    let va1 = u32 (bk + ra_off) in
+    let l1 = ram_pa t va1 ~write:false in
+    let l2 = ram_pa_near t l1 va1 (u32 (bk + off)) ~write:false in
+    if spa < 0 || l1 < 0 || l2 < 0
+       || not (stub_off_page b spa && stub_fits t 6 2 1 next_ev)
+    then -1
+    else begin
+      let res = stub_resident t pa 6 in
+      let ra = Array.unsafe_get regs Reg.ra in
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_fetch t (pa + 4) ptag res in
+      bb_dstore t spa ra;
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_alu t (pa + 8) 1 ptag res in
+      let ptag = stub_fetch t (pa + 12) ptag res in
+      let v1 = bb_dload t l1 in
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_alu t (pa + 16) 1 ptag res in
+      let ptag = stub_fetch t (pa + 20) ptag res in
+      let v2 = bb_dload t l2 in
+      t.cycles <- t.cycles + 1;
+      Array.unsafe_set regs cursor c;
+      Array.unsafe_set regs Reg.at ra;
+      Array.unsafe_set regs Reg.ra v1;
+      Array.unsafe_set regs rt v2;
+      t.pc <- ra;
+      t.npc <- ra + 4;
+      stub_done t pa 6 ptag res
+    end
+  | Mt_entry { r0; r1; r2; book; o0; o1; o2; hi; lo } ->
+    let bk = Array.unsafe_get regs book in
+    let va0 = u32 (bk + o0) in
+    let s0 = ram_pa t va0 ~write:true in
+    let s1 = ram_pa_near t s0 va0 (u32 (bk + o1)) ~write:true in
+    let s2 = ram_pa_near t s0 va0 (u32 (bk + o2)) ~write:true in
+    let l1 = ram_pa t (u32 (Array.unsafe_get regs Reg.ra - 4)) ~write:false in
+    if s0 < 0 || s1 < 0 || s2 < 0 || l1 < 0
+       (* the dispatch-table address comes from the word at [l1], read
+          here before the stores that precede it: it must not be one of
+          them *)
+       || l1 = s0 || l1 = s1 || l1 = s2
+       || not (stub_off_page b s0 && stub_off_page b s1 && stub_off_page b s2)
+    then -1
+    else begin
+      let w = read_phys_u32 t l1 in
+      let x = ((w lsr 21) land 31) lsl 2 in
+      let l2 =
+        ram_pa t (u32 (u32 (u32 (hi lsl 16) lor lo) + x)) ~write:false
+      in
+      if l2 < 0 || not (stub_fits t 14 2 3 next_ev) then -1
+      else begin
+        let res = stub_resident t pa 14 in
+        bb_dstore t s0 (Array.unsafe_get regs r0);
+        t.cycles <- t.cycles + 1;
+        let ptag = stub_fetch t (pa + 4) ptag res in
+        bb_dstore t s1 (Array.unsafe_get regs r1);
+        t.cycles <- t.cycles + 1;
+        let ptag = stub_fetch t (pa + 8) ptag res in
+        bb_dstore t s2 (Array.unsafe_get regs r2);
+        t.cycles <- t.cycles + 1;
+        let ptag = stub_fetch t (pa + 12) ptag res in
+        let w = bb_dload t l1 in
+        t.cycles <- t.cycles + 1;
+        let ptag = stub_alu t (pa + 16) 6 ptag res in
+        let ptag = stub_fetch t (pa + 40) ptag res in
+        let tgt = bb_dload t l2 in
+        t.cycles <- t.cycles + 1;
+        let ptag = stub_alu t (pa + 44) 3 ptag res in
+        Array.unsafe_set regs r0 (u32 (s32 (u32 (w lsl 16)) asr 16));
+        Array.unsafe_set regs r1 x;
+        Array.unsafe_set regs r2 tgt;
+        t.pc <- tgt;
+        t.npc <- tgt + 4;
+        stub_done t pa 14 ptag res
+      end
+    end
+  | Mt_store { cursor; r0; r1; r2; book; o0; o1; o2; ra_off } ->
+    let c = u32 (Array.unsafe_get regs cursor + 4) in
+    let bk = Array.unsafe_get regs book in
+    let spa = ram_pa t (u32 (c - 4)) ~write:true in
+    let va0 = u32 (bk + o0) in
+    let l0 = ram_pa t va0 ~write:false in
+    let l2 = ram_pa_near t l0 va0 (u32 (bk + o2)) ~write:false in
+    let lr = ram_pa_near t l0 va0 (u32 (bk + ra_off)) ~write:false in
+    let l1 = ram_pa_near t l0 va0 (u32 (bk + o1)) ~write:false in
+    if spa < 0 || l0 < 0 || l2 < 0 || lr < 0 || l1 < 0
+       || not (stub_off_page b spa && stub_fits t 8 4 1 next_ev)
+    then -1
+    else begin
+      let res = stub_resident t pa 8 in
+      let ra = Array.unsafe_get regs Reg.ra in
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_fetch t (pa + 4) ptag res in
+      bb_dstore t spa (Array.unsafe_get regs r1);
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_fetch t (pa + 8) ptag res in
+      let v0 = bb_dload t l0 in
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_fetch t (pa + 12) ptag res in
+      let v2 = bb_dload t l2 in
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_alu t (pa + 16) 1 ptag res in
+      let ptag = stub_fetch t (pa + 20) ptag res in
+      let vr = bb_dload t lr in
+      t.cycles <- t.cycles + 1;
+      let ptag = stub_alu t (pa + 24) 1 ptag res in
+      let ptag = stub_fetch t (pa + 28) ptag res in
+      let v1 = bb_dload t l1 in
+      t.cycles <- t.cycles + 1;
+      Array.unsafe_set regs cursor c;
+      Array.unsafe_set regs r0 v0;
+      Array.unsafe_set regs r2 v2;
+      Array.unsafe_set regs Reg.at ra;
+      Array.unsafe_set regs Reg.ra vr;
+      Array.unsafe_set regs r1 v1;
+      t.pc <- ra;
+      t.npc <- ra + 4;
+      stub_done t pa 8 ptag res
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Trace-superblock support (Trace tier).  A trace pass replays a hot
@@ -1561,6 +1947,35 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
            t.next_is_delay <- true;
            bb_fin_nc t b lim budget k pa cur ce next_ev ptag
          end
+       | U_stub st ->
+         let tg =
+           if
+             lim = Array.length b.bb_uops && (not ce)
+             && (match (t.watchpoint, t.ref_tracer) with
+                | None, None -> true
+                | _ -> false)
+           then stub_run t b st next_ev ptag
+           else -1
+         in
+         if tg >= 0 then begin
+           t.stub_runs <- t.stub_runs + 1;
+           bb_end t b lim budget lim (t.cycles >= next_ev) next_ev tg
+         end
+         else begin
+           (* fall through: run slot 0's own instruction, as its scalar
+              uop would *)
+           t.stub_falls <- t.stub_falls + 1;
+           match st with
+           | Bb_head { rt; book; off; _ } | Mt_entry { r0 = rt; book; o0 = off; _ } ->
+             t.bb_k <- k;
+             bb_store_word t
+               (Array.unsafe_get t.regs rt)
+               (u32 (Array.unsafe_get t.regs book + off));
+             bb_fin_store t b lim budget k pa cur ce next_ev ptag
+           | Bb_resume { cursor; _ } | Mt_store { cursor; _ } ->
+             reg_set t cursor (Array.unsafe_get t.regs cursor + 4);
+             bb_fin t b lim budget k pa cur ce next_ev ptag
+         end
        | U_other insn ->
          t.bb_k <- k;
          (* [exec] (an hcall handler in particular) may observe the
@@ -1724,7 +2139,9 @@ and bb_chain t bprev budget next_ev ptag =
     t.tr_cached <- tcc.f_cached;
     (* [t.bb_um] is still current: nothing between the previous block's
        flush and this entry executes or touches CP0 status. *)
-    if Uop.trace_enabled t.cfg.tier then bb_chain_trace t nb budget next_ev ptag
+    (* a constant compare, not [Uop.trace_enabled]: a call into another
+       module on every chained block entry *)
+    if t.cfg.tier = Uop.Trace then bb_chain_trace t nb budget next_ev ptag
     else bb_block_enter t nb budget next_ev ptag
   end
   else
@@ -2021,41 +2438,7 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
         && not (is_device_pa spa)
       then begin
         (* watchpoint is None for the whole pass ([bb_trace_ready]) *)
-        (* [Write_buffer.store], free-slot case hand-inlined: the ring
-           fields are public for exactly this (the call dominated the trace
-           store fast path); a full buffer takes the out-of-line stall path *)
-        let wb = t.wb in
-        while
-          wb.Write_buffer.count > 0
-          && Array.unsafe_get wb.Write_buffer.ring wb.Write_buffer.head <= cyc
-        do
-          let ix = wb.Write_buffer.head + 1 in
-          wb.Write_buffer.head <-
-            (if ix >= wb.Write_buffer.depth then ix - wb.Write_buffer.depth else ix);
-          wb.Write_buffer.count <- wb.Write_buffer.count - 1
-        done;
-        let cyc =
-          let cnt = wb.Write_buffer.count in
-          if cnt < wb.Write_buffer.depth then begin
-            wb.Write_buffer.stores <- wb.Write_buffer.stores + 1;
-            let hd = wb.Write_buffer.head and dep = wb.Write_buffer.depth in
-            let last =
-              if cnt = 0 then cyc
-              else
-                Array.unsafe_get wb.Write_buffer.ring
-                  (let ix = hd + cnt - 1 in if ix >= dep then ix - dep else ix)
-            in
-            let retire =
-              (if cyc > last then cyc else last) + wb.Write_buffer.drain_cycles
-            in
-            Array.unsafe_set wb.Write_buffer.ring
-              (let ix = hd + cnt in if ix >= dep then ix - dep else ix)
-              retire;
-            wb.Write_buffer.count <- cnt + 1;
-            cyc
-          end
-          else cyc + Write_buffer.store wb ~now:cyc
-        in
+        let cyc = cyc + wb_store t cyc in
         Bytes.set_int32_le t.mem spa (Int32.of_int (sv land 0xFFFFFFFF));
         Bytes.set t.dec_valid (spa lsr 2) '\000';
         let pg = spa lsr Addr.page_shift in
@@ -2300,41 +2683,7 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
           && spa + 4 <= t.cfg.mem_bytes
           && not (is_device_pa spa)
         then begin
-          (* [Write_buffer.store], free-slot case hand-inlined: the ring
-             fields are public for exactly this (the call dominated the trace
-             store fast path); a full buffer takes the out-of-line stall path *)
-          let wb = t.wb in
-          while
-            wb.Write_buffer.count > 0
-            && Array.unsafe_get wb.Write_buffer.ring wb.Write_buffer.head <= cyc
-          do
-            let ix = wb.Write_buffer.head + 1 in
-            wb.Write_buffer.head <-
-              (if ix >= wb.Write_buffer.depth then ix - wb.Write_buffer.depth else ix);
-            wb.Write_buffer.count <- wb.Write_buffer.count - 1
-          done;
-          let cyc =
-            let cnt = wb.Write_buffer.count in
-            if cnt < wb.Write_buffer.depth then begin
-              wb.Write_buffer.stores <- wb.Write_buffer.stores + 1;
-              let hd = wb.Write_buffer.head and dep = wb.Write_buffer.depth in
-              let last =
-                if cnt = 0 then cyc
-                else
-                  Array.unsafe_get wb.Write_buffer.ring
-                    (let ix = hd + cnt - 1 in if ix >= dep then ix - dep else ix)
-              in
-              let retire =
-                (if cyc > last then cyc else last) + wb.Write_buffer.drain_cycles
-              in
-              Array.unsafe_set wb.Write_buffer.ring
-                (let ix = hd + cnt in if ix >= dep then ix - dep else ix)
-                retire;
-              wb.Write_buffer.count <- cnt + 1;
-              cyc
-            end
-            else cyc + Write_buffer.store wb ~now:cyc
-          in
+          let cyc = cyc + wb_store t cyc in
           Bytes.set_int32_le t.mem spa (Int32.of_int (sv land 0xFFFFFFFF));
           Bytes.set t.dec_valid (spa lsr 2) '\000';
           let pg = spa lsr Addr.page_shift in
@@ -2392,41 +2741,7 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
           && spa + 4 <= t.cfg.mem_bytes
           && not (is_device_pa spa)
         then begin
-          (* [Write_buffer.store], free-slot case hand-inlined: the ring
-             fields are public for exactly this (the call dominated the trace
-             store fast path); a full buffer takes the out-of-line stall path *)
-          let wb = t.wb in
-          while
-            wb.Write_buffer.count > 0
-            && Array.unsafe_get wb.Write_buffer.ring wb.Write_buffer.head <= cyc
-          do
-            let ix = wb.Write_buffer.head + 1 in
-            wb.Write_buffer.head <-
-              (if ix >= wb.Write_buffer.depth then ix - wb.Write_buffer.depth else ix);
-            wb.Write_buffer.count <- wb.Write_buffer.count - 1
-          done;
-          let cyc =
-            let cnt = wb.Write_buffer.count in
-            if cnt < wb.Write_buffer.depth then begin
-              wb.Write_buffer.stores <- wb.Write_buffer.stores + 1;
-              let hd = wb.Write_buffer.head and dep = wb.Write_buffer.depth in
-              let last =
-                if cnt = 0 then cyc
-                else
-                  Array.unsafe_get wb.Write_buffer.ring
-                    (let ix = hd + cnt - 1 in if ix >= dep then ix - dep else ix)
-              in
-              let retire =
-                (if cyc > last then cyc else last) + wb.Write_buffer.drain_cycles
-              in
-              Array.unsafe_set wb.Write_buffer.ring
-                (let ix = hd + cnt in if ix >= dep then ix - dep else ix)
-                retire;
-              wb.Write_buffer.count <- cnt + 1;
-              cyc
-            end
-            else cyc + Write_buffer.store wb ~now:cyc
-          in
+          let cyc = cyc + wb_store t cyc in
           Bytes.set_int32_le t.mem spa (Int32.of_int (sv land 0xFFFFFFFF));
           Bytes.set t.dec_valid (spa lsr 2) '\000';
           let pg = spa lsr Addr.page_shift in
@@ -2462,8 +2777,8 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
         end
       end
     | U_j_nop a -> bb_trc_go t b (k + 2) a (a + 4) (cyc + 2) c0 c1 r0 r1
-    | U_other _ ->
-      (* [trace_eligible] excludes U_other from every trace block *)
+    | U_stub _ | U_other _ ->
+      (* [trace_eligible] excludes both from every trace block *)
       assert false
 
 let exec_block t b ~budget =

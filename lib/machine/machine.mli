@@ -5,7 +5,9 @@
     This is the "hardware" of the reproduction.  Its ground-truth event
     counters play the role of the paper's direct measurements of the
     uninstrumented DECstation.  Nothing here knows about tracing: traces
-    are generated purely by instrumented code running on the machine. *)
+    are generated purely by instrumented code running on the machine (the
+    stub uops recognise the tracing runtime's blocks by their instructions
+    only to interpret them faster, with the instructions' effects). *)
 
 open Systrace_isa
 
@@ -43,13 +45,14 @@ type config = {
   tier : Uop.tier;
       (** Interpreter tier (default {!Uop.Super}): [Step] is the
           step-at-a-time oracle with a full TLB walk per access; [Tcache]
-          adds the last-translation micro-cache; [Bcache] adds the
+          adds the translation micro-cache and its second level; [Bcache] adds the
           decode-once basic-block execution cache (one fetch translation
           + bounds check per block, keyed by (physical address, pc,
           cacheability), invalidated by per-page store generations, so
           self-modifying code, DMA, TLB remaps and mode switches behave
           exactly as in step-at-a-time execution); [Super] adds
-          superblock peephole fusion over cached blocks; [Trace] adds
+          superblock peephole fusion and the runtime stub uops over cached
+          blocks; [Trace] adds
           trace superblocks stitched over the successor memo with
           cross-seam register caching.  {!step} remains the
           state-identical oracle for every tier (qcheck-enforced). *)
@@ -77,14 +80,27 @@ type counters = {
   mutable clock_ticks : int;
 }
 
-(** Last-translation micro-cache: one (vpn -> page frame) entry per access
-    class (fetch / load / store), flushed on TLB writes, CP0 status/mode
-    changes and ASID/context updates. *)
+(** Translation cache, used from [Tcache] up: a last-translation
+    micro-cache (one vpn -> page frame entry per access class: fetch,
+    load, store) backed by a second level of {!l2_slots} direct-mapped
+    entries per class, indexed by a hash of the vpn.  Both levels are filled
+    only by successful walks and flushed together on TLB writes, CP0
+    status/mode changes, ASID/context updates and exception entry;
+    second-level keys carry the flush generation [l2_gen] above the 20
+    vpn bits, so a flush is one increment. *)
 type tcache = {
   mutable f_vpn : int;  mutable f_frame : int;  mutable f_cached : bool;
   mutable r_vpn : int;  mutable r_frame : int;  mutable r_cached : bool;
   mutable w_vpn : int;  mutable w_frame : int;  mutable w_cached : bool;
+  l2_key : int array;   (** per slot: [vpn lor l2_gen]; -1 = never filled *)
+  l2_pte : int array;   (** per slot: page frame, [lor 1] when uncached *)
+  mutable l2_gen : int; (** flush generation, a multiple of 2{^20} *)
 }
+
+val l2_slots : int
+(** Second-level entries per access class (64).  A vpn's slot folds its
+    low six bits with the next twelve, so text vpn 0x400 and the
+    bookkeeping page's vpn 0x7e000 land in different slots. *)
 
 type t = {
   cfg : config;
@@ -148,6 +164,12 @@ type t = {
           current trace pass, not yet credited to the counters: internal
           seams accumulate here and the next flush (or the trap handler)
           folds it in, so a pass touches the counter record once. *)
+  mutable stub_runs : int;
+      (** Host-side count of stub uops that ran their whole block. *)
+  mutable stub_falls : int;
+      (** Host-side count of stub uops that fell through to the scalar
+          uops (observer set, budget or event horizon too close, or a
+          data access that would not translate to cached RAM). *)
   icache : Cache.t;
   dcache : Cache.t;
   wb : Write_buffer.t;

@@ -54,6 +54,21 @@ let tier_of_cli ~tier ~no_bcache =
   | None, true -> Ok Tcache
   | None, false -> Ok Super
 
+(* The four user-variant blocks of the tracing runtime (epoxie's
+   runtime.ml), with the registers and bookkeeping offsets they use.
+   See the mli for the shapes. *)
+type stub =
+  | Bb_head of { rt : int; book : int; off : int; cursor : int; limit : int; full : int }
+  | Bb_resume of { cursor : int; book : int; ra_off : int; rt : int; off : int }
+  | Mt_entry of {
+      r0 : int; r1 : int; r2 : int; book : int;
+      o0 : int; o1 : int; o2 : int; hi : int; lo : int;
+    }
+  | Mt_store of {
+      cursor : int; r0 : int; r1 : int; r2 : int; book : int;
+      o0 : int; o1 : int; o2 : int; ra_off : int;
+    }
+
 (* Pre-decoded instruction for the basic-block execution cache: operands
    are resolved to plain ints at block-build time (immediates applied,
    branch targets absolute) and dispatch is one flat match, so replaying
@@ -93,6 +108,7 @@ type t =
   | U_lw_addiu of int * int * int * int * int * int
   | U_lmw of int * int * int * int * int * int * int * int * int
   | U_j_nop of int
+  | U_stub of stub                         (* whole runtime block *)
   | U_other of Insn.t                      (* full interpreter dispatch *)
 
 let of_insn (insn : Insn.t) : t =
@@ -133,7 +149,13 @@ let barrier (insn : Insn.t) =
   | Syscall | Break _ | Mtc0 _ | Tlbr | Tlbwi | Tlbwr | Rfe | Hcall _ -> true
   | _ -> false
 
+let stub_len = function
+  | Bb_head _ | Mt_store _ -> 8
+  | Bb_resume _ -> 6
+  | Mt_entry _ -> 14
+
 let width = function
+  | U_stub s -> stub_len s
   | U_lmw _ -> 3
   | U_li _ | U_addiu2 _ | U_slt_b _ | U_lw_addiu _ | U_j_nop _ -> 2
   | _ -> 1
@@ -195,6 +217,78 @@ let fuse (uops : t array) : t array =
     i := !i + w
   done;
   out
+
+(* ------------------------------------------------------------------ *)
+(* Stub shapes                                                         *)
+
+let rec distinct = function
+  | [] -> true
+  | r :: rest -> (not (List.mem r rest)) && distinct rest
+
+let is_nop = function U_shift (Insn.SLL, 0, 0, 0) -> true | _ -> false
+
+(* Match a lowered (unfused) block body against the four shapes.  The
+   registers each shape names must be pairwise distinct and not $zero,
+   $at or $ra: then every data address in the block is a function of the
+   registers at block entry and of the one load the memtrace entry
+   decodes, which is what lets the executor check all of them before
+   applying any effect. *)
+let stub_of (u : t array) =
+  match u with
+  | [| U_sw (rt, book, off);
+       U_lw (rt1, 31, -4);
+       U_alui (Insn.ANDI, rt2, rt3, 0xFFFF);
+       U_shift (Insn.SLL, rt4, rt5, 2);
+       U_alu (Insn.ADDU, rt6, cursor, rt7);
+       U_alu (Insn.SLTU, rt8, limit, rt9);
+       U_bne (rt10, 0, full);
+       nop |]
+    when is_nop nop
+         && List.for_all (( = ) rt) [ rt1; rt2; rt3; rt4; rt5; rt6; rt7; rt8; rt9; rt10 ]
+         && distinct [ rt; book; cursor; limit; 0; Reg.at; Reg.ra ] ->
+    Some (Bb_head { rt; book; off; cursor; limit; full })
+  | [| U_alui (Insn.ADDIU, cursor, cursor1, 4);
+       U_sw (31, cursor2, -4);
+       U_alu (Insn.ADDU, 1, 31, 0);
+       U_lw (31, book, ra_off);
+       U_jr 1;
+       U_lw (rt, book1, off) |]
+    when cursor1 = cursor && cursor2 = cursor && book1 = book
+         && distinct [ cursor; book; rt; 0; Reg.at; Reg.ra ] ->
+    Some (Bb_resume { cursor; book; ra_off; rt; off })
+  | [| U_sw (r0, book, o0);
+       U_sw (r1, book1, o1);
+       U_sw (r2, book2, o2);
+       U_lw (r0a, 31, -4);
+       U_shift (Insn.SRL, r1a, r0b, 21);
+       U_alui (Insn.ANDI, r1b, r1c, 31);
+       U_shift (Insn.SLL, r1d, r1e, 2);
+       U_lui (r2a, hi);
+       U_alui (Insn.ORI, r2b, r2c, lo);
+       U_alu (Insn.ADDU, r2d, r2e, r1f);
+       U_lw (r2f, r2g, 0);
+       U_shift (Insn.SLL, r0c, r0d, 16);
+       U_jr r2h;
+       U_shift (Insn.SRA, r0e, r0f, 16) |]
+    when book1 = book && book2 = book
+         && List.for_all (( = ) r0) [ r0a; r0b; r0c; r0d; r0e; r0f ]
+         && List.for_all (( = ) r1) [ r1a; r1b; r1c; r1d; r1e; r1f ]
+         && List.for_all (( = ) r2) [ r2a; r2b; r2c; r2d; r2e; r2f; r2g; r2h ]
+         && distinct [ r0; r1; r2; book; 0; Reg.at; Reg.ra ] ->
+    Some (Mt_entry { r0; r1; r2; book; o0; o1; o2; hi; lo })
+  | [| U_alui (Insn.ADDIU, cursor, cursor1, 4);
+       U_sw (r1, cursor2, -4);
+       U_lw (r0, book, o0);
+       U_lw (r2, book1, o2);
+       U_alu (Insn.ADDU, 1, 31, 0);
+       U_lw (31, book2, ra_off);
+       U_jr 1;
+       U_lw (r1a, book3, o1) |]
+    when cursor1 = cursor && cursor2 = cursor && r1a = r1
+         && List.for_all (( = ) book) [ book1; book2; book3 ]
+         && distinct [ cursor; r0; r1; r2; book; 0; Reg.at; Reg.ra ] ->
+    Some (Mt_store { cursor; r0; r1; r2; book; o0; o1; o2; ra_off })
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Blocks                                                              *)
@@ -282,9 +376,20 @@ let build ~decode ~va ~pa ~cached ~gen ~fuse:do_fuse =
       stop := true
   done;
   let uops = if !n = max_words then buf else Array.sub buf 0 !n in
-  (* Cacheability specialization: fused bodies assume a cached fetch
-     mapping, so only cacheable text is ever fused. *)
-  let uops = if do_fuse && cached then fuse uops else uops in
+  (* Cacheability specialization: fused bodies and stub uops assume a
+     cached fetch mapping, so only cacheable text is ever specialised.
+     A stub uop takes slot 0 and, like a fused uop, leaves the scalar
+     (or fused) uops of the slots it covers in place. *)
+  let uops =
+    if do_fuse && cached then begin
+      let fused = fuse uops in
+      (match stub_of uops with
+      | Some s -> fused.(0) <- U_stub s
+      | None -> ());
+      fused
+    end
+    else uops
+  in
   {
     bb_pa = pa;
     bb_va = va;
@@ -321,7 +426,7 @@ let trace_eligible b =
   let n = Array.length b.bb_uops in
   b.bb_pa >= 0 && b.bb_cached && n > 0
   && (not (ends_open b.bb_uops.(n - 1)))
-  && Array.for_all (function U_other _ -> false | _ -> true) b.bb_uops
+  && Array.for_all (function U_other _ | U_stub _ -> false | _ -> true) b.bb_uops
 
 (* Def/use accounting for the cross-seam register cache: every register
    operand read or written bumps its count.  Register 0 is never a
@@ -351,7 +456,7 @@ let count_regs counts u =
     bump rt; bump base; bump rt2; bump rs2
   | U_lmw (rt, base, _, rt2, rs2, _, rt3, base3, _) ->
     bump rt; bump base; bump rt2; bump rs2; bump rt3; bump base3
-  | U_other _ -> ()
+  | U_stub _ | U_other _ -> ()
 
 (* Worst-case cycle cost of one slot (scalar view), used for the single
    up-front event-horizon test: base 1 cycle per instruction plus the

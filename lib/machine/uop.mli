@@ -15,9 +15,11 @@ open Systrace_isa
     across all five (qcheck- and ablation-enforced):
 
     - [Step]: step-at-a-time oracle, full TLB walk on every access.
-    - [Tcache]: + last-translation micro-cache per access class.
+    - [Tcache]: + last-translation micro-cache per access class, with a
+      hashed second level.
     - [Bcache]: + decode-once basic-block cache with successor memo.
-    - [Super]: + superblock peephole fusion over cached blocks.
+    - [Super]: + superblock peephole fusion and stub uops over cached
+      blocks.
     - [Trace]: + trace superblocks stitched over the successor memo with
       cross-seam register caching. *)
 type tier = Step | Tcache | Bcache | Super | Trace
@@ -42,6 +44,43 @@ val tier_of_cli :
     alone; the deprecated [--no-bcache] alias alone maps to [Tcache];
     giving both is an error (the alias used to lose silently); neither
     means the default ([Super]). *)
+
+(** {2 Stub shapes}
+
+    The four user-variant blocks of epoxie's tracing runtime
+    ([lib/epoxie/runtime.ml]) that carry the per-reference cost of a
+    traced run, as decoded on cached text (registers: [rt]/[r0..r2] the
+    scratch registers, [book] the bookkeeping base, [cursor]/[limit] the
+    trace cursor and its high-water mark):
+
+    - [Bb_head]: [sw rt, off(book); lw rt, -4(ra); andi rt, rt, 0xffff;
+      sll rt, rt, 2; addu rt, cursor, rt; sltu rt, limit, rt;
+      bne rt, $0, full; nop] — bbtrace's room check;
+    - [Bb_resume]: [addiu cursor, cursor, 4; sw ra, -4(cursor);
+      move at, ra; lw ra, ra_off(book); jr at; lw rt, off(book)] —
+      bbtrace's record store and return;
+    - [Mt_entry]: [sw r0, o0(book); sw r1, o1(book); sw r2, o2(book);
+      lw r0, -4(ra); srl r1, r0, 21; andi r1, r1, 31; sll r1, r1, 2;
+      lui r2, hi; ori r2, r2, lo; addu r2, r2, r1; lw r2, 0(r2);
+      sll r0, r0, 16; jr r2; sra r0, r0, 16] — memtrace's decode of the
+      delay-slot word and jump-table dispatch;
+    - [Mt_store]: [addiu cursor, cursor, 4; sw r1, -4(cursor);
+      lw r0, o0(book); lw r2, o2(book); move at, ra; lw ra, ra_off(book);
+      jr at; lw r1, o1(book)] — memtrace's record store and return.
+
+    The registers a shape names are pairwise distinct and none is $zero,
+    $at or $ra.  The kernel variant's mfc0/mtc0 prologue never matches. *)
+type stub =
+  | Bb_head of { rt : int; book : int; off : int; cursor : int; limit : int; full : int }
+  | Bb_resume of { cursor : int; book : int; ra_off : int; rt : int; off : int }
+  | Mt_entry of {
+      r0 : int; r1 : int; r2 : int; book : int;
+      o0 : int; o1 : int; o2 : int; hi : int; lo : int;
+    }
+  | Mt_store of {
+      cursor : int; r0 : int; r1 : int; r2 : int; book : int;
+      o0 : int; o1 : int; o2 : int; ra_off : int;
+    }
 
 (** {2 The uop IR}
 
@@ -112,6 +151,12 @@ type t =
           sw rt3, off3(base3)] — the store is the final element *)
   | U_j_nop of int
       (** [j tgt] with an empty (nop) delay slot *)
+  | U_stub of stub
+      (** A whole tracing-runtime block as one dispatch, in slot 0 of a
+          block whose body matches the stub shape.  When the stub falls
+          through, slot 0's own instruction runs (a store or the cursor
+          bump, fixed by the shape); the covered slots keep their uops,
+          as for fused uops. *)
   | U_other of Insn.t                      (* full interpreter dispatch *)
 
 val of_insn : Insn.t -> t
@@ -129,8 +174,9 @@ val fuse : t array -> t array
     original scalar uop. *)
 
 val width : t -> int
-(** Instructions covered by one dispatch: 3 for [U_lmw], 2 for the other
-    fused constructors, 1 for scalar uops. *)
+(** Instructions covered by one dispatch: the block length for
+    [U_stub], 3 for [U_lmw], 2 for the other fused constructors, 1 for
+    scalar uops. *)
 
 val is_fused : t -> bool
 
@@ -206,8 +252,8 @@ val trace_max_insns : int
 
 val trace_eligible : block -> bool
 (** Blocks a trace may contain: cached RAM text, no [U_other] (barriers,
-    FP, hcalls), and no control transfer left open at the end by the
-    page-end clamp. *)
+    FP, hcalls), no [U_stub], and no control transfer left open at the
+    end by the page-end clamp. *)
 
 val form_trace :
   head:block ->
@@ -237,9 +283,10 @@ val build :
     control transfer (plus delay slot), barrier, page end or
     [max_block_insns].  A decode failure at the entry word re-raises; a
     later one ends the block before the bad word, so it raises exactly
-    when step-at-a-time would reach it.  [fuse] applies {!fuse} — only
-    honoured on cacheable text, which is what lets fused bodies skip the
-    cacheability test. *)
+    when step-at-a-time would reach it.  [fuse] applies {!fuse} and puts
+    a [U_stub] in slot 0 of a block matching a stub shape — only
+    honoured on cacheable text, which is what lets fused bodies and stub
+    uops skip the cacheability test. *)
 
 (** {2 The store-generation invalidation contract}
 

@@ -886,51 +886,65 @@ let drain_ablation_table ?(wname = "sed") () =
 (* ------------------------------------------------------------------ *)
 (* DESIGN.md Â§5e: interpreter execution-mode ablation                   *)
 
-(* Host cost of the four interpreter tiers on a full untraced
-   boot + workload run.  The simulated machine must be bit-for-bit
-   indifferent: every ground-truth counter and the console transcript are
-   asserted identical across tiers before the timings are reported, which
+(* Everything a run shows of the simulated machine at the end: cycles,
+   every ground-truth counter, the icache/dcache hit and miss counts, the
+   write buffer's stores and stall cycles, the console, and the count and
+   an order-sensitive checksum of the trace words the host received. *)
+type tier_fingerprint = {
+  f_counters : int list;
+  f_console : string;
+  f_words : int;
+  f_checksum : int;
+}
+
+let tier_run ?(os = Validate.Ultrix) ~traced wname tier =
+  let module M = Systrace_machine.Machine in
+  let machine_cfg = { M.default_config with M.tier } in
+  let b = Validate.system ~machine_cfg ~traced os (spec_of (Suite.find wname)) in
+  let words = ref 0 and sum = ref 0 in
+  if traced then
+    b.Builder.trace_sink <-
+      Some
+        (fun ws len ->
+          words := !words + len;
+          for i = 0 to len - 1 do
+            sum := ((!sum * 31) + ws.(i)) land 0x3FFF_FFFF_FFFF
+          done);
+  (match Builder.run b ~max_insns:2_000_000_000 with
+  | M.Halt -> ()
+  | M.Limit -> failwith "tier_run: system did not halt");
+  if traced then Builder.drain_final b;
+  let m = b.Builder.machine in
+  let c = m.M.c in
+  ( b,
+    {
+      f_counters =
+        [
+          m.M.cycles; c.M.instructions; c.M.user_instructions;
+          c.M.kernel_instructions; c.M.idle_instructions;
+          c.M.uncached_ifetches; c.M.uncached_reads; c.M.utlb_misses;
+          c.M.ktlb_misses; c.M.tlb_invalid; c.M.tlb_mod; c.M.exceptions;
+          c.M.interrupts; c.M.syscalls; c.M.clock_ticks;
+          m.M.icache.Systrace_machine.Cache.hits;
+          m.M.icache.Systrace_machine.Cache.misses;
+          m.M.dcache.Systrace_machine.Cache.hits;
+          m.M.dcache.Systrace_machine.Cache.misses;
+          m.M.wb.Systrace_machine.Write_buffer.stores;
+          m.M.wb.Systrace_machine.Write_buffer.stall_cycles;
+        ];
+      f_console = Builder.console b;
+      f_words = !words;
+      f_checksum = !sum;
+    } )
+
+(* Host cost of the interpreter tiers on a full untraced boot + workload
+   run.  The simulated machine must be bit-for-bit indifferent: every
+   ground-truth counter and the console transcript are asserted
+   identical across tiers before the timings are reported, which
    exercises the block cache's invalidation machinery (kernel loads
    programs, remaps pages and switches modes constantly) at system
    scale. *)
 let interp_ablation_table ?(wname = "egrep") () =
-  let e = Suite.find wname in
-  let run tier =
-    let cfg =
-      {
-        Builder.default_config with
-        Builder.machine_cfg =
-          {
-            Systrace_machine.Machine.default_config with
-            Systrace_machine.Machine.tier;
-          };
-      }
-    in
-    let t0 = Sys.time () in
-    let b =
-      Builder.build ~cfg ~programs:[ e.Suite.program () ] ~files:e.Suite.files
-        ()
-    in
-    (match Builder.run b ~max_insns:2_000_000_000 with
-    | Systrace_machine.Machine.Halt -> ()
-    | Systrace_machine.Machine.Limit -> failwith "interp ablation: no halt");
-    (Sys.time () -. t0, b)
-  in
-  let fingerprint (b : Builder.t) =
-    let m = b.Builder.machine in
-    let c = m.Systrace_machine.Machine.c in
-    ( m.Systrace_machine.Machine.cycles,
-      ( c.Systrace_machine.Machine.instructions,
-        c.Systrace_machine.Machine.user_instructions,
-        c.Systrace_machine.Machine.kernel_instructions,
-        c.Systrace_machine.Machine.idle_instructions ),
-      ( c.Systrace_machine.Machine.utlb_misses,
-        c.Systrace_machine.Machine.ktlb_misses,
-        c.Systrace_machine.Machine.exceptions,
-        c.Systrace_machine.Machine.interrupts,
-        c.Systrace_machine.Machine.syscalls ),
-      Builder.console b )
-  in
   let modes =
     [
       ("step (no caches)", Systrace_machine.Uop.Step);
@@ -943,8 +957,9 @@ let interp_ablation_table ?(wname = "egrep") () =
   let results =
     List.map
       (fun (label, tier) ->
-        let secs, b = run tier in
-        (label, secs, fingerprint b))
+        let t0 = Sys.time () in
+        let _, fp = tier_run ~traced:false wname tier in
+        (label, Sys.time () -. t0, fp))
       modes
   in
   (match results with

@@ -92,6 +92,28 @@ val faults_table :
     recovery modes reconstruct the identical reference stream from the
     pristine trace. *)
 
+type tier_fingerprint = {
+  f_counters : int list;
+      (** cycles, every {!Systrace_machine.Machine.counters} field,
+          icache and dcache hits and misses, write-buffer stores and
+          stall cycles *)
+  f_console : string;
+  f_words : int;  (** trace words handed to the host (0 untraced) *)
+  f_checksum : int;  (** order-sensitive checksum of those words *)
+}
+
+val tier_run :
+  ?os:Validate.os ->
+  traced:bool ->
+  string ->
+  Systrace_machine.Uop.tier ->
+  Systrace_kernel.Builder.t * tier_fingerprint
+(** Boot workload [wname] ([?os] default Ultrix; traced or not, as
+    {!Validate} builds it) at one interpreter tier, run it to halt
+    (draining the in-kernel trace buffer at the end) and fingerprint
+    it.  Every tier must give the same fingerprint: [Step] is the
+    oracle. *)
+
 val interp_ablation_table : ?wname:string -> unit -> Table.t
 (** DESIGN.md §5e: step-at-a-time vs translation micro-cache vs
     basic-block replay on an untraced boot + workload run — host cost per

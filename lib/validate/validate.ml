@@ -88,6 +88,15 @@ let all_programs os spec =
 
 let max_insns = 2_000_000_000
 
+let system ?pagemap ?machine_cfg ?(seed = 1) ~traced os spec =
+  let cfg = { (base_cfg os pagemap seed) with Builder.traced } in
+  let cfg =
+    match machine_cfg with
+    | Some m -> { cfg with Builder.machine_cfg = m }
+    | None -> cfg
+  in
+  Builder.build ~cfg ~programs:(all_programs os spec) ~files:spec.files ()
+
 let run_to_halt t =
   match Builder.run t ~max_insns with
   | Systrace_machine.Machine.Halt -> ()
@@ -96,32 +105,21 @@ let run_to_halt t =
 (* ------------------------------------------------------------------ *)
 
 let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
-  let cfg = base_cfg os pagemap seed in
-  let cfg =
-    match machine_cfg with
-    | Some m -> { cfg with Builder.machine_cfg = m }
-    | None -> cfg
-  in
-  let t = Builder.build ~cfg ~programs:(all_programs os spec) ~files:spec.files () in
+  let t = system ?pagemap ?machine_cfg ~seed ~traced:false os spec in
   run_to_halt t;
   let c = t.Builder.machine.Systrace_machine.Machine.c in
   (* pixie-style arithmetic stall estimate: a functional run with an ideal
      memory system, so FP interlocks are the only stalls. *)
   let ideal_cfg =
     {
-      cfg with
-      Builder.machine_cfg =
-        {
-          cfg.Builder.machine_cfg with
-          Systrace_machine.Machine.read_miss_penalty = 0;
-          uncached_penalty = 0;
-          wb_drain = 0;
-        };
+      t.Builder.cfg.Builder.machine_cfg with
+      Systrace_machine.Machine.read_miss_penalty = 0;
+      uncached_penalty = 0;
+      wb_drain = 0;
     }
   in
   let ti =
-    Builder.build ~cfg:ideal_cfg ~programs:(all_programs os spec)
-      ~files:spec.files ()
+    system ?pagemap ~machine_cfg:ideal_cfg ~seed ~traced:false os spec
   in
   run_to_halt ti;
   {
@@ -167,14 +165,13 @@ let memsim_cfg ~pagemap (mcfg : Systrace_machine.Machine.config) =
 
 let predict_sweep ?pagemap ?(seed = 1) ?(arith_stalls = -1) ?geometries os
     spec : prediction array =
-  let cfg = { (base_cfg os pagemap seed) with Builder.traced = true } in
+  let t = system ?pagemap ~seed ~traced:true os spec in
   let geometries =
     match geometries with
     | Some [] -> invalid_arg "predict_sweep: no geometries"
     | Some gs -> gs
-    | None -> [ cfg.Builder.machine_cfg ]
+    | None -> [ t.Builder.cfg.Builder.machine_cfg ]
   in
-  let t = Builder.build ~cfg ~programs:(all_programs os spec) ~files:spec.files () in
   let kernel_bbs = Option.get t.Builder.kernel_bbs in
   let parser = Parser.create ~kernel_bbs () in
   List.iter

@@ -50,6 +50,18 @@ type prediction = {
           in-kernel buffer size rather than the trace length *)
 }
 
+val system :
+  ?pagemap:Kcfg.pagemap ->
+  ?machine_cfg:Systrace_machine.Machine.config ->
+  ?seed:int ->
+  traced:bool ->
+  os ->
+  spec ->
+  Builder.t
+(** The system {!measure} ([traced:false]) or {!predict} ([traced:true])
+    boots, built but not yet run: the workload's programs (plus the UX
+    server under Mach) on the OS's default page-mapping policy. *)
+
 val measure : ?pagemap:Kcfg.pagemap -> ?machine_cfg:Systrace_machine.Machine.config -> ?seed:int -> os -> spec -> measurement
 
 val measure_with :

@@ -1,0 +1,51 @@
+(* The CLI is total: bad paths, absent sockets and traces analysed
+   against the wrong workload end with a one-line diagnosis and a
+   documented exit code (1 bad data, 2 usage or environment), never
+   Cmdliner's internal-error exit 125. *)
+
+let cli = "../bin/systrace_cli.exe"
+
+(* Run the CLI with [args]; returns (exit code, stderr). *)
+let run args =
+  let err = Filename.temp_file "systrace_cli" ".err" in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process cli (Array.of_list (cli :: args)) null null fd
+  in
+  Unix.close fd;
+  Unix.close null;
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  let msg = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (code, msg)
+
+let cases () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "systrace-absent" in
+  let file = Filename.concat missing "x.strc" in
+  [
+    (2, [ "check"; file ]);
+    (2, [ "analyze"; "egrep"; file ]);
+    (2, [ "sweep"; "egrep"; file ]);
+    (2, [ "slice"; file; "--from"; "0"; "--until"; "10"; "-o"; file ]);
+    (2, [ "trace"; "egrep"; "--trace-out"; file ]);
+    (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "unix:" ^ file ]);
+    (2, [ "serve"; "--stats"; "--ctl"; file ]);
+    (1, [ "analyze"; "gcc"; "fixture_v3.strc" ]);
+  ]
+
+let test_bad_invocations () =
+  List.iter
+    (fun (expect, args) ->
+      let code, msg = run args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ ": exit code") expect code;
+      Alcotest.(check bool) (what ^ ": stderr says why") true (String.trim msg <> ""))
+    (cases ())
+
+let tests =
+  [ Alcotest.test_case "bad invocations exit 1 or 2 with a message" `Quick test_bad_invocations ]

@@ -694,3 +694,129 @@ let test_hand_traced_routine () =
 let tests =
   tests
   @ [ Alcotest.test_case "hand-traced routine" `Quick test_hand_traced_routine ]
+
+(* ------------------------------------------------------------------ *)
+(* The tracing runtime's stub uops against step-at-a-time: regressions
+   for the two ways a stub must hand a traced reference back to the
+   scalar uops.  The user runtime runs with its bookkeeping page and
+   trace buffer at their user addresses, mapped through the TLB by a
+   host-written refill handler; a syscall handler plays the kernel's
+   trace flush by resetting the cursor. *)
+
+let stub_vectors m =
+  let open Insn in
+  let buf_hi = Abi.user_buf_va lsr 16 and buf_lo = Abi.user_buf_va land 0xFFFF in
+  let write base insns =
+    List.iteri
+      (fun i insn ->
+        Machine.write_phys_u32 m
+          (Addr.kseg0_pa base + (4 * i))
+          (Encode.encode ~pc:(base + (4 * i)) insn))
+      insns
+  in
+  (* refill: map user page vpn to frame 0x100 + (vpn land 0xff), dirty *)
+  write Addr.utlb_vector
+    [
+      Mfc0 (Reg.k0, C0_entryhi);
+      Shift (SRL, Reg.k0, Reg.k0, 12);
+      Alui (ANDI, Reg.k0, Reg.k0, Imm 0xFF);
+      Alui (ADDIU, Reg.k0, Reg.k0, Imm 0x100);
+      Shift (SLL, Reg.k0, Reg.k0, 12);
+      Alui (ORI, Reg.k0, Reg.k0, Imm (Tlb.entrylo_d lor Tlb.entrylo_v));
+      Mtc0 (Reg.k0, C0_entrylo);
+      Tlbwr;
+      Mfc0 (Reg.k1, C0_epc);
+      Jr Reg.k1;
+      Rfe;
+    ];
+  (* the only other exception is the trace-flush syscall *)
+  write Addr.general_vector
+    [
+      Lui (Abi.xreg_cursor, Imm buf_hi);
+      Alui (ORI, Abi.xreg_cursor, Abi.xreg_cursor, Imm buf_lo);
+      Mfc0 (Reg.k1, C0_epc);
+      Alui (ADDIU, Reg.k1, Reg.k1, Imm 4);
+      Jr Reg.k1;
+      Rfe;
+    ]
+
+(* A counted loop of one load and one store, each traced by memtrace;
+   with [evict], the trace buffer page's TLB entry is overwritten
+   between the two. *)
+let stub_prog ~evict =
+  let a = Asm.create "main" in
+  let open Asm in
+  func a "main" ~frame:8 ~saves:[] (fun () ->
+      li a Reg.t1 40;
+      label a "loop";
+      lw a Reg.t2 0 Reg.sp;
+      addiu a Reg.t2 Reg.t2 1;
+      if evict then begin
+        li a Reg.t3 Abi.user_buf_va;
+        mtc0 a Reg.t3 Insn.C0_entryhi;
+        tlbp a;
+        li a Reg.t3 (Abi.user_buf_va + 0x10_0000);
+        mtc0 a Reg.t3 Insn.C0_entryhi;
+        mtc0 a Reg.zero Insn.C0_entrylo;
+        tlbwi a
+      end;
+      sw a Reg.t2 0 Reg.sp;
+      addiu a Reg.t1 Reg.t1 (-1);
+      bgtz a Reg.t1 "loop");
+  to_obj a
+
+let stub_run ~limit ~evict tier =
+  let a = Asm.create ~no_instrument:true "shim" in
+  let open Asm in
+  global a "_start";
+  label a "_start";
+  li a Abi.xreg_book Abi.user_book_va;
+  li a Abi.xreg_cursor Abi.user_buf_va;
+  li a Abi.xreg_limit (Abi.user_buf_va + limit);
+  li a Reg.sp (data_va + 0x2000);
+  jal a "main";
+  hcall a 0;
+  let imods, _ = Epoxie.instrument_modules [ stub_prog ~evict ] in
+  let exe =
+    Link.link ~name:"stubs" ~text_base:text_va ~data_base:data_va
+      ~entry:"_start"
+      ((to_obj a :: imods) @ [ Runtime.make Runtime.User ])
+  in
+  let m = Machine.create ~cfg:{ Machine.default_config with Machine.tier } () in
+  Machine.load_exe_phys m exe ~text_pa:(Addr.kseg0_pa text_va)
+    ~data_pa:(Addr.kseg0_pa data_va);
+  stub_vectors m;
+  m.Machine.pc <- exe.Exe.entry;
+  m.Machine.npc <- exe.Exe.entry + 4;
+  m.Machine.hcall_handler <- Some (fun m code -> if code = 0 then Machine.halt m);
+  run m;
+  m
+
+let stub_regression ~limit ~evict () =
+  let ms = stub_run ~limit ~evict Uop.Step in
+  let mf = stub_run ~limit ~evict Machine.default_config.Machine.tier in
+  check "memory equal" true (Bytes.equal ms.Machine.mem mf.Machine.mem);
+  check "fingerprint equal" true
+    (Test_machine.bb_fingerprint ms = Test_machine.bb_fingerprint mf);
+  check "stub uops ran" true (mf.Machine.stub_runs > 0);
+  check "stub uops fell through" true (mf.Machine.stub_falls > 0);
+  mf
+
+let test_stub_full_buffer () =
+  let m = stub_regression ~limit:16 ~evict:false () in
+  check "trace-flush syscalls taken" true (m.Machine.c.Machine.syscalls > 20)
+
+let test_stub_buffer_evicted () =
+  let m = stub_regression ~limit:0x800 ~evict:true () in
+  check "no flush" true (m.Machine.c.Machine.syscalls = 0);
+  check "buffer page refilled after each eviction" true
+    (m.Machine.c.Machine.utlb_misses >= 40)
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "stub uops: bbtrace full-buffer flush path" `Quick
+        test_stub_full_buffer;
+      Alcotest.test_case "stub uops: trace-buffer TLB entry evicted" `Quick
+        test_stub_buffer_evicted;
+    ]

@@ -705,6 +705,7 @@ let test_context_register () =
    would bypass them and prove nothing. *)
 type tc_op =
   | Access of { va : int; write : bool; fetch : bool }
+  | Sweep of { write : bool; fetch : bool; seg : int }
   | Op_tlbwi of { hi : int; lo : int; index : int }
   | Op_tlbwr of { hi : int; lo : int }
   | Op_status of int
@@ -760,17 +761,33 @@ let tc_run_snippet m exe name =
    status values have their KU stack masked off. *)
 let tc_status_mask = lnot 0x2A
 
+(* Mapped pages: a few small vpns plus the two a traced user reference
+   alternates between, text vpn 0x400 and the bookkeeping page's vpn
+   0x7e000 (one second-level slot under a plain [vpn land 63]). *)
+let tc_vpn = QCheck.Gen.(oneof [ int_range 0 7; oneofl [ 0x400; 0x7e000 ] ])
+
+(* A sweep touches more pages than the second-level cache has slots in
+   one access class, plus the two vpns above, so lookups meet evicted,
+   refilled and conflicting slots. *)
+let tc_sweep_pages = Machine.l2_slots + 16
+
 let tc_gen_op =
   let open QCheck.Gen in
-  let vpn = int_range 0 7 in
   let va =
-    map2
-      (fun seg vpn -> seg lor (vpn lsl 12) lor 0x100)
-      (oneofl [ 0x0000_0000; 0x0000_4000; 0x8000_0000; 0xA000_0000; 0xC000_0000 ])
-      vpn
+    oneof
+      [
+        map2
+          (fun seg vpn -> seg lor (vpn lsl 12) lor 0x100)
+          (oneofl [ 0x0000_0000; 0xC000_0000 ])
+          tc_vpn;
+        map2
+          (fun seg vpn -> seg lor (vpn lsl 12) lor 0x100)
+          (oneofl [ 0x8000_0000; 0xA000_0000 ])
+          (int_range 0 (2 * tc_sweep_pages));
+      ]
   in
   let entry_hi =
-    map2 (fun vpn asid -> Tlb.make_entryhi ~vpn ~asid) vpn (int_range 0 3)
+    map2 (fun vpn asid -> Tlb.make_entryhi ~vpn ~asid) tc_vpn (int_range 0 3)
   in
   let entry_lo =
     map2
@@ -784,6 +801,9 @@ let tc_gen_op =
       (6, map3 (fun va write fetch ->
                Access { va; write; fetch = fetch && not write })
             va bool bool);
+      (1, map3 (fun write fetch seg ->
+               Sweep { write; fetch = fetch && not write; seg })
+            bool bool (oneofl [ 0x8000_0000; 0xA000_0000 ]));
       (2, map3 (fun hi lo index -> Op_tlbwi { hi; lo; index = index lsl 8 })
             entry_hi entry_lo (int_range 0 63));
       (1, map2 (fun hi lo -> Op_tlbwr { hi; lo }) entry_hi entry_lo);
@@ -810,19 +830,24 @@ let prop_tcache_matches_walk =
         | exception Machine.Trap { code; badva; refill } ->
           Error (code, badva, refill)
       in
+      let access va write fetch =
+        (* Oracle first: the walk never reads the translation cache, so
+           the order only affects counters, which we don't compare. *)
+        let oracle =
+          result (fun () -> Machine.translate_walk m va ~write ~fetch)
+        in
+        let fast = result (fun () -> Machine.translate m va ~write ~fetch) in
+        fast = oracle
+      in
       List.for_all
         (fun op ->
           match op with
-          | Access { va; write; fetch } ->
-            (* Oracle first: the walk never reads the micro-cache, so the
-               order only affects counters, which we don't compare. *)
-            let oracle =
-              result (fun () -> Machine.translate_walk m va ~write ~fetch)
-            in
-            let fast =
-              result (fun () -> Machine.translate m va ~write ~fetch)
-            in
-            fast = oracle
+          | Access { va; write; fetch } -> access va write fetch
+          | Sweep { write; fetch; seg } ->
+            List.for_all
+              (fun va -> access va write fetch)
+              (0x0040_0100 :: 0x7E00_0100
+              :: List.init tc_sweep_pages (fun p -> seg lor (p lsl 12) lor 0x100))
           | Op_tlbwi { hi; lo; index } ->
             m.Machine.regs.(Reg.t0) <- hi;
             m.Machine.regs.(Reg.t1) <- lo;

@@ -13,4 +13,5 @@ let () =
       ("validate", Test_validate.tests);
       ("serve", Test_serve.tests);
       ("threads", Test_threads.tests);
+      ("cli", Test_cli.tests);
     ]

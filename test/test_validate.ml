@@ -152,10 +152,42 @@ let test_predict_sweep_consistent () =
     (multi.(1).Validate.p_mem.Systrace_tracesim.Memsim.icache_misses
     <= multi.(0).Validate.p_mem.Systrace_tracesim.Memsim.icache_misses)
 
+(* ------------------------------------------------------------------ *)
+(* Interpreter oracle on traced runs: every tier must leave the same
+   machine and hand the host the same trace as step-at-a-time.  The
+   traced run is where the stub uops and the second-level translation
+   cache do their work, so the default tier must actually have run
+   stubs here. *)
+
+let test_traced_tier_oracle () =
+  let module M = Systrace_machine.Machine in
+  let module E = Experiments in
+  let default = M.default_config.M.tier in
+  List.iter
+    (fun os ->
+      let name = Validate.os_name os in
+      let _, step = E.tier_run ~os ~traced:true "egrep" Systrace_machine.Uop.Step in
+      Alcotest.(check bool) (name ^ ": trace words delivered") true (step.E.f_words > 0);
+      List.iter
+        (fun tier ->
+          let b, fp = E.tier_run ~os ~traced:true "egrep" tier in
+          let what = name ^ " " ^ Systrace_machine.Uop.tier_name tier in
+          Alcotest.(check (list int)) (what ^ ": counters") step.E.f_counters fp.E.f_counters;
+          Alcotest.(check string) (what ^ ": console") step.E.f_console fp.E.f_console;
+          Alcotest.(check int) (what ^ ": trace words") step.E.f_words fp.E.f_words;
+          Alcotest.(check int) (what ^ ": trace checksum") step.E.f_checksum fp.E.f_checksum;
+          if tier = default then
+            Alcotest.(check bool) (what ^ ": stub uops ran") true
+              (b.Systrace_kernel.Builder.machine.M.stub_runs > 0))
+        [ Systrace_machine.Uop.Bcache; default ])
+    [ Validate.Ultrix; Validate.Mach ]
+
 let tests =
   [
     Alcotest.test_case "matrix determinism (jobs=1 == jobs=4)" `Quick
       test_matrix_determinism;
+    Alcotest.test_case "traced egrep: step == bcache == default tier" `Quick
+      test_traced_tier_oracle;
     Alcotest.test_case "sweep == singles on a real trace" `Quick
       test_sweep_real_trace;
     Alcotest.test_case "sweep == singles on a fault-injected trace" `Quick
