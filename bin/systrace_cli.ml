@@ -511,7 +511,8 @@ let sweep_cmd =
      trace: the trace is decoded and translated once and a
      Tracesim.Memsim.sweep updates every configuration's cache/TLB/write-
      buffer state from the shared decode, so the grid costs about one
-     replay instead of one per configuration. *)
+     replay instead of one per configuration.  -j spreads the
+     configurations' clusters over that many domains. *)
   let run name os seed file sizes lines tlbs wbs flat jobs =
     let e = find_workload name in
     let open Systrace_kernel in
@@ -555,8 +556,12 @@ let sweep_cmd =
       try
         replay_sweep_file ~jobs ~system:sys ~memsim_cfgs:(List.map snd grid)
           file
-      with Tracing.Tracefile.Bad_file msg ->
+      with
+      | Tracing.Tracefile.Bad_file msg ->
         Printf.eprintf "%s: UNREADABLE\n  %s\n" file msg;
+        exit 1
+      | Invalid_argument msg ->
+        Printf.eprintf "bad grid: %s\n" msg;
         exit 1
     in
     Printf.printf
@@ -610,9 +615,10 @@ let sweep_cmd =
       & opt int (Systrace_util.Pool.default_jobs ())
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Decode a version-3 trace's blocks on $(docv) domains (the \
-             simulation itself stays sequential, so results are identical \
-             whatever $(docv) is).")
+            "Run the simulation on up to $(docv) domains (at most one per \
+             core), one cluster of configurations each; the trace is \
+             decoded sequentially.  Results are identical whatever $(docv) \
+             is.")
   in
   Cmd.v
     (Cmd.info "sweep"

@@ -80,10 +80,11 @@ let () =
      is the other classic organization these traces enable studying.  The
      interesting number is memory write traffic: every store for
      write-through vs only dirty evictions for write-back. *)
+  (* physical address of a cached kuseg/kseg0 reference, -1 otherwise *)
   let translate pid va =
-    if va >= 0x80000000 && va < 0xA0000000 then Some (va - 0x80000000)
+    if va >= 0x80000000 && va < 0xA0000000 then va - 0x80000000
     else if va < 0x80000000 then base.Tracesim.Memsim.pagemap pid va
-    else None
+    else -1
   in
   Printf.printf "\n16 KB D-cache, 1-way, write policy (data refs only):\n";
   Printf.printf "%-14s %-14s %-16s\n" "policy" "read misses"
@@ -97,14 +98,13 @@ let () =
       let stores = ref 0 in
       List.iter
         (fun (pid, va, is_load) ->
-          match translate pid va with
-          | None -> ()
-          | Some pa ->
-            if is_load then ignore (Tracesim.Sim_cache_assoc.read c pa)
-            else begin
-              incr stores;
-              ignore (Tracesim.Sim_cache_assoc.write c pa)
-            end)
+          let pa = translate pid va in
+          if pa < 0 then ()
+          else if is_load then ignore (Tracesim.Sim_cache_assoc.read c pa)
+          else begin
+            incr stores;
+            ignore (Tracesim.Sim_cache_assoc.write c pa)
+          end)
         drefs;
       let traffic =
         match policy with

@@ -602,46 +602,75 @@ let drain_final t =
   t.consumed <- 0
 
 (* Extract the virtual-to-physical page map from the running system, as
-   the traced Ultrix and Mach kernels offered (paper, Â§4.2).  Returns a
+   the traced Ultrix and Mach kernels offered (paper, §4.2).  Returns a
    translation function for the trace-driven simulator: kuseg pages are
    looked up per pid through the linear page tables; kseg2 pages through
-   the root table. *)
+   the root table.  The tables are copied into flat arrays — per pid, one
+   1024-entry array per page-table page, plus one for kseg2 — so a lookup
+   is three array reads and never allocates; -1 marks an unmapped page. *)
 let extract_pagemap t =
   let m = t.machine in
-  let user : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let kseg2 : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let root_base = Addr.kseg0_pa (Exe.symbol t.kernel_exe "kroot") in
+  let kseg2_vpn0 = 0xC000_0000 lsr 12 in
+  let kseg2 = Array.make Kcfg.kseg2_span_pages (-1) in
   for i = 0 to Kcfg.kseg2_span_pages - 1 do
     let pte = Machine.read_phys_u32 m (root_base + (i * 4)) in
-    if pte land 0x200 <> 0 then
-      Hashtbl.replace kseg2 ((0xC000_0000 lsr 12) + i) (pte lsr 12)
+    if pte land 0x200 <> 0 then kseg2.(i) <- pte lsr 12
   done;
+  let pt_pages = Kcfg.pt_stride lsr 12 in
+  let no_page = [||] in
+  let npids = List.fold_left (fun n (pi : proc_info) -> max n (pi.pid + 1)) 0 t.procs in
+  let user = Array.make npids [||] in
   List.iter
     (fun (pi : proc_info) ->
       let pid = pi.pid in
+      let pages = Array.make pt_pages no_page in
       let pt_base = Kcfg.pt_base_va pid in
-      for ptpage = 0 to (Kcfg.pt_stride lsr 12) - 1 do
-        let pt_va = pt_base + (ptpage lsl 12) in
-        match Hashtbl.find_opt kseg2 (pt_va lsr 12) with
-        | None -> ()
-        | Some frame ->
+      for ptpage = 0 to pt_pages - 1 do
+        let i = ((pt_base + (ptpage lsl 12)) lsr 12) - kseg2_vpn0 in
+        if i >= 0 && i < Kcfg.kseg2_span_pages && kseg2.(i) >= 0 then begin
+          let frame = kseg2.(i) in
+          let page = Array.make 1024 (-1) in
           for slot = 0 to 1023 do
             let pte = Machine.read_phys_u32 m ((frame lsl 12) + (slot * 4)) in
-            if pte land 0x200 <> 0 then
-              Hashtbl.replace user (pid, (ptpage lsl 10) + slot) (pte lsr 12)
-          done
-      done)
+            if pte land 0x200 <> 0 then page.(slot) <- pte lsr 12
+          done;
+          pages.(ptpage) <- page
+        end
+      done;
+      if pid >= 0 then user.(pid) <- pages)
     t.procs;
+  let frame pfn va = if pfn < 0 then -1 else (pfn lsl 12) lor (va land 0xFFF) in
   fun pid va ->
-    if va < 0x8000_0000 then
-      match Hashtbl.find_opt user (pid, va lsr 12) with
-      | Some pfn -> Some ((pfn lsl 12) lor (va land 0xFFF))
-      | None -> None
+    if va < 0 then -1
+    else if va < 0x8000_0000 then
+      if pid < 0 || pid >= npids then -1
+      else
+        let pages = Array.unsafe_get user pid in
+        let vpn = va lsr 12 in
+        if Array.length pages = 0 then -1
+        else
+          let page = Array.unsafe_get pages (vpn lsr 10) in
+          if Array.length page = 0 then -1
+          else frame (Array.unsafe_get page (vpn land 1023)) va
     else if va >= 0xC000_0000 then
-      match Hashtbl.find_opt kseg2 (va lsr 12) with
-      | Some pfn -> Some ((pfn lsl 12) lor (va land 0xFFF))
-      | None -> None
-    else Some (va land 0x1FFF_FFFF)
+      let i = (va lsr 12) - kseg2_vpn0 in
+      if i < Kcfg.kseg2_span_pages then frame (Array.unsafe_get kseg2 i) va
+      else -1
+    else va land 0x1FFF_FFFF
+
+(* A parser over this traced system's block tables: the kernel's, plus
+   every traced process's registered under its pid. *)
+let trace_parser ?recover t =
+  match t.kernel_bbs with
+  | None -> invalid_arg "Builder.trace_parser: system built untraced"
+  | Some kernel_bbs ->
+    let p = Parser.create ?recover ~kernel_bbs () in
+    List.iter
+      (fun (pi : proc_info) ->
+        Option.iter (fun bbs -> Parser.register_pid p ~pid:pi.pid bbs) pi.bbs)
+      t.procs;
+    p
 
 let console t = Machine.console_contents t.machine
 

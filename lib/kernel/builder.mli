@@ -103,9 +103,17 @@ val run : t -> max_insns:int -> Machine.stop_reason
 val drain_final : t -> unit
 (** Hand any trace remaining in the in-kernel buffer to the sink. *)
 
-val extract_pagemap : t -> int -> int -> int option
+val extract_pagemap : t -> int -> int -> int
 (** The virtual-to-physical page map of the running system (§4.2), as a
-    translation function for the trace-driven simulator. *)
+    translation function for the trace-driven simulator: [pagemap pid va]
+    is the physical address, or -1 for an unmapped page (or a pid the
+    system does not run).  kseg0/kseg1 addresses map to
+    [va land 0x1FFFFFFF].  Allocation-free. *)
+
+val trace_parser : ?recover:bool -> t -> Systrace_tracing.Parser.t
+(** A fresh parser over this traced system's block tables: the kernel's,
+    plus every traced process's registered under its pid.
+    @raise Invalid_argument on a system built untraced. *)
 
 val console : t -> string
 val proc : t -> int -> proc_info

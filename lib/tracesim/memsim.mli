@@ -6,7 +6,10 @@
     system; UTLB misses synthesize the (untraced) refill handler's
     references; the kernel's explicit TLB writes are invisible; and
     write-buffer stalls never overlap with anything — the modelling gaps
-    behind Table 3 and Figure 3 are reproduced on purpose. *)
+    behind Table 3 and Figure 3 are reproduced on purpose.
+
+    There is one engine, {!sweep}: a list of configurations evaluated in
+    one trace pass.  One configuration is a one-element sweep. *)
 
 type config = {
   icache_bytes : int;
@@ -20,8 +23,9 @@ type config = {
   uncached_penalty : int;
   wb_depth : int;
   wb_drain : int;
-  pagemap : int -> int -> int option;
-      (** [pagemap pid va]: physical translation of a mapped address. *)
+  pagemap : int -> int -> int;
+      (** [pagemap pid va]: physical translation of a mapped address, or
+          -1 for an unmapped page. *)
   pt_base : int -> int;
       (** kseg2 linear page-table base per pid (UTLB synthesis). *)
   utlb_handler_insns : int;
@@ -47,23 +51,6 @@ type stats = {
   mutable unmapped : int;
 }
 
-type t
-
-val create : config -> t
-val stats : t -> stats
-
-val on_inst : t -> int -> int -> bool -> unit
-val on_data : t -> int -> int -> bool -> bool -> int -> unit
-
-val handlers : t -> Systrace_tracing.Parser.handlers
-(** Plug directly into the trace parser. *)
-
-val sink : ?live:int list -> t -> Systrace_tracing.Parser.t -> Systrace_tracing.Sink.t
-(** [sink t parser] attaches {!handlers} to [parser] and wraps it as a
-    streaming word consumer ([Sink.to_parser ?live]): feed it raw trace
-    chunks and the simulation runs online, during generation — peak
-    resident words stay O(chunk) instead of O(trace). *)
-
 (** {2 Single-pass multi-configuration sweep}
 
     [sweep cfgs] evaluates every configuration in one trace pass: word
@@ -72,16 +59,28 @@ val sink : ?live:int list -> t -> Systrace_tracing.Parser.t -> Systrace_tracing.
     and one synthesized-handler stream; distinct cache geometries within
     such a group are simulated once each, with nesting icache families
     (same line size and set count, ascending ways) collapsed into a
-    single Mattson LRU stack ({!Sim_stack}).  [sweep_stats] returns, per
-    configuration and in list order, {b byte-identical} stats to an
-    independent {!create}/{!sink} run over the same trace (qcheck
-    properties in the test suite enforce this). *)
+    single Mattson LRU stack ({!Sim_stack}).
+
+    References are batched (up to 2{^18}); a batch is simulated when it
+    fills, at the end of every {!sweep_sink} chunk and before any
+    statistic is read.  The configurations are split into independent
+    clusters run on up to [jobs] domains per batch, from the main domain
+    only: a sweep created or fed on another domain (a {!Systrace_util.Pool}
+    job, say) runs inline.
+
+    [sweep_stats] returns, per configuration and in list order,
+    {b byte-identical} stats to an independent one-configuration
+    simulation of the same trace, whatever [jobs], the batch boundaries
+    and the chunk boundaries (qcheck properties in the test suite hold it
+    to the one-configuration oracle kept there). *)
 
 type sweep
 
-val sweep : config list -> sweep
-(** @raise Invalid_argument on an empty list, a degenerate cache
-    geometry, or configurations that do not share (physically, [==]) the
+val sweep : ?jobs:int -> config list -> sweep
+(** [jobs] (default, and at most, [Domain.recommended_domain_count ()])
+    bounds the domains a batch runs on.
+    @raise Invalid_argument on an empty list, a degenerate cache
+    geometry or TLB size, or configurations that do not share (physically, [==]) the
     same [pagemap] and [pt_base] — translation is done once per
     reference, so per-configuration page maps cannot be honoured. *)
 
@@ -92,15 +91,23 @@ val sweep_accesses : sweep -> (int * int) array
 (** Per-configuration [(icache_accesses, dcache_read_accesses)] —
     the denominators for miss-ratio tables. *)
 
+val sweep_domains : sweep -> int
+(** The most domains any batch has run on so far (0 before the first
+    batch, 1 when every batch ran inline). *)
+
 val sweep_on_inst : sweep -> int -> int -> bool -> unit
 val sweep_on_data : sweep -> int -> int -> bool -> bool -> int -> unit
 
 val sweep_handlers : sweep -> Systrace_tracing.Parser.handlers
+(** Plug directly into the trace parser. *)
 
 val sweep_sink :
   ?live:int list -> sweep -> Systrace_tracing.Parser.t -> Systrace_tracing.Sink.t
-(** Streaming multi-configuration consumer; the sweep analogue of
-    {!sink}. *)
+(** [sweep_sink sw parser] attaches {!sweep_handlers} to [parser] and
+    wraps it as a streaming word consumer ([Sink.to_parser ?live]) that
+    simulates its batch before each [on_words] returns: feed it raw trace
+    chunks and the simulation runs online, during generation — peak
+    resident words stay O(chunk) instead of O(trace). *)
 
 val grid :
   ?nested:bool ->

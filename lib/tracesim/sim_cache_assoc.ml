@@ -1,19 +1,24 @@
 (* Set-associative cache model for trace-replay studies.
 
-   The DECstation 5000/200 the paper traces has direct-mapped caches, and
-   the validation models ({!Sim_cache}) match it.  But the point of
-   collecting complete system traces was to drive studies of memory
-   systems *other* than the host's — the companion work ([7], Chen &
-   Bershad SOSP'93) replays these traces over associative organizations to
-   separate conflict from capacity misses.  This model supports those
+   The DECstation 5000/200 the paper traces has direct-mapped caches.  But
+   the point of collecting complete system traces was to drive studies of
+   memory systems *other* than the host's — the companion work ([7], Chen
+   & Bershad SOSP'93) replays these traces over associative organizations
+   to separate conflict from capacity misses.  This model supports those
    studies: N-way set-associative, true-LRU replacement, the same
    write-through/no-write-allocate policy as the host so that a 1-way
-   instance is reference-equal to {!Sim_cache} (a qcheck property in the
-   test suite holds them together).
+   instance is reference-equal to a direct-mapped cache (a qcheck property
+   in the test suite holds it to the direct-mapped reference model kept
+   there).
 
-   LRU is tracked with a per-access monotonic stamp: sets are small (the
-   interesting design space is 1-8 ways) so a linear scan of the set is
-   both simplest and fastest here. *)
+   Each set is kept in recency order, most recently used first.  A hit at
+   depth 0 — the common case — changes nothing; a hit deeper down rotates
+   the line to the front; a miss evicts the last way and pushes the new
+   line in at the front.  Invalid ways (-1) sink to the back and are
+   evicted before any valid line.  The dirty bit travels inside the slot
+   (bit 0, line number above it), so a rotation moves it with its tag for
+   free.  A qcheck property holds this model to the stamp-based LRU
+   reference kept in the test suite, under both policies. *)
 
 (* Write policy: the DECstation (and the validation models) are
    write-through/no-write-allocate; Write_back/write-allocate is the other
@@ -29,10 +34,8 @@ type t = {
   nsets : int;
   set_mask : int;     (* nsets - 1 when nsets is a power of two, else -1 *)
   policy : policy;
-  tags : int array;   (* nsets * ways, -1 = invalid *)
-  stamps : int array; (* nsets * ways, last-use time *)
-  dirty : bool array; (* nsets * ways (write-back only) *)
-  mutable clock : int;
+  slots : int array;  (* nsets * ways, MRU first: (line lsl 1) lor dirty,
+                         -1 = invalid *)
   mutable read_hits : int;
   mutable read_misses : int;
   mutable write_hits : int;
@@ -55,10 +58,7 @@ let create ?(policy = Write_through) ~size_bytes ~line_bytes ~ways () =
     nsets;
     set_mask = (if nsets land (nsets - 1) = 0 then nsets - 1 else -1);
     policy;
-    tags = Array.make (nsets * ways) (-1);
-    stamps = Array.make (nsets * ways) 0;
-    dirty = Array.make (nsets * ways) false;
-    clock = 0;
+    slots = Array.make (nsets * ways) (-1);
     read_hits = 0;
     read_misses = 0;
     write_hits = 0;
@@ -66,95 +66,105 @@ let create ?(policy = Write_through) ~size_bytes ~line_bytes ~ways () =
     writebacks = 0;
   }
 
-(* The per-access index arithmetic: a shift for the line number and —
-   for the universal power-of-two set count — a mask instead of a
-   hardware divide, which showed up as a top cost of the
-   multi-configuration sweep's fan-out. *)
-let set_of t ln = if t.set_mask >= 0 then ln land t.set_mask else ln mod t.nsets
+(* Depth of the line whose slot key is [key] (= line lsl 1 lor 1) in the
+   set at [base], or -1.  [lor 1] ignores the dirty bit and never matches
+   an invalid slot.  A top-level loop: no closure is allocated per probe. *)
+let rec depth slots base ways key d =
+  if d >= ways then -1
+  else if Array.unsafe_get slots (base + d) lor 1 = key then d
+  else depth slots base ways key (d + 1)
 
-(* Scan the set for [ln]; returns the way index on hit, or the LRU way
-   negated-minus-one on miss (so callers distinguish without allocation).
-   Tags are unique within a set (a fill only happens when the line is
-   absent), so the scan can stop at the first match and leave the stamps
-   untouched; only a miss pays the LRU scan.  Hits dominate, and with the
-   sweep fanning every reference out to a dozen cache units the saved
-   stamp traffic is a measured win. *)
-let probe t set ln =
-  let base = set * t.ways in
-  let rec find w =
-    if w >= t.ways then begin
-      let lru = ref 0 in
-      let lru_stamp = ref max_int in
-      for w = 0 to t.ways - 1 do
-        let s = Array.unsafe_get t.stamps (base + w) in
-        if s < !lru_stamp then begin
-          lru_stamp := s;
-          lru := w
-        end
-      done;
-      -1 - !lru
+(* Move the slot at depth [d] to the front, shifting the ones above it
+   down one way; returns the moved slot. *)
+let to_front slots base d =
+  let s = Array.unsafe_get slots (base + d) in
+  for k = base + d downto base + 1 do
+    Array.unsafe_set slots k (Array.unsafe_get slots (k - 1))
+  done;
+  Array.unsafe_set slots base s;
+  s
+
+(* A dirty valid victim is a writeback. *)
+let evict t victim =
+  if victim >= 0 && victim land 1 = 1 then t.writebacks <- t.writebacks + 1
+
+(* Evict the LRU way and push [slot] in at the front. *)
+let fill t base slot =
+  let last = base + t.ways - 1 in
+  evict t (Array.unsafe_get t.slots last);
+  for k = last downto base + 1 do
+    Array.unsafe_set t.slots k (Array.unsafe_get t.slots (k - 1))
+  done;
+  Array.unsafe_set t.slots base slot
+
+(* The per-access index arithmetic: a shift for the line number and — for
+   the universal power-of-two set count — a mask instead of a hardware
+   divide. *)
+let base_of t ln =
+  (if t.set_mask >= 0 then ln land t.set_mask else ln mod t.nsets) * t.ways
+
+(* A read below the front way, in one pass: every slot passed is shifted
+   down a way as the scan goes, so a hit only has to drop its slot in at
+   the front, and a miss has already made room — the slot carried off the
+   end is the LRU victim.  Returns [true] on hit. *)
+let read_deep t base key =
+  let slots = t.slots in
+  let carry = ref (Array.unsafe_get slots base) in
+  let d = ref 1 and found = ref (-1) in
+  while !found < 0 && !d < t.ways do
+    let cur = Array.unsafe_get slots (base + !d) in
+    Array.unsafe_set slots (base + !d) !carry;
+    if cur lor 1 = key then found := cur
+    else begin
+      carry := cur;
+      incr d
     end
-    else if Array.unsafe_get t.tags (base + w) = ln then w
-    else find (w + 1)
-  in
-  find 0
-
-let touch t set w =
-  t.clock <- t.clock + 1;
-  t.stamps.((set * t.ways) + w) <- t.clock
-
-(* Replace the victim way with [ln]; a dirty victim is a writeback. *)
-let fill t set w ln =
-  let i = (set * t.ways) + w in
-  if t.dirty.(i) && t.tags.(i) >= 0 then begin
-    t.writebacks <- t.writebacks + 1;
-    t.dirty.(i) <- false
-  end;
-  t.tags.(i) <- ln
+  done;
+  if !found >= 0 then begin
+    Array.unsafe_set slots base !found;
+    true
+  end
+  else begin
+    evict t !carry;
+    Array.unsafe_set slots base (key - 1);
+    false
+  end
 
 let read t pa =
   let ln = pa lsr t.line_shift in
-  let set = set_of t ln in
-  match probe t set ln with
-  | w when w >= 0 ->
+  let base = base_of t ln in
+  let key = (ln lsl 1) lor 1 in
+  if Array.unsafe_get t.slots base lor 1 = key || read_deep t base key then begin
     t.read_hits <- t.read_hits + 1;
-    touch t set w;
     true
-  | miss ->
-    let w = -1 - miss in
+  end
+  else begin
     t.read_misses <- t.read_misses + 1;
-    fill t set w ln;
-    touch t set w;
     false
+  end
 
 (* Write_through: no write-allocate, state changes only on hit — matching
-   the host machine and {!Sim_cache} so 1-way instances are equivalent.
+   the host machine, so 1-way instances equal a direct-mapped cache.
    Write_back: write-allocate; the line is dirtied and a dirty victim on
    any later fill counts as a writeback. *)
 let write t pa =
   let ln = pa lsr t.line_shift in
-  let set = set_of t ln in
-  match probe t set ln with
-  | w when w >= 0 ->
+  let base = base_of t ln in
+  let d = depth t.slots base t.ways ((ln lsl 1) lor 1) 0 in
+  if d >= 0 then begin
     t.write_hits <- t.write_hits + 1;
-    touch t set w;
-    if t.policy = Write_back then t.dirty.((set * t.ways) + w) <- true;
+    let s = if d > 0 then to_front t.slots base d else Array.unsafe_get t.slots base in
+    if t.policy = Write_back then Array.unsafe_set t.slots base (s lor 1);
     true
-  | miss ->
+  end
+  else begin
     t.write_misses <- t.write_misses + 1;
-    (if t.policy = Write_back then begin
-       let w = -1 - miss in
-       fill t set w ln;
-       touch t set w;
-       t.dirty.((set * t.ways) + w) <- true
-     end);
+    if t.policy = Write_back then fill t base ((ln lsl 1) lor 1);
     false
+  end
 
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  t.clock <- 0;
+  Array.fill t.slots 0 (Array.length t.slots) (-1);
   t.read_hits <- 0;
   t.read_misses <- 0;
   t.write_hits <- 0;

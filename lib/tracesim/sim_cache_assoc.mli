@@ -2,9 +2,9 @@
     the associativity and write-policy sweeps the system traces were
     collected to enable (companion study [7]).  The default
     [Write_through] policy matches the host machine, so a 1-way instance
-    behaves identically to {!Sim_cache} (held together by a qcheck
-    property); [Write_back] adds write-allocate and dirty-eviction
-    accounting. *)
+    behaves as a direct-mapped cache; [Write_back] adds write-allocate and
+    dirty-eviction accounting.  Sets are kept in recency order (MRU
+    first), and the dirty bit travels with its line. *)
 
 type policy =
   | Write_through  (** no write-allocate; the DECstation's organization *)
@@ -18,10 +18,9 @@ type t = {
   nsets : int;
   set_mask : int;    (** [nsets - 1] when a power of two, else -1 *)
   policy : policy;
-  tags : int array;
-  stamps : int array;
-  dirty : bool array;
-  mutable clock : int;
+  slots : int array;
+      (** [nsets * ways], each set MRU first; a slot is
+          [(line lsl 1) lor dirty], or -1 when invalid *)
   mutable read_hits : int;
   mutable read_misses : int;
   mutable write_hits : int;

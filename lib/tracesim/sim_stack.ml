@@ -57,6 +57,23 @@ let create ~line_bytes ~nsets ~ways =
     all_miss = (1 lsl n) - 1;
   }
 
+(* depth of [ln] in the stack at [base], or -1; a top-level loop, so no
+   closure is allocated per read *)
+let rec find (stacks : int array) base maxw (ln : int) d =
+  if d >= maxw then -1
+  else if Array.unsafe_get stacks (base + d) = ln then d
+  else find stacks base maxw ln (d + 1)
+
+(* a read below the top of its stack: move the line up, report who missed *)
+let push t base ln =
+  let d = find t.stacks base t.maxw ln 1 in
+  let stop = if d < 0 then t.maxw - 1 else d in
+  for k = base + stop downto base + 1 do
+    Array.unsafe_set t.stacks k (Array.unsafe_get t.stacks (k - 1))
+  done;
+  Array.unsafe_set t.stacks base ln;
+  if d < 0 then t.all_miss else Array.unsafe_get t.miss_at d
+
 (* One read by the whole family: returns the miss bitmask (bit i set =
    member i, in [ways] order, missed).  The line moves to the stack top,
    which is simultaneously the LRU touch of every hitting member and the
@@ -65,21 +82,6 @@ let read t pa =
   let ln = pa lsr t.line_shift in
   let set = if t.set_mask >= 0 then ln land t.set_mask else ln mod t.nsets in
   let base = set * t.maxw in
-  let rec find d =
-    if d >= t.maxw then -1
-    else if Array.unsafe_get t.stacks (base + d) = ln then d
-    else find (d + 1)
-  in
-  let d = find 0 in
-  if d = 0 then 0
-  else begin
-    let stop = if d < 0 then t.maxw - 1 else d in
-    for k = stop downto 1 do
-      Array.unsafe_set t.stacks (base + k)
-        (Array.unsafe_get t.stacks (base + k - 1))
-    done;
-    Array.unsafe_set t.stacks base ln;
-    if d < 0 then t.all_miss else Array.unsafe_get t.miss_at d
-  end
+  if Array.unsafe_get t.stacks base = ln then 0 else push t base ln
 
 let reset t = Array.fill t.stacks 0 (Array.length t.stacks) (-1)

@@ -10,8 +10,8 @@ type t = {
   asids : int array;
   globals : bool array;
   memo_vpns : int array;
-      (** positive lookup memo, cleared on every refill — a pure
-          fast path over the associative scan *)
+      (** positive lookup memo, dropped for the evicted vpn on every
+          refill — a pure fast path over the associative scan *)
   memo_asids : int array;
   mutable refcount : int;
   mutable user_misses : int;

@@ -1,97 +1,64 @@
 (* Write-buffer model for the trace-driven simulator.
 
-   Deliberately simpler than the machine's: it advances its own local
-   clock by one cycle per reference and by the full penalty on every
+   Deliberately simpler than the machine's: the simulated CPU's clock
+   advances by one cycle per reference and by the full penalty on every
    stall, with no notion of overlap with floating-point latency.  The
    missing overlap is exactly the modelling gap the paper identifies for
    liv: "the prediction error is caused by the overlapping of write buffer
-   and floating point activity that is not modeled in the simulator". *)
+   and floating point activity that is not modeled in the simulator".
+
+   The caller owns that clock (the sweep derives it from shared event
+   counters instead of ticking it), so between stores the buffer costs
+   nothing.  Entries live in a fixed ring of ascending retirement times —
+   never more than [depth] of them.  A store first retires every entry at
+   or before the clock; if the buffer is still full, it stalls until the
+   oldest entry retires; then it queues its own retirement [drain] cycles
+   after the later of the clock and the newest entry.  The eager
+   list-based model this replaced lives on in the test suite as its
+   oracle. *)
 
 type t = {
   depth : int;
-  drain_cycles : int;
-  mutable clock : int;            (* local reference clock *)
-  mutable retire : int list;      (* ascending retirement times *)
-  mutable stall_cycles : int;
-  mutable stores : int;
+  drain : int;
+  buf : int array;            (* circular, ascending retirement times *)
+  mutable head : int;
+  mutable count : int;
 }
 
-let create ?(depth = 4) ?(drain_cycles = 6) () =
-  { depth; drain_cycles; clock = 0; retire = []; stall_cycles = 0; stores = 0 }
+let create ~depth ~drain_cycles =
+  if depth <= 0 then invalid_arg "Sim_wb.create";
+  { depth; drain = drain_cycles; buf = Array.make depth 0; head = 0; count = 0 }
 
-let reset t =
-  t.clock <- 0;
-  t.retire <- [];
-  t.stall_cycles <- 0;
-  t.stores <- 0
+(* ring index arithmetic without a divide: every index is < 2 * depth *)
+let wrap t i = if i >= t.depth then i - t.depth else i
 
-(* Advance local time: every reference costs a cycle; read misses freeze
-   the CPU (and drain time passes). *)
-let tick t n = t.clock <- t.clock + n
+let pop t =
+  t.head <- wrap t (t.head + 1);
+  t.count <- t.count - 1
 
-let store t =
-  t.stores <- t.stores + 1;
-  t.retire <- List.filter (fun r -> r > t.clock) t.retire;
-  let stall =
-    if List.length t.retire < t.depth then 0
-    else
-      match t.retire with
-      | oldest :: rest ->
-        let s = oldest - t.clock in
-        t.retire <- rest;
-        t.clock <- oldest;
-        s
-      | [] -> assert false
-  in
-  let last = match List.rev t.retire with l :: _ -> l | [] -> t.clock in
-  t.retire <- t.retire @ [ max t.clock last + t.drain_cycles ];
-  t.stall_cycles <- t.stall_cycles + stall;
-  stall
-
-(* Absolute-clock variant for the multi-configuration sweep: the caller
-   owns the reference clock (derived lazily from shared event counters
-   instead of eagerly ticked), so between stores the buffer costs nothing.
-   Entries live in a fixed ring — the retire list never exceeds [depth] —
-   and the retire/stall/refill decisions are the same as [store]'s, with
-   [clock] standing in for the eagerly-advanced [t.clock].  The stall is
-   returned; the caller must fold it into later derived clocks exactly as
-   [store] folds it into [t.clock]. *)
-type ring = {
-  rdepth : int;
-  rdrain : int;
-  rbuf : int array;           (* circular, ascending retirement times *)
-  mutable rhead : int;
-  mutable rcount : int;
-}
-
-let ring_create ~depth ~drain_cycles =
-  if depth <= 0 then invalid_arg "Sim_wb.ring_create";
-  { rdepth = depth; rdrain = drain_cycles; rbuf = Array.make depth 0;
-    rhead = 0; rcount = 0 }
-
-let ring_store r ~clock =
-  (* entries at or before [clock] have retired *)
-  while r.rcount > 0 && r.rbuf.(r.rhead) <= clock do
-    r.rhead <- (r.rhead + 1) mod r.rdepth;
-    r.rcount <- r.rcount - 1
+let store t ~clock =
+  while t.count > 0 && Array.unsafe_get t.buf t.head <= clock do
+    pop t
   done;
-  let stall, clock =
-    if r.rcount < r.rdepth then (0, clock)
+  let stall =
+    if t.count < t.depth then 0
     else begin
-      let oldest = r.rbuf.(r.rhead) in
-      r.rhead <- (r.rhead + 1) mod r.rdepth;
-      r.rcount <- r.rcount - 1;
-      (oldest - clock, oldest)
+      let oldest = Array.unsafe_get t.buf t.head in
+      pop t;
+      oldest - clock
     end
   in
+  let clock = clock + stall in
   let last =
-    if r.rcount > 0 then r.rbuf.((r.rhead + r.rcount - 1) mod r.rdepth)
+    if t.count > 0 then Array.unsafe_get t.buf (wrap t (t.head + t.count - 1))
     else clock
   in
-  r.rbuf.((r.rhead + r.rcount) mod r.rdepth) <- max clock last + r.rdrain;
-  r.rcount <- r.rcount + 1;
+  Array.unsafe_set t.buf
+    (wrap t (t.head + t.count))
+    ((if clock >= last then clock else last) + t.drain);
+  t.count <- t.count + 1;
   stall
 
-let ring_reset r =
-  r.rhead <- 0;
-  r.rcount <- 0
+let reset t =
+  t.head <- 0;
+  t.count <- 0

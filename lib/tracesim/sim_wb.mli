@@ -1,35 +1,21 @@
 (** Write-buffer model for the trace-driven simulator: deliberately
     simpler than the machine's — no overlap with floating-point latency,
-    the gap behind liv's Figure 3 error. *)
+    the gap behind liv's Figure 3 error.
 
-type t = {
-  depth : int;
-  drain_cycles : int;
-  mutable clock : int;
-  mutable retire : int list;
-  mutable stall_cycles : int;
-  mutable stores : int;
-}
+    The caller owns the reference clock: one cycle per reference plus
+    every read-miss, uncached and stall penalty, derived from counters it
+    keeps anyway, so a buffer that sees no store costs nothing.  After a
+    stall the caller must advance its clock by the returned stall.  A
+    qcheck property in the test suite holds this model to an eagerly
+    ticked reference. *)
 
-val create : ?depth:int -> ?drain_cycles:int -> unit -> t
+type t
+
+val create : depth:int -> drain_cycles:int -> t
+(** @raise Invalid_argument when [depth <= 0]. *)
+
+val store : t -> clock:int -> int
+(** Issue a store at [clock]; returns the stall charged (0 if a slot was
+    free).  Allocation-free. *)
+
 val reset : t -> unit
-
-val tick : t -> int -> unit
-(** Advance the local reference clock. *)
-
-val store : t -> int
-(** Issue a store; returns the stall charged (0 if a slot was free). *)
-
-(** Absolute-clock variant for the multi-configuration sweep: the caller
-    derives the reference clock from shared event counters instead of
-    ticking eagerly, so a buffer that sees no store costs nothing.  Given
-    the same clock values a [store]/[tick] sequence would have produced,
-    [ring_store] returns the same stalls (a qcheck property in the test
-    suite holds the two together).  After a stall the caller must advance
-    its derived clock by the returned stall, as [store] advances
-    [t.clock]. *)
-type ring
-
-val ring_create : depth:int -> drain_cycles:int -> ring
-val ring_store : ring -> clock:int -> int
-val ring_reset : ring -> unit

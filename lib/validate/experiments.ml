@@ -524,23 +524,16 @@ let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
   | Systrace_machine.Machine.Limit -> failwith "corruption: no halt");
   Builder.drain_final b;
   let words = trace () in
-  let kernel_bbs = Option.get b.Builder.kernel_bbs in
-  let user_bbs =
-    List.filter_map (fun (p : Builder.proc_info) -> p.bbs) b.Builder.procs
-  in
   (* Two lines of defence, as in §4.3: the format's structural redundancy
      (parser [Corrupt]) and analysis-level sanity checks — references to
      unmapped pages in the simulator flag "erroneous writes" whose
      structure happened to parse. *)
   let pagemap = Builder.extract_pagemap b in
   let parse ws =
-    let p = Systrace_tracing.Parser.create ~kernel_bbs () in
-    List.iteri
-      (fun pid bbs -> Systrace_tracing.Parser.register_pid p ~pid bbs)
-      user_bbs;
-    let sim =
-      Systrace_tracesim.Memsim.create
-        {
+    let p = Builder.trace_parser b in
+    let sw =
+      Systrace_tracesim.Memsim.sweep
+        [ {
           Systrace_tracesim.Memsim.icache_bytes = 4096;
           icache_line = 16;
           icache_ways = 1;
@@ -556,13 +549,13 @@ let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
           utlb_handler_insns = 8;
           ktlb_handler_insns = 24;
           tlb_entries = 64;
-        }
+        } ]
     in
     Systrace_tracing.Parser.set_handlers p
-      (Systrace_tracesim.Memsim.handlers sim);
+      (Systrace_tracesim.Memsim.sweep_handlers sw);
     Systrace_tracing.Parser.feed p ws ~len:(Array.length ws);
     Systrace_tracing.Parser.finish p;
-    (Systrace_tracesim.Memsim.stats sim).Systrace_tracesim.Memsim.unmapped
+    (Systrace_tracesim.Memsim.sweep_stats sw).(0).Systrace_tracesim.Memsim.unmapped
   in
   (* sanity: the pristine trace parses with no unmapped references *)
   if parse words <> 0 then failwith "corruption: pristine trace not clean";
@@ -795,17 +788,10 @@ let drain_ablation_table ?(wname = "sed") () =
         ~programs:[ e.Suite.program () ]
         ~files:e.Suite.files ()
     in
-    let p =
-      Systrace_tracing.Parser.create
-        ~kernel_bbs:(Option.get b.Builder.kernel_bbs) ()
-    in
-    List.iter
-      (fun (pi : Builder.proc_info) ->
-        Systrace_tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-      b.Builder.procs;
-    let sim =
-      Systrace_tracesim.Memsim.create
-        {
+    let p = Builder.trace_parser b in
+    let sw =
+      Systrace_tracesim.Memsim.sweep
+        [ {
           Systrace_tracesim.Memsim.icache_bytes = 16384;
           icache_line = 16;
           icache_ways = 1;
@@ -816,17 +802,17 @@ let drain_ablation_table ?(wname = "sed") () =
           uncached_penalty = 6;
           wb_depth = 4;
           wb_drain = 5;
-          pagemap = (fun _ _ -> None);
+          pagemap = (fun _ _ -> -1);
           pt_base = Kcfg.pt_base_va;
           utlb_handler_insns = 8;
           ktlb_handler_insns = 24;
           tlb_entries = 64;
-        }
+        } ]
     in
     (* virtual-indexed stand-in map (identity-ish): the page map is only
        extractable after the run, and the comparison between the two
        policies only needs a fixed translation *)
-    let sink = Systrace_tracesim.Memsim.sink sim p in
+    let sink = Systrace_tracesim.Memsim.sweep_sink sw p in
     b.Builder.trace_sink <-
       Some (fun ws len -> sink.Systrace_tracing.Sink.on_words ws ~len);
     (match Builder.run b ~max_insns:2_000_000_000 with
@@ -836,7 +822,7 @@ let drain_ablation_table ?(wname = "sed") () =
     sink.Systrace_tracing.Sink.finish ();
     (String.trim (Builder.console b),
      Systrace_tracing.Parser.stats p,
-     Systrace_tracesim.Memsim.stats sim,
+     (Systrace_tracesim.Memsim.sweep_stats sw).(0),
      Builder.peek b "kstat_displaced")
   in
   let con1, ps1, ms1, d1 = run true in

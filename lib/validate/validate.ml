@@ -172,12 +172,7 @@ let predict_sweep ?pagemap ?(seed = 1) ?(arith_stalls = -1) ?geometries os
     | Some gs -> gs
     | None -> [ t.Builder.cfg.Builder.machine_cfg ]
   in
-  let kernel_bbs = Option.get t.Builder.kernel_bbs in
-  let parser = Parser.create ~kernel_bbs () in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Parser.register_pid parser ~pid:pi.pid (Option.get pi.bbs))
-    t.Builder.procs;
+  let parser = Builder.trace_parser t in
   (* one extracted page map, shared (by reference) across every geometry:
      the sweep translates each trace word once *)
   let shared_pagemap = Builder.extract_pagemap t in

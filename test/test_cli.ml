@@ -36,6 +36,7 @@ let cases () =
     (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "unix:" ^ file ]);
     (2, [ "serve"; "--stats"; "--ctl"; file ]);
     (1, [ "analyze"; "gcc"; "fixture_v3.strc" ]);
+    (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--tlb"; "8" ]);
   ]
 
 let test_bad_invocations () =

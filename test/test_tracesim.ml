@@ -3,6 +3,7 @@
    execution-time predictor. *)
 
 open Systrace_tracesim
+module Sim_cache = Oracles.Sim_cache
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -99,30 +100,35 @@ let test_tlb_size_param () =
 (* ------------------------------------------------------------------ *)
 (* Write buffer model                                                  *)
 
-let test_wb_burst_stalls () =
-  let wb = Sim_wb.create ~depth:4 ~drain_cycles:6 () in
-  let total = ref 0 in
-  for _ = 1 to 20 do
-    Sim_wb.tick wb 1;
-    total := !total + Sim_wb.store wb
+(* [n] stores [gap] cycles apart; the caller's clock absorbs each stall *)
+let wb_stalls ~gap n =
+  let wb = Sim_wb.create ~depth:4 ~drain_cycles:6 in
+  let clock = ref 0 and total = ref 0 in
+  for _ = 1 to n do
+    clock := !clock + gap;
+    let stall = Sim_wb.store wb ~clock:!clock in
+    clock := !clock + stall;
+    total := !total + stall
   done;
-  check "burst causes stalls" true (!total > 0)
+  !total
+
+let test_wb_burst_stalls () =
+  check "burst causes stalls" true (wb_stalls ~gap:1 20 > 0)
 
 let test_wb_spaced_stores_free () =
-  let wb = Sim_wb.create ~depth:4 ~drain_cycles:6 () in
-  let total = ref 0 in
-  for _ = 1 to 20 do
-    Sim_wb.tick wb 10;
-    total := !total + Sim_wb.store wb
-  done;
-  check_int "spaced stores never stall" 0 !total
+  check_int "spaced stores never stall" 0 (wb_stalls ~gap:10 20)
 
 (* ------------------------------------------------------------------ *)
 (* Memsim: synthetic event streams                                     *)
 
+(* the engine over one configuration, driven reference by reference *)
+let on_inst = Memsim.sweep_on_inst
+let on_data = Memsim.sweep_on_data
+let stats sw = (Memsim.sweep_stats sw).(0)
+
 let mk_memsim ?(tlb_entries = 64) () =
-  Memsim.create
-    {
+  Memsim.sweep
+    [ {
       Memsim.icache_bytes = 4096;
       icache_line = 16;
       icache_ways = 1;
@@ -133,20 +139,20 @@ let mk_memsim ?(tlb_entries = 64) () =
       uncached_penalty = 10;
       wb_depth = 4;
       wb_drain = 6;
-      pagemap = (fun _pid va -> Some (va land 0xFFFFF));
+      pagemap = (fun _pid va -> va land 0xFFFFF);
       pt_base = (fun pid -> 0xC0000000 + (pid * 0x200000));
       utlb_handler_insns = 8;
       ktlb_handler_insns = 24;
       tlb_entries;
-    }
+    } ]
 
 let test_memsim_utlb_synthesis () =
   let m = mk_memsim () in
   (* one user instruction on a fresh page: TLB miss -> synthesized
      handler (8 instructions) + PTE load (whose kseg2 access KTLB-misses
      and synthesizes another 24). *)
-  Memsim.on_inst m 0x00400000 1 false;
-  let s = Memsim.stats m in
+  on_inst m 0x00400000 1 false;
+  let s = stats m in
   check_int "one utlb miss" 1 s.Memsim.utlb_misses;
   check_int "one ktlb miss" 1 s.Memsim.ktlb_misses;
   check_int "synthesized instructions" (8 + 24) s.Memsim.synth_insts;
@@ -154,33 +160,33 @@ let test_memsim_utlb_synthesis () =
 
 let test_memsim_no_tlb_for_kseg0 () =
   let m = mk_memsim () in
-  Memsim.on_inst m 0x80001000 0 true;
-  Memsim.on_data m 0x80080000 0 true true 4;
-  let s = Memsim.stats m in
+  on_inst m 0x80001000 0 true;
+  on_data m 0x80080000 0 true true 4;
+  let s = stats m in
   check_int "no tlb misses" 0 (s.Memsim.utlb_misses + s.Memsim.ktlb_misses)
 
 let test_memsim_kseg1_uncached () =
   let m = mk_memsim () in
-  Memsim.on_data m 0xA1000000 0 true true 4;
-  Memsim.on_data m 0xA1000000 0 true false 4;
-  let s = Memsim.stats m in
+  on_data m 0xA1000000 0 true true 4;
+  on_data m 0xA1000000 0 true false 4;
+  let s = stats m in
   check_int "uncached read" 1 s.Memsim.uncached_reads;
   check_int "uncached write" 1 s.Memsim.uncached_writes
 
 let test_memsim_mode_split () =
   let m = mk_memsim () in
-  Memsim.on_inst m 0x80001000 0 true;
-  Memsim.on_inst m 0x00400000 1 false;
-  let s = Memsim.stats m in
+  on_inst m 0x80001000 0 true;
+  on_inst m 0x00400000 1 false;
+  let s = stats m in
   check_int "kernel insts" 1 s.Memsim.kernel_insts;
   check_int "user insts" 1 s.Memsim.user_insts
 
 let test_memsim_same_page_one_miss () =
   let m = mk_memsim () in
   for k = 0 to 99 do
-    Memsim.on_inst m (0x00400000 + (k * 4)) 1 false
+    on_inst m (0x00400000 + (k * 4)) 1 false
   done;
-  check_int "one page, one miss" 1 (Memsim.stats m).Memsim.utlb_misses
+  check_int "one page, one miss" 1 (stats m).Memsim.utlb_misses
 
 (* ------------------------------------------------------------------ *)
 (* Predictor arithmetic                                                *)
@@ -329,8 +335,8 @@ let test_memsim_ways_knob () =
   (* Two data pages colliding in a direct-mapped D-cache stop colliding at
      2 ways; everything else in the config untouched. *)
   let mk ways =
-    Memsim.create
-      {
+    Memsim.sweep
+      [ {
         Memsim.icache_bytes = 4096;
         icache_line = 4;
         icache_ways = 1;
@@ -341,20 +347,20 @@ let test_memsim_ways_knob () =
         uncached_penalty = 6;
         wb_depth = 4;
         wb_drain = 5;
-        pagemap = (fun _ va -> Some (va land 0xFFFFFF));
+        pagemap = (fun _ va -> va land 0xFFFFFF);
         pt_base = (fun _ -> 0xC0000000);
         utlb_handler_insns = 8;
         ktlb_handler_insns = 24;
         tlb_entries = 64;
-      }
+      } ]
   in
   let drive sim =
     for _ = 1 to 40 do
       (* kseg0 addresses: no TLB traffic, pure cache behaviour *)
-      Memsim.on_data sim 0x80002000 0 true true 4;
-      Memsim.on_data sim 0x80003000 0 true true 4 (* +4096: same line idx *)
+      on_data sim 0x80002000 0 true true 4;
+      on_data sim 0x80003000 0 true true 4 (* +4096: same line idx *)
     done;
-    (Memsim.stats sim).Memsim.dcache_read_misses
+    (stats sim).Memsim.dcache_read_misses
   in
   Alcotest.(check int) "1-way ping-pong" 80 (drive (mk 1));
   Alcotest.(check int) "2-way coexist" 2 (drive (mk 2))
@@ -467,15 +473,15 @@ let prop_ring_equals_wb =
         (pair (int_range 1 6) (int_range 0 10)) (* depth, drain *)
         (list_of_size Gen.(int_range 1 300) (int_range 0 12) (* inter-store gaps *)))
     (fun ((depth, drain), gaps) ->
-      let wb = Sim_wb.create ~depth ~drain_cycles:drain () in
-      let ring = Sim_wb.ring_create ~depth ~drain_cycles:drain in
+      let wb = Oracles.Wb_eager.create ~depth ~drain_cycles:drain in
+      let ring = Sim_wb.create ~depth ~drain_cycles:drain in
       let base = ref 0 (* sum of ticks *) and stalls = ref 0 in
       List.for_all
         (fun gap ->
-          Sim_wb.tick wb gap;
+          Oracles.Wb_eager.tick wb gap;
           base := !base + gap;
-          let s_eager = Sim_wb.store wb in
-          let s_ring = Sim_wb.ring_store ring ~clock:(!base + !stalls) in
+          let s_eager = Oracles.Wb_eager.store wb in
+          let s_ring = Sim_wb.store ring ~clock:(!base + !stalls) in
           stalls := !stalls + s_ring;
           s_eager = s_ring)
         gaps)
@@ -518,7 +524,7 @@ let prop_write_accounting =
 let sweep_pagemap _pid va =
   (* deterministic, partial: some pages unmapped to exercise the
      fallback-translation path *)
-  if va land 0xF000 = 0xF000 then None else Some (va land 0xFFFFF)
+  if va land 0xF000 = 0xF000 then -1 else va land 0xFFFFF
 
 let sweep_pt_base pid = 0xC0000000 + (pid * 0x200000)
 
@@ -554,7 +560,8 @@ let event_gen =
       | 2 -> 0xA0000000 + off
       | _ -> 0xC0000000 + off
     in
-    let* is_inst = bool and* pid = int_range 0 3 and* kernel = bool in
+    (* pid -1: kernel boot references carry no process *)
+    let* is_inst = bool and* pid = int_range (-1) 3 and* kernel = bool in
     let* is_load = bool in
     return (is_inst, addr, pid, kernel, is_load))
 
@@ -567,15 +574,16 @@ let drive_events feed_inst feed_data events =
 
 let stats_equal (a : Memsim.stats) (b : Memsim.stats) = a = b
 
-let check_sweep_matches_singles cfgs events =
-  let sw = Memsim.sweep cfgs in
+let check_sweep_matches_singles ?jobs cfgs events =
+  let sw = Memsim.sweep ?jobs cfgs in
   drive_events (Memsim.sweep_on_inst sw) (Memsim.sweep_on_data sw) events;
   let swept = Memsim.sweep_stats sw in
   List.for_all2
     (fun c s1 ->
-      let m = Memsim.create c in
-      drive_events (Memsim.on_inst m) (Memsim.on_data m) events;
-      stats_equal (Memsim.stats m) s1)
+      let m = Oracles.Memsim_single.create c in
+      drive_events (Oracles.Memsim_single.on_inst m)
+        (Oracles.Memsim_single.on_data m) events;
+      stats_equal (Oracles.Memsim_single.stats m) s1)
     cfgs (Array.to_list swept)
 
 let prop_sweep_equals_independent =
@@ -585,8 +593,8 @@ let prop_sweep_equals_independent =
      random axes, so a run mixes TLB groups, plain and stacked icache
      units, deduplicated identical configs, and distinct write buffers. *)
   QCheck.Test.make ~count:60 ~name:"sweep == independent single-config runs"
-    (QCheck.make ~print:(fun (cfgs, events) ->
-         Printf.sprintf "%d cfgs, %d events" (List.length cfgs)
+    (QCheck.make ~print:(fun (jobs, cfgs, events) ->
+         Printf.sprintf "jobs %d, %d cfgs, %d events" jobs (List.length cfgs)
            (List.length events))
        QCheck.Gen.(
          let cfg_gen =
@@ -608,10 +616,11 @@ let prop_sweep_equals_independent =
                wb_depth = wb;
              }
          in
+         let* jobs = int_range 1 3 in
          let* cfgs = list_size (int_range 1 6) cfg_gen in
          let* events = list_size (int_range 1 500) event_gen in
-         return (cfgs, events)))
-    (fun (cfgs, events) -> check_sweep_matches_singles cfgs events)
+         return (jobs, cfgs, events)))
+    (fun (jobs, cfgs, events) -> check_sweep_matches_singles ~jobs cfgs events)
 
 let prop_sweep_grid_equals_independent =
   (* Same contract through Memsim.grid's nested families, where the size
@@ -629,12 +638,149 @@ let prop_sweep_grid_equals_independent =
       check_sweep_matches_singles cfgs events)
 
 let test_sweep_rejects_mixed_pagemaps () =
-  let other = { sweep_base_cfg with Memsim.pagemap = (fun _ va -> Some va) } in
+  let other = { sweep_base_cfg with Memsim.pagemap = (fun _ va -> va) } in
   Alcotest.check_raises "distinct pagemaps rejected"
     (Invalid_argument
        "Memsim.sweep: all configurations must share pagemap and pt_base \
         (translation is done once per reference)") (fun () ->
       ignore (Memsim.sweep [ sweep_base_cfg; other ]))
+
+let test_sweep_batch_boundary () =
+  (* more references than one batch holds, fed reference by reference:
+     the batch is simulated mid-stream, then again when stats are read *)
+  let events =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 11 |])
+      ~n:((1 lsl 18) + 5000) event_gen
+  in
+  let cfgs =
+    List.map snd
+      (Memsim.grid ~base:sweep_base_cfg ~sizes:[ 1024; 4096 ] ~lines:[ 16 ]
+         ~tlb_entries:[ 16; 64 ] ~wb_depths:[ 2 ] ())
+  in
+  check "sweep == singles across a batch boundary" true
+    (check_sweep_matches_singles ~jobs:2 cfgs events)
+
+(* the default 4 x 3 x 3 x 2 grid: 9 cells, 72 configurations *)
+let default_grid () =
+  List.map snd
+    (Memsim.grid ~base:sweep_base_cfg ~sizes:[ 1024; 2048; 4096; 16384 ]
+       ~lines:[ 4; 16; 32 ] ~tlb_entries:[ 16; 32; 64 ] ~wb_depths:[ 2; 4 ] ())
+
+let run_sweep ~jobs cfgs events =
+  let sw = Memsim.sweep ~jobs cfgs in
+  drive_events (Memsim.sweep_on_inst sw) (Memsim.sweep_on_data sw) events;
+  let stats = Memsim.sweep_stats sw in
+  (stats, Memsim.sweep_domains sw)
+
+let test_sweep_fans_out_on_main () =
+  let events =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 5 |]) ~n:3000 event_gen
+  in
+  let cfgs = default_grid () in
+  let one, d1 = run_sweep ~jobs:1 cfgs events in
+  let three, d3 = run_sweep ~jobs:3 cfgs events in
+  let single, ds = run_sweep ~jobs:3 [ List.hd cfgs ] events in
+  check_int "jobs 1: inline" 1 d1;
+  check_int "jobs 3: three domains, at most one per core"
+    (min 3 (Domain.recommended_domain_count ())) d3;
+  check_int "one configuration, one cell: inline" 1 ds;
+  check "jobs 3 == jobs 1" true (one = three);
+  check "one-config sweep == its column" true (single.(0) = one.(0))
+
+let test_sweep_in_pool_inline () =
+  (* a sweep created and fed inside a domain-pool job never fans out,
+     and its results equal the main domain's fanned-out run *)
+  let events =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 6 |]) ~n:3000 event_gen
+  in
+  let cfgs = default_grid () in
+  let main, dmain = run_sweep ~jobs:2 cfgs events in
+  check_int "main domain fans out"
+    (min 2 (Domain.recommended_domain_count ())) dmain;
+  let pooled =
+    Systrace_util.Pool.map ~oversubscribe:true ~jobs:2
+      (fun () -> (Domain.is_main_domain (), run_sweep ~jobs:2 cfgs events))
+      [ (); () ]
+  in
+  List.iter
+    (fun (on_main, (stats, domains)) ->
+      check "pool job off the main domain" false on_main;
+      check_int "pool job: inline" 1 domains;
+      check "pool job == main domain" true (stats = main))
+    pooled
+
+let prop_assoc_equals_stamp_lru =
+  (* The recency-ordered sets against the stamp-and-scan LRU they
+     replaced: the same hit/miss on every access and the same counters,
+     writebacks included, under both write policies. *)
+  QCheck.Test.make ~count:300 ~name:"assoc recency order == stamp LRU"
+    QCheck.(
+      quad bool (int_range 0 2) (int_range 0 4)
+        (list_of_size Gen.(int_range 1 500)
+           (pair bool (map (fun a -> a land 0x3FFF) (int_bound max_int)))))
+    (fun (write_back, l, w, accesses) ->
+      let policy =
+        if write_back then Sim_cache_assoc.Write_back
+        else Sim_cache_assoc.Write_through
+      in
+      let line = 4 lsl (2 * l) and ways = 1 lsl w in
+      let size_bytes = line * ways * 8 in
+      let c = Sim_cache_assoc.create ~policy ~size_bytes ~line_bytes:line ~ways () in
+      let o =
+        Oracles.Lru_stamp.create ~policy ~size_bytes ~line_bytes:line ~ways ()
+      in
+      List.for_all
+        (fun (is_read, pa) ->
+          if is_read then Sim_cache_assoc.read c pa = Oracles.Lru_stamp.read o pa
+          else Sim_cache_assoc.write c pa = Oracles.Lru_stamp.write o pa)
+        accesses
+      && c.Sim_cache_assoc.read_hits = o.Oracles.Lru_stamp.read_hits
+      && c.Sim_cache_assoc.read_misses = o.Oracles.Lru_stamp.read_misses
+      && c.Sim_cache_assoc.write_hits = o.Oracles.Lru_stamp.write_hits
+      && c.Sim_cache_assoc.write_misses = o.Oracles.Lru_stamp.write_misses
+      && c.Sim_cache_assoc.writebacks = o.Oracles.Lru_stamp.writebacks)
+
+let prop_tlb_memo_equals_scan =
+  (* The lookup memo against a TLB that scans every time: the same
+     hit/miss sequence under heavy replacement pressure, global kseg2
+     mappings and several address spaces mixed in. *)
+  QCheck.Test.make ~count:300 ~name:"tlb memo == plain scan"
+    QCheck.(
+      pair (oneofl [ 16; 64 ])
+        (list_of_size Gen.(int_range 1 2000)
+           (triple (int_bound 200) (int_range 0 3) bool)))
+    (fun (size, accesses) ->
+      let t = Sim_tlb.create ~size () and o = Oracles.Tlb_scan.create ~size in
+      List.for_all
+        (fun (v, asid, global) ->
+          (* globals on their own vpns, as kseg2 pages are *)
+          let vpn = if global then 0xC0000 + (v land 31) else 0x400 + v in
+          let asid = if global then 0 else asid in
+          Sim_tlb.access t ~vpn ~asid ~global ~user:(not global)
+          = Oracles.Tlb_scan.access o ~vpn ~asid ~global)
+        accesses)
+
+let prop_sweep_conflicting_lines =
+  (* Loads and stores over a handful of lines that share one set of
+     2- and 4-way dcaches: write hits reorder a set between two reads,
+     which the units' last-line memo must follow. *)
+  QCheck.Test.make ~count:200 ~name:"sweep == singles on conflicting lines"
+    QCheck.(
+      pair (int_range 1 3)
+        (list_of_size Gen.(int_range 1 300) (pair bool (int_bound 7))))
+    (fun (jobs, refs) ->
+      let cfgs =
+        List.map
+          (fun ways -> { sweep_base_cfg with Memsim.dcache_ways = ways })
+          [ 1; 2; 4 ]
+      in
+      (* kseg0, one line apart by the cache size: always the same set *)
+      let events =
+        List.map
+          (fun (is_load, k) -> (false, 0x80010000 + (k * 1024), 0, true, is_load))
+          refs
+      in
+      check_sweep_matches_singles ~jobs cfgs events)
 
 let test_grid_shape () =
   let g =
@@ -660,4 +806,13 @@ let tests =
       Alcotest.test_case "sweep: rejects mixed pagemaps" `Quick
         test_sweep_rejects_mixed_pagemaps;
       Alcotest.test_case "grid: shape and nesting" `Quick test_grid_shape;
+      QCheck_alcotest.to_alcotest prop_assoc_equals_stamp_lru;
+      QCheck_alcotest.to_alcotest prop_tlb_memo_equals_scan;
+      QCheck_alcotest.to_alcotest prop_sweep_conflicting_lines;
+      Alcotest.test_case "sweep: batch boundary mid-stream" `Quick
+        test_sweep_batch_boundary;
+      Alcotest.test_case "sweep: clusters fan out on the main domain" `Quick
+        test_sweep_fans_out_on_main;
+      Alcotest.test_case "sweep: inside a domain pool, inline" `Quick
+        test_sweep_in_pool_inline;
     ]

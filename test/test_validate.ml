@@ -33,6 +33,17 @@ let test_matrix_determinism () =
    chunk-split boundaries through the Sink interface chosen differently
    on each side, on both a clean and a fault-injected trace. *)
 
+(* run a traced system to its halt, keeping every trace word *)
+let capture b =
+  let sink, trace = Systrace_tracing.Sink.to_array () in
+  b.Systrace_kernel.Builder.trace_sink <-
+    Some (fun ws len -> sink.Systrace_tracing.Sink.on_words ws ~len);
+  (match Systrace_kernel.Builder.run b ~max_insns:2_000_000_000 with
+  | Systrace_machine.Machine.Halt -> ()
+  | Systrace_machine.Machine.Limit -> failwith "sweep equiv: no halt");
+  Systrace_kernel.Builder.drain_final b;
+  (b, trace ())
+
 let captured =
   lazy
     (let e = Suite.find "egrep" in
@@ -42,30 +53,12 @@ let captured =
          Systrace_kernel.Builder.traced = true;
        }
      in
-     let b =
-       Systrace_kernel.Builder.build ~cfg
-         ~programs:[ e.Suite.program () ]
-         ~files:e.Suite.files ()
-     in
-     let capture, trace = Systrace_tracing.Sink.to_array () in
-     b.Systrace_kernel.Builder.trace_sink <-
-       Some (fun ws len -> capture.Systrace_tracing.Sink.on_words ws ~len);
-     (match Systrace_kernel.Builder.run b ~max_insns:2_000_000_000 with
-     | Systrace_machine.Machine.Halt -> ()
-     | Systrace_machine.Machine.Limit -> failwith "sweep equiv: no halt");
-     Systrace_kernel.Builder.drain_final b;
-     (b, trace ()))
+     capture
+       (Systrace_kernel.Builder.build ~cfg
+          ~programs:[ e.Suite.program () ]
+          ~files:e.Suite.files ()))
 
-let mk_parser ~recover (b : Systrace_kernel.Builder.t) =
-  let p =
-    Systrace_tracing.Parser.create ~recover
-      ~kernel_bbs:(Option.get b.Systrace_kernel.Builder.kernel_bbs) ()
-  in
-  List.iter
-    (fun (pi : Systrace_kernel.Builder.proc_info) ->
-      Systrace_tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-    b.Systrace_kernel.Builder.procs;
-  p
+let mk_parser ~recover b = Systrace_kernel.Builder.trace_parser ~recover b
 
 (* drive a sink with randomly-sized chunks: boundaries must not matter *)
 let feed_random_chunks ~rng (sink : Systrace_tracing.Sink.t) words =
@@ -100,15 +93,15 @@ let sweep_vs_singles ~recover ~rng_seed b words cfgs =
   List.iteri
     (fun i cfg ->
       let p = mk_parser ~recover b in
-      let m = Memsim.create cfg in
-      let sink = Memsim.sink m p in
+      let m = Oracles.Memsim_single.create cfg in
+      let sink = Oracles.Memsim_single.sink m p in
       feed_random_chunks
         ~rng:(Systrace_util.Rng.create (rng_seed + 101 + i))
         sink words;
       Alcotest.(check bool)
         (Printf.sprintf "config %d: sweep stats == single-config stats" i)
         true
-        (Memsim.stats m = swept.(i)))
+        (Oracles.Memsim_single.stats m = swept.(i)))
     cfgs
 
 let test_sweep_real_trace () =
@@ -123,6 +116,118 @@ let test_sweep_real_trace_faulty () =
       ~kinds:Systrace_tracing.Faults.all_kinds words
   in
   sweep_vs_singles ~recover:true ~rng_seed:7 b words (sweep_grid b)
+
+(* egrep under Mach: the UX server, the random page map, and more
+   references than one sweep batch holds, so a whole-trace chunk crosses a
+   batch boundary. *)
+let captured_mach =
+  lazy
+    (capture
+       (Validate.system ~traced:true Validate.Mach
+          (Experiments.spec_of (Suite.find "egrep"))))
+
+(* the one-configuration oracle's stats for each config, on the words fed
+   whole to a recovery-mode parser (its references do not depend on the
+   chunking) *)
+let oracle_stats b words cfgs =
+  List.map
+    (fun cfg ->
+      let m = Oracles.Memsim_single.create cfg in
+      let sink = Oracles.Memsim_single.sink m (mk_parser ~recover:true b) in
+      sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
+      Oracles.Memsim_single.stats m)
+    cfgs
+
+let faulty words =
+  fst
+    (Systrace_tracing.Faults.inject (Systrace_util.Rng.create 42) ~n:20
+       ~kinds:Systrace_tracing.Faults.all_kinds words)
+
+(* per trace (Ultrix, Mach) and fault injection: system, words, grid and
+   the oracle's answer, computed once *)
+let oracle_cases =
+  lazy
+    (let cases =
+       List.concat_map
+         (fun (b, words) ->
+           let cfgs = sweep_grid b in
+           List.map
+             (fun words -> (b, words, cfgs, oracle_stats b words cfgs))
+             [ words; faulty words ])
+         [ Lazy.force captured; Lazy.force captured_mach ]
+     in
+     (match List.nth cases 2 with
+     | _, _, _, s :: _ when s.Systrace_tracesim.Memsim.insts + s.datas > 1 lsl 18 -> ()
+     | _ -> failwith "the Mach trace no longer spans a sweep batch");
+     cases)
+
+let prop_sweep_equals_oracle =
+  (* The batched, clustered engine against the one-configuration oracle
+     on real traces: any domain count, any chunking (one whole-trace
+     chunk included, which on the Mach trace puts a batch boundary inside
+     the chunk), clean or fault-injected words. *)
+  QCheck.Test.make ~count:8
+    ~name:"sweep == one-config oracle on real traces (jobs, chunks, faults)"
+    QCheck.(
+      quad (int_range 1 3) (int_range 0 3) bool (int_bound 1_000_000))
+    (fun (jobs, case, whole, seed) ->
+      let b, words, cfgs, expect = List.nth (Lazy.force oracle_cases) case in
+      let sw = Systrace_tracesim.Memsim.sweep ~jobs cfgs in
+      let sink = Systrace_tracesim.Memsim.sweep_sink sw (mk_parser ~recover:true b) in
+      if whole then begin
+        sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
+        sink.Systrace_tracing.Sink.finish ()
+      end
+      else feed_random_chunks ~rng:(Systrace_util.Rng.create seed) sink words;
+      Array.to_list (Systrace_tracesim.Memsim.sweep_stats sw) = expect)
+
+(* No simulation outlives an [on_words] call: the egrep trace holds fewer
+   references than a fanned-out batch, so only the end-of-chunk flush can
+   have run it before the stats are read. *)
+let test_sweep_sink_flushes_chunks () =
+  let b, words = Lazy.force captured in
+  let sw = Systrace_tracesim.Memsim.sweep ~jobs:2 (sweep_grid b) in
+  let sink = Systrace_tracesim.Memsim.sweep_sink sw (mk_parser ~recover:false b) in
+  Alcotest.(check int) "nothing simulated yet" 0 (Systrace_tracesim.Memsim.sweep_domains sw);
+  sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
+  Alcotest.(check bool) "simulated within on_words" true
+    (Systrace_tracesim.Memsim.sweep_domains sw > 0)
+
+(* The flat page map against the hash-table walk it replaced, on an
+   Ultrix careful-map and a Mach random-map system: every mapped page (at
+   two offsets), kseg0/kseg1, unmapped pages and pids the system does not
+   run. *)
+let test_flat_pagemap () =
+  List.iter
+    (fun (name, b) ->
+      let flat = Systrace_kernel.Builder.extract_pagemap b in
+      let walk, user, kseg2 = Oracles.Pagemap_walk.extract b in
+      let agree what pid va =
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s pid %d va 0x%x" name what pid va)
+          (walk pid va) (flat pid va)
+      in
+      Alcotest.(check bool) (name ^ ": user pages mapped") true (user <> []);
+      Alcotest.(check bool) (name ^ ": kseg2 pages mapped") true (kseg2 <> []);
+      List.iter
+        (fun (pid, vpn) ->
+          agree "user" pid (vpn lsl 12);
+          agree "user" pid ((vpn lsl 12) + 0xABC);
+          agree "user, other pid" (pid + 1) (vpn lsl 12))
+        user;
+      List.iter
+        (fun vpn ->
+          agree "kseg2" 0 ((vpn lsl 12) + 0x10);
+          agree "kseg2, pid -1" (-1) (vpn lsl 12))
+        kseg2;
+      List.iter
+        (fun (pid, va) -> agree "edge" pid va)
+        [ (0, 0x8000_1234); (1, 0x9FFF_FFFC); (0, 0xA000_0010); (2, 0xBFFF_F000);
+          (0, 0x7FFF_F000); (0, 0x0000_0000); (0, 0xC000_0000); (0, 0xFFFF_FFFC);
+          (-1, 0x0040_0000); (99, 0x0040_0000); (max_int, 0x0040_0000);
+          (min_int, 0x1000); (0, -4) ])
+    [ ("ultrix/careful", fst (Lazy.force captured));
+      ("mach/random", fst (Lazy.force captured_mach)) ]
 
 (* predict_sweep: the per-geometry predictions must match what dedicated
    single-geometry passes produce (element 0 is the default geometry, so
@@ -194,4 +299,9 @@ let tests =
       test_sweep_real_trace_faulty;
     Alcotest.test_case "predict_sweep consistent with predict" `Quick
       test_predict_sweep_consistent;
+    QCheck_alcotest.to_alcotest prop_sweep_equals_oracle;
+    Alcotest.test_case "flat page map == hash-table walk" `Quick
+      test_flat_pagemap;
+    Alcotest.test_case "sweep_sink simulates each chunk before returning" `Quick
+      test_sweep_sink_flushes_chunks;
   ]
