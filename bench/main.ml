@@ -202,10 +202,9 @@ let spin_machine ~tier =
   Asm.label a "_start";
   Asm.la a Reg.t2 "buf";
   Asm.label a "loop";
-  (* A counter-update loop: three load-modify-store triples (the
-     canonical fusion pattern), a lui+ori constant, an addiu pair, and
-     the closing j+nop — every fusion rule is exercised and the
-     memory/ALU mix matches a kernel stats loop. *)
+  (* A counter-update loop: three load-modify-store triples, a lui+ori
+     constant, an addiu pair, and the closing j+nop — the memory/ALU mix
+     of a kernel stats loop. *)
   Asm.lw a Reg.t3 0 Reg.t2;
   Asm.addiu a Reg.t3 Reg.t3 1;
   Asm.sw a Reg.t3 0 Reg.t2;
@@ -308,15 +307,10 @@ let strip_group name =
   | Some k -> String.sub name (k + 1) (String.length name - k - 1)
   | None -> name
 
-(* The five interpreter tiers on the same 50k-insn mapped spin loop:
-   trace superblocks over superblock fusion over the block cache over the
-   translation micro-cache, and the bare TLB walk. *)
+(* The three interpreter tiers on the same 50k-insn mapped spin loop: the
+   block cache over the translation micro-cache, and the bare TLB walk. *)
 let interp_tests () =
   [
-    spin_interp_test ~name:"machine: interpret 50k mapped insns (trace)"
-      ~tier:Machine.Uop.Trace;
-    spin_interp_test ~name:"machine: interpret 50k mapped insns (super)"
-      ~tier:Machine.Uop.Super;
     spin_interp_test ~name:"machine: interpret 50k mapped insns (bcache)"
       ~tier:Machine.Uop.Bcache;
     spin_interp_test ~name:"machine: interpret 50k mapped insns (tcache)"
@@ -333,120 +327,30 @@ let micro_interp_entries estimates =
     List.find_opt (fun (name, _) -> strip_group name = name') estimates
   in
   match
-    ( find_est "machine: interpret 50k mapped insns (trace)",
-      find_est "machine: interpret 50k mapped insns (super)",
-      find_est "machine: interpret 50k mapped insns (bcache)",
+    ( find_est "machine: interpret 50k mapped insns (bcache)",
       find_est "machine: interpret 50k mapped insns (tcache)",
       find_est "machine: interpret 50k mapped insns (no tcache)" )
   with
-  | Some (_, tr), Some (_, sp), Some (_, bc), Some (_, tc), Some (_, notc)
-    when tr > 0.0 && sp > 0.0 && bc > 0.0 && tc > 0.0 && notc > 0.0 ->
+  | Some (_, bc), Some (_, tc), Some (_, notc)
+    when bc > 0.0 && tc > 0.0 && notc > 0.0 ->
     let ips est = interp_insns /. (est *. 1e-9) in
     Printf.printf
-      "\n  interpreter throughput: %.2f M insns/s trace, %.2f M insns/s \
-       superblock-fused, %.2f M insns/s block-cached, %.2f M insns/s with \
-       micro-cache, %.2f M insns/s without (trace %.2fx / super %.2fx / \
-       bcache %.2fx over tcache; tcache %.2fx over walk)\n"
-      (ips tr /. 1e6) (ips sp /. 1e6) (ips bc /. 1e6) (ips tc /. 1e6)
-      (ips notc /. 1e6) (tc /. tr) (tc /. sp) (tc /. bc) (notc /. tc);
+      "\n  interpreter throughput: %.2f M insns/s block-cached, %.2f M \
+       insns/s with micro-cache, %.2f M insns/s without (bcache %.2fx over \
+       tcache; tcache %.2fx over walk)\n"
+      (ips bc /. 1e6) (ips tc /. 1e6) (ips notc /. 1e6) (tc /. bc)
+      (notc /. tc);
     [
-      entry ~name:"machine: interpreter throughput (trace)" ~unit_:"insns/s"
-        (ips tr);
-      entry ~name:"machine: interpreter throughput (super)" ~unit_:"insns/s"
-        (ips sp);
       entry ~name:"machine: interpreter throughput (bcache)" ~unit_:"insns/s"
         (ips bc);
       entry ~name:"machine: interpreter throughput (tcache)" ~unit_:"insns/s"
         (ips tc);
       entry ~name:"machine: interpreter throughput (no tcache)"
         ~unit_:"insns/s" (ips notc);
-      entry ~name:"machine: trace speedup" ~unit_:"x" (tc /. tr);
-      entry ~name:"machine: super speedup" ~unit_:"x" (tc /. sp);
       entry ~name:"machine: bcache speedup" ~unit_:"x" (tc /. bc);
       entry ~name:"machine: tcache speedup" ~unit_:"x" (notc /. tc);
     ]
   | _ -> []
-
-(* Fused-run statistics of the spin loop's superblock blocks: how many
-   dispatches its steady state costs per instruction, and the run-length
-   histogram (1 = scalar uop).  Run the loop once at Super, then walk the
-   live block table. *)
-let fused_run_entries () =
-  let m, exe = spin_machine ~tier:Machine.Uop.Super in
-  m.Machine.Machine.pc <- exe.Isa.Exe.entry;
-  m.Machine.Machine.npc <- exe.Isa.Exe.entry + 4;
-  ignore (Machine.Machine.run m ~max_insns:50_000);
-  let hist = Array.make 4 0 in
-  let insns = ref 0 and dispatches = ref 0 in
-  List.iter
-    (fun (b : Machine.Uop.block) ->
-      let k = ref 0 in
-      let n = Array.length b.Machine.Uop.bb_uops in
-      while !k < n do
-        let w = Machine.Uop.width b.Machine.Uop.bb_uops.(!k) in
-        hist.(w) <- hist.(w) + 1;
-        insns := !insns + w;
-        incr dispatches;
-        k := !k + w
-      done)
-    (Machine.Machine.cached_blocks m);
-  Printf.printf
-    "  fused-run length histogram (spin blocks): 1x%d 2x%d 3x%d (%d insns \
-     in %d dispatches, %.2f insns/dispatch)\n"
-    hist.(1) hist.(2) hist.(3) !insns !dispatches
-    (float_of_int !insns /. float_of_int (max 1 !dispatches));
-  let entry = Bench_json.entry ~target:"micro" in
-  let super_entries =
-    [
-      entry ~name:"machine: fused runs (len 2)" ~unit_:"runs"
-        (float_of_int hist.(2));
-      entry ~name:"machine: fused runs (len 3)" ~unit_:"runs"
-        (float_of_int hist.(3));
-      entry ~name:"machine: insns per dispatch (super)" ~unit_:"insns"
-        (float_of_int !insns /. float_of_int (max 1 !dispatches));
-    ]
-  in
-  (* Trace-length statistics of the same loop at the Trace tier: run it
-     long enough to cross the hot threshold, then walk the live traces.
-     A trace pass performs the budget/horizon/generation/residency checks
-     once up front, so insns per dispatch at this tier is instructions
-     per trace pass. *)
-  let mt, exet = spin_machine ~tier:Machine.Uop.Trace in
-  mt.Machine.Machine.pc <- exet.Isa.Exe.entry;
-  mt.Machine.Machine.npc <- exet.Isa.Exe.entry + 4;
-  ignore (Machine.Machine.run mt ~max_insns:50_000);
-  let traces = Machine.Machine.cached_traces mt in
-  let tlen_hist = Hashtbl.create 8 in
-  let t_insns = ref 0 in
-  List.iter
-    (fun (tr : Machine.Uop.trace) ->
-      let len = Array.length tr.Machine.Uop.tr_blocks in
-      Hashtbl.replace tlen_hist len
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tlen_hist len));
-      t_insns := !t_insns + tr.Machine.Uop.tr_insns)
-    traces;
-  let ntraces = List.length traces in
-  let lens = Hashtbl.fold (fun l c acc -> (l, c) :: acc) tlen_hist [] in
-  let lens = List.sort compare lens in
-  Printf.printf "  trace-length histogram (spin, blocks per trace):%s (%d \
-                 trace(s), %.1f insns per trace pass)\n"
-    (if lens = [] then " none formed"
-     else
-       String.concat ""
-         (List.map (fun (l, c) -> Printf.sprintf " %dx%d" l c) lens))
-    ntraces
-    (float_of_int !t_insns /. float_of_int (max 1 ntraces));
-  super_entries
-  @ List.map
-      (fun (l, c) ->
-        entry
-          ~name:(Printf.sprintf "machine: traces (len %d blocks)" l)
-          ~unit_:"traces" (float_of_int c))
-      lens
-  @ [
-      entry ~name:"machine: insns per dispatch (trace)" ~unit_:"insns"
-        (float_of_int !t_insns /. float_of_int (max 1 ntraces));
-    ]
 
 (* Dispatch-representation micro justifying the block cache's flat
    pre-decoded array (DESIGN.md §5e): the same pre-decoded 8-uop loop body
@@ -460,10 +364,6 @@ type dispatch_uop =
   | D_addi of int * int * int
   | D_load of int * int * int
   | D_store of int * int * int
-  | D_lms of int * int * int * int * int * int
-      (* fused load-modify-store: 3 insns, 1 dispatch *)
-  | D_add_addi of int * int * int * int * int * int
-      (* fused add+addi pair: 2 insns, 1 dispatch *)
 
 let dispatch_tests () =
   let regs = Array.make 32 0 in
@@ -475,15 +375,6 @@ let dispatch_tests () =
       D_addi (13, 13, 3); D_add (14, 13, 11);
     |]
   in
-  (* the same 8 instructions as [body], peephole-fused to 4 dispatches *)
-  let body_fused =
-    [|
-      D_lms (9, 8, 0, 9, 9, 1);
-      D_add_addi (10, 10, 9, 11, 11, 1);
-      D_add_addi (12, 12, 11, 13, 13, 3);
-      D_add (14, 13, 11);
-    |]
-  in
   let exec_flat u =
     match u with
     | D_add (rd, rs, rt) -> regs.(rd) <- regs.(rs) + regs.(rt)
@@ -491,14 +382,6 @@ let dispatch_tests () =
     | D_load (rt, base, off) -> regs.(rt) <- mem.((regs.(base) + off) land 255)
     | D_store (rt, base, off) ->
       mem.((regs.(base) + off) land 255) <- regs.(rt)
-    | D_lms (rt, base, off, rt2, rs2, i2) ->
-      let v = mem.((regs.(base) + off) land 255) in
-      regs.(rt) <- v;
-      regs.(rt2) <- regs.(rs2) + i2;
-      mem.((regs.(base) + off) land 255) <- regs.(rt)
-    | D_add_addi (rd, rs, rt, rt2, rs2, i2) ->
-      regs.(rd) <- regs.(rs) + regs.(rt);
-      regs.(rt2) <- regs.(rs2) + i2
   in
   let closure_of u =
     match u with
@@ -508,10 +391,6 @@ let dispatch_tests () =
       fun () -> regs.(rt) <- mem.((regs.(base) + off) land 255)
     | D_store (rt, base, off) ->
       fun () -> mem.((regs.(base) + off) land 255) <- regs.(rt)
-    | D_lms _ | D_add_addi _ ->
-      (* fused uops only appear in the fused body, which is dispatched
-         through the flat match *)
-      assert false
   in
   let closures = Array.map closure_of body in
   let n = Array.length body in
@@ -527,22 +406,14 @@ let dispatch_tests () =
            for k = 0 to 49_999 do
              (Array.unsafe_get closures (k land (n - 1))) ()
            done));
-    (* same 50k instructions, half the dispatches: the superblock bet *)
-    Test.make ~name:"machine: uop dispatch (fused runs)"
-      (Staged.stage (fun () ->
-           let nf = Array.length body_fused in
-           for k = 0 to 24_999 do
-             exec_flat (Array.unsafe_get body_fused (k land (nf - 1)))
-           done));
   ]
 
 let exp_micro () =
   heading "Microbenchmarks (Bechamel)";
   if !quick then begin
-    (* CI smoke: only the interpreter targets (all four tiers), on a
+    (* CI smoke: only the interpreter targets (all three tiers), on a
        small quota.  Records the same derived entries the full run does,
-       so the per-tier floors (bcache >= 2x, super >= 2.5x over tcache)
-       gate every push. *)
+       so the bcache >= 2x over tcache floor gates every push. *)
     let estimates = run_bechamel_min ~quota:0.5 ~rounds:3 (interp_tests ()) in
     let entry = Bench_json.entry ~target:"micro" in
     let entries =
@@ -550,8 +421,7 @@ let exp_micro () =
         (fun (name, est) -> entry ~name:(strip_group name) ~unit_:"ns/run" est)
         estimates
     in
-    Bench_json.record
-      (entries @ micro_interp_entries estimates @ fused_run_entries ())
+    Bench_json.record (entries @ micro_interp_entries estimates)
   end
   else begin
     let open Bechamel in
@@ -603,34 +473,12 @@ let exp_micro () =
         (Staged.stage (fun () ->
              ignore (Tracing.Compress.unpack ~expect:(Array.length words) packed)))
     in
-    (* LZSS pack on the domain pool: 8 copies of the egrep trace give the
-       delta stream several 256K blocks to split across workers.  With
-       fewer than 2 effective workers the "parallel" pack is just the
-       sequential pack over 8x the data — an 8x-slower ns/run row that
-       reads as a regression — so, like the store bench's speedup row,
-       it is skipped with a note instead of published. *)
-    let big_words = Array.concat (List.init 8 (fun _ -> words)) in
-    let pack_jobs = Pool.effective_jobs ~jobs:(max 2 !jobs) 8 in
-    let par_pack_tests =
-      if pack_jobs < 2 then begin
-        Printf.printf
-          "  (parallel pack skipped: ran with %d worker(s); needs >= 2)\n"
-          pack_jobs;
-        []
-      end
-      else
-        [
-          Test.make ~name:"compress: pack trace (parallel)"
-            (Staged.stage (fun () ->
-                 ignore (Tracing.Compress.pack ~jobs:pack_jobs big_words)));
-        ]
-    in
     let tests =
       [
         parse_test; parse_only_test; instr_test; compress_test;
         uncompress_test;
       ]
-      @ par_pack_tests @ dispatch_tests ()
+      @ dispatch_tests ()
     in
     let estimates =
       run_bechamel_min ~quota:1.0 ~rounds:3 (interp_tests ())
@@ -640,14 +488,7 @@ let exp_micro () =
     let entry = Bench_json.entry ~target:"micro" in
     let entries =
       List.rev_map
-        (fun (name, est) ->
-          let name = strip_group name in
-          (* parallel rows carry the worker count they actually ran
-             with, so speedup claims in BENCH_micro.json are auditable *)
-          let jobs =
-            if name = "compress: pack trace (parallel)" then pack_jobs else 1
-          in
-          entry ~jobs ~name ~unit_:"ns/run" est)
+        (fun (name, est) -> entry ~name:(strip_group name) ~unit_:"ns/run" est)
         estimates
     in
     let find_est name' =
@@ -657,26 +498,22 @@ let exp_micro () =
        captured trace's length; these do not) and the compression ratio *)
     let nwords = float_of_int (Array.length words) in
     let compress_derived =
-      let throughput ?(jobs = 1) ?(words = nwords) bench_name out_name =
+      let throughput bench_name out_name =
         match find_est bench_name with
         | Some (_, est) when est > 0.0 ->
-          let wps = words /. (est *. 1e-9) in
+          let wps = nwords /. (est *. 1e-9) in
           Printf.printf "  %-52s %12.2f Mwords/s\n" out_name (wps /. 1e6);
-          [ Bench_json.entry ~target:"micro" ~jobs ~name:out_name ~unit_:"words/s" wps ]
+          [ entry ~name:out_name ~unit_:"words/s" wps ]
         | _ -> []
       in
       let ratio = 4.0 *. nwords /. float_of_int (String.length packed) in
       Printf.printf "  %-52s %12.2f x\n" "compress: ratio" ratio;
       throughput "compress: pack trace" "compress: pack throughput"
       @ throughput "compress: unpack trace" "compress: unpack throughput"
-      @ throughput ~jobs:pack_jobs ~words:(8.0 *. nwords)
-          "compress: pack trace (parallel)"
-          "compress: pack throughput (parallel)"
       @ [ entry ~name:"compress: ratio" ~unit_:"x" ratio ]
     in
     Bench_json.record
-      (entries @ micro_interp_entries estimates @ fused_run_entries ()
-      @ compress_derived)
+      (entries @ micro_interp_entries estimates @ compress_derived)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -687,10 +524,10 @@ let exp_micro () =
    memory simulation as it is drained), so peak resident trace words is
    bounded by the in-kernel buffer, not the trace length — and the stats
    must be exactly those of the materialized capture-then-replay path. *)
-(* Interpreter tier ablation: host cost of step vs tcache vs bcache vs
-   superblock on a full untraced run, counters asserted identical. *)
+(* Interpreter tier ablation: host cost of step vs tcache vs bcache on a
+   full untraced run, counters asserted identical. *)
 let exp_interp () =
-  heading "Interpreter execution tiers (step vs tcache vs bcache vs super)";
+  heading "Interpreter execution tiers (step vs tcache vs bcache)";
   Table.print (Experiments.interp_ablation_table ())
 
 let exp_stream () =
@@ -1162,58 +999,23 @@ let gate () =
                e.Bench_json.value)
             (e.Bench_json.value <= 1.5));
       (fun () ->
-        (* per-tier interpreter floors, each printed on its own line so a
-           breach names the tier that slipped; the full tier table prints
-           even when every floor holds, so the perf trajectory is visible
-           on every push *)
+        (* the floor line prints both throughputs, held or not, so the
+           trajectory is visible on every push *)
         match
           ( Bench_json.find entries "micro"
-              "machine: interpreter throughput (trace)",
-            Bench_json.find entries "micro"
-              "machine: interpreter throughput (super)",
-            Bench_json.find entries "micro"
               "machine: interpreter throughput (bcache)",
             Bench_json.find entries "micro"
               "machine: interpreter throughput (tcache)" )
         with
-        | Some tr, Some s, Some b, Some tc ->
+        | Some b, Some tc ->
           let tcv = tc.Bench_json.value in
-          Printf.printf "  %-8s %14s %16s %8s\n" "tier" "M insns/s"
-            "x over tcache" "floor";
-          List.iter
-            (fun (name, v, floor) ->
-              Printf.printf "  %-8s %14.1f %16.2f %8s\n" name (v /. 1e6)
-                (v /. tcv)
-                (match floor with
-                | None -> "-"
-                | Some f -> Printf.sprintf "%.1fx" f))
-            [
-              ("tcache", tcv, None);
-              ("bcache", b.Bench_json.value, Some 2.0);
-              ("super", s.Bench_json.value, Some 2.5);
-              ("trace", tr.Bench_json.value, Some 4.0);
-            ];
           check
             (Printf.sprintf
                "bcache interpreter throughput %.1fM insns/s >= 2x tcache \
                 %.1fM insns/s"
                (b.Bench_json.value /. 1e6)
                (tcv /. 1e6))
-            (b.Bench_json.value >= 2.0 *. tcv);
-          check
-            (Printf.sprintf
-               "super interpreter throughput %.1fM insns/s >= 2.5x tcache \
-                %.1fM insns/s"
-               (s.Bench_json.value /. 1e6)
-               (tcv /. 1e6))
-            (s.Bench_json.value >= 2.5 *. tcv);
-          check
-            (Printf.sprintf
-               "trace interpreter throughput %.1fM insns/s >= 4x tcache \
-                %.1fM insns/s"
-               (tr.Bench_json.value /. 1e6)
-               (tcv /. 1e6))
-            (tr.Bench_json.value >= 4.0 *. tcv)
+            (b.Bench_json.value >= 2.0 *. tcv)
         | _ ->
           check
             "micro interpreter throughput entries missing (run `micro` \
@@ -1393,8 +1195,7 @@ let experiments =
           let w1 = Gc.minor_words () in
           Printf.printf "%s: %.3f minor words/insn\n" label
             ((w1 -. w0) /. 500_000.0))
-        [ ("super", Machine.Uop.Super); ("bcache", Machine.Uop.Bcache);
-          ("tcache", Machine.Uop.Tcache) ]);
+        [ ("bcache", Machine.Uop.Bcache); ("tcache", Machine.Uop.Tcache) ]);
   ]
 
 let usage () =
@@ -1408,8 +1209,8 @@ let usage () =
      --out F   merge machine-readable results into F, not BENCH_micro.json\n\
      --gate    after any requested experiment, fail if the recorded results\n\
     \          breach the CI perf floors (sweep <= 2x single pass, sweep\n\
-    \          work saved >= 5x, stream ratio, per-tier interpreter\n\
-    \          throughput (bcache >= 2x, super >= 2.5x over tcache),\n\
+    \          work saved >= 5x, stream ratio, interpreter throughput\n\
+    \          (bcache >= 2x over tcache),\n\
     \          store v3 ratio >= 4.5x, parallel decode >= 1.5x on >= 2\n\
     \          cores, serve lossless/latency/fault-suite floors and\n\
     \          aggregate ingest >= 2x single stream on >= 4 workers)\n"

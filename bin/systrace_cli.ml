@@ -51,54 +51,20 @@ let tier_conv =
 let tier_arg =
   Arg.(
     value
-    & opt (some tier_conv) None
+    & opt tier_conv Machine.Machine.default_config.Machine.Machine.tier
     & info [ "interp-tier" ] ~docv:"TIER"
         ~doc:
           "Interpreter execution tier: $(b,step) (step-at-a-time oracle, \
            full TLB walk per access), $(b,tcache) (+ last-translation \
-           micro-cache), $(b,bcache) (+ decode-once basic-block execution \
-           cache), $(b,super) (+ superblock fusion; the default), or \
-           $(b,trace) (+ trace superblocks over the successor memo with \
-           cross-seam register caching).  Purely a host-side accelerator \
-           choice: simulation results are identical at every tier.")
-
-let no_bcache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-bcache" ]
-        ~doc:
-          "Deprecated alias for $(b,--interp-tier tcache): interpret \
-           without the basic-block execution cache (slower; simulation \
-           results are identical).  Rejected when $(b,--interp-tier) is \
-           also given.")
-
-let trace_len_arg =
-  Arg.(
-    value
-    & opt int Machine.Machine.default_config.Machine.Machine.trace_len
-    & info [ "trace-len" ] ~docv:"BLOCKS"
-        ~doc:
-          "Maximum basic blocks stitched into one trace superblock at \
-           $(b,--interp-tier trace) (4-16).  Ignored at lower tiers.")
+           micro-cache), or $(b,bcache) (+ decode-once basic-block \
+           execution cache and the tracing runtime's stub uops; the \
+           default).  Purely a host-side accelerator choice: simulation \
+           results are identical at every tier.")
 
 (* The tier is purely a host-side accelerator, so the only thing the
-   flags change is the machine config the system is built with.
-   [Uop.tier_of_cli] owns the --interp-tier / --no-bcache resolution
-   (both at once is an error: the alias used to lose silently). *)
-let machine_cfg_of ~tier ~no_bcache ~trace_len =
-  let tier =
-    match Machine.Uop.tier_of_cli ~tier ~no_bcache with
-    | Ok t -> t
-    | Error msg ->
-      Printf.eprintf "systrace: %s\n" msg;
-      exit 2
-  in
-  if trace_len < 4 || trace_len > 16 then begin
-    Printf.eprintf "systrace: --trace-len must be in 4..16 (got %d)\n"
-      trace_len;
-    exit 2
-  end;
-  { Machine.Machine.default_config with Machine.Machine.tier; trace_len }
+   flag changes is the machine config the system is built with. *)
+let machine_cfg_of tier =
+  { Machine.Machine.default_config with Machine.Machine.tier }
 
 let workload_arg =
   Arg.(
@@ -115,6 +81,13 @@ let find_workload name =
 
 let os_of = function Validate.Ultrix -> Ultrix | Validate.Mach -> Mach
 
+(* The traced system a stored trace of workload [name] came from, built
+   (not run) exactly as [dump] and [validate] boot it: its block tables
+   and page map are what the offline journeys read the trace against. *)
+let traced_system name os seed =
+  Validate.system ~seed ~traced:true os
+    (Experiments.spec_of (find_workload name))
+
 (* ------------------------------------------------------------------ *)
 
 let list_cmd =
@@ -129,13 +102,12 @@ let list_cmd =
     Term.(const run $ const ())
 
 let run_cmd =
-  let run name os seed tier no_bcache trace_len =
+  let run name os seed tier =
     let e = find_workload name in
     let config =
       {
         Systrace_kernel.Builder.default_config with
-        Systrace_kernel.Builder.machine_cfg =
-          machine_cfg_of ~tier ~no_bcache ~trace_len;
+        Systrace_kernel.Builder.machine_cfg = machine_cfg_of tier;
       }
     in
     let sys =
@@ -164,8 +136,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload untraced; print measured counters.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg
-          $ no_bcache_arg $ trace_len_arg)
+    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg)
 
 let trace_cmd =
   let run name os seed nshow trace_out compress =
@@ -328,19 +299,10 @@ let profile_cmd =
     Term.(const run $ workload_arg $ os_arg $ seed_arg $ topn)
 
 let validate_cmd =
-  let run name os seed tier no_bcache trace_len =
-    let e = find_workload name in
-    let spec =
-      {
-        Validate.wname = e.Workloads.Suite.name;
-        files = e.Workloads.Suite.files;
-        programs = [ e.Workloads.Suite.program () ];
-      }
-    in
+  let run name os seed tier =
     let row =
-      Validate.run_workload
-        ~machine_cfg:(machine_cfg_of ~tier ~no_bcache ~trace_len)
-        ~seed os spec
+      Validate.run_workload ~machine_cfg:(machine_cfg_of tier) ~seed os
+        (Experiments.spec_of (find_workload name))
     in
     let m = row.Validate.r_measured and p = row.Validate.r_predicted in
     Printf.printf "%s under %s:\n" name (Validate.os_name os);
@@ -356,8 +318,7 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Measured vs predicted execution time for one workload.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg
-          $ no_bcache_arg $ trace_len_arg)
+    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg)
 
 let matrix_cmd =
   (* The full measured-vs-predicted matrix behind Tables 2/3 and Figure 3,
@@ -449,34 +410,7 @@ let analyze_cmd =
      file — the trace is decoded chunk by chunk, never materialized, so
      traces larger than memory replay fine. *)
   let run name os seed file =
-    let e = find_workload name in
-    let open Systrace_kernel in
-    let cfg =
-      {
-        Builder.default_config with
-        Builder.traced = true;
-        seed;
-        personality =
-          (match os with Validate.Ultrix -> Kcfg.Ultrix
-                       | Validate.Mach -> Kcfg.Mach);
-        pagemap =
-          (match os with Validate.Ultrix -> Kcfg.Careful
-                       | Validate.Mach -> Kcfg.Random);
-      }
-    in
-    let programs =
-      match os with
-      | Validate.Ultrix -> [ e.Workloads.Suite.program () ]
-      | Validate.Mach ->
-        [
-          Builder.program ~is_server:true "uxserver"
-            [ Workloads.Ux_server.make
-                ~file_plan:(Builder.file_plan e.Workloads.Suite.files) ();
-              Workloads.Userlib.make () ];
-          e.Workloads.Suite.program ();
-        ]
-    in
-    let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
+    let sys = traced_system name os seed in
     let mem, parse =
       try
         replay_file ~system:sys ~memsim_cfg:(default_memsim_cfg ~system:sys)
@@ -514,34 +448,7 @@ let sweep_cmd =
      replay instead of one per configuration.  -j spreads the
      configurations' clusters over that many domains. *)
   let run name os seed file sizes lines tlbs wbs flat jobs =
-    let e = find_workload name in
-    let open Systrace_kernel in
-    let cfg =
-      {
-        Builder.default_config with
-        Builder.traced = true;
-        seed;
-        personality =
-          (match os with Validate.Ultrix -> Kcfg.Ultrix
-                       | Validate.Mach -> Kcfg.Mach);
-        pagemap =
-          (match os with Validate.Ultrix -> Kcfg.Careful
-                       | Validate.Mach -> Kcfg.Random);
-      }
-    in
-    let programs =
-      match os with
-      | Validate.Ultrix -> [ e.Workloads.Suite.program () ]
-      | Validate.Mach ->
-        [
-          Builder.program ~is_server:true "uxserver"
-            [ Workloads.Ux_server.make
-                ~file_plan:(Builder.file_plan e.Workloads.Suite.files) ();
-              Workloads.Userlib.make () ];
-          e.Workloads.Suite.program ();
-        ]
-    in
-    let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
+    let sys = traced_system name os seed in
     let base = default_memsim_cfg ~system:sys in
     let grid =
       try
@@ -644,43 +551,10 @@ let check_cmd =
       match workload with
       | None -> None
       | Some name ->
-        let e = find_workload name in
-        let open Systrace_kernel in
-        let cfg =
-          {
-            Builder.default_config with
-            Builder.traced = true;
-            seed;
-            personality =
-              (match os with Validate.Ultrix -> Kcfg.Ultrix
-                           | Validate.Mach -> Kcfg.Mach);
-            pagemap =
-              (match os with Validate.Ultrix -> Kcfg.Careful
-                           | Validate.Mach -> Kcfg.Random);
-          }
-        in
-        let programs =
-          match os with
-          | Validate.Ultrix -> [ e.Workloads.Suite.program () ]
-          | Validate.Mach ->
-            [
-              Builder.program ~is_server:true "uxserver"
-                [ Workloads.Ux_server.make
-                    ~file_plan:(Builder.file_plan e.Workloads.Suite.files) ();
-                  Workloads.Userlib.make () ];
-              e.Workloads.Suite.program ();
-            ]
-        in
-        let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
-        let p =
-          Tracing.Parser.create ~recover:true
-            ~kernel_bbs:(Option.get sys.Builder.kernel_bbs) ()
-        in
-        List.iter
-          (fun (pi : Builder.proc_info) ->
-            Tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-          sys.Builder.procs;
-        Some (name, p)
+        Some
+          ( name,
+            Systrace_kernel.Builder.trace_parser ~recover:true
+              (traced_system name os seed) )
     in
     let c = Tracing.Parser.scanner () in
     let feed n ws ~len =
@@ -845,17 +719,30 @@ let serve_cmd =
        systrace serve --unix /tmp/s.sock --ctl /tmp/s.ctl   -- daemon
        systrace serve --send FILE --connect unix:/tmp/s.sock -- client
        systrace serve --stats --ctl /tmp/s.ctl               -- control *)
+  (* The one check of a TCP endpoint given on the command line, for
+     both --connect and --tcp: a numeric IPv4 host (no name is resolved)
+     and a port in 0..65535.  Anything else exits 2. *)
+  let tcp_endpoint host port =
+    let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
+    (match Unix.inet_addr_of_string host with
+    | _ -> ()
+    | exception Failure _ ->
+      fail "bad TCP host %S (a numeric IPv4 address)" host);
+    if port < 0 || port > 65535 then fail "bad TCP port %d (0..65535)" port;
+    (host, port)
+  in
   let parse_addr s =
+    let tcp host port =
+      match int_of_string_opt port with
+      | Some p ->
+        let host, port = tcp_endpoint host p in
+        Ok (Serve.Client.Tcp (host, port))
+      | None -> Error (Printf.sprintf "bad port in %S" s)
+    in
     match String.split_on_char ':' s with
     | [ "unix"; p ] -> Ok (Serve.Client.Unix_path p)
-    | [ "tcp"; host; port ] -> (
-      match int_of_string_opt port with
-      | Some p -> Ok (Serve.Client.Tcp (host, p))
-      | None -> Error (Printf.sprintf "bad port in %S" s))
-    | [ "tcp"; port ] -> (
-      match int_of_string_opt port with
-      | Some p -> Ok (Serve.Client.Tcp ("127.0.0.1", p))
-      | None -> Error (Printf.sprintf "bad port in %S" s))
+    | [ "tcp"; host; port ] -> tcp host port
+    | [ "tcp"; port ] -> tcp "127.0.0.1" port
     | _ -> Error (Printf.sprintf "bad address %S (unix:PATH or tcp:HOST:PORT)" s)
   in
   (* Control-socket request: one line out, print everything that comes
@@ -882,44 +769,9 @@ let serve_cmd =
      only read by the per-stream parsers, so sharing them across worker
      domains is safe. *)
   let parse_factory name os seed =
-    let e = find_workload name in
-    let open Systrace_kernel in
-    let cfg =
-      {
-        Builder.default_config with
-        Builder.traced = true;
-        seed;
-        personality =
-          (match os with Validate.Ultrix -> Kcfg.Ultrix
-                       | Validate.Mach -> Kcfg.Mach);
-        pagemap =
-          (match os with Validate.Ultrix -> Kcfg.Careful
-                       | Validate.Mach -> Kcfg.Random);
-      }
-    in
-    let programs =
-      match os with
-      | Validate.Ultrix -> [ e.Workloads.Suite.program () ]
-      | Validate.Mach ->
-        [
-          Builder.program ~is_server:true "uxserver"
-            [ Workloads.Ux_server.make
-                ~file_plan:(Builder.file_plan e.Workloads.Suite.files) ();
-              Workloads.Userlib.make () ];
-          e.Workloads.Suite.program ();
-        ]
-    in
-    let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
+    let sys = traced_system name os seed in
     Serve.Server.to_parser_pipeline (fun () ->
-        let p =
-          Tracing.Parser.create ~recover:true
-            ~kernel_bbs:(Option.get sys.Builder.kernel_bbs) ()
-        in
-        List.iter
-          (fun (pi : Builder.proc_info) ->
-            Tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-          sys.Builder.procs;
-        p)
+        Systrace_kernel.Builder.trace_parser ~recover:true sys)
   in
   let run unix_path tcp_port_opt ctl_path workers queue_slots slot_words lossy
       pipeline workload os seed send connect do_stats do_shutdown =
@@ -980,7 +832,7 @@ let serve_cmd =
         {
           (Serve.Server.default_config factory) with
           Serve.Server.unix_path;
-          tcp = Option.map (fun p -> ("127.0.0.1", p)) tcp_port_opt;
+          tcp = Option.map (tcp_endpoint "127.0.0.1") tcp_port_opt;
           ctl_path;
           workers;
           queue_slots;

@@ -138,24 +138,7 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
       pagemap = (match os with Ultrix -> Kcfg.Careful | Mach -> Kcfg.Random);
     }
   in
-  let programs =
-    match os with
-    | Ultrix -> programs
-    | Mach ->
-      {
-        Builder.pname = "uxserver";
-        modules =
-          [
-            Systrace_workloads.Ux_server.make
-              ~file_plan:(Builder.file_plan files) ();
-            Systrace_workloads.Userlib.make ();
-          ];
-        heap_pages = 4;
-        is_server = true;
-        notrace = false;
-      }
-      :: programs
-  in
+  let programs = Validate.all_programs os files programs in
   let t = Builder.build ~cfg ~programs ~files () in
   let parser =
     Systrace_tracing.Parser.create ~kernel_bbs:(Option.get t.Builder.kernel_bbs) ()
@@ -216,24 +199,7 @@ let run_measured ?(os = Ultrix) ?(seed = 1)
       pagemap = (match os with Ultrix -> Kcfg.Careful | Mach -> Kcfg.Random);
     }
   in
-  let programs =
-    match os with
-    | Ultrix -> programs
-    | Mach ->
-      {
-        Builder.pname = "uxserver";
-        modules =
-          [
-            Systrace_workloads.Ux_server.make
-              ~file_plan:(Builder.file_plan files) ();
-            Systrace_workloads.Userlib.make ();
-          ];
-        heap_pages = 4;
-        is_server = true;
-        notrace = false;
-      }
-      :: programs
-  in
+  let programs = Validate.all_programs os files programs in
   let t = Builder.build ~cfg ~programs ~files () in
   (match Builder.run t ~max_insns:2_000_000_000 with
   | Systrace_machine.Machine.Halt -> ()

@@ -51,8 +51,7 @@ type config = {
   disk_seek : int;
   disk_per_block : int;
   count_exec : bool;           (* per-instruction-word execution counts *)
-  tier : Uop.tier;    (* interpreter tier: step|tcache|bcache|super|trace *)
-  trace_len : int;    (* max blocks stitched into one trace superblock *)
+  tier : Uop.tier;    (* interpreter tier: step|tcache|bcache *)
 }
 
 let default_config =
@@ -70,8 +69,7 @@ let default_config =
     disk_seek = 20000;
     disk_per_block = 4000;
     count_exec = false;
-    tier = Uop.Super;
-    trace_len = 8;
+    tier = Uop.Bcache;
   }
 
 type counters = {
@@ -145,7 +143,7 @@ let l2_load = l2_slots
 let l2_store = 2 * l2_slots
 
 (* The uop IR and block representation live in {!Uop} (opened above):
-   decode-to-uop lowering, superblock fusion, and the store-generation
+   decode-to-uop lowering, the stub shapes, and the store-generation
    invalidation contract are owned there; this module owns the
    architectural state and the replay loop. *)
 
@@ -160,7 +158,7 @@ type t = {
      stores. *)
   dec : Insn.t array;
   dec_valid : Bytes.t;
-  (* Basic-block execution cache (Bcache and Super tiers): direct-mapped
+  (* Basic-block execution cache (Bcache tier): direct-mapped
      block table plus the per-physical-page store generations whose
      invalidation contract {!Uop.Gens} owns — every physical write
      (stores, DMA, host pokes) bumps the written page's generation, and
@@ -214,21 +212,6 @@ type t = {
      the trap handler. *)
   mutable bb_kf : int;
   mutable bb_um : bool;
-  (* True while a trace-superblock pass is replaying: icache fetch hits
-     are batched (the up-front residency check guarantees every fetch in
-     the pass hits), so flush points — including the trap handler — must
-     credit [k - bb_kf] hits alongside the instruction counters. *)
-  mutable bb_trc : bool;
-  (* Per-pass trace-dispatch state, stashed in fields rather than threaded
-     through the hot loop: [bb_tr]/[bb_tbi] are the running trace and the
-     index of the block replaying, [bb_tbudget]/[bb_tnext] the budget and
-     event horizon captured at pass entry.  Only read at seams, stores and
-     exits, so the per-slot loop keeps every live value in a register. *)
-  mutable bb_tr : Uop.trace;
-  mutable bb_tbi : int;
-  mutable bb_tbudget : int;
-  mutable bb_tnext : int;
-  mutable bb_tacc : int;
   (* Host-side dispatch counts of the stub uops: whole-block runs and
      fall-throughs to the scalar uops.  Not simulated state. *)
   mutable stub_runs : int;
@@ -304,12 +287,6 @@ let create ?(cfg = default_config) () =
     bb_dev = false;
     bb_kf = 0;
     bb_um = false;
-    bb_trc = false;
-    bb_tr = Uop.dummy_trace;
-    bb_tbi = 0;
-    bb_tbudget = 0;
-    bb_tnext = 0;
-    bb_tacc = 0;
     stub_runs = 0;
     stub_falls = 0;
     icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.icache_line;
@@ -1126,7 +1103,7 @@ let step t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Basic-block execution cache (the Bcache and Super tiers)            *)
+(* Basic-block execution cache (the Bcache tier)                       *)
 
 (* The block executor must be state-identical to [step] — [step] stays in
    as the qcheck oracle — so everything observable is kept per
@@ -1164,7 +1141,6 @@ let bb_lookup t ~va ~pa ~cached =
         ~decode:(fun ~va ~pa -> bb_decode t ~va ~pa)
         ~va ~pa ~cached
         ~gen:(t.bgen.(pa lsr Addr.page_shift))
-        ~fuse:(Uop.fusion_enabled t.cfg.tier)
     in
     Array.unsafe_set t.bcache_tab slot b;
     b
@@ -1231,21 +1207,10 @@ let[@inline always] bb_ifetch t pa ptag =
   else bb_fetch_probe t tg;
   tg
 
-(* Seam prologue for the second/third element of a fused run: the fetch
-   timing, tracer callback and pc advance of the generic dispatch,
-   specialised on a cached fetch mapping (only cacheable text is ever
-   fused).  Returns the new resident line tag. *)
-let[@inline always] bb_seam t pa cur ptag =
-  let tg = bb_ifetch t pa ptag in
-  (match t.ref_tracer with Some f -> f 0 cur | None -> ());
-  t.pc <- t.npc;
-  t.npc <- t.npc + 4;
-  tg
-
 (* Word load/store bodies shared by the scalar [U_lw]/[U_sw] arms and
-   the fused uops: on a micro-cache hit to cached RAM, the raw access
-   above; every other case (unaligned, micro-cache miss, uncached,
-   device, out of range) takes the timed helpers. *)
+   the stub fall-through: on a micro-cache hit to cached RAM, the raw
+   access above; every other case (unaligned, micro-cache miss,
+   uncached, device, out of range) takes the timed helpers. *)
 let[@inline always] bb_load_word t rt va =
   let tcc = t.tc in
   if va land 3 = 0 && va lsr Addr.page_shift = tcc.r_vpn && tcc.r_cached
@@ -1293,20 +1258,20 @@ let[@inline always] bb_store_word t v va =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Stub uops (Super and Trace tiers).  A [U_stub] replays one whole
-   tracing-runtime block ({!Uop.stub}) in one dispatch, applying the
-   interpreted effects in program order: per fetch the icache accounting
-   and miss penalty, per load the d-cache probe and penalty, per store
-   the write-buffer timing, memory write, decode-cache clear and
-   generation bump, one cycle per instruction, then the final registers
-   and pc/npc; the caller's [bb_end] credits the instruction counters.
-   It applies nothing and returns -1 — the caller falls through to the
-   scalar uops — unless every data access translates to cached RAM with
-   no side effect ([ram_pa]), no store hits the block's own text page,
-   and the block fits under the event horizon at worst-case cycles; the
-   caller has already checked the run budget and the observers.  On
-   success it returns the icache line tag of the last fetch.  Slot 0's
-   fetch was charged by [bb_go] before the dispatch. *)
+(* Stub uops.  A [U_stub] replays one whole tracing-runtime block
+   ({!Uop.stub}) in one dispatch, applying the interpreted effects in
+   program order: per fetch the icache accounting and miss penalty, per
+   load the d-cache probe and penalty, per store the write-buffer
+   timing, memory write, decode-cache clear and generation bump, one
+   cycle per instruction, then the final registers and pc/npc; the
+   caller's [bb_end] credits the instruction counters.  It applies
+   nothing and returns -1 — the caller falls through to the scalar uops
+   — unless every data access translates to cached RAM with no side
+   effect ([ram_pa]), no store hits the block's own text page, and the
+   block fits under the event horizon at worst-case cycles; the caller
+   has already checked the run budget and the observers.  On success it
+   returns the icache line tag of the last fetch.  Slot 0's fetch was
+   charged by [bb_go] before the dispatch. *)
 
 (* Does the block fit under the event horizon at worst case: [n] base
    cycles, a miss penalty for each of the [n - 1] fetches after slot 0
@@ -1522,118 +1487,6 @@ let stub_run t (b : Uop.block) (s : Uop.stub) next_ev ptag =
       stub_done t pa 8 ptag res
     end
 
-(* ------------------------------------------------------------------ *)
-(* Trace-superblock support (Trace tier).  A trace pass replays a hot
-   chain of blocks with the budget / event-horizon / watchpoint /
-   store-generation / icache-residency checks done once up front
-   ([bb_trace_ready]), so the per-element seam re-tests of the Super
-   tier disappear, and with the hottest registers ([tr_regs]) threaded
-   through the pass as OCaml locals.  The register cache and the
-   threaded cycle count are spilled to architectural state at every
-   point a trap or an observer could see them: before any may-fault
-   memory slow path, at every side exit, and at trace end. *)
-
-(* First invalidation deopts the head to plain Super dispatch (one rung
-   down the ladder, never to [step]); resetting the heat lets a stable
-   successor path re-form later. *)
-let bb_trace_invalidate (tr : Uop.trace) =
-  tr.tr_live <- false;
-  let h = tr.tr_blocks.(0) in
-  h.bb_trace <- None;
-  h.bb_hot <- 0
-
-(* All spanned text pages still at their formation-time generation?
-   Checked up front and re-checked after every store inside a pass, so a
-   trace never runs across a store-generation bump. *)
-let bb_trc_gens_ok t (tr : Uop.trace) =
-  let pages = tr.tr_pages and gens = tr.tr_gens in
-  let n = Array.length pages in
-  let rec go i =
-    i = n
-    || (Array.unsafe_get t.bgen (Array.unsafe_get pages i)
-          = Array.unsafe_get gens i
-       && go (i + 1))
-  in
-  go 0
-
-let bb_trace_ready t (tr : Uop.trace) budget next_ev =
-  budget >= tr.tr_insns
-  && t.cycles + tr.tr_wc < next_ev
-  && (match t.watchpoint with None -> true | Some _ -> false)
-  (* per-instruction observers (reference tracer, per-word execution
-     counts) want every fetch/ref surfaced one at a time: those runs take
-     the Super path, where the generic prologue does it *)
-  && (match t.ref_tracer with None -> true | Some _ -> false)
-  && not t.cfg.count_exec
-  (* counter credits are batched per block, which loses the per-uop va
-     ranges the kernel idle-window classifier needs: idle accounting
-     runs take the Super path *)
-  && (t.status land 0x2 <> 0 || t.idle_hi <= t.idle_lo)
-  && (bb_trc_gens_ok t tr
-     ||
-     (* stale text: kill the trace now so the block path rebuilds heat *)
-     (bb_trace_invalidate tr;
-      false))
-  && (let lines = tr.tr_lines in
-      let ic = t.icache in
-      let tags = ic.Cache.tags in
-      let mask = ic.Cache.nlines - 1 in
-      let ok = ref true in
-      for i = 0 to Array.length lines - 1 do
-        let tg = Array.unsafe_get lines i in
-        if Array.unsafe_get tags (tg land mask) <> tg then ok := false
-      done;
-      (* Resident + distinct indexes (a formation invariant) means no
-         fetch in the pass can evict a line another fetch needs: every
-         fetch is a hit, so fetch-hit accounting batches per flush. *)
-      !ok)
-
-(* Counter flush for a trace pass: the batched icache fetch hits for
-   uops [bb_kf, k) land together with the instruction counters. *)
-let bb_trc_flush t b k =
-  let acc = t.bb_tacc in
-  t.bb_tacc <- 0;
-  let h = acc + k - t.bb_kf in
-  if h > 0 then t.icache.Cache.hits <- t.icache.Cache.hits + h;
-  (* fold the deferred whole-block credits into the span [bb_flush]
-     counts; the offset is sound because the idle-window classification
-     is vacuous during a pass ([bb_trace_ready] excludes kernel runs
-     with a live idle window) *)
-  t.bb_kf <- t.bb_kf - acc;
-  bb_flush t b k
-
-(* Side exit: spill the register cache and threaded pc/npc/cycles and
-   fall back to the generic loop, which re-runs the poll / interrupt
-   sample / fetch checks for the new pc.  The caller has already
-   flushed the counters for the completed prefix; a cached register
-   never survives past this point. *)
-let bb_trc_exit t pc npc cyc c0 c1 r0 r1 =
-  t.bb_trc <- false;
-  if r0 >= 0 then Array.unsafe_set t.regs r0 c0;
-  if r1 >= 0 then Array.unsafe_set t.regs r1 c1;
-  t.pc <- pc;
-  t.npc <- npc;
-  t.cycles <- cyc
-
-(* Spill before a may-fault memory access: if the generic helper traps,
-   the unwound architectural state (registers, cycle count) must be
-   exactly what [step] would show at the faulting instruction. *)
-let bb_trc_spill t cyc c0 c1 r0 r1 =
-  if r0 >= 0 then Array.unsafe_set t.regs r0 c0;
-  if r1 >= 0 then Array.unsafe_set t.regs r1 c1;
-  t.cycles <- cyc
-
-let bb_trc_load_slow t rt va cyc c0 c1 r0 r1 =
-  bb_trc_spill t cyc c0 c1 r0 r1;
-  let v = load_word_timed t va in
-  (match t.ref_tracer with Some f -> f 1 va | None -> ());
-  reg_set t rt v
-
-let bb_trc_store_slow t va v cyc c0 c1 r0 r1 =
-  bb_trc_spill t cyc c0 c1 r0 r1;
-  store_timed t va 4 v;
-  ref_trace t 2 va
-
 (* The replay loop, as a self-tail-recursive toplevel function: it
    compiles to a loop with the state in registers and allocates nothing
    (a closure inside [exec_block] would be rebuilt per block entry).
@@ -1679,13 +1532,9 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
     let u = Array.unsafe_get b.bb_uops k in
     (* Execute the pre-decoded instruction, then tail into the epilogue
        of its between-check class ([bb_fin] / [bb_fin_store] /
-       [bb_fin_other]; [_nc] when the base cycle was already charged).
-       Bodies mirror [exec] exactly; register indices come from the
-       5-bit fields of [Encode.decode], hence the unsafe reads.  The
-       fused arms ([U_li] and friends, Super tier only) execute 2–3
-       elements per dispatch, re-checking budget and event horizon at
-       each seam and bailing out to the scalar tail (covered slots keep
-       their original uops) whenever the next seam could be observable. *)
+       [bb_fin_other]).  Bodies mirror [exec] exactly; register indices
+       come from the 5-bit fields of [Encode.decode], hence the unsafe
+       reads. *)
     match u with
        | U_alu (op, rd, rs, rt) ->
          let a = Array.unsafe_get t.regs rs
@@ -1843,110 +1692,6 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
          t.next_is_delay <- true;
          t.npc <- dest;
          bb_fin t b lim budget k pa cur ce next_ev ptag
-       | U_li (rt, imm) ->
-         (* lui+ori collapsed to one write; the bail-out path
-            materialises the architectural intermediate (high half) and
-            lets the scalar ori at the covered slot run. *)
-         t.cycles <- t.cycles + 1;
-         if ce then bb_count t cur;
-         if k + 2 <= lim && t.cycles < next_ev then begin
-           let cur = cur + 4 and pa = pa + 4 in
-           let ptag = bb_seam t pa cur ptag in
-           reg_set t rt imm;
-           bb_fin t b lim budget (k + 1) pa cur ce next_ev ptag
-         end
-         else begin
-           reg_set t rt (imm land 0xFFFF0000);
-           bb_fin_nc t b lim budget k pa cur ce next_ev ptag
-         end
-       | U_addiu2 (rt1, rs1, i1, rt2, rs2, i2) ->
-         reg_set t rt1 (Array.unsafe_get t.regs rs1 + i1);
-         t.cycles <- t.cycles + 1;
-         if ce then bb_count t cur;
-         if k + 2 <= lim && t.cycles < next_ev then begin
-           let cur = cur + 4 and pa = pa + 4 in
-           let ptag = bb_seam t pa cur ptag in
-           reg_set t rt2 (Array.unsafe_get t.regs rs2 + i2);
-           bb_fin t b lim budget (k + 1) pa cur ce next_ev ptag
-         end
-         else bb_fin_nc t b lim budget k pa cur ce next_ev ptag
-       | U_slt_b (unsigned, rd, rs, rt, on_ne, a) ->
-         (* compare+branch: the compare result stays in an OCaml local
-            for the branch decision, so the branch never reloads it. *)
-         let x = Array.unsafe_get t.regs rs
-         and y = Array.unsafe_get t.regs rt in
-         let v =
-           if unsigned then (if x < y then 1 else 0)
-           else if s32 x < s32 y then 1
-           else 0
-         in
-         reg_set t rd v;
-         t.cycles <- t.cycles + 1;
-         if ce then bb_count t cur;
-         if k + 2 <= lim && t.cycles < next_ev then begin
-           let cur = cur + 4 and pa = pa + 4 in
-           let ptag = bb_seam t pa cur ptag in
-           t.next_is_delay <- true;
-           if (v <> 0) = on_ne then t.npc <- a;
-           bb_fin t b lim budget (k + 1) pa cur ce next_ev ptag
-         end
-         else bb_fin_nc t b lim budget k pa cur ce next_ev ptag
-       | U_lw_addiu (rt, base, off, rt2, rs2, i2) ->
-         (* load+use: the dependent addiu issues in the same dispatch *)
-         t.bb_k <- k;
-         bb_load_word t rt (u32 (Array.unsafe_get t.regs base + off));
-         t.cycles <- t.cycles + 1;
-         if ce then bb_count t cur;
-         if k + 2 <= lim && t.cycles < next_ev then begin
-           let cur = cur + 4 and pa = pa + 4 in
-           let ptag = bb_seam t pa cur ptag in
-           reg_set t rt2 (Array.unsafe_get t.regs rs2 + i2);
-           bb_fin t b lim budget (k + 1) pa cur ce next_ev ptag
-         end
-         else bb_fin_nc t b lim budget k pa cur ce next_ev ptag
-       | U_lmw (rt, base, off, rt2, rs2, i2, rt3, base3, off3) ->
-         (* load-modify-store; the store is final, so [bb_fin_store]'s
-            generation recheck runs right after the dispatch — a fused
-            run never crosses a generation bump. *)
-         t.bb_k <- k;
-         bb_load_word t rt (u32 (Array.unsafe_get t.regs base + off));
-         t.cycles <- t.cycles + 1;
-         if ce then bb_count t cur;
-         if k + 2 <= lim && t.cycles < next_ev then begin
-           let cur = cur + 4 and pa = pa + 4 in
-           let ptag = bb_seam t pa cur ptag in
-           reg_set t rt2 (Array.unsafe_get t.regs rs2 + i2);
-           t.cycles <- t.cycles + 1;
-           if ce then bb_count t cur;
-           if k + 3 <= lim && t.cycles < next_ev then begin
-             let cur = cur + 4 and pa = pa + 4 in
-             let ptag = bb_seam t pa cur ptag in
-             t.bb_k <- k + 2;
-             bb_store_word t
-               (Array.unsafe_get t.regs rt3)
-               (u32 (Array.unsafe_get t.regs base3 + off3));
-             bb_fin_store t b lim budget (k + 2) pa cur ce next_ev ptag
-           end
-           else bb_fin_nc t b lim budget (k + 1) pa cur ce next_ev ptag
-         end
-         else bb_fin_nc t b lim budget k pa cur ce next_ev ptag
-       | U_j_nop a ->
-         (* j + empty delay slot: under the seam precondition the
-            delay-slot bookkeeping is unobservable, so the fast path
-            never materialises [next_is_delay]. *)
-         t.npc <- a;
-         t.cycles <- t.cycles + 1;
-         if ce then bb_count t cur;
-         if k + 2 <= lim && t.cycles < next_ev then begin
-           let cur = cur + 4 and pa = pa + 4 in
-           let ptag = bb_seam t pa cur ptag in
-           (* the delay slot is a nop: no body *)
-           bb_fin t b lim budget (k + 1) pa cur ce next_ev ptag
-         end
-         else begin
-           t.next_is_delay <- true;
-           bb_fin_nc t b lim budget k pa cur ce next_ev ptag
-         end
        | U_stub st ->
          let tg =
            if
@@ -1990,18 +1735,14 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
 (* Per-uop epilogue, split by between-check class: charge the base
    cycle, count, then exactly the between-instruction checks of the
    [run]+[step] loop for that class (halt, budget, device poll,
-   interrupt sample, text-page staleness).  The [_nc] variant skips the
-   charge — the fused arms charge each element before testing the seam
-   precondition. *)
+   interrupt sample, text-page staleness).
+
+   Default class (ALU/shift/load/branch): only the event horizon can
+   have expired; [next_is_delay] set by a branch is consumed on the next
+   iteration (the whole block was decoded, so the delay slot is there). *)
 and bb_fin t b lim budget k pa cur ce next_ev ptag =
   t.cycles <- t.cycles + 1;
   if ce then bb_count t cur;
-  bb_fin_nc t b lim budget k pa cur ce next_ev ptag
-
-(* Default class (ALU/shift/load/branch): only the event horizon can
-   have expired; [next_is_delay] set by a branch is consumed on the next
-   iteration (the whole block was decoded, so the delay slot is there). *)
-and bb_fin_nc t b lim budget k pa cur ce next_ev ptag =
   let k = k + 1 in
   if k < lim then begin
     (* no halted check: only [U_other] and device stores can halt, and
@@ -2076,7 +1817,7 @@ and bb_fin_other t b lim budget k pa cur ce =
       if Array.unsafe_get t.bgen (b.bb_pa lsr Addr.page_shift) = b.bb_gen
       then begin
         if t.next_is_delay then begin
-          (* deferred-interrupt case: see [bb_fin_nc] *)
+          (* deferred-interrupt case: see [bb_fin] *)
           t.next_is_delay <- false;
           bb_go t b lim budget k (pa + 4) (cur + 4) ce 0 (-1)
         end
@@ -2139,10 +1880,11 @@ and bb_chain t bprev budget next_ev ptag =
     t.tr_cached <- tcc.f_cached;
     (* [t.bb_um] is still current: nothing between the previous block's
        flush and this entry executes or touches CP0 status. *)
-    (* a constant compare, not [Uop.trace_enabled]: a call into another
-       module on every chained block entry *)
-    if t.cfg.tier = Uop.Trace then bb_chain_trace t nb budget next_ev ptag
-    else bb_block_enter t nb budget next_ev ptag
+    t.bb_blk <- nb;
+    t.bb_kf <- 0;
+    let n = Array.length nb.bb_uops in
+    let lim = if budget < n then budget else n in
+    bb_go t nb lim budget 0 nb.bb_pa nb.bb_va t.cfg.count_exec next_ev ptag
   end
   else
     match
@@ -2164,623 +1906,6 @@ and bb_chain t bprev budget next_ev ptag =
       let lim = if budget < n then budget else n in
       bb_go t b lim budget 0 pa va t.cfg.count_exec next_ev ptag
 
-(* Generic entry into a memo-validated block (shared by the Super path
-   and every Trace-tier fallback). *)
-and bb_block_enter t nb budget next_ev ptag =
-  t.bb_blk <- nb;
-  t.bb_kf <- 0;
-  let n = Array.length nb.bb_uops in
-  let lim = if budget < n then budget else n in
-  bb_go t nb lim budget 0 nb.bb_pa nb.bb_va t.cfg.count_exec next_ev ptag
-
-(* Trace-tier memo-chain entry: dispatch the block's trace superblock if
-   it has one and the up-front check passes; otherwise count heat, try
-   formation once at the threshold, and run the plain Super path. *)
-and bb_chain_trace t nb budget next_ev ptag =
-  match nb.bb_trace with
-  | Some tr when tr.tr_live ->
-    if bb_trace_ready t tr budget next_ev then bb_trace_run t tr budget next_ev
-    else bb_block_enter t nb budget next_ev ptag
-  | _ ->
-    let h = nb.bb_hot + 1 in
-    nb.bb_hot <- h;
-    if h = Uop.trace_hot_threshold then
-      nb.bb_trace <-
-        Uop.form_trace ~head:nb ~max_blocks:t.cfg.trace_len
-          ~wc_load:(max t.cfg.read_miss_penalty t.cfg.uncached_penalty)
-          ~wc_store:
-            (max (t.cfg.wb_depth * t.cfg.wb_drain) t.cfg.uncached_penalty)
-          ~line_shift:t.icache.Cache.line_shift ~nlines:t.icache.Cache.nlines;
-    bb_block_enter t nb budget next_ev ptag
-
-(* One trace-superblock pass.  Preconditions ([bb_trace_ready] + the
-   memo-chain check that got us here): pc = head va, npc sequential,
-   no pending delay slot, not halted, no watchpoint, no reference tracer,
-   no per-word execution counting, every spanned page at its snapshot
-   generation, every spanned icache line resident (and, by formation, on
-   distinct indexes), and the worst-case cycle cost fits under the event
-   horizon.  The pass threads pc/npc/cycles and the two hottest registers
-   as OCaml locals; rarely-read pass state (trace, block index, budget,
-   horizon) lives in [bb_tr]/[bb_tbi]/[bb_tbudget]/[bb_tnext] so the
-   per-slot loop fits its arguments in registers.
-   [t.bb_blk]/[t.bb_k]/[t.bb_kf] stay maintained so the [exec_block]
-   trap handler recovers exactly. *)
-and bb_trace_run t (tr : Uop.trace) budget next_ev =
-  t.bb_trc <- true;
-  t.bb_tr <- tr;
-  t.bb_tbi <- 0;
-  t.bb_tbudget <- budget;
-  t.bb_tnext <- next_ev;
-  t.bb_tacc <- 0;
-  let head = Array.unsafe_get tr.tr_blocks 0 in
-  t.bb_blk <- head;
-  t.bb_kf <- 0;
-  let tregs = tr.tr_regs in
-  let nr = Array.length tregs in
-  let r0 = if nr > 0 then Array.unsafe_get tregs 0 else -1 in
-  let r1 = if nr > 1 then Array.unsafe_get tregs 1 else -1 in
-  let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0 in
-  let c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-  bb_trc_go t head 0 t.pc t.npc t.cycles c0 c1 r0 r1
-
-(* The trace dispatch loop.  Compared with [bb_go]: no per-element fetch
-   probe (hits are batched at flush points), no budget / event-horizon /
-   halted seam tests, no [next_is_delay] traffic (every branch's delay
-   slot is in-block and no poll can run mid-pass), pc/npc/cycles are
-   locals, and reads/writes of the two cached registers are
-   compare-select chains instead of array traffic.  [pc]/[npc] are the
-   CURRENT slot's fetch state: a slot's continuation passes
-   (npc, npc + 4) — which is the delay-slot-correct advance, since npc
-   already holds the branch target when the current slot is a delay
-   slot. *)
-and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
-  if k = Array.length b.bb_uops then begin
-    let tr = t.bb_tr in
-    let bi = t.bb_tbi + 1 in
-    if bi = Array.length tr.tr_blocks then begin
-      bb_trc_flush t b k;
-      (* trace end: spill, then chain exactly as [bb_end] would *)
-      t.bb_trc <- false;
-      if r0 >= 0 then Array.unsafe_set t.regs r0 c0;
-      if r1 >= 0 then Array.unsafe_set t.regs r1 c1;
-      t.pc <- pc;
-      t.npc <- npc;
-      t.cycles <- cyc;
-      let budget = t.bb_tbudget in
-      if (not t.halted) && npc = pc + 4 && budget > tr.tr_insns then
-        bb_chain t b (budget - tr.tr_insns) t.bb_tnext
-          ((b.bb_pa + ((k - 1) * 4)) lsr t.icache.Cache.line_shift)
-    end
-    else begin
-      let nb = Array.unsafe_get tr.tr_blocks bi in
-      let tcc = t.tc in
-      if
-        pc = nb.bb_va
-        && npc = pc + 4
-        && (not t.halted)
-        && tcc.f_vpn = pc lsr Addr.page_shift
-        && tcc.f_frame lor (pc land Addr.page_mask) = nb.bb_pa
-        && tcc.f_cached
-      then begin
-        (* whole completed block in one deferred credit ([bb_kf] stays
-           0 across internal seams) *)
-        t.bb_tacc <- t.bb_tacc + k;
-        t.bb_tbi <- bi;
-        t.bb_blk <- nb;
-        bb_trc_go t nb 0 pc npc cyc c0 c1 r0 r1
-      end
-      else begin
-        (* recorded path diverged (or crossed a page): side exit *)
-        bb_trc_flush t b k;
-        bb_trc_exit t pc npc cyc c0 c1 r0 r1
-      end
-    end
-  end
-  else
-    match Array.unsafe_get b.bb_uops k with
-    | U_alu (op, rd, rs, rt) ->
-      let a = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs
-      and bv = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
-      let v =
-        match (op : Insn.alu) with
-        | ADD | ADDU -> a + bv
-        | SUB | SUBU -> a - bv
-        | AND -> a land bv
-        | OR -> a lor bv
-        | XOR -> a lxor bv
-        | NOR -> lnot (a lor bv)
-        | SLT -> if s32 a < s32 bv then 1 else 0
-        | SLTU -> if a < bv then 1 else 0
-        | SLLV -> a lsl (bv land 31)
-        | SRLV -> a lsr (bv land 31)
-        | SRAV -> s32 a asr (bv land 31)
-        | MUL -> s32 a * s32 bv
-        | MULH ->
-          Int64.to_int
-            (Int64.shift_right
-               (Int64.mul (Int64.of_int (s32 a)) (Int64.of_int (s32 bv)))
-               32)
-        | DIV -> if s32 bv = 0 then 0 else s32 a / s32 bv
-        | REM -> if s32 bv = 0 then 0 else Stdlib.Int.rem (s32 a) (s32 bv)
-      in
-      let v = u32 v in
-      let c0 = if rd = r0 then v else c0 and c1 = if rd = r1 then v else c1 in
-      if rd <> r0 && rd <> r1 && rd <> 0 then Array.unsafe_set t.regs rd v;
-      bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_alui (op, rt, rs, imm) ->
-      let a = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs in
-      let v =
-        match (op : Insn.alui) with
-        | ADDI | ADDIU -> a + imm
-        | SLTI -> if s32 a < imm then 1 else 0
-        | SLTIU -> if a < u32 imm then 1 else 0
-        | ANDI -> a land imm
-        | ORI -> a lor imm
-        | XORI -> a lxor imm
-      in
-      let v = u32 v in
-      let c0 = if rt = r0 then v else c0 and c1 = if rt = r1 then v else c1 in
-      if rt <> r0 && rt <> r1 && rt <> 0 then Array.unsafe_set t.regs rt v;
-      bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_shift (op, rd, rt, sa) ->
-      let a = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
-      let v =
-        match (op : Insn.shift) with
-        | SLL -> a lsl sa
-        | SRL -> a lsr sa
-        | SRA -> s32 a asr sa
-      in
-      let v = u32 v in
-      let c0 = if rd = r0 then v else c0 and c1 = if rd = r1 then v else c1 in
-      if rd <> r0 && rd <> r1 && rd <> 0 then Array.unsafe_set t.regs rd v;
-      bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_lui (rt, imm) ->
-      let v = u32 (imm lsl 16) in
-      let c0 = if rt = r0 then v else c0 and c1 = if rt = r1 then v else c1 in
-      if rt <> r0 && rt <> r1 && rt <> 0 then Array.unsafe_set t.regs rt v;
-      bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_lw (rt, base, off) ->
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      let tcc = t.tc in
-      let lpa = tcc.r_frame lor (va land Addr.page_mask) in
-      if
-        va land 3 = 0
-        && va lsr Addr.page_shift = tcc.r_vpn
-        && tcc.r_cached
-        && lpa + 4 <= t.cfg.mem_bytes
-        && not (is_device_pa lpa)
-      then begin
-        let dc = t.dcache in
-        let tg = lpa lsr dc.Cache.line_shift in
-        let idx = tg land (dc.Cache.nlines - 1) in
-        let cyc =
-          if Array.unsafe_get dc.Cache.tags idx = tg then begin
-            dc.Cache.hits <- dc.Cache.hits + 1;
-            cyc
-          end
-          else begin
-            dc.Cache.misses <- dc.Cache.misses + 1;
-            Array.unsafe_set dc.Cache.tags idx tg;
-            cyc + t.cfg.read_miss_penalty
-          end
-        in
-        let v = Int32.to_int (Bytes.get_int32_le t.mem lpa) land 0xFFFFFFFF in
-        let c0 = if rt = r0 then v else c0 and c1 = if rt = r1 then v else c1 in
-        if rt <> r0 && rt <> r1 && rt <> 0 then Array.unsafe_set t.regs rt v;
-        bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-      end
-      else begin
-        t.bb_k <- k;
-        bb_trc_load_slow t rt va cyc c0 c1 r0 r1;
-        let cyc = t.cycles in
-        let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-        and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-        bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-      end
-    | U_lh (rt, base, off) ->
-      t.bb_k <- k;
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      bb_trc_spill t cyc c0 c1 r0 r1;
-      let v = load_timed t va 2 in
-      let v = if v >= 0x8000 then v - 0x10000 else v in
-      reg_set t rt v;
-      let cyc = t.cycles in
-      let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-      and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-      bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_lhu (rt, base, off) ->
-      t.bb_k <- k;
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      bb_trc_spill t cyc c0 c1 r0 r1;
-      let v = load_timed t va 2 in
-      reg_set t rt v;
-      let cyc = t.cycles in
-      let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-      and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-      bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_lb (rt, base, off) ->
-      t.bb_k <- k;
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      bb_trc_spill t cyc c0 c1 r0 r1;
-      let v = load_timed t va 1 in
-      let v = if v >= 0x80 then v - 0x100 else v in
-      reg_set t rt v;
-      let cyc = t.cycles in
-      let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-      and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-      bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_lbu (rt, base, off) ->
-      t.bb_k <- k;
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      bb_trc_spill t cyc c0 c1 r0 r1;
-      let v = load_timed t va 1 in
-      reg_set t rt v;
-      let cyc = t.cycles in
-      let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-      and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-      bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_sw (rt, base, off) ->
-      let sv = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      let tcc = t.tc in
-      let spa = tcc.w_frame lor (va land Addr.page_mask) in
-      if
-        va land 3 = 0
-        && va lsr Addr.page_shift = tcc.w_vpn
-        && tcc.w_cached
-        && spa + 4 <= t.cfg.mem_bytes
-        && not (is_device_pa spa)
-      then begin
-        (* watchpoint is None for the whole pass ([bb_trace_ready]) *)
-        let cyc = cyc + wb_store t cyc in
-        Bytes.set_int32_le t.mem spa (Int32.of_int (sv land 0xFFFFFFFF));
-        Bytes.set t.dec_valid (spa lsr 2) '\000';
-        let pg = spa lsr Addr.page_shift in
-        let g = t.bgen in
-        Array.unsafe_set g pg (Array.unsafe_get g pg + 1);
-        let tr = t.bb_tr in
-        if pg < tr.tr_pg_lo || pg > tr.tr_pg_hi || bb_trc_gens_ok t tr then
-          bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-        else begin
-          (* the store hit a spanned text page: a trace never runs
-             across a store-generation bump *)
-          bb_trace_invalidate t.bb_tr;
-          bb_trc_flush t b (k + 1);
-          bb_trc_exit t npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-        end
-      end
-      else begin
-        t.bb_k <- k;
-        bb_trc_store_slow t va sv cyc c0 c1 r0 r1;
-        let cyc = t.cycles in
-        let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-        and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-        if t.halted || t.bb_dev then begin
-          t.bb_dev <- false;
-          bb_trc_flush t b (k + 1);
-          bb_trc_exit t npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-        end
-        else if bb_trc_gens_ok t t.bb_tr then
-          bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-        else begin
-          bb_trace_invalidate t.bb_tr;
-          bb_trc_flush t b (k + 1);
-          bb_trc_exit t npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-        end
-      end
-    | U_sh (rt, base, off) ->
-      t.bb_k <- k;
-      let sv = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      bb_trc_spill t cyc c0 c1 r0 r1;
-      store_timed t va 2 sv;
-      let cyc = t.cycles in
-      let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-      and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-      if t.halted || t.bb_dev then begin
-        t.bb_dev <- false;
-        bb_trc_flush t b (k + 1);
-        bb_trc_exit t npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-      end
-      else if bb_trc_gens_ok t t.bb_tr then
-        bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-      else begin
-        bb_trace_invalidate t.bb_tr;
-        bb_trc_flush t b (k + 1);
-        bb_trc_exit t npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-      end
-    | U_sb (rt, base, off) ->
-      t.bb_k <- k;
-      let sv = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      bb_trc_spill t cyc c0 c1 r0 r1;
-      store_timed t va 1 sv;
-      let cyc = t.cycles in
-      let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-      and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-      if t.halted || t.bb_dev then begin
-        t.bb_dev <- false;
-        bb_trc_flush t b (k + 1);
-        bb_trc_exit t npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-      end
-      else if bb_trc_gens_ok t t.bb_tr then
-        bb_trc_go t b (k + 1) npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-      else begin
-        bb_trace_invalidate t.bb_tr;
-        bb_trc_flush t b (k + 1);
-        bb_trc_exit t npc (npc + 4) (cyc + 1) c0 c1 r0 r1
-      end
-    | U_beq (rs, rt, a) ->
-      let x = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs
-      and y = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
-      bb_trc_go t b (k + 1) npc (if x = y then a else npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_bne (rs, rt, a) ->
-      let x = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs
-      and y = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
-      bb_trc_go t b (k + 1) npc (if x <> y then a else npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_blez (rs, a) ->
-      let x = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs in
-      bb_trc_go t b (k + 1) npc (if s32 x <= 0 then a else npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_bgtz (rs, a) ->
-      let x = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs in
-      bb_trc_go t b (k + 1) npc (if s32 x > 0 then a else npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_bltz (rs, a) ->
-      let x = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs in
-      bb_trc_go t b (k + 1) npc (if s32 x < 0 then a else npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_bgez (rs, a) ->
-      let x = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs in
-      bb_trc_go t b (k + 1) npc (if s32 x >= 0 then a else npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_bc1t a ->
-      bb_trc_go t b (k + 1) npc (if t.fcc then a else npc + 4) (cyc + 1) c0 c1 r0 r1
-    | U_bc1f a ->
-      bb_trc_go t b (k + 1) npc (if t.fcc then npc + 4 else a) (cyc + 1) c0 c1 r0 r1
-    | U_j a -> bb_trc_go t b (k + 1) npc a (cyc + 1) c0 c1 r0 r1
-    | U_jal a ->
-      let v = u32 (pc + 8) in
-      let c0 = if r0 = 31 then v else c0 and c1 = if r1 = 31 then v else c1 in
-      if r0 <> 31 && r1 <> 31 then Array.unsafe_set t.regs 31 v;
-      bb_trc_go t b (k + 1) npc a (cyc + 1) c0 c1 r0 r1
-    | U_jr rs ->
-      let dest = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs in
-      bb_trc_go t b (k + 1) npc dest (cyc + 1) c0 c1 r0 r1
-    | U_jalr (rd, rs) ->
-      let dest = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs in
-      let v = u32 (pc + 8) in
-      let c0 = if rd = r0 then v else c0 and c1 = if rd = r1 then v else c1 in
-      if rd <> r0 && rd <> r1 && rd <> 0 then Array.unsafe_set t.regs rd v;
-      bb_trc_go t b (k + 1) npc dest (cyc + 1) c0 c1 r0 r1
-    | U_li (rt, imm) ->
-      let c0 = if rt = r0 then imm else c0
-      and c1 = if rt = r1 then imm else c1 in
-      if rt <> r0 && rt <> r1 && rt <> 0 then Array.unsafe_set t.regs rt imm;
-      bb_trc_go t b (k + 2) (npc + 4) (npc + 8) (cyc + 2) c0 c1 r0 r1
-    | U_addiu2 (rt1, rs1, i1, rt2, rs2, i2) ->
-      let a = if rs1 = r0 then c0 else if rs1 = r1 then c1 else Array.unsafe_get t.regs rs1 in
-      let v = u32 (a + i1) in
-      let c0 = if rt1 = r0 then v else c0 and c1 = if rt1 = r1 then v else c1 in
-      if rt1 <> r0 && rt1 <> r1 && rt1 <> 0 then Array.unsafe_set t.regs rt1 v;
-      let a2 = if rs2 = r0 then c0 else if rs2 = r1 then c1 else Array.unsafe_get t.regs rs2 in
-      let v2 = u32 (a2 + i2) in
-      let c0 = if rt2 = r0 then v2 else c0
-      and c1 = if rt2 = r1 then v2 else c1 in
-      if rt2 <> r0 && rt2 <> r1 && rt2 <> 0 then Array.unsafe_set t.regs rt2 v2;
-      bb_trc_go t b (k + 2) (npc + 4) (npc + 8) (cyc + 2) c0 c1 r0 r1
-    | U_slt_b (unsigned, rd, rs, rt, on_ne, a) ->
-      let x = if rs = r0 then c0 else if rs = r1 then c1 else Array.unsafe_get t.regs rs
-      and y = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
-      let v =
-        if unsigned then (if x < y then 1 else 0)
-        else if s32 x < s32 y then 1
-        else 0
-      in
-      let c0 = if rd = r0 then v else c0 and c1 = if rd = r1 then v else c1 in
-      if rd <> r0 && rd <> r1 && rd <> 0 then Array.unsafe_set t.regs rd v;
-      bb_trc_go t b (k + 2) (npc + 4)
-        (if (v <> 0) = on_ne then a else npc + 8)
-        (cyc + 2) c0 c1 r0 r1
-    | U_lw_addiu (rt, base, off, rt2, rs2, i2) ->
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      let tcc = t.tc in
-      let lpa = tcc.r_frame lor (va land Addr.page_mask) in
-      if
-        va land 3 = 0
-        && va lsr Addr.page_shift = tcc.r_vpn
-        && tcc.r_cached
-        && lpa + 4 <= t.cfg.mem_bytes
-        && not (is_device_pa lpa)
-      then begin
-        let dc = t.dcache in
-        let tg = lpa lsr dc.Cache.line_shift in
-        let idx = tg land (dc.Cache.nlines - 1) in
-        let cyc =
-          if Array.unsafe_get dc.Cache.tags idx = tg then begin
-            dc.Cache.hits <- dc.Cache.hits + 1;
-            cyc
-          end
-          else begin
-            dc.Cache.misses <- dc.Cache.misses + 1;
-            Array.unsafe_set dc.Cache.tags idx tg;
-            cyc + t.cfg.read_miss_penalty
-          end
-        in
-        let v = Int32.to_int (Bytes.get_int32_le t.mem lpa) land 0xFFFFFFFF in
-        let c0 = if rt = r0 then v else c0 and c1 = if rt = r1 then v else c1 in
-        if rt <> r0 && rt <> r1 && rt <> 0 then Array.unsafe_set t.regs rt v;
-        let a2 = if rs2 = r0 then c0 else if rs2 = r1 then c1 else Array.unsafe_get t.regs rs2 in
-        let v2 = u32 (a2 + i2) in
-        let c0 = if rt2 = r0 then v2 else c0
-        and c1 = if rt2 = r1 then v2 else c1 in
-        if rt2 <> r0 && rt2 <> r1 && rt2 <> 0 then
-          Array.unsafe_set t.regs rt2 v2;
-        bb_trc_go t b (k + 2) (npc + 4) (npc + 8) (cyc + 2) c0 c1 r0 r1
-      end
-      else begin
-        t.bb_k <- k;
-        bb_trc_load_slow t rt va cyc c0 c1 r0 r1;
-        let cyc = t.cycles in
-        let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-        and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-        let a2 = if rs2 = r0 then c0 else if rs2 = r1 then c1 else Array.unsafe_get t.regs rs2 in
-        let v2 = u32 (a2 + i2) in
-        let c0 = if rt2 = r0 then v2 else c0
-        and c1 = if rt2 = r1 then v2 else c1 in
-        if rt2 <> r0 && rt2 <> r1 && rt2 <> 0 then
-          Array.unsafe_set t.regs rt2 v2;
-        bb_trc_go t b (k + 2) (npc + 4) (npc + 8) (cyc + 2) c0 c1 r0 r1
-      end
-    | U_lmw (rt, base, off, rt2, rs2, i2, rt3, base3, off3) ->
-      let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
-      let va = u32 (a + off) in
-      let tcc = t.tc in
-      let lpa = tcc.r_frame lor (va land Addr.page_mask) in
-      if
-        va land 3 = 0
-        && va lsr Addr.page_shift = tcc.r_vpn
-        && tcc.r_cached
-        && lpa + 4 <= t.cfg.mem_bytes
-        && not (is_device_pa lpa)
-      then begin
-        let dc = t.dcache in
-        let tg = lpa lsr dc.Cache.line_shift in
-        let idx = tg land (dc.Cache.nlines - 1) in
-        let cyc =
-          if Array.unsafe_get dc.Cache.tags idx = tg then begin
-            dc.Cache.hits <- dc.Cache.hits + 1;
-            cyc
-          end
-          else begin
-            dc.Cache.misses <- dc.Cache.misses + 1;
-            Array.unsafe_set dc.Cache.tags idx tg;
-            cyc + t.cfg.read_miss_penalty
-          end
-        in
-        let v = Int32.to_int (Bytes.get_int32_le t.mem lpa) land 0xFFFFFFFF in
-        let c0 = if rt = r0 then v else c0 and c1 = if rt = r1 then v else c1 in
-        if rt <> r0 && rt <> r1 && rt <> 0 then Array.unsafe_set t.regs rt v;
-        let cyc = cyc + 1 in
-              let a2 = if rs2 = r0 then c0 else if rs2 = r1 then c1 else Array.unsafe_get t.regs rs2 in
-        let v2 = u32 (a2 + i2) in
-        let c0 = if rt2 = r0 then v2 else c0 and c1 = if rt2 = r1 then v2 else c1 in
-        if rt2 <> r0 && rt2 <> r1 && rt2 <> 0 then Array.unsafe_set t.regs rt2 v2;
-        let cyc = cyc + 1 in
-        let sv = if rt3 = r0 then c0 else if rt3 = r1 then c1 else Array.unsafe_get t.regs rt3 in
-        let a3 = if base3 = r0 then c0 else if base3 = r1 then c1 else Array.unsafe_get t.regs base3 in
-        let sva = u32 (a3 + off3) in
-        let spa = tcc.w_frame lor (sva land Addr.page_mask) in
-        if
-          sva land 3 = 0
-          && sva lsr Addr.page_shift = tcc.w_vpn
-          && tcc.w_cached
-          && spa + 4 <= t.cfg.mem_bytes
-          && not (is_device_pa spa)
-        then begin
-          let cyc = cyc + wb_store t cyc in
-          Bytes.set_int32_le t.mem spa (Int32.of_int (sv land 0xFFFFFFFF));
-          Bytes.set t.dec_valid (spa lsr 2) '\000';
-          let pg = spa lsr Addr.page_shift in
-          let g = t.bgen in
-          Array.unsafe_set g pg (Array.unsafe_get g pg + 1);
-          let tr = t.bb_tr in
-          if pg < tr.tr_pg_lo || pg > tr.tr_pg_hi || bb_trc_gens_ok t tr then
-            bb_trc_go t b (k + 3) (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          else begin
-            bb_trace_invalidate t.bb_tr;
-            bb_trc_flush t b (k + 3);
-            bb_trc_exit t (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          end
-        end
-        else begin
-          t.bb_k <- k + 2;
-          bb_trc_store_slow t sva sv cyc c0 c1 r0 r1;
-          let cyc = t.cycles in
-          let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-          and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-          if t.halted || t.bb_dev then begin
-            t.bb_dev <- false;
-            bb_trc_flush t b (k + 3);
-            bb_trc_exit t (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          end
-          else if bb_trc_gens_ok t t.bb_tr then
-            bb_trc_go t b (k + 3) (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          else begin
-            bb_trace_invalidate t.bb_tr;
-            bb_trc_flush t b (k + 3);
-            bb_trc_exit t (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          end
-        end
-      end
-      else begin
-        t.bb_k <- k;
-        bb_trc_load_slow t rt va cyc c0 c1 r0 r1;
-        let cyc = t.cycles in
-        let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-        and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-        let cyc = cyc + 1 in
-              let a2 = if rs2 = r0 then c0 else if rs2 = r1 then c1 else Array.unsafe_get t.regs rs2 in
-        let v2 = u32 (a2 + i2) in
-        let c0 = if rt2 = r0 then v2 else c0 and c1 = if rt2 = r1 then v2 else c1 in
-        if rt2 <> r0 && rt2 <> r1 && rt2 <> 0 then Array.unsafe_set t.regs rt2 v2;
-        let cyc = cyc + 1 in
-        let sv = if rt3 = r0 then c0 else if rt3 = r1 then c1 else Array.unsafe_get t.regs rt3 in
-        let a3 = if base3 = r0 then c0 else if base3 = r1 then c1 else Array.unsafe_get t.regs base3 in
-        let sva = u32 (a3 + off3) in
-        let spa = tcc.w_frame lor (sva land Addr.page_mask) in
-        if
-          sva land 3 = 0
-          && sva lsr Addr.page_shift = tcc.w_vpn
-          && tcc.w_cached
-          && spa + 4 <= t.cfg.mem_bytes
-          && not (is_device_pa spa)
-        then begin
-          let cyc = cyc + wb_store t cyc in
-          Bytes.set_int32_le t.mem spa (Int32.of_int (sv land 0xFFFFFFFF));
-          Bytes.set t.dec_valid (spa lsr 2) '\000';
-          let pg = spa lsr Addr.page_shift in
-          let g = t.bgen in
-          Array.unsafe_set g pg (Array.unsafe_get g pg + 1);
-          let tr = t.bb_tr in
-          if pg < tr.tr_pg_lo || pg > tr.tr_pg_hi || bb_trc_gens_ok t tr then
-            bb_trc_go t b (k + 3) (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          else begin
-            bb_trace_invalidate t.bb_tr;
-            bb_trc_flush t b (k + 3);
-            bb_trc_exit t (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          end
-        end
-        else begin
-          t.bb_k <- k + 2;
-          bb_trc_store_slow t sva sv cyc c0 c1 r0 r1;
-          let cyc = t.cycles in
-          let c0 = if r0 >= 0 then Array.unsafe_get t.regs r0 else 0
-          and c1 = if r1 >= 0 then Array.unsafe_get t.regs r1 else 0 in
-          if t.halted || t.bb_dev then begin
-            t.bb_dev <- false;
-            bb_trc_flush t b (k + 3);
-            bb_trc_exit t (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          end
-          else if bb_trc_gens_ok t t.bb_tr then
-            bb_trc_go t b (k + 3) (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          else begin
-            bb_trace_invalidate t.bb_tr;
-            bb_trc_flush t b (k + 3);
-            bb_trc_exit t (npc + 8) (npc + 12) (cyc + 1) c0 c1 r0 r1
-          end
-        end
-      end
-    | U_j_nop a -> bb_trc_go t b (k + 2) a (a + 4) (cyc + 2) c0 c1 r0 r1
-    | U_stub _ | U_other _ ->
-      (* [trace_eligible] excludes both from every trace block *)
-      assert false
-
 let exec_block t b ~budget =
   let n = Array.length b.bb_uops in
   let lim = if budget < n then budget else n in
@@ -2797,26 +1922,14 @@ let exec_block t b ~budget =
     let k = t.bb_k in
     (* uops [bb_kf, k) completed before the fault; uop k itself is not
        counted, exactly as in step mode *)
-    if t.bb_trc then begin
-      (* trace pass: fetch hits were batched; the faulting slot's fetch
-         did hit (residency was checked up front) even though its
-         instruction doesn't count, hence the +1 *)
-      t.bb_trc <- false;
-      let acc = t.bb_tacc in
-      t.bb_tacc <- 0;
-      t.icache.Cache.hits <- t.icache.Cache.hits + acc + (k - t.bb_kf) + 1;
-      t.bb_kf <- t.bb_kf - acc
-    end;
     bb_flush t blk k;
     let cur = blk.bb_va + (k * 4) in
     let in_delay =
       k > 0
       && (match Array.unsafe_get blk.bb_uops (k - 1) with
          | U_beq _ | U_bne _ | U_blez _ | U_bgtz _ | U_bltz _ | U_bgez _
-         | U_bc1t _ | U_bc1f _ | U_j _ | U_jal _ | U_jr _ | U_jalr _
-         (* a fused [j]+nop that bailed after the jump: the next slot is
-            its delay slot *)
-         | U_j_nop _ -> true
+         | U_bc1t _ | U_bc1f _ | U_j _ | U_jal _ | U_jr _ | U_jalr _ ->
+           true
          | U_other i -> Insn.is_control i
          | _ -> false)
     in
@@ -2916,19 +2029,6 @@ let load_exe_phys t (exe : Exe.t) ~text_pa ~data_pa =
   write_phys_bytes t data_pa (Bytes.to_string exe.Exe.data)
 
 let console_contents t = Buffer.contents t.console
-
-let cached_blocks t =
-  Array.fold_left
-    (fun acc (b : Uop.block) -> if b.bb_pa >= 0 then b :: acc else acc)
-    [] t.bcache_tab
-
-let cached_traces t =
-  Array.fold_left
-    (fun acc (b : Uop.block) ->
-      match b.bb_trace with
-      | Some tr when b.bb_pa >= 0 && tr.Uop.tr_live -> tr :: acc
-      | _ -> acc)
-    [] t.bcache_tab
 
 let arith_stalls t = t.fpu.Fpu.arith_stalls
 let wb_stalls t = t.wb.Write_buffer.stall_cycles

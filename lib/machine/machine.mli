@@ -43,22 +43,17 @@ type config = {
   disk_per_block : int;
   count_exec : bool;  (** per-instruction-word execution counts (§4.3) *)
   tier : Uop.tier;
-      (** Interpreter tier (default {!Uop.Super}): [Step] is the
+      (** Interpreter tier (default {!Uop.Bcache}): [Step] is the
           step-at-a-time oracle with a full TLB walk per access; [Tcache]
-          adds the translation micro-cache and its second level; [Bcache] adds the
-          decode-once basic-block execution cache (one fetch translation
-          + bounds check per block, keyed by (physical address, pc,
-          cacheability), invalidated by per-page store generations, so
-          self-modifying code, DMA, TLB remaps and mode switches behave
-          exactly as in step-at-a-time execution); [Super] adds
-          superblock peephole fusion and the runtime stub uops over cached
-          blocks; [Trace] adds
-          trace superblocks stitched over the successor memo with
-          cross-seam register caching.  {!step} remains the
-          state-identical oracle for every tier (qcheck-enforced). *)
-  trace_len : int;
-      (** Maximum blocks per trace superblock at the [Trace] tier
-          (default 8; CLI range 4–16). *)
+          adds the translation micro-cache and its second level;
+          [Bcache] adds the decode-once basic-block execution cache (one
+          fetch translation + bounds check per block, keyed by (physical
+          address, pc, cacheability), invalidated by per-page store
+          generations, so self-modifying code, DMA, TLB remaps and mode
+          switches behave exactly as in step-at-a-time execution) and
+          the tracing runtime's stub uops on every cached block.  {!step}
+          remains the state-identical oracle for every tier
+          (qcheck-enforced). *)
 }
 
 val default_config : config
@@ -146,24 +141,6 @@ type t = {
       (** First uop of the pending (not yet counted) replay span. *)
   mutable bb_um : bool;
       (** Mode the pending replay span executed in. *)
-  mutable bb_trc : bool;
-      (** True while a trace-superblock pass is replaying: icache fetch
-          hits are batched (the up-front residency check makes every
-          fetch a hit), so flush points — including the trap handler —
-          credit them alongside the instruction counters. *)
-  mutable bb_tr : Uop.trace;
-      (** The trace replaying (valid while [bb_trc]). *)
-  mutable bb_tbi : int;
-      (** Index in [bb_tr.tr_blocks] of the block replaying. *)
-  mutable bb_tbudget : int;
-      (** Budget captured at trace-pass entry. *)
-  mutable bb_tnext : int;
-      (** Event horizon captured at trace-pass entry. *)
-  mutable bb_tacc : int;
-      (** Instructions completed in already-finished blocks of the
-          current trace pass, not yet credited to the counters: internal
-          seams accumulate here and the next flush (or the trap handler)
-          folds it in, so a pass touches the counter record once. *)
   mutable stub_runs : int;
       (** Host-side count of stub uops that ran their whole block. *)
   mutable stub_falls : int;
@@ -236,14 +213,6 @@ val halt : t -> unit
 
 val load_exe_phys : t -> Exe.t -> text_pa:int -> data_pa:int -> unit
 val console_contents : t -> string
-
-val cached_blocks : t -> Uop.block list
-(** The live entries of the block table (bench introspection: fused-run
-    statistics). *)
-
-val cached_traces : t -> Uop.trace list
-(** The live trace superblocks headed by cached blocks (bench
-    introspection: trace-length histogram). *)
 
 val arith_stalls : t -> int
 val wb_stalls : t -> int

@@ -715,37 +715,7 @@ let decode_semantic ~expect (s : string) : int array =
 
 (* ------------------------------------------------------------------ *)
 
-(* Parallel pack.  The delta stream is split into fixed-size blocks and
-   each block is LZSS-packed independently on the domain pool, then the
-   outputs are concatenated.  This changes nothing about the wire format:
-   every complete LZSS stream is group-aligned (the packer pads the final
-   control group with dist-0 items) and a block's matches only reach back
-   into its own output, so the concatenation of per-block streams is
-   itself a valid stream — the same property the block-flushing
-   {!Tracefile} writer already relies on.  Cross-block matches are lost,
-   costing a fraction of a percent of ratio (the window is 64K, the
-   blocks 256K).  With [jobs <= 1], or input at most one block, the
-   serial packer runs unchanged and the output is byte-identical to
-   before. *)
-
-let pack_block_bytes = 256 * 1024
-
-let lzss_pack_blocks ~jobs ~block_bytes (src : string) : string =
-  let n = String.length src in
-  if jobs <= 1 || n <= block_bytes then lzss_pack src
-  else begin
-    let nblocks = (n + block_bytes - 1) / block_bytes in
-    let blocks =
-      List.init nblocks (fun k ->
-          let pos = k * block_bytes in
-          String.sub src pos (min block_bytes (n - pos)))
-    in
-    String.concat "" (Systrace_util.Pool.map ~jobs lzss_pack blocks)
-  end
-
-let pack ?(jobs = 1) ?(block_bytes = pack_block_bytes) (words : int array) :
-    string =
-  lzss_pack_blocks ~jobs ~block_bytes (encode words)
+let pack (words : int array) : string = lzss_pack (encode words)
 
 let unpack ?expect (s : string) : int array =
   let limit =

@@ -38,14 +38,9 @@ val lzss_unpack : ?limit:int -> string -> string
     @raise Corrupt on malformed input or when the output exceeds
     [limit]. *)
 
-val pack : ?jobs:int -> ?block_bytes:int -> int array -> string
+val pack : int array -> string
 (** Both stages: [lzss_pack (encode words)] — the {!Tracefile} v2
-    payload.  With [jobs > 1] and more than one [block_bytes]-sized block
-    of delta stream (default 256K), the LZSS stage runs per block on a
-    domain pool and the outputs concatenate into the same wire format
-    (complete streams are group-aligned and matches never cross a block),
-    at a fraction of a percent of ratio.  [jobs <= 1] is byte-identical
-    to the serial packer. *)
+    payload. *)
 
 val unpack : ?expect:int -> string -> int array
 (** Inverse of {!pack}.  With [?expect], both stages are bounded by the

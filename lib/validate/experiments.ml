@@ -936,8 +936,6 @@ let interp_ablation_table ?(wname = "egrep") () =
       ("step (no caches)", Systrace_machine.Uop.Step);
       ("tcache", Systrace_machine.Uop.Tcache);
       ("tcache + bcache", Systrace_machine.Uop.Bcache);
-      ("superblock (fused)", Systrace_machine.Uop.Super);
-      ("trace superblocks", Systrace_machine.Uop.Trace);
     ]
   in
   let results =
@@ -965,7 +963,7 @@ let interp_ablation_table ?(wname = "egrep") () =
       ~title:
         (Printf.sprintf
            "Interpreter execution tiers: host cost of an untraced %s run \
-(identical simulated counters and console asserted across all five)"
+(identical simulated counters and console asserted across all three)"
            wname)
       ~headers:[ "mode"; "host cpu s"; "speedup" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right ]

@@ -66,9 +66,9 @@ let base_cfg os pagemap seed =
     seed;
   }
 
-let all_programs os spec =
+let all_programs os files programs =
   match os with
-  | Ultrix -> spec.programs
+  | Ultrix -> programs
   | Mach ->
     let server =
       {
@@ -76,7 +76,7 @@ let all_programs os spec =
         modules =
           [
             Systrace_workloads.Ux_server.make
-              ~file_plan:(Builder.file_plan spec.files) ();
+              ~file_plan:(Builder.file_plan files) ();
             Systrace_workloads.Userlib.make ();
           ];
         heap_pages = 4;
@@ -84,7 +84,7 @@ let all_programs os spec =
         notrace = false;
       }
     in
-    server :: spec.programs
+    server :: programs
 
 let max_insns = 2_000_000_000
 
@@ -95,7 +95,9 @@ let system ?pagemap ?machine_cfg ?(seed = 1) ~traced os spec =
     | Some m -> { cfg with Builder.machine_cfg = m }
     | None -> cfg
   in
-  Builder.build ~cfg ~programs:(all_programs os spec) ~files:spec.files ()
+  Builder.build ~cfg
+    ~programs:(all_programs os spec.files spec.programs)
+    ~files:spec.files ()
 
 let run_to_halt t =
   match Builder.run t ~max_insns with

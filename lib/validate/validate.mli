@@ -50,6 +50,12 @@ type prediction = {
           in-kernel buffer size rather than the trace length *)
 }
 
+val all_programs :
+  os -> Builder.file_spec list -> Builder.program list -> Builder.program list
+(** [all_programs os files programs] is what a system running [programs]
+    over [files] boots: [programs], preceded under Mach by the UX server
+    with the file plan of [files]. *)
+
 val system :
   ?pagemap:Kcfg.pagemap ->
   ?machine_cfg:Systrace_machine.Machine.config ->

@@ -34,6 +34,8 @@ let cases () =
     (2, [ "slice"; file; "--from"; "0"; "--until"; "10"; "-o"; file ]);
     (2, [ "trace"; "egrep"; "--trace-out"; file ]);
     (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "unix:" ^ file ]);
+    (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "tcp:localhost:1" ]);
+    (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "tcp:127.0.0.1:99999" ]);
     (2, [ "serve"; "--stats"; "--ctl"; file ]);
     (1, [ "analyze"; "gcc"; "fixture_v3.strc" ]);
     (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--tlb"; "8" ]);
@@ -44,8 +46,15 @@ let test_bad_invocations () =
     (fun (expect, args) ->
       let code, msg = run args in
       let what = String.concat " " args in
+      let msg = String.trim msg in
       Alcotest.(check int) (what ^ ": exit code") expect code;
-      Alcotest.(check bool) (what ^ ": stderr says why") true (String.trim msg <> ""))
+      Alcotest.(check bool) (what ^ ": stderr says why") true (msg <> "");
+      Alcotest.(check bool) (what ^ ": one line on stderr") false
+        (String.contains msg '\n');
+      (* an uncaught exception exits 2 too, so the code alone cannot
+         tell it from a usage error *)
+      Alcotest.(check bool) (what ^ ": not an uncaught exception") false
+        (String.starts_with ~prefix:"Fatal error" msg))
     (cases ())
 
 let tests =

@@ -928,10 +928,10 @@ let bb_install_vectors m =
   write Addr.general_vector (stub Addr.general_vector);
   write Addr.utlb_vector (stub Addr.utlb_vector)
 
-(* Run the same program under the step-at-a-time oracle and each block
-   tier (plain and superblock-fused) with identical budgets; [prepare]
-   pokes extra host-side state (mapped routines, clock) into every
-   machine identically. *)
+(* Run the same program under the step-at-a-time oracle and each faster
+   tier (translation cache, block cache) with identical budgets;
+   [prepare] pokes extra host-side state (mapped routines, clock) into
+   every machine identically. *)
 let bb_run_both ?(prepare = fun (_ : Machine.t) -> ()) ?(max_insns = 400_000)
     build =
   let run_tier tier =
@@ -957,7 +957,7 @@ let bb_run_both ?(prepare = fun (_ : Machine.t) -> ()) ?(max_insns = 400_000)
         QCheck.Test.fail_report
           (Uop.tier_name tier
           ^ " tier diverges from step mode in registers/counters"))
-    [ Uop.Bcache; Uop.Super; Uop.Trace ];
+    [ Uop.Tcache; Uop.Bcache ];
   true
 
 (* Generated program fragments.  [Patch] stores a freshly encoded
@@ -1213,151 +1213,10 @@ let prop_bcache_clock_interrupts =
           m.Machine.next_clock <- interval)
         (bb_clk_build ops))
 
-(* Structural invariants of superblock fusion (DESIGN.md §5h), over
-   random lowered bodies salted with fusible idioms.  A store may only
-   be a run's *final* element, so a fused run never crosses a
-   store-generation bump — the post-store revalidation happens
-   immediately after the dispatch.  (The event-horizon half of the
-   contract is runtime behaviour: every seam re-checks the horizon, and
-   the clock-interrupt equality property above exercises it on the
-   Super tier.)  Covered slots must keep their scalar originals so a
-   mid-run bail-out resumes on the unfused tail, and runs never
-   overlap. *)
-
-let fuse_gen_insns =
-  let open QCheck.Gen in
-  let reg = int_range 0 7 in
-  let imm = map (fun i -> Insn.Imm i) (int_range (-64) 64) in
-  let tgt = map (fun a -> 4 * a) (int_range 0 1024) in
-  let insn =
-    frequency
-      [
-        (4, map3 (fun rt rs i -> Insn.Alui (Insn.ADDIU, rt, rs, i)) reg reg imm);
-        (2, map2 (fun rt i -> Insn.Lui (rt, i)) reg imm);
-        (2, map3 (fun rt rs i -> Insn.Alui (Insn.ORI, rt, rs, i)) reg reg imm);
-        (2, map3 (fun rd rs rt -> Insn.Alu (Insn.SLT, rd, rs, rt)) reg reg reg);
-        (2, map3 (fun rt b i -> Insn.Load (Insn.W, rt, b, i)) reg reg imm);
-        (2, map3 (fun rt b i -> Insn.Store (Insn.W, rt, b, i)) reg reg imm);
-        (2, map2 (fun rs a -> Insn.Bne (rs, 0, Insn.Abs a)) reg tgt);
-        (2, map2 (fun rs a -> Insn.Beq (rs, 0, Insn.Abs a)) reg tgt);
-        (1, map (fun a -> Insn.J (Insn.Abs a)) tgt);
-        (2, return (Insn.Shift (Insn.SLL, 0, 0, 0)));
-        (1, return Insn.Syscall);
-      ]
-  in
-  let chunk =
-    frequency
-      [
-        (5, map (fun i -> [ i ]) insn);
-        ( 2,
-          map3
-            (fun rd rs a ->
-              [ Insn.Alu (Insn.SLTU, rd, rs, rs); Insn.Bne (rd, 0, Insn.Abs a) ])
-            reg reg tgt );
-        ( 2,
-          map2
-            (fun rt i ->
-              [ Insn.Lui (rt, Insn.Imm 0x1234); Insn.Alui (Insn.ORI, rt, rt, i) ])
-            reg imm );
-        ( 2,
-          map3
-            (fun rt b i ->
-              [
-                Insn.Load (Insn.W, rt, b, i);
-                Insn.Alui (Insn.ADDIU, rt, rt, Insn.Imm 4);
-                Insn.Store (Insn.W, rt, b, i);
-              ])
-            reg reg imm );
-        (1, map (fun a -> [ Insn.J (Insn.Abs a); Insn.nop ]) tgt);
-      ]
-  in
-  map List.concat (list_size (int_range 1 20) chunk)
-
-let fuse_arb_insns =
-  QCheck.make
-    ~print:(fun insns -> Printf.sprintf "<%d insns>" (List.length insns))
-    fuse_gen_insns
-
-let prop_fusion_structure =
-  QCheck.Test.make ~count:500
-    ~name:
-      "superblock fusion: stores only final (no run crosses a generation \
-       bump), originals kept, runs disjoint"
-    fuse_arb_insns
-    (fun insns ->
-      let scal = Array.of_list (List.map Uop.of_insn insns) in
-      let out = Uop.fuse scal in
-      let n = Array.length out in
-      if n <> Array.length scal then
-        QCheck.Test.fail_report "fusion changed the block length";
-      Array.iter
-        (fun u ->
-          if Uop.is_fused u then
-            QCheck.Test.fail_report "of_insn produced a fused constructor")
-        scal;
-      let i = ref 0 in
-      while !i < n do
-        let u = out.(!i) in
-        let w = Uop.width u in
-        if w > 1 then begin
-          if !i + w > n then
-            QCheck.Test.fail_report "fused run extends past the block end";
-          for j = !i + 1 to !i + w - 1 do
-            if out.(j) <> scal.(j) then
-              QCheck.Test.fail_report
-                "covered slot lost its scalar original (bail-out could not \
-                 resume)"
-          done;
-          for j = !i to !i + w - 2 do
-            match scal.(j) with
-            | Uop.U_sw _ | Uop.U_sh _ | Uop.U_sb _ ->
-              QCheck.Test.fail_report
-                "store in a non-final fused position (run would cross a \
-                 store-generation bump)"
-            | Uop.U_other _ ->
-              QCheck.Test.fail_report "U_other inside a fused run"
-            | Uop.U_beq _ | Uop.U_bne _ | Uop.U_blez _ | Uop.U_bgtz _
-            | Uop.U_bltz _ | Uop.U_bgez _ | Uop.U_bc1t _ | Uop.U_bc1f _
-            | Uop.U_jal _ | Uop.U_jr _ | Uop.U_jalr _ ->
-              QCheck.Test.fail_report "branch in a non-final fused position"
-            | Uop.U_j _ -> (
-              match u with
-              | Uop.U_j_nop _ -> ()
-              | _ ->
-                QCheck.Test.fail_report "jump in a non-final fused position")
-            | _ -> ()
-          done
-        end;
-        i := !i + w
-      done;
-      true)
-
-
-(* --- CLI tier resolution (satellite of the trace-tier PR) ---------- *)
-
-let test_tier_of_cli () =
-  (match Uop.tier_of_cli ~tier:None ~no_bcache:false with
-  | Ok Uop.Super -> ()
-  | _ -> Alcotest.fail "neither flag should default to Super");
-  (match Uop.tier_of_cli ~tier:None ~no_bcache:true with
-  | Ok Uop.Tcache -> ()
-  | _ -> Alcotest.fail "--no-bcache alone should alias to Tcache");
-  (match Uop.tier_of_cli ~tier:(Some Uop.Trace) ~no_bcache:false with
-  | Ok Uop.Trace -> ()
-  | _ -> Alcotest.fail "an explicit --interp-tier should be honoured");
-  (match Uop.tier_of_cli ~tier:(Some Uop.Step) ~no_bcache:true with
-  | Error _ -> ()
-  | Ok _ ->
-    Alcotest.fail
-      "--interp-tier plus --no-bcache must be rejected (the alias used to \
-       lose silently)")
-
-(* A TLB miss on the load of the *last* fused load-modify-store triple
-   of a block: the block has already retired whole [U_lmw] dispatches
-   when element 1 of its final triple faults, and at the Trace tier the
-   fault follows a trace side exit (the loop backedge diverges on the
-   last iteration), so trap recovery rebuilds pc/epc and the register
-   file from mid-block state with the register cache spilled.
+(* A TLB miss on the load of the *last* load-modify-store triple of a
+   block: the block has already retired the uops of its earlier triples
+   when the final triple's load faults, so the block cache's trap
+   recovery rebuilds pc/epc and the counters from mid-block state.
    Registers, EPC, BadVAddr, memory and every counter must match
    step-at-a-time exactly. *)
 let test_lmw_last_load_tlb_miss () =
@@ -1399,20 +1258,11 @@ let test_lmw_last_load_tlb_miss () =
     | Machine.Limit -> Alcotest.fail "instruction limit reached");
     m
   in
-  let ms = run_tier Uop.Step in
-  let fs = bb_fingerprint ms in
-  List.iter
-    (fun tier ->
-      let mt = run_tier tier in
-      check
-        (Uop.tier_name tier ^ ": memory matches step after lmw fault")
-        true
-        (Bytes.equal ms.Machine.mem mt.Machine.mem);
-      check
-        (Uop.tier_name tier ^ ": registers/epc/counters match step")
-        true
-        (bb_fingerprint mt = fs))
-    [ Uop.Super; Uop.Trace ];
+  let ms = run_tier Uop.Step and mb = run_tier Uop.Bcache in
+  check "bcache: memory matches step after lmw fault" true
+    (Bytes.equal ms.Machine.mem mb.Machine.mem);
+  check "bcache: registers/epc/counters match step" true
+    (bb_fingerprint mb = bb_fingerprint ms);
   (* the run really took the fault path it claims to test *)
   check_int "two utlb refills (lw then sw)" 2 ms.Machine.c.Machine.utlb_misses;
   check_int "badvaddr names the unmapped page" 0x4000 ms.Machine.badvaddr;
@@ -1421,84 +1271,6 @@ let test_lmw_last_load_tlb_miss () =
   check_int "buf.8 counted once on fall-out" 1
     (Machine.read_phys_u32 ms (buf_pa + 8))
 
-(* Structural invariants of trace superblocks (DESIGN.md section 5i),
-   checked on whatever traces form while random self-modifying /
-   faulting programs run at the Trace tier (salted with long loops so
-   chains actually get hot).  The page/generation snapshot must agree
-   with every constituent block — a trace never spans a
-   store-generation bump at formation, and in-pass bumps side-exit,
-   which the equality properties above check behaviourally.  The
-   register-cache candidates are distinct non-zero architectural
-   registers.  And a dead trace is never left installed on its head:
-   invalidation clears [bb_trace], so the head deopts to plain [Super]
-   block dispatch, never to [step]. *)
-let prop_trace_structure =
-  QCheck.Test.make ~count:60
-    ~name:
-      "trace superblocks: snapshot consistent, register cache sane, dead \
-       traces deopt to super"
-    bb_arb_ops
-    (fun ops ->
-      let ops = Loop (20, 5) :: (ops @ [ Loop (20, 7) ]) in
-      let cfg = { Machine.default_config with Machine.tier = Uop.Trace } in
-      let m, _ = setup ~cfg (bb_build_program ops) in
-      bb_install_vectors m;
-      (match Machine.run m ~max_insns:400_000 with
-      | Machine.Halt -> ()
-      | Machine.Limit ->
-        QCheck.Test.fail_report "generated program hit the instruction limit");
-      List.iter
-        (fun (b : Uop.block) ->
-          match b.Uop.bb_trace with
-          | Some tr when not tr.Uop.tr_live ->
-            QCheck.Test.fail_report
-              "invalidated trace still installed on its head block"
-          | _ -> ())
-        (Machine.cached_blocks m);
-      List.iter
-        (fun (tr : Uop.trace) ->
-          let nb = Array.length tr.Uop.tr_blocks in
-          if nb < 2 || nb > cfg.Machine.trace_len then
-            QCheck.Test.fail_report "trace block count out of range";
-          if tr.Uop.tr_insns > Uop.trace_max_insns then
-            QCheck.Test.fail_report "trace exceeds the total-slot cap";
-          if Array.length tr.Uop.tr_pages <> Array.length tr.Uop.tr_gens then
-            QCheck.Test.fail_report "page/generation snapshot lengths differ";
-          Array.iter
-            (fun (b : Uop.block) ->
-              if not (Uop.trace_eligible b) then
-                QCheck.Test.fail_report "ineligible block inside a trace";
-              let pg = b.Uop.bb_pa lsr Addr.page_shift in
-              let found = ref false in
-              Array.iteri
-                (fun i p ->
-                  if p = pg then begin
-                    found := true;
-                    if tr.Uop.tr_gens.(i) <> b.Uop.bb_gen then
-                      QCheck.Test.fail_report
-                        "snapshot generation disagrees with a constituent \
-                         block (trace spans a store-generation bump)"
-                  end)
-                tr.Uop.tr_pages;
-              if not !found then
-                QCheck.Test.fail_report
-                  "constituent block's page missing from the snapshot")
-            tr.Uop.tr_blocks;
-          (let lo = Array.fold_left min max_int tr.Uop.tr_pages
-           and hi = Array.fold_left max (-1) tr.Uop.tr_pages in
-           if tr.Uop.tr_pg_lo <> lo || tr.Uop.tr_pg_hi <> hi then
-             QCheck.Test.fail_report
-               "spanned-page range disagrees with the snapshot");
-          let regs = Array.to_list tr.Uop.tr_regs in
-          if List.length regs > 4 then
-            QCheck.Test.fail_report "more than 4 register-cache candidates";
-          if List.exists (fun r -> r <= 0 || r > 31) regs then
-            QCheck.Test.fail_report "cached register out of range (or $0)";
-          if List.length (List.sort_uniq compare regs) <> List.length regs
-          then QCheck.Test.fail_report "duplicate register-cache candidate")
-        (Machine.cached_traces m);
-      true)
-
 let tests =
   tests
   @ [
@@ -1506,9 +1278,6 @@ let tests =
       QCheck_alcotest.to_alcotest prop_bcache_matches_step;
       QCheck_alcotest.to_alcotest prop_bcache_tlb_remap;
       QCheck_alcotest.to_alcotest prop_bcache_clock_interrupts;
-      QCheck_alcotest.to_alcotest prop_fusion_structure;
-      QCheck_alcotest.to_alcotest prop_trace_structure;
-      Alcotest.test_case "cli tier resolution" `Quick test_tier_of_cli;
       Alcotest.test_case "lmw last-load tlb miss vs step" `Quick
         test_lmw_last_load_tlb_miss;
       Alcotest.test_case "alignment traps" `Quick test_alignment_traps;

@@ -449,22 +449,6 @@ let prop_lzss_roundtrip =
         ])
     (fun s -> Compress.lzss_unpack (Compress.lzss_pack s) = s)
 
-(* Parallel pack: tiny blocks force many per-domain LZSS units, and the
-   concatenated wire format must still unpack to the input through the
-   ordinary (serial, chunked-capable) decoder. *)
-let prop_pack_parallel_roundtrip =
-  QCheck.Test.make ~count:120 ~name:"pack: parallel blocks unpack intact"
-    QCheck.(
-      list_of_size
-        Gen.(int_range 0 4000)
-        (oneof
-           [ map (fun i -> 0x40000000 + (4 * (i mod 64))) (int_bound 4096);
-             map (fun i -> i land 0xFFFFFFFF) (int_bound max_int) ]))
-    (fun l ->
-      let words = Array.of_list l in
-      let z = Compress.pack ~jobs:3 ~block_bytes:512 words in
-      Compress.unpack ~expect:(Array.length words) z = words)
-
 let test_lzss_overlap_and_ratio () =
   (* single repeated byte: one literal + overlapping matches *)
   let s = String.make 10_000 'x' in
@@ -493,7 +477,6 @@ let tests =
   tests
   @ [
       QCheck_alcotest.to_alcotest prop_lzss_roundtrip;
-      QCheck_alcotest.to_alcotest prop_pack_parallel_roundtrip;
       Alcotest.test_case "compress: lzss overlap + loop density" `Quick
         test_lzss_overlap_and_ratio;
     ]

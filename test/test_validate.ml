@@ -261,13 +261,12 @@ let test_predict_sweep_consistent () =
 (* Interpreter oracle on traced runs: every tier must leave the same
    machine and hand the host the same trace as step-at-a-time.  The
    traced run is where the stub uops and the second-level translation
-   cache do their work, so the default tier must actually have run
-   stubs here. *)
+   cache do their work, so the block cache must actually have run stubs
+   here. *)
 
 let test_traced_tier_oracle () =
   let module M = Systrace_machine.Machine in
   let module E = Experiments in
-  let default = M.default_config.M.tier in
   List.iter
     (fun os ->
       let name = Validate.os_name os in
@@ -281,10 +280,10 @@ let test_traced_tier_oracle () =
           Alcotest.(check string) (what ^ ": console") step.E.f_console fp.E.f_console;
           Alcotest.(check int) (what ^ ": trace words") step.E.f_words fp.E.f_words;
           Alcotest.(check int) (what ^ ": trace checksum") step.E.f_checksum fp.E.f_checksum;
-          if tier = default then
+          if tier = Systrace_machine.Uop.Bcache then
             Alcotest.(check bool) (what ^ ": stub uops ran") true
               (b.Systrace_kernel.Builder.machine.M.stub_runs > 0))
-        [ Systrace_machine.Uop.Bcache; default ])
+        [ Systrace_machine.Uop.Tcache; Systrace_machine.Uop.Bcache ])
     [ Validate.Ultrix; Validate.Mach ]
 
 let tests =
