@@ -697,9 +697,12 @@ let disasm_cmd =
     in
     match symbol with
     | None -> print_string (Exe.disassemble exe)
-    | Some sym ->
-      let lo = Exe.symbol exe sym in
-      print_string (Exe.disassemble ~lo ~hi:(lo + 400) exe)
+    | Some sym -> (
+      match Exe.symbol_opt exe sym with
+      | Some lo -> print_string (Exe.disassemble ~lo ~hi:(lo + 400) exe)
+      | None ->
+        Printf.eprintf "%s: no such symbol %S\n" name sym;
+        exit 1)
   in
   let instrumented =
     Arg.(value & flag & info [ "instrumented"; "i" ]
@@ -939,11 +942,23 @@ let serve_cmd =
 
 (* Errors that reach the top are reported, not treated as internal
    errors (Cmdliner's exit 125): environment failures exit 2, bad trace
-   data exits 1. *)
+   data exits 1.  A [Fun.protect] whose clean-up failed (closing an
+   output on a full disk) wraps its cause, which is reported instead. *)
 let () =
   let doc = "software methods for system address tracing" in
   let fail code fmt =
-    Printf.ksprintf (fun msg -> prerr_endline ("systrace: " ^ msg); code) fmt
+    Printf.ksprintf (fun msg -> prerr_endline ("systrace: " ^ msg); Some code) fmt
+  in
+  let rec report = function
+    | Fun.Finally_raised e -> report e
+    | Sys_error msg -> fail 2 "%s" msg
+    | Unix.Unix_error (e, fn, arg) ->
+      fail 2 "%s%s: %s" fn (if arg = "" then "" else " " ^ arg)
+        (Unix.error_message e)
+    | Tracing.Tracefile.Bad_file msg -> fail 1 "unreadable trace: %s" msg
+    | Tracing.Parser.Corrupt msg ->
+      fail 1 "trace does not parse against this workload and system: %s" msg
+    | _ -> None
   in
   exit
     (try
@@ -952,11 +967,4 @@ let () =
             [ list_cmd; run_cmd; trace_cmd; validate_cmd; matrix_cmd; profile_cmd;
               disasm_cmd; dump_cmd; analyze_cmd; sweep_cmd; check_cmd;
               slice_cmd; serve_cmd ])
-     with
-     | Sys_error msg -> fail 2 "%s" msg
-     | Unix.Unix_error (e, fn, arg) ->
-       fail 2 "%s%s: %s" fn (if arg = "" then "" else " " ^ arg)
-         (Unix.error_message e)
-     | Tracing.Tracefile.Bad_file msg -> fail 1 "unreadable trace: %s" msg
-     | Tracing.Parser.Corrupt msg ->
-       fail 1 "trace does not parse against this workload and system: %s" msg)
+     with e -> ( match report e with Some code -> code | None -> raise e))

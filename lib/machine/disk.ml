@@ -5,7 +5,11 @@
    issue asynchronous read-ahead — the behaviour behind the compress
    prediction error in the paper's Figure 3.  On completion the device
    raises its interrupt line and parks the finished block number until the
-   kernel acks it. *)
+   kernel acks it.
+
+   The image is held per block: a block is allocated on its first write
+   and reads as zeros until then, so a 2048-block disk the workloads
+   barely touch costs a pointer per block. *)
 
 type request = {
   block : int;
@@ -16,7 +20,7 @@ type request = {
 }
 
 type t = {
-  image : Bytes.t;
+  image : Bytes.t array;             (* per block; [Bytes.empty] = zeros *)
   block_bytes : int;
   seek_cycles : int;
   per_block_cycles : int;
@@ -36,7 +40,7 @@ let block_bytes = 4096
 let create ?(blocks = 2048) ?(seek_cycles = 20000) ?(per_block_cycles = 4000)
     () =
   {
-    image = Bytes.make (blocks * block_bytes) '\000';
+    image = Array.make blocks Bytes.empty;
     block_bytes;
     seek_cycles;
     per_block_cycles;
@@ -50,16 +54,54 @@ let create ?(blocks = 2048) ?(seek_cycles = 20000) ?(per_block_cycles = 4000)
     writes = 0;
   }
 
-let nblocks t = Bytes.length t.image / t.block_bytes
+let nblocks t = Array.length t.image
+
+(* Visit the image bytes [pos, pos + len) block by block:
+   [f blk o k n] covers [n] bytes at offset [o] of block [blk], which
+   are bytes [k, k + n) of the transfer.  An out-of-range transfer
+   raises [Invalid_argument] before any byte moves. *)
+let iter_span t ~pos ~len f =
+  if len < 0 || pos < 0 || pos > (nblocks t * t.block_bytes) - len then
+    invalid_arg "Disk: transfer out of range";
+  let k = ref 0 in
+  while !k < len do
+    let p = pos + !k in
+    let o = p mod t.block_bytes in
+    let n = min (t.block_bytes - o) (len - !k) in
+    f (p / t.block_bytes) o !k n;
+    k := !k + n
+  done
+
+let writable t blk =
+  let b = t.image.(blk) in
+  if Bytes.length b > 0 then b
+  else begin
+    let b = Bytes.make t.block_bytes '\000' in
+    t.image.(blk) <- b;
+    b
+  end
+
+(* Copy [len] bytes between the image at byte [pos] and [buf] at [bpos]. *)
+let blit_in t ~pos buf ~bpos ~len =
+  iter_span t ~pos ~len (fun blk o k n ->
+      Bytes.blit buf (bpos + k) (writable t blk) o n)
+
+let blit_out t ~pos buf ~bpos ~len =
+  iter_span t ~pos ~len (fun blk o k n ->
+      let b = t.image.(blk) in
+      if Bytes.length b = 0 then Bytes.fill buf (bpos + k) n '\000'
+      else Bytes.blit b o buf (bpos + k) n)
 
 (* Host-side access to disk contents (setting up input files, reading
    outputs). *)
 let write_image t ~block ~off data =
-  Bytes.blit_string data 0 t.image ((block * t.block_bytes) + off)
-    (String.length data)
+  blit_in t ~pos:((block * t.block_bytes) + off) (Bytes.unsafe_of_string data)
+    ~bpos:0 ~len:(String.length data)
 
 let read_image t ~block ~off ~len =
-  Bytes.sub_string t.image ((block * t.block_bytes) + off) len
+  let buf = Bytes.create len in
+  blit_out t ~pos:((block * t.block_bytes) + off) buf ~bpos:0 ~len;
+  Bytes.unsafe_to_string buf
 
 let busy t = List.length t.queue >= t.queue_depth
 
@@ -102,8 +144,10 @@ let poll t ~now ~mem ~on_dma =
       t.queue <- rest;
       let len = r.count * t.block_bytes in
       let doff = r.block * t.block_bytes in
-      if r.is_write then Bytes.blit mem r.paddr t.image doff len
-      else Bytes.blit t.image doff mem r.paddr len;
+      if r.paddr < 0 || len < 0 || r.paddr > Bytes.length mem - len then
+        invalid_arg "Disk: transfer out of range";
+      if r.is_write then blit_in t ~pos:doff mem ~bpos:r.paddr ~len
+      else blit_out t ~pos:doff mem ~bpos:r.paddr ~len;
       on_dma ~paddr:r.paddr ~len;
       t.done_blocks <- t.done_blocks @ [ r.block ];
       go (n + 1)

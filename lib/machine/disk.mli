@@ -1,6 +1,8 @@
 (** Disk device with DMA and a small in-order request queue (depth 4 — what
     lets the kernel issue asynchronous read-ahead).  Completions raise the
-    disk interrupt line and park the finished block number until acked. *)
+    disk interrupt line and park the finished block number until acked.
+    The image is held per block, allocated on first write; an unwritten
+    block reads as zeros. *)
 
 type request = {
   block : int;
@@ -11,7 +13,9 @@ type request = {
 }
 
 type t = {
-  image : Bytes.t;
+  image : Bytes.t array;
+      (** one [block_bytes] buffer per block, [Bytes.empty] until the
+          block is first written *)
   block_bytes : int;
   seek_cycles : int;
   per_block_cycles : int;
@@ -34,6 +38,9 @@ val nblocks : t -> int
 
 val write_image : t -> block:int -> off:int -> string -> unit
 val read_image : t -> block:int -> off:int -> len:int -> string
+(** Host-side access to the image at byte [block * block_bytes + off];
+    a transfer may cross block boundaries.  Out-of-range transfers raise
+    [Invalid_argument]. *)
 
 val busy : t -> bool
 val submit : t -> now:int -> is_write:bool -> bool

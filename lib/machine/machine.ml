@@ -154,10 +154,12 @@ let bcache_slots = 1 lsl 14
 type t = {
   cfg : config;
   mem : Bytes.t;
-  (* Decoded-instruction cache: one slot per physical word, invalidated on
-     stores. *)
-  dec : Insn.t array;
-  dec_valid : Bytes.t;
+  (* Decoded-instruction cache, per 4 KB physical page: [[||]] until the
+     page's first decode, then one slot per word holding the decoded
+     instruction or [undecoded].  Every physical write clears its slots
+     (DESIGN.md §5m lists the sites); a page no code ever ran from costs
+     one pointer. *)
+  dec : Insn.t array array;
   (* Basic-block execution cache (Bcache tier): direct-mapped
      block table plus the per-physical-page store generations whose
      invalidation contract {!Uop.Gens} owns — every physical write
@@ -246,8 +248,7 @@ let create ?(cfg = default_config) () =
   {
     cfg;
     mem = Bytes.make cfg.mem_bytes '\000';
-    dec = Array.make words Insn.nop;
-    dec_valid = Bytes.make words '\000';
+    dec = Array.make ((cfg.mem_bytes + Addr.page_mask) lsr Addr.page_shift) [||];
     bcache_tab =
       (if Uop.bcache_enabled cfg.tier then
          Array.make bcache_slots Uop.dummy_block
@@ -332,12 +333,63 @@ let[@inline] bgen_bump t pa =
   Array.unsafe_set g p (Array.unsafe_get g p + 1)
 let bgen_bump_range t pa len = Uop.Gens.bump_range t.bgen pa len
 
+(* The decoded-instruction cache ([t.dec]).  [undecoded] is allocated
+   here, so no decode result is physically equal to it. *)
+let undecoded : Insn.t = Insn.Break (Sys.opaque_identity (-1))
+let dec_page_words = Addr.page_size lsr 2
+
+(* Forget the decode of the word at [pa], if its page has a slot array
+   (bounds as for [bgen_bump]). *)
+let[@inline] dec_clear t pa =
+  let pg = Array.unsafe_get t.dec (pa lsr Addr.page_shift) in
+  if Array.length pg > 0 then
+    Array.unsafe_set pg ((pa lsr 2) land (dec_page_words - 1)) undecoded
+
+(* [dec_clear] over [pa, pa + len), a page at a time. *)
+let dec_clear_range t pa len =
+  if len > 0 then
+    for p = pa lsr Addr.page_shift to (pa + len - 1) lsr Addr.page_shift do
+      let pg = t.dec.(p) in
+      if Array.length pg > 0 then begin
+        let base = p lsl Addr.page_shift in
+        let lo = Int.max pa base
+        and hi = Int.min (pa + len) (base + Addr.page_size) in
+        Array.fill pg ((lo - base) lsr 2) (((hi - 1) lsr 2) - (lo lsr 2) + 1)
+          undecoded
+      end
+    done
+
 let read_phys_u32 t pa =
   Int32.to_int (Bytes.get_int32_le t.mem pa) land 0xFFFFFFFF
 
+(* The decoded instruction at [pa] (fetched at [va]), decoding and
+   caching it on a miss.  [fetch_timed] and block formation share it,
+   which keeps block mode and step mode byte-identical even in the
+   aliased-mapping corner where a cached entry was decoded at a
+   different va. *)
+let decode_at t ~va ~pa =
+  let p = pa lsr Addr.page_shift in
+  let pg =
+    let pg = t.dec.(p) in
+    if Array.length pg > 0 then pg
+    else begin
+      let pg = Array.make dec_page_words undecoded in
+      t.dec.(p) <- pg;
+      pg
+    end
+  in
+  let i = (pa lsr 2) land (dec_page_words - 1) in
+  let insn = Array.unsafe_get pg i in
+  if insn != undecoded then insn
+  else begin
+    let insn = Encode.decode ~pc:va (read_phys_u32 t pa) in
+    Array.unsafe_set pg i insn;
+    insn
+  end
+
 let write_phys_u32 t pa v =
   Bytes.set_int32_le t.mem pa (Int32.of_int (v land 0xFFFFFFFF));
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
+  dec_clear t pa;
   bgen_bump t pa
 
 let read_phys_u16 t pa = Bytes.get_uint16_le t.mem pa
@@ -345,19 +397,17 @@ let read_phys_u8 t pa = Bytes.get_uint8 t.mem pa
 
 let write_phys_u16 t pa v =
   Bytes.set_uint16_le t.mem pa (v land 0xFFFF);
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
+  dec_clear t pa;
   bgen_bump t pa
 
 let write_phys_u8 t pa v =
   Bytes.set_uint8 t.mem pa (v land 0xFF);
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
+  dec_clear t pa;
   bgen_bump t pa
 
 let write_phys_bytes t pa s =
   Bytes.blit_string s 0 t.mem pa (String.length s);
-  for w = pa lsr 2 to (pa + String.length s - 1) lsr 2 do
-    Bytes.set t.dec_valid w '\000'
-  done;
+  dec_clear_range t pa (String.length s);
   bgen_bump_range t pa (String.length s)
 
 let read_phys_bytes t pa len = Bytes.sub_string t.mem pa len
@@ -490,9 +540,7 @@ let poll_devices t =
       Disk.poll t.disk ~now:t.cycles ~mem:t.mem ~on_dma:(fun ~paddr ~len ->
           (* DMA'd memory may hold instructions: invalidate the decode
              cache and the basic blocks built over it. *)
-          for w = paddr lsr 2 to (paddr + len - 1) lsr 2 do
-            Bytes.set t.dec_valid w '\000'
-          done;
+          dec_clear_range t paddr len;
           bgen_bump_range t paddr len)
     in
     if n > 0 then disk_refresh_irq t
@@ -641,7 +689,7 @@ let[@inline always] wb_store t now =
 let[@inline always] bb_dstore t pa v =
   t.cycles <- t.cycles + wb_store t t.cycles;
   Bytes.set_int32_le t.mem pa (Int32.of_int (v land 0xFFFFFFFF));
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
+  dec_clear t pa;
   bgen_bump t pa
 
 let load_word_timed t va =
@@ -751,9 +799,9 @@ let store_double_timed t va f =
   t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
   t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
   Bytes.set_int64_le t.mem pa (Int64.bits_of_float f);
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
-  Bytes.set t.dec_valid ((pa lsr 2) + 1) '\000';
   (* 8-byte aligned, so both words share one page *)
+  dec_clear t pa;
+  dec_clear t (pa + 4);
   bgen_bump t pa
 
 (* Instruction fetch with decode caching. *)
@@ -770,14 +818,7 @@ let fetch_timed t va =
     t.c.uncached_ifetches <- t.c.uncached_ifetches + 1;
     t.cycles <- t.cycles + t.cfg.uncached_penalty
   end;
-  let w = pa lsr 2 in
-  if Bytes.get t.dec_valid w = '\001' then t.dec.(w)
-  else begin
-    let insn = Encode.decode ~pc:va (read_phys_u32 t pa) in
-    t.dec.(w) <- insn;
-    Bytes.set t.dec_valid w '\001';
-    insn
-  end
+  decode_at t ~va ~pa
 
 (* ------------------------------------------------------------------ *)
 (* 32-bit arithmetic helpers                                           *)
@@ -1114,20 +1155,6 @@ let step t =
    the per-fetch alignment check, translation, bounds check, decode-cache
    probe, and the interpreter's per-[exec] closure allocations. *)
 
-(* Decode one word through the same per-word cache [fetch_timed] uses —
-   the shared cache is what keeps block-mode and step-mode byte-identical
-   even in the aliased-mapping corner where a cached entry was decoded at
-   a different va. *)
-let bb_decode t ~va ~pa =
-  let w = pa lsr 2 in
-  if Bytes.get t.dec_valid w = '\001' then t.dec.(w)
-  else begin
-    let insn = Encode.decode ~pc:va (read_phys_u32 t pa) in
-    t.dec.(w) <- insn;
-    Bytes.set t.dec_valid w '\001';
-    insn
-  end
-
 let bb_lookup t ~va ~pa ~cached =
   let slot = (pa lsr 2) land (bcache_slots - 1) in
   let b = Array.unsafe_get t.bcache_tab slot in
@@ -1138,7 +1165,7 @@ let bb_lookup t ~va ~pa ~cached =
   else begin
     let b =
       Uop.build
-        ~decode:(fun ~va ~pa -> bb_decode t ~va ~pa)
+        ~decode:(fun ~va ~pa -> decode_at t ~va ~pa)
         ~va ~pa ~cached
         ~gen:(t.bgen.(pa lsr Addr.page_shift))
     in
@@ -1255,6 +1282,18 @@ let[@inline always] bb_store_word t v va =
   else begin
     store_timed t va 4 v;
     (match t.ref_tracer with Some f -> f 2 va | None -> ())
+  end
+
+(* Scoreboard wait for one FP source whose value is ready at cycle
+   [ready]: [Fpu.wait_regs] on one register, without its list.  Waiting
+   on two sources one after the other charges the same stall as waiting
+   on their maximum.  Callers read [Fpu.ready] bounds-checked, as
+   [wait_regs] does. *)
+let[@inline] fp_wait t ready =
+  if ready > t.cycles then begin
+    let fpu = t.fpu in
+    fpu.Fpu.arith_stalls <- fpu.Fpu.arith_stalls + (ready - t.cycles);
+    t.cycles <- ready
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1692,6 +1731,66 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
          t.next_is_delay <- true;
          t.npc <- dest;
          bb_fin t b lim budget k pa cur ce next_ev ptag
+       | U_fload (ft, base, off) ->
+         t.bb_k <- k;
+         let va = u32 (Array.unsafe_get t.regs base + off) in
+         let v = load_double_timed t va in
+         ref_trace t 1 va;
+         t.fregs.(ft) <- v;
+         Fpu.set_ready t.fpu ~now:t.cycles ft;
+         bb_fin t b lim budget k pa cur ce next_ev ptag
+       | U_fstore (ft, base, off) ->
+         t.bb_k <- k;
+         let va = u32 (Array.unsafe_get t.regs base + off) in
+         fp_wait t t.fpu.Fpu.ready.(ft);
+         store_double_timed t va t.fregs.(ft);
+         ref_trace t 2 va;
+         (* bumps the page generation: it may have overwritten this
+            block *)
+         bb_fin_store t b lim budget k pa cur ce next_ev ptag
+       | U_fop (op, fd, fs, ft) ->
+         let fpu = t.fpu in
+         (match op with
+         | FADD | FSUB | FMUL | FDIV ->
+           let rs = fpu.Fpu.ready.(fs) and rt = fpu.Fpu.ready.(ft) in
+           fp_wait t rs;
+           fp_wait t rt
+         | FABS | FNEG | FMOV | CVTDW | TRUNCWD -> fp_wait t fpu.Fpu.ready.(fs));
+         t.cycles <- t.cycles + Fpu.issue fpu ~now:t.cycles ~op ~dst:fd;
+         let a = t.fregs.(fs) and bv = t.fregs.(ft) in
+         t.fregs.(fd) <-
+           (match (op : Insn.fop) with
+           | FADD -> a +. bv
+           | FSUB -> a -. bv
+           | FMUL -> a *. bv
+           | FDIV -> a /. bv
+           | FABS -> abs_float a
+           | FNEG -> -.a
+           | FMOV -> a
+           | CVTDW -> a
+           | TRUNCWD -> Float.of_int (int_of_float a));
+         bb_fin t b lim budget k pa cur ce next_ev ptag
+       | U_fcmp (c, fs, ft) ->
+         let fpu = t.fpu in
+         let rs = fpu.Fpu.ready.(fs) and rt = fpu.Fpu.ready.(ft) in
+         fp_wait t rs;
+         fp_wait t rt;
+         t.cycles <- t.cycles + Fpu.issue_compare fpu ~now:t.cycles;
+         let a = t.fregs.(fs) and bv = t.fregs.(ft) in
+         t.fcc <-
+           (match (c : Insn.fcond) with
+           | FEQ -> a = bv
+           | FLT -> a < bv
+           | FLE -> a <= bv);
+         bb_fin t b lim budget k pa cur ce next_ev ptag
+       | U_mtc1 (rt, fs) ->
+         t.fregs.(fs) <- float_of_int (s32 (Array.unsafe_get t.regs rt));
+         Fpu.set_ready t.fpu ~now:t.cycles fs;
+         bb_fin t b lim budget k pa cur ce next_ev ptag
+       | U_mfc1 (rt, fs) ->
+         fp_wait t t.fpu.Fpu.ready.(fs);
+         reg_set t rt (int_of_float t.fregs.(fs));
+         bb_fin t b lim budget k pa cur ce next_ev ptag
        | U_stub st ->
          let tg =
            if
@@ -1737,9 +1836,10 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
    [run]+[step] loop for that class (halt, budget, device poll,
    interrupt sample, text-page staleness).
 
-   Default class (ALU/shift/load/branch): only the event horizon can
-   have expired; [next_is_delay] set by a branch is consumed on the next
-   iteration (the whole block was decoded, so the delay slot is there). *)
+   Default class (ALU/shift/load/branch, and every FP uop but [s.d]):
+   only the event horizon can have expired; [next_is_delay] set by a
+   branch is consumed on the next iteration (the whole block was
+   decoded, so the delay slot is there). *)
 and bb_fin t b lim budget k pa cur ce next_ev ptag =
   t.cycles <- t.cycles + 1;
   if ce then bb_count t cur;

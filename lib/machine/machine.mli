@@ -100,8 +100,11 @@ val l2_slots : int
 type t = {
   cfg : config;
   mem : Bytes.t;
-  dec : Insn.t array;
-  dec_valid : Bytes.t;
+  dec : Insn.t array array;
+      (** Decoded-instruction cache: per 4 KB physical page, [[||]] until
+          the page's first decode, then one slot per word holding the
+          decoded instruction or a private "not decoded" sentinel.  Every
+          physical write clears the slots it covers. *)
   bcache_tab : Uop.block array;
   bgen : Uop.Gens.t;
       (** Per-physical-page store generation: bumped by every store, DMA

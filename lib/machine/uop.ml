@@ -42,8 +42,9 @@ type stub =
    branch targets absolute) and dispatch is one flat match, so replaying
    a block does no decode-cache probing and allocates nothing.
    DESIGN.md §5e records the micro-bench against the closure-threaded
-   alternative.  Anything without a specialised executor falls back to
-   [U_other] and the full interpreter dispatch. *)
+   alternative; §5m the floating-point uops.  Anything without a
+   specialised executor falls back to [U_other] and the full
+   interpreter dispatch. *)
 type t =
   | U_alu of Insn.alu * int * int * int    (* rd, rs, rt *)
   | U_alui of Insn.alui * int * int * int  (* rt, rs, imm *)
@@ -69,6 +70,12 @@ type t =
   | U_jal of int
   | U_jr of int
   | U_jalr of int * int
+  | U_fload of int * int * int             (* ft, base, off *)
+  | U_fstore of int * int * int
+  | U_fop of Insn.fop * int * int * int    (* fd, fs, ft *)
+  | U_fcmp of Insn.fcond * int * int       (* fs, ft *)
+  | U_mtc1 of int * int                    (* rt, fs *)
+  | U_mfc1 of int * int
   | U_stub of stub                         (* whole runtime block *)
   | U_other of Insn.t                      (* full interpreter dispatch *)
 
@@ -98,6 +105,12 @@ let of_insn (insn : Insn.t) : t =
   | Jal (Abs a) -> U_jal a
   | Jr rs -> U_jr rs
   | Jalr (rd, rs) -> U_jalr (rd, rs)
+  | Fload (ft, base, Imm off) -> U_fload (ft, base, off)
+  | Fstore (ft, base, Imm off) -> U_fstore (ft, base, off)
+  | Fop (op, fd, fs, ft) -> U_fop (op, fd, fs, ft)
+  | Fcmp (c, fs, ft) -> U_fcmp (c, fs, ft)
+  | Mtc1 (rt, fs) -> U_mtc1 (rt, fs)
+  | Mfc1 (rt, fs) -> U_mfc1 (rt, fs)
   | _ -> U_other insn
 
 (* Instructions that can change fetch semantics for their successors

@@ -97,6 +97,15 @@ type t =
   | U_jal of int
   | U_jr of int
   | U_jalr of int * int
+  | U_fload of int * int * int             (* ft, base, off *)
+  | U_fstore of int * int * int
+  | U_fop of Insn.fop * int * int * int    (* fd, fs, ft *)
+  | U_fcmp of Insn.fcond * int * int       (* fs, ft *)
+  | U_mtc1 of int * int                    (* rt, fs *)
+  | U_mfc1 of int * int
+      (** The floating-point uops.  Their FP register numbers come from
+          5-bit fields but there are {!Reg.nfregs} registers, so the
+          executor keeps those accesses bounds-checked, as [exec] does. *)
   | U_stub of stub
       (** A whole tracing-runtime block as one dispatch, in slot 0 of a
           block whose body matches the stub shape.  When the stub falls

@@ -478,8 +478,16 @@ let read_header ic ~path =
   if n > max_words then bad "word count %d exceeds the %d-word cap" n max_words;
   (v, n, file_len)
 
+(* [open_in_bin] opens a directory too, and the first length query on it
+   then fails with an unrelated "Value too large" error: name the
+   problem instead. *)
+let open_trace path =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": Is a directory"));
+  open_in_bin path
+
 let load path : int array =
-  let ic = open_in_bin path in
+  let ic = open_trace path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
@@ -545,7 +553,7 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
   if chunk_words <= 0 then
     invalid_arg "Tracefile.fold_words: chunk_words must be positive";
   check_window ~from ~until;
-  let ic = open_in_bin path in
+  let ic = open_trace path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
@@ -693,7 +701,7 @@ let fold_blocks_parallel ?jobs path ~init ~f =
   in
   if jobs <= 0 then
     invalid_arg "Tracefile.fold_blocks_parallel: jobs must be positive";
-  let ic = open_in_bin path in
+  let ic = open_trace path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->

@@ -917,6 +917,8 @@ let tier_run ?(os = Validate.Ultrix) ~traced wname tier =
           m.M.dcache.Systrace_machine.Cache.misses;
           m.M.wb.Systrace_machine.Write_buffer.stores;
           m.M.wb.Systrace_machine.Write_buffer.stall_cycles;
+          M.arith_stalls m;
+          m.M.fpu.Systrace_machine.Fpu.ops;
         ];
       f_console = Builder.console b;
       f_words = !words;

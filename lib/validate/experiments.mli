@@ -96,7 +96,7 @@ type tier_fingerprint = {
   f_counters : int list;
       (** cycles, every {!Systrace_machine.Machine.counters} field,
           icache and dcache hits and misses, write-buffer stores and
-          stall cycles *)
+          stall cycles, arithmetic stall cycles and FP operations *)
   f_console : string;
   f_words : int;  (** trace words handed to the host (0 untraced) *)
   f_checksum : int;  (** order-sensitive checksum of those words *)

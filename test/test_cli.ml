@@ -25,7 +25,8 @@ let run args =
   (code, msg)
 
 let cases () =
-  let missing = Filename.concat (Filename.get_temp_dir_name ()) "systrace-absent" in
+  let dir = Filename.get_temp_dir_name () in
+  let missing = Filename.concat dir "systrace-absent" in
   let file = Filename.concat missing "x.strc" in
   [
     (2, [ "check"; file ]);
@@ -39,6 +40,10 @@ let cases () =
     (2, [ "serve"; "--stats"; "--ctl"; file ]);
     (1, [ "analyze"; "gcc"; "fixture_v3.strc" ]);
     (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--tlb"; "8" ]);
+    (1, [ "disasm"; "egrep"; "--symbol"; "nosuch" ]);
+    (2, [ "slice"; "fixture_v3.strc"; "--from"; "0"; "--until"; "10"; "-o"; "/dev/full" ]);
+    (2, [ "check"; dir ]);
+    (2, [ "analyze"; "egrep"; dir ]);
   ]
 
 let test_bad_invocations () =

@@ -880,7 +880,8 @@ let prop_tcache_matches_walk =
 (* Block-cache oracle: replay must be indistinguishable from [step]    *)
 
 (* Complete architectural state plus every ground-truth counter.  Any
-   divergence here means the block cache leaked into the simulation. *)
+   divergence here means the block cache leaked into the simulation.  FP
+   registers are compared by their bits, so a NaN equals itself. *)
 let bb_fingerprint (m : Machine.t) =
   let c = m.Machine.c in
   ( ( Array.to_list m.Machine.regs,
@@ -892,6 +893,10 @@ let bb_fingerprint (m : Machine.t) =
       (c.Machine.utlb_misses, c.Machine.ktlb_misses, c.Machine.exceptions,
        c.Machine.interrupts, c.Machine.clock_ticks),
       (Machine.icache_misses m, Machine.dcache_misses m, Machine.wb_stalls m) ),
+    ( Array.to_list (Array.map Int64.bits_of_float m.Machine.fregs),
+      m.Machine.fcc,
+      Machine.arith_stalls m,
+      m.Machine.fpu.Fpu.ops ),
     Machine.console_contents m )
 
 (* The general/utlb vectors get a host-assembled stub: interrupts ack the
@@ -965,7 +970,14 @@ let bb_run_both ?(prepare = fun (_ : Machine.t) -> ()) ?(max_insns = 400_000)
    the stores self-modifying code does); [Call_slot] jumps into it, so a
    stale decoded block would be caught immediately.  [Delay_fault] puts
    an unaligned load in a jump's delay slot: the fault must recover the
-   branch pc and the in-delay flag from mid-block state. *)
+   branch pc and the in-delay flag from mid-block state.
+
+   The FP fragments work on the doubles at [fpd]: [Fp_chain] loads two,
+   then runs a dependent div.d -> add.d -> s.d chain, so each op waits
+   on the scoreboard for its predecessor (add.d through its [ft]);
+   [Fp_cmp] branches on c.lt.d over a skip; [Fp_move] round-trips an
+   integer through mtc1/mul.d/mfc1; [Fp_unaligned] is an l.d that takes
+   AdEL mid-block. *)
 type bb_op =
   | Arith of int
   | Mem_rw of int
@@ -975,6 +987,10 @@ type bb_op =
   | Call_slot of int
   | Unaligned
   | Delay_fault
+  | Fp_chain of int
+  | Fp_cmp of bool
+  | Fp_move of int
+  | Fp_unaligned
 
 let bb_nslots = 3
 
@@ -1019,6 +1035,41 @@ let bb_emit_op a fresh op =
     i a (Insn.J (Insn.Sym l));
     i a (Insn.Load (Insn.W, Reg.t9, Reg.t8, Insn.Imm 0));
     label a l
+  | Fp_chain k ->
+    la a Reg.t7 "fpd";
+    ld a 0 0 Reg.t7;
+    ld a 2 8 Reg.t7;
+    fdiv a 4 0 2;
+    fadd a 6 0 4;
+    sd a 6 (16 + (8 * (k land 3))) Reg.t7
+  | Fp_cmp lt ->
+    let l = fresh "fskip" in
+    la a Reg.t7 "fpd";
+    ld a 8 0 Reg.t7;
+    ld a 10 8 Reg.t7;
+    if lt then fcmp a Insn.FLT 8 10 else fcmp a Insn.FLT 10 8;
+    bc1t a l;
+    addiu a Reg.s0 Reg.s0 5;
+    label a l
+  | Fp_move k ->
+    li a Reg.t6 k;
+    mtc1 a Reg.t6 12;
+    fmul a 12 12 12;
+    mfc1 a Reg.t6 12;
+    addu a Reg.s1 Reg.s1 Reg.t6
+  | Fp_unaligned ->
+    la a Reg.t7 "fpd";
+    ld a 14 4 Reg.t7
+
+(* The program's data: room for the fixed addresses [Mem_rw],
+   [Unaligned] and [Delay_fault] use, then the doubles [fpd] the FP
+   fragments read and write. *)
+let bb_emit_data a =
+  let open Asm in
+  space a 0x400;
+  align a 8;
+  dlabel a "fpd";
+  List.iter (double a) [ 1.5; 2.5; 0.0; 0.0; 0.0; 0.0 ]
 
 let bb_build_program ops a =
   let open Asm in
@@ -1029,7 +1080,8 @@ let bb_build_program ops a =
     label a (Printf.sprintf "slot%d" s);
     addiu a Reg.s7 Reg.s7 1;
     jr_ a Reg.ra
-  done
+  done;
+  bb_emit_data a
 
 let bb_gen_op =
   let open QCheck.Gen in
@@ -1043,6 +1095,10 @@ let bb_gen_op =
       (3, map (fun s -> Call_slot s) (int_range 0 2));
       (1, return Unaligned);
       (1, return Delay_fault);
+      (3, map (fun k -> Fp_chain k) (int_range 0 3));
+      (2, map (fun b -> Fp_cmp b) bool);
+      (2, map (fun k -> Fp_move k) (int_range (-50) 50));
+      (1, return Fp_unaligned);
     ]
 
 let bb_arb_ops =
@@ -1058,7 +1114,11 @@ let bb_arb_ops =
              | Patch (s, k) -> Printf.sprintf "patch%d<-%d" s k
              | Call_slot s -> Printf.sprintf "call%d" s
              | Unaligned -> "unaligned"
-             | Delay_fault -> "delayfault")
+             | Delay_fault -> "delayfault"
+             | Fp_chain k -> Printf.sprintf "fchain%d" k
+             | Fp_cmp b -> Printf.sprintf "fcmp%B" b
+             | Fp_move k -> Printf.sprintf "fmove%d" k
+             | Fp_unaligned -> "funaligned")
            ops))
     QCheck.Gen.(list_size (int_range 1 40) bb_gen_op)
 
@@ -1271,6 +1331,245 @@ let test_lmw_last_load_tlb_miss () =
   check_int "buf.8 counted once on fall-out" 1
     (Machine.read_phys_u32 ms (buf_pa + 8))
 
+(* The FP uops mid-block: a loop of dependent FP work, then (after FP
+   uops have retired in the fall-out block) an l.d through an unmapped
+   kuseg page, whose utlb refill the block cache must recover from
+   mid-block, then an s.d over two instructions later in its own block.
+   The store-class recheck must leave the block there, so the patched
+   instructions run (s2 = 1 + 100 + 200), as step-at-a-time runs them;
+   the default epilogue would replay the stale ones (s2 = 31). *)
+let test_fp_block_faults () =
+  let addiu_s2 k = Encode.encode ~pc:0 (Insn.Alui (Insn.ADDIU, Reg.s2, Reg.s2, Insn.Imm k)) in
+  let build a =
+    let open Asm in
+    li a Reg.s0 20;
+    la a Reg.t2 "vals";
+    label a "loop";
+    ld a 0 0 Reg.t2;
+    ld a 2 8 Reg.t2;
+    fdiv a 4 0 2;
+    fadd a 6 0 4;
+    fmul a 0 6 2;
+    sd a 0 16 Reg.t2;
+    addiu a Reg.s0 Reg.s0 (-1);
+    bnez a Reg.s0 "loop";
+    ld a 8 16 Reg.t2;
+    fmul a 10 8 8;
+    li a Reg.t3 0x4000;
+    ld a 12 0 Reg.t3;
+    mfc1 a Reg.s1 10;
+    la a Reg.t4 "patch";
+    la a Reg.t5 "code";
+    ld a 14 0 Reg.t5;
+    (* s.d at an 8-aligned pc, so [patch] (two words on) is 8-aligned *)
+    if insn_count a land 1 = 1 then nop a;
+    sd a 14 0 Reg.t4;
+    addiu a Reg.s2 Reg.s2 1;
+    label a "patch";
+    addiu a Reg.s2 Reg.s2 10;
+    addiu a Reg.s2 Reg.s2 20;
+    halt a;
+    dlabel a "vals";
+    double a 3.0;
+    double a 1.25;
+    double a 0.0;
+    align a 8;
+    dlabel a "code";
+    words a [ addiu_s2 100; addiu_s2 200 ]
+  in
+  let run_tier tier =
+    let cfg = { Machine.default_config with Machine.tier } in
+    let m, _ = setup ~cfg build in
+    bb_install_vectors m;
+    (match Machine.run m ~max_insns:10_000 with
+    | Machine.Halt -> ()
+    | Machine.Limit -> Alcotest.fail "instruction limit reached");
+    m
+  in
+  let ms = run_tier Uop.Step and mb = run_tier Uop.Bcache in
+  check "bcache: memory matches step after FP faults" true
+    (Bytes.equal ms.Machine.mem mb.Machine.mem);
+  check "bcache: registers/FPU/counters match step" true
+    (bb_fingerprint mb = bb_fingerprint ms);
+  check_int "one utlb refill (the l.d)" 1 ms.Machine.c.Machine.utlb_misses;
+  check_int "badvaddr names the unmapped page" 0x4000 ms.Machine.badvaddr;
+  check_int "patched instructions ran" 301 ms.Machine.regs.(Reg.s2);
+  check "dependent FP ops stalled" true (Machine.arith_stalls ms > 20 * 19)
+
+(* ------------------------------------------------------------------ *)
+(* Per-page host state: the decode cache and the disk image            *)
+
+(* Code placed and run by the host: routines at physical addresses,
+   entered through kseg0 with $ra at the program's halting entry. *)
+let pg_a = 0x20000
+let pg_b = 0x30000
+let pg_c = 0x40000
+
+let pg_words pa insns =
+  List.mapi (fun i insn -> Encode.encode ~pc:(Addr.kseg0_base + pa + (4 * i)) insn) insns
+
+let pg_bytes ws =
+  String.concat ""
+    (List.map
+       (fun w ->
+         let b = Bytes.create 4 in
+         Bytes.set_int32_le b 0 (Int32.of_int w);
+         Bytes.to_string b)
+       ws)
+
+let pg_put m pa insns =
+  List.iteri (fun i w -> Machine.write_phys_u32 m (pa + (4 * i)) w) (pg_words pa insns)
+
+let pg_routine k = [ Insn.Alui (Insn.ADDIU, Reg.s0, Reg.zero, Insn.Imm k); Insn.Jr Reg.ra; Insn.nop ]
+
+let pg_has_dec (m : Machine.t) pa = Array.length m.Machine.dec.(pa lsr Addr.page_shift) > 0
+
+(* A guest routine that DMAs disk block [block] into physical page [pa]
+   and waits for it. *)
+let pg_dma_routine a name ~block ~pa =
+  let open Asm in
+  label a name;
+  li a Reg.t0 (0xA0000000 + Addr.device_base_pa);
+  li a Reg.t1 block;
+  sw a Reg.t1 Addr.dev_disk_block Reg.t0;
+  li a Reg.t1 pa;
+  sw a Reg.t1 Addr.dev_disk_addr Reg.t0;
+  li a Reg.t1 1;
+  sw a Reg.t1 Addr.dev_disk_count Reg.t0;
+  sw a Reg.t1 Addr.dev_disk_cmd Reg.t0;
+  let w = fresh_label a "wait" in
+  label a w;
+  lw a Reg.t2 Addr.dev_disk_done_block Reg.t0;
+  li a Reg.t3 block;
+  bne a Reg.t2 Reg.t3 w;
+  sw a Reg.zero Addr.dev_disk_ack Reg.t0;
+  jr_ a Reg.ra
+
+(* Invalidation through each host and device write path, on a page that
+   has a decode array (its code already ran) and on one that does not;
+   returns the machine for the cross-tier comparison. *)
+let pg_scenario tier =
+  let cfg = { Machine.default_config with Machine.tier } in
+  let m, exe =
+    setup ~cfg (fun a ->
+        halt a;
+        pg_dma_routine a "dma_a" ~block:5 ~pa:pg_a;
+        pg_dma_routine a "dma_c" ~block:6 ~pa:pg_c)
+  in
+  let what = Uop.tier_name tier ^ ": " in
+  let call va =
+    m.Machine.pc <- va;
+    m.Machine.npc <- va + 4;
+    m.Machine.next_is_delay <- false;
+    m.Machine.halted <- false;
+    m.Machine.regs.(Reg.ra) <- exe.Exe.entry;
+    run m;
+    m.Machine.regs.(Reg.s0)
+  in
+  let k0 pa = Addr.kseg0_base + pa in
+  (* host write_phys_u32 over code that ran, then into a fresh page *)
+  pg_put m pg_a (pg_routine 1);
+  check_int (what ^ "routine A") 1 (call (k0 pg_a));
+  check (what ^ "A has a decode array") true (pg_has_dec m pg_a);
+  pg_put m pg_a [ Insn.Alui (Insn.ADDIU, Reg.s0, Reg.zero, Insn.Imm 2) ];
+  check_int (what ^ "write_phys_u32 over decoded code") 2 (call (k0 pg_a));
+  check (what ^ "B has no decode array") false (pg_has_dec m pg_b);
+  pg_put m pg_b (pg_routine 3);
+  check_int (what ^ "write_phys_u32 into an undecoded page") 3 (call (k0 pg_b));
+  (* write_phys_bytes from A's last words into the next, undecoded page *)
+  let e = pg_a + Addr.page_size - 12 in
+  pg_put m e (pg_routine 10);
+  check_int (what ^ "routine at A's end") 10 (call (k0 e));
+  check (what ^ "A's successor has no decode array") false
+    (pg_has_dec m (pg_a + Addr.page_size));
+  Machine.write_phys_bytes m e
+    (pg_bytes
+       (pg_words e
+          [
+            Insn.Alui (Insn.ADDIU, Reg.s0, Reg.zero, Insn.Imm 20);
+            Insn.Alui (Insn.ADDIU, Reg.s0, Reg.s0, Insn.Imm 1);
+            Insn.Alui (Insn.ADDIU, Reg.s0, Reg.s0, Insn.Imm 2);
+            Insn.Alui (Insn.ADDIU, Reg.s0, Reg.s0, Insn.Imm 3);
+            Insn.Jr Reg.ra;
+            Insn.nop;
+          ]));
+  check_int (what ^ "write_phys_bytes across two pages") 26 (call (k0 e));
+  (* disk DMA over text that ran, and into a page never decoded *)
+  Disk.write_image m.Machine.disk ~block:5 ~off:0 (pg_bytes (pg_words pg_a (pg_routine 40)));
+  Disk.write_image m.Machine.disk ~block:6 ~off:0 (pg_bytes (pg_words pg_c (pg_routine 50)));
+  check_int (what ^ "A still runs its old code") 2 (call (k0 pg_a));
+  ignore (call (Exe.symbol exe "test::dma_a"));
+  check_int (what ^ "DMA over decoded code") 40 (call (k0 pg_a));
+  check (what ^ "C has no decode array") false (pg_has_dec m pg_c);
+  ignore (call (Exe.symbol exe "test::dma_c"));
+  check_int (what ^ "DMA into an undecoded page") 50 (call (k0 pg_c));
+  m
+
+let test_page_invalidation () =
+  let ms = pg_scenario Uop.Step and mb = pg_scenario Uop.Bcache in
+  check "bcache: memory matches step" true (Bytes.equal ms.Machine.mem mb.Machine.mem);
+  check "bcache: registers/counters match step" true
+    (bb_fingerprint mb = bb_fingerprint ms)
+
+let test_disk_image () =
+  let d = Disk.create ~blocks:16 () in
+  let bb = Disk.block_bytes in
+  check "unwritten block reads as zeros" true
+    (Disk.read_image d ~block:7 ~off:0 ~len:bb = String.make bb '\000');
+  let s = String.init 40 (fun i -> Char.chr (65 + i)) in
+  Disk.write_image d ~block:2 ~off:(bb - 15) s;
+  check "write_image across a block boundary reads back" true
+    (Disk.read_image d ~block:2 ~off:(bb - 15) ~len:40 = s);
+  check "its tail is the next block's head" true
+    (Disk.read_image d ~block:3 ~off:0 ~len:25 = String.sub s 15 25);
+  check "the rest of the written blocks is zeros" true
+    (Disk.read_image d ~block:3 ~off:25 ~len:(bb - 25) = String.make (bb - 25) '\000');
+  (* a three-block DMA write from memory, then a DMA read back elsewhere *)
+  let mem = Bytes.init (8 * bb) (fun i -> Char.chr ((i * 7) land 0xFF)) in
+  let dma ~block ~paddr ~count ~is_write =
+    d.Disk.reg_block <- block;
+    d.Disk.reg_addr <- paddr;
+    d.Disk.reg_count <- count;
+    check "submitted" true (Disk.submit d ~now:0 ~is_write);
+    ignore (Disk.poll d ~now:max_int ~mem ~on_dma:(fun ~paddr:_ ~len:_ -> ()));
+    Disk.ack d
+  in
+  dma ~block:9 ~paddr:bb ~count:3 ~is_write:true;
+  check "multi-block DMA write reads back" true
+    (Disk.read_image d ~block:9 ~off:0 ~len:(3 * bb) = Bytes.sub_string mem bb (3 * bb));
+  dma ~block:9 ~paddr:(5 * bb) ~count:3 ~is_write:false;
+  check "multi-block DMA read lands intact" true
+    (Bytes.sub_string mem (5 * bb) (3 * bb) = Bytes.sub_string mem bb (3 * bb));
+  dma ~block:6 ~paddr:0 ~count:1 ~is_write:false;
+  check "DMA read of an unwritten block zeroes memory" true
+    (Bytes.sub_string mem 0 bb = String.make bb '\000');
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check "write_image past the end raises" true
+    (raises (fun () -> Disk.write_image d ~block:15 ~off:(bb - 4) "12345678"));
+  check "write_image at a negative offset raises" true
+    (raises (fun () -> Disk.write_image d ~block:0 ~off:(-1) "x"));
+  check "read_image past the end raises" true
+    (raises (fun () -> Disk.read_image d ~block:16 ~off:0 ~len:1));
+  check "DMA past the end of the disk raises" true
+    (raises (fun () -> dma ~block:15 ~paddr:0 ~count:2 ~is_write:false));
+  check "DMA past the end of memory raises" true
+    (raises (fun () -> dma ~block:0 ~paddr:(7 * bb) ~count:2 ~is_write:true))
+
+(* The host footprint of one simulated system: simulated RAM (2M words)
+   plus what its run touches.  A flat host table with a slot per word
+   of RAM (4M slots) would more than double it. *)
+let test_machine_footprint () =
+  let open Systrace_validate in
+  let b =
+    Validate.system ~traced:true Validate.Ultrix
+      (Experiments.spec_of (Systrace_workloads.Suite.find "egrep"))
+  in
+  let words = Obj.reachable_words (Obj.repr b.Systrace_kernel.Builder.machine) in
+  check (Printf.sprintf "traced egrep machine: %d words < 3M" words) true
+    (words < 3_000_000)
+
 let tests =
   tests
   @ [
@@ -1280,6 +1579,12 @@ let tests =
       QCheck_alcotest.to_alcotest prop_bcache_clock_interrupts;
       Alcotest.test_case "lmw last-load tlb miss vs step" `Quick
         test_lmw_last_load_tlb_miss;
+      Alcotest.test_case "FP uops: faults and s.d over its own block" `Quick
+        test_fp_block_faults;
+      Alcotest.test_case "per-page decode cache: every write path" `Quick
+        test_page_invalidation;
+      Alcotest.test_case "per-block disk image" `Quick test_disk_image;
+      Alcotest.test_case "machine host footprint" `Quick test_machine_footprint;
       Alcotest.test_case "alignment traps" `Quick test_alignment_traps;
       Alcotest.test_case "interrupt masking" `Quick test_interrupt_masking;
       Alcotest.test_case "store invalidates decode" `Quick

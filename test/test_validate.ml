@@ -286,12 +286,28 @@ let test_traced_tier_oracle () =
         [ Systrace_machine.Uop.Tcache; Systrace_machine.Uop.Bcache ])
     [ Validate.Ultrix; Validate.Mach ]
 
+(* The FP uops at system scale: liv is the Table 1 code with the most FP
+   work per instruction (3.45M instructions untraced), so its arithmetic
+   stalls and FP operation count, not just its cycles, must come out of
+   the block cache as step-at-a-time computes them. *)
+let test_fp_tier_oracle () =
+  let module E = Experiments in
+  let _, step = E.tier_run ~traced:false "liv" Systrace_machine.Uop.Step in
+  let _, bc = E.tier_run ~traced:false "liv" Systrace_machine.Uop.Bcache in
+  Alcotest.(check (list int)) "liv: counters, arith stalls, FP ops" step.E.f_counters
+    bc.E.f_counters;
+  Alcotest.(check string) "liv: console" step.E.f_console bc.E.f_console;
+  Alcotest.(check bool) "liv: FP ops counted" true
+    (List.nth step.E.f_counters (List.length step.E.f_counters - 1) > 0)
+
 let tests =
   [
     Alcotest.test_case "matrix determinism (jobs=1 == jobs=4)" `Quick
       test_matrix_determinism;
     Alcotest.test_case "traced egrep: step == bcache == default tier" `Quick
       test_traced_tier_oracle;
+    Alcotest.test_case "untraced liv: step == bcache, FP counters" `Quick
+      test_fp_tier_oracle;
     Alcotest.test_case "sweep == singles on a real trace" `Quick
       test_sweep_real_trace;
     Alcotest.test_case "sweep == singles on a fault-injected trace" `Quick
