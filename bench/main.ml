@@ -175,10 +175,17 @@ let exp_trace_format () =
   Table.add_row t
     [ "record + length (Tunix)"; string_of_int tunix;
       Printf.sprintf "%.2f" (4.0 *. float_of_int tunix /. insts) ];
-  (* and the stored-trace density when the words leave the machine through
-     the delta/varint compressor ("the trace takes less space and less
-     time to write", 3.5 — here applied to the tape of 3.4) *)
-  let zbytes = String.length (Tracing.Compress.pack words) in
+  (* and the stored-trace density of the v3 file `dump -z` writes ("the
+     trace takes less space and less time to write", 3.5 — here applied
+     to the tape of 3.4) *)
+  let zbytes =
+    let path = Filename.temp_file "systrace_format" ".strc" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Tracing.Tracefile.save ~compress:true path words;
+        (Unix.stat path).Unix.st_size)
+  in
   Table.add_row t
     [ Printf.sprintf "one-word, compressed (%.1fx)"
         (4.0 *. float_of_int one_word /. float_of_int zbytes);
@@ -462,23 +469,8 @@ let exp_micro () =
                (Epoxie.Epoxie.instrument_modules
                   prog.Systrace_kernel.Builder.modules)))
     in
-    (* stored-trace compression throughput (dump -z path), both directions *)
-    let compress_test =
-      Test.make ~name:"compress: pack trace"
-        (Staged.stage (fun () -> ignore (Tracing.Compress.pack words)))
-    in
-    let packed = Tracing.Compress.pack words in
-    let uncompress_test =
-      Test.make ~name:"compress: unpack trace"
-        (Staged.stage (fun () ->
-             ignore (Tracing.Compress.unpack ~expect:(Array.length words) packed)))
-    in
     let tests =
-      [
-        parse_test; parse_only_test; instr_test; compress_test;
-        uncompress_test;
-      ]
-      @ dispatch_tests ()
+      [ parse_test; parse_only_test; instr_test ] @ dispatch_tests ()
     in
     let estimates =
       run_bechamel_min ~quota:1.0 ~rounds:3 (interp_tests ())
@@ -491,29 +483,7 @@ let exp_micro () =
         (fun (name, est) -> entry ~name:(strip_group name) ~unit_:"ns/run" est)
         estimates
     in
-    let find_est name' =
-      List.find_opt (fun (name, _) -> strip_group name = name') estimates
-    in
-    (* compression throughput in words/s (the ns/run entries depend on the
-       captured trace's length; these do not) and the compression ratio *)
-    let nwords = float_of_int (Array.length words) in
-    let compress_derived =
-      let throughput bench_name out_name =
-        match find_est bench_name with
-        | Some (_, est) when est > 0.0 ->
-          let wps = nwords /. (est *. 1e-9) in
-          Printf.printf "  %-52s %12.2f Mwords/s\n" out_name (wps /. 1e6);
-          [ entry ~name:out_name ~unit_:"words/s" wps ]
-        | _ -> []
-      in
-      let ratio = 4.0 *. nwords /. float_of_int (String.length packed) in
-      Printf.printf "  %-52s %12.2f x\n" "compress: ratio" ratio;
-      throughput "compress: pack trace" "compress: pack throughput"
-      @ throughput "compress: unpack trace" "compress: unpack throughput"
-      @ [ entry ~name:"compress: ratio" ~unit_:"x" ratio ]
-    in
-    Bench_json.record
-      (entries @ micro_interp_entries estimates @ compress_derived)
+    Bench_json.record (entries @ micro_interp_entries estimates)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -711,7 +681,7 @@ let exp_store () =
       in
       let t_pack =
         best (fun () ->
-            Tracing.Tracefile.save ~compress:true ~version:3 path words)
+            Tracing.Tracefile.save ~compress:true path words)
       in
       let bytes =
         let ic = open_in_bin path in
@@ -748,8 +718,7 @@ let exp_store () =
       let t_par =
         best (fun () ->
             if
-              Tracing.Tracefile.fold_blocks_parallel ~jobs:!jobs path ~init:0
-                ~f:add
+              Tracing.Tracefile.fold_words ~jobs:!jobs path ~init:0 ~f:add
               <> sum
             then failwith "store: parallel fold checksum mismatch")
       in
@@ -837,7 +806,7 @@ let exp_serve () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Tracing.Tracefile.save ~compress:true ~version:3 path words;
+      Tracing.Tracefile.save ~compress:true path words;
       let cfg =
         {
           (Serve.Server.default_config Serve.Server.scan_pipeline) with

@@ -104,14 +104,8 @@ let list_cmd =
 let run_cmd =
   let run name os seed tier =
     let e = find_workload name in
-    let config =
-      {
-        Systrace_kernel.Builder.default_config with
-        Systrace_kernel.Builder.machine_cfg = machine_cfg_of tier;
-      }
-    in
     let sys =
-      run_measured ~os:(os_of os) ~seed ~config
+      run_measured ~os:(os_of os) ~seed ~machine_cfg:(machine_cfg_of tier)
         [ e.Workloads.Suite.program () ]
         e.Workloads.Suite.files
     in
@@ -220,19 +214,13 @@ let profile_cmd =
      identify anomalous system activity (§4.3). *)
   let run name os seed topn =
     let e = find_workload name in
-    let cfg =
-      {
-        Systrace_kernel.Builder.default_config with
-        Systrace_kernel.Builder.personality =
-          (match os with Validate.Ultrix -> Systrace_kernel.Kcfg.Ultrix
-                       | Validate.Mach -> Systrace_kernel.Kcfg.Mach);
-        machine_cfg =
-          { Machine.Machine.default_config with Machine.Machine.count_exec = true };
-        seed;
-      }
-    in
     let sys =
-      run_measured ~os:(os_of os) ~seed ~config:cfg
+      run_measured ~os:(os_of os) ~seed
+        ~machine_cfg:
+          {
+            Machine.Machine.default_config with
+            Machine.Machine.count_exec = true;
+          }
         [ e.Workloads.Suite.program () ]
         e.Workloads.Suite.files
     in
@@ -569,9 +557,7 @@ let check_cmd =
         (* with -j > 1, a v3 trace's blocks decode on the domain pool;
            the checkers still run sequentially in stream order, so the
            diagnosis list is identical whatever -j is *)
-        if jobs > 1 then
-          Tracing.Tracefile.fold_blocks_parallel ~jobs file ~init:0 ~f:feed
-        else Tracing.Tracefile.fold_words file ~init:0 ~f:feed
+        Tracing.Tracefile.fold_words ~jobs:(max 1 jobs) file ~init:0 ~f:feed
       with Tracing.Tracefile.Bad_file msg ->
         Printf.printf "%s: UNREADABLE\n  %s\n" file msg;
         exit 1

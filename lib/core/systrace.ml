@@ -114,40 +114,27 @@ type traced_run = {
     [on_event] — exactly the analysis-program position of Figure 1.
 
     Programs are built from the assembler eDSL ({!Isa.Asm}); link them
-    against {!Workloads.Userlib} for the system-call wrappers.
+    against {!Workloads.Userlib} for the system-call wrappers.  A program
+    built with [~notrace:true] runs uninstrumented: its references are
+    not in the trace, and the kernel's still are.  The system is the one
+    {!Validate.system} boots; [?machine_cfg] replaces its machine
+    configuration.
 
     [?sink] attaches a streaming consumer ({!Tracing.Sink}) to the raw
     word stream: it receives each ANALYZE phase's chunk before the
     parser does, and its [finish] runs after the final drain — so a
     whole run can be counted, written to disk, or fed to a second
-    analysis online, in O(chunk) memory.  [?on_words] is the bare
-    callback form of the same hook. *)
+    analysis online, in O(chunk) memory. *)
 let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
-    ?(on_words = fun (_ : int array) (_ : int) -> ())
-    ?(sink = Systrace_tracing.Sink.null)
-    ?(config = Systrace_kernel.Builder.default_config)
+    ?(sink = Systrace_tracing.Sink.null) ?machine_cfg
     (programs : Systrace_kernel.Builder.program list)
     (files : Systrace_kernel.Builder.file_spec list) : traced_run =
   let open Systrace_kernel in
-  let cfg =
-    {
-      config with
-      Builder.traced = true;
-      seed;
-      personality = (match os with Ultrix -> Kcfg.Ultrix | Mach -> Kcfg.Mach);
-      pagemap = (match os with Ultrix -> Kcfg.Careful | Mach -> Kcfg.Random);
-    }
+  let t =
+    Validate.system ?machine_cfg ~seed ~traced:true os
+      { Validate.wname = ""; files; programs }
   in
-  let programs = Validate.all_programs os files programs in
-  let t = Builder.build ~cfg ~programs ~files () in
-  let parser =
-    Systrace_tracing.Parser.create ~kernel_bbs:(Option.get t.Builder.kernel_bbs) ()
-  in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Systrace_tracing.Parser.register_pid parser ~pid:pi.pid
-        (Option.get pi.bbs))
-    t.Builder.procs;
+  let parser = Builder.trace_parser t in
   Systrace_tracing.Parser.set_handlers parser
     {
       Systrace_tracing.Parser.on_inst =
@@ -159,7 +146,6 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
   t.Builder.trace_sink <-
     Some
       (fun words len ->
-        on_words words len;
         sink.Systrace_tracing.Sink.on_words words ~len;
         Systrace_tracing.Parser.feed parser words ~len);
   (match Builder.run t ~max_insns:2_000_000_000 with
@@ -167,13 +153,7 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
   | Systrace_machine.Machine.Limit -> failwith "Systrace.run_traced: no halt");
   Builder.drain_final t;
   sink.Systrace_tracing.Sink.finish ();
-  let live =
-    List.filter_map
-      (fun (pi : Builder.proc_info) ->
-        if pi.prog.Builder.is_server then Some pi.pid else None)
-      t.Builder.procs
-  in
-  Systrace_tracing.Parser.finish ~live parser;
+  Systrace_tracing.Parser.finish ~live:(Builder.live_pids t) parser;
   {
     console = Builder.console t;
     parse_stats = Systrace_tracing.Parser.stats parser;
@@ -184,24 +164,15 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
 (** [run_measured] boots the same system untraced and returns it after
     completion; the machine's ground-truth counters are the "direct
     measurement" side of the paper's validation. *)
-let run_measured ?(os = Ultrix) ?(seed = 1)
-    ?(config = Systrace_kernel.Builder.default_config)
+let run_measured ?(os = Ultrix) ?(seed = 1) ?machine_cfg
     (programs : Systrace_kernel.Builder.program list)
     (files : Systrace_kernel.Builder.file_spec list) :
     Systrace_kernel.Builder.t =
-  let open Systrace_kernel in
-  let cfg =
-    {
-      config with
-      Builder.traced = false;
-      seed;
-      personality = (match os with Ultrix -> Kcfg.Ultrix | Mach -> Kcfg.Mach);
-      pagemap = (match os with Ultrix -> Kcfg.Careful | Mach -> Kcfg.Random);
-    }
+  let t =
+    Validate.system ?machine_cfg ~seed ~traced:false os
+      { Validate.wname = ""; files; programs }
   in
-  let programs = Validate.all_programs os files programs in
-  let t = Builder.build ~cfg ~programs ~files () in
-  (match Builder.run t ~max_insns:2_000_000_000 with
+  (match Systrace_kernel.Builder.run t ~max_insns:2_000_000_000 with
   | Systrace_machine.Machine.Halt -> ()
   | Systrace_machine.Machine.Limit -> failwith "Systrace.run_measured: no halt");
   t
@@ -212,9 +183,10 @@ let run_measured ?(os = Ultrix) ?(seed = 1)
     be done off-line against stored traces is unacceptable" for the
     authors' 64MB-class traces, but replay is exactly what the analysis
     program does with each buffer-full). *)
-let capture_trace ?os ?seed ?config programs files : int array * traced_run =
+let capture_trace ?os ?seed ?machine_cfg programs files :
+    int array * traced_run =
   let sink, trace = Systrace_tracing.Sink.to_array () in
-  let run = run_traced ?os ?seed ?config ~sink programs files in
+  let run = run_traced ?os ?seed ?machine_cfg ~sink programs files in
   (trace (), run)
 
 (** Multi-configuration replay machinery — a fresh parser over
@@ -307,25 +279,10 @@ let replay_file ~(system : Systrace_kernel.Builder.t)
   (stats.(0), parse)
 
 (** The memory-system configuration of the simulated DECstation, for
-    {!replay} studies that vary one parameter at a time. *)
+    {!replay} studies that vary one parameter at a time: the system's
+    machine configuration over its page map. *)
 let default_memsim_cfg ~(system : Systrace_kernel.Builder.t) :
     Systrace_tracesim.Memsim.config =
-  let mcfg = system.Systrace_kernel.Builder.cfg.Systrace_kernel.Builder.machine_cfg in
-  {
-    Systrace_tracesim.Memsim.icache_bytes =
-      mcfg.Systrace_machine.Machine.icache_bytes;
-    icache_line = mcfg.Systrace_machine.Machine.icache_line;
-    icache_ways = 1;
-    dcache_bytes = mcfg.Systrace_machine.Machine.dcache_bytes;
-    dcache_line = mcfg.Systrace_machine.Machine.dcache_line;
-    dcache_ways = 1;
-    read_miss_penalty = mcfg.Systrace_machine.Machine.read_miss_penalty;
-    uncached_penalty = mcfg.Systrace_machine.Machine.uncached_penalty;
-    wb_depth = mcfg.Systrace_machine.Machine.wb_depth;
-    wb_drain = mcfg.Systrace_machine.Machine.wb_drain;
-    pagemap = Systrace_kernel.Builder.extract_pagemap system;
-    pt_base = Systrace_kernel.Kcfg.pt_base_va;
-    utlb_handler_insns = 8;
-    ktlb_handler_insns = 24;
-    tlb_entries = 64;
-  }
+  Validate.memsim_cfg
+    ~pagemap:(Systrace_kernel.Builder.extract_pagemap system)
+    system.Systrace_kernel.Builder.cfg.Systrace_kernel.Builder.machine_cfg

@@ -40,7 +40,3 @@ val instrument_modules :
 
 val expansion : original:Objfile.t list -> instrumented:Objfile.t list -> float
 (** Text growth factor. *)
-
-val wrap_mem : Insn.t -> Rewrite.titem list
-(** Exposed for tests: the per-memory-instruction wrapping, including the
-    hazard cases. *)

@@ -34,13 +34,6 @@ type titem =
   | TLabel of string
   | TInsn of Insn.t * bool
 
-let tag_items (items : Objfile.titem list) : titem list =
-  List.map
-    (function
-      | Objfile.Label l -> TLabel l
-      | Objfile.Insn i -> TInsn (i, true))
-    items
-
 let untag_items (items : titem list) : Objfile.titem list =
   List.map
     (function

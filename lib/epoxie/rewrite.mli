@@ -19,17 +19,9 @@ type titem =
   | TLabel of string
   | TInsn of Insn.t * bool
 
-val tag_items : Objfile.titem list -> titem list
 val untag_items : titem list -> Objfile.titem list
 
-val needs_steal : Insn.t -> bool
-
-val hoist_pass : titem list -> titem list
-(** Move steal-needing or memory instructions out of delay slots (legal
-    when the branch reads nothing the slot writes). *)
-
-val steal_rewrite_insn : Insn.t -> tag:bool -> titem list
-val steal_pass : titem list -> titem list
-
 val rewrite : titem list -> titem list
-(** [steal_pass % hoist_pass]. *)
+(** Move steal-needing or memory instructions out of delay slots (legal
+    when the branch reads nothing the slot writes), then replace every
+    use of a stolen register. *)

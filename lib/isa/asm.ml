@@ -85,7 +85,6 @@ let subu a rd rs rt = i a (Alu (SUBU, rd, rs, rt))
 let and_ a rd rs rt = i a (Alu (AND, rd, rs, rt))
 let or_ a rd rs rt = i a (Alu (OR, rd, rs, rt))
 let xor_ a rd rs rt = i a (Alu (XOR, rd, rs, rt))
-let nor_ a rd rs rt = i a (Alu (NOR, rd, rs, rt))
 let slt a rd rs rt = i a (Alu (SLT, rd, rs, rt))
 let sltu a rd rs rt = i a (Alu (SLTU, rd, rs, rt))
 let mul a rd rs rt = i a (Alu (MUL, rd, rs, rt))
@@ -133,7 +132,6 @@ let tlbp a = i a Tlbp
 let tlbr a = i a Tlbr
 let rfe a = i a Rfe
 let hcall a n = i a (Hcall n)
-let cache_op a op off base = i a (Cache (op, base, Imm off))
 
 (* Control transfers with an automatic nop delay slot. *)
 let beq a rs rt l = i a (Beq (rs, rt, Sym l)); nop a

@@ -43,7 +43,6 @@ val subu : t -> int -> int -> int -> unit
 val and_ : t -> int -> int -> int -> unit
 val or_ : t -> int -> int -> int -> unit
 val xor_ : t -> int -> int -> int -> unit
-val nor_ : t -> int -> int -> int -> unit
 val slt : t -> int -> int -> int -> unit
 val sltu : t -> int -> int -> int -> unit
 val mul : t -> int -> int -> int -> unit
@@ -91,7 +90,6 @@ val tlbp : t -> unit
 val tlbr : t -> unit
 val rfe : t -> unit
 val hcall : t -> int -> unit
-val cache_op : t -> int -> int -> int -> unit
 
 (** {2 Control transfers (automatic nop delay slot)} *)
 

@@ -27,10 +27,6 @@ let symbol_opt t name = Hashtbl.find_opt t.symbols name
 
 let text_size_bytes t = Array.length t.text * 4
 let text_limit t = t.text_base + text_size_bytes t
-let data_limit t = t.data_base + Bytes.length t.data
-
-let contains_text_addr t a = a >= t.text_base && a < text_limit t
-
 let disassemble ?(lo = 0) ?(hi = max_int) t =
   let b = Buffer.create 1024 in
   let rev = Hashtbl.create 64 in

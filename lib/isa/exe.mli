@@ -24,8 +24,6 @@ val symbol_opt : t -> string -> int option
 
 val text_size_bytes : t -> int
 val text_limit : t -> int
-val data_limit : t -> int
-val contains_text_addr : t -> int -> bool
 
 val disassemble : ?lo:int -> ?hi:int -> t -> string
 (** Human-readable listing with symbol annotations, optionally restricted

@@ -105,18 +105,6 @@ let is_control = function
   | J _ | Jal _ | Jr _ | Jalr _ | Bc1t _ | Bc1f _ -> true
   | _ -> false
 
-let branch_target = function
-  | Beq (_, _, t) | Bne (_, _, t) | Blez (_, t) | Bgtz (_, t)
-  | Bltz (_, t) | Bgez (_, t) | J t | Jal t | Bc1t t | Bc1f t -> Some t
-  | _ -> None
-
-(* Whether control can fall through past the delay slot (conditional
-   branches and calls yes; unconditional jumps no). *)
-let falls_through = function
-  | J _ | Jr _ -> false
-  | Jalr _ | Jal _ -> true (* returns eventually; next insn is a join point *)
-  | _ -> true
-
 (* ------------------------------------------------------------------ *)
 (* Register uses and definitions (GPRs only), for epoxie's register
    stealing rewrite.                                                   *)

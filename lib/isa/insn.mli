@@ -76,7 +76,6 @@ val trace_count_nop : int -> t
 (** {2 Classification} *)
 
 val is_load : t -> bool
-val is_store : t -> bool
 val is_mem : t -> bool
 
 val mem_base_offset : t -> (int * imm) option
@@ -85,9 +84,6 @@ val mem_bytes : t -> int
 
 val is_control : t -> bool
 (** Every control transfer has a single delay slot. *)
-
-val branch_target : t -> target option
-val falls_through : t -> bool
 
 (** {2 Register uses and definitions (GPRs), for register stealing} *)
 

@@ -30,13 +30,6 @@ type t = {
   no_instrument : bool;      (* whole module excluded from instrumentation *)
 }
 
-(* All labels defined in the text section, in order. *)
-let text_labels t =
-  List.filter_map (function Label l -> Some l | Insn _ -> None) t.text
-
-let data_labels t =
-  List.filter_map (function Dlabel l -> Some l | _ -> None) t.data
-
 let insns t =
   List.filter_map (function Insn i -> Some i | Label _ -> None) t.text
 

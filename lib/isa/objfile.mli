@@ -28,8 +28,6 @@ type t = {
   no_instrument : bool;      (** whole module excluded from instrumentation *)
 }
 
-val text_labels : t -> string list
-val data_labels : t -> string list
 val insns : t -> Insn.t list
 val insn_count : t -> int
 

@@ -64,4 +64,3 @@ let nfregs = 16
 let fname f =
   if f < 0 || f >= nfregs then invalid_arg "Reg.fname"
   else Printf.sprintf "$f%d" f
-let f_is_valid f = f >= 0 && f < nfregs

@@ -40,7 +40,6 @@ val fp : t
 val ra : t
 
 val name : t -> string
-val is_valid : t -> bool
 val allocatable : t -> bool
 
 (** Floating-point registers (16 double registers). *)
@@ -49,4 +48,3 @@ type f = int
 
 val nfregs : int
 val fname : f -> string
-val f_is_valid : f -> bool

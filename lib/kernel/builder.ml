@@ -672,6 +672,11 @@ let trace_parser ?recover t =
       t.procs;
     p
 
+let live_pids t =
+  List.filter_map
+    (fun (pi : proc_info) -> if pi.prog.is_server then Some pi.pid else None)
+    t.procs
+
 let console t = Machine.console_contents t.machine
 
 let proc t pid = List.find (fun p -> p.pid = pid) t.procs

@@ -115,6 +115,10 @@ val trace_parser : ?recover:bool -> t -> Systrace_tracing.Parser.t
     plus every traced process's registered under its pid.
     @raise Invalid_argument on a system built untraced. *)
 
+val live_pids : t -> int list
+(** The processes still running when the workload halts — the Mach UX
+    server, which never exits — as [Parser.finish ~live] takes them. *)
+
 val console : t -> string
 val proc : t -> int -> proc_info
 val tlbdropins : t -> int
@@ -123,7 +127,6 @@ val ticks : t -> int
 val poke : t -> string -> int -> unit
 (** Write a word at a kernel data symbol (boot-firmware style). *)
 
-val poke_off : t -> string -> int -> int -> unit
 val peek : t -> string -> int
 val peek_off : t -> string -> int -> int
 

@@ -72,6 +72,4 @@ let invalidate t pa =
   let idx = line_index t pa in
   if t.tags.(idx) = tag t pa then t.tags.(idx) <- -1
 
-let invalidate_all t = Array.fill t.tags 0 (Array.length t.tags) (-1)
-
 let size_bytes t = t.nlines lsl t.line_shift

@@ -20,5 +20,4 @@ val write : t -> int -> bool
     counted in hit/miss statistics. *)
 
 val invalidate : t -> int -> unit
-val invalidate_all : t -> unit
 val size_bytes : t -> int

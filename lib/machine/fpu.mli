@@ -11,7 +11,6 @@ type t = {
 }
 
 val latency : Systrace_isa.Insn.fop -> int
-val compare_latency : int
 
 val create : unit -> t
 val reset : t -> unit

@@ -410,8 +410,6 @@ let write_phys_bytes t pa s =
   dec_clear_range t pa (String.length s);
   bgen_bump_range t pa (String.length s)
 
-let read_phys_bytes t pa len = Bytes.sub_string t.mem pa len
-
 (* ------------------------------------------------------------------ *)
 (* Address translation                                                 *)
 

@@ -175,7 +175,6 @@ type t = {
 
 val create : ?cfg:config -> unit -> t
 
-val user_mode : t -> bool
 val asid : t -> int
 
 (** {2 Address translation} *)
@@ -194,12 +193,8 @@ val translate_walk : t -> int -> write:bool -> fetch:bool -> int * bool
 
 val read_phys_u32 : t -> int -> int
 val write_phys_u32 : t -> int -> int -> unit
-val read_phys_u16 : t -> int -> int
-val write_phys_u16 : t -> int -> int -> unit
-val read_phys_u8 : t -> int -> int
 val write_phys_u8 : t -> int -> int -> unit
 val write_phys_bytes : t -> int -> string -> unit
-val read_phys_bytes : t -> int -> int -> string
 
 (** {2 Execution} *)
 

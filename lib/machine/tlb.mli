@@ -15,10 +15,8 @@ type t = {
 val size : int
 val wired : int
 
-val entrylo_n : int
 val entrylo_d : int
 val entrylo_v : int
-val entrylo_g : int
 
 val make_entryhi : vpn:int -> asid:int -> int
 
@@ -30,14 +28,6 @@ val make_entrylo :
   pfn:int ->
   unit ->
   int
-
-val hi_vpn : int -> int
-val hi_asid : int -> int
-val lo_pfn : int -> int
-val lo_valid : int -> bool
-val lo_dirty : int -> bool
-val lo_global : int -> bool
-val lo_noncacheable : int -> bool
 
 val create : unit -> t
 val reset : t -> unit

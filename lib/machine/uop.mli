@@ -114,14 +114,6 @@ type t =
           uops. *)
   | U_other of Insn.t                      (* full interpreter dispatch *)
 
-val of_insn : Insn.t -> t
-(** Scalar lowering: never produces [U_stub]. *)
-
-val barrier : Insn.t -> bool
-(** Instructions that can change fetch semantics for their successors
-    (mode, ASID, TLB contents, arbitrary host effects) end a block, so
-    the next instruction re-enters through a fresh translation. *)
-
 (** {2 Blocks} *)
 
 (** One straight-line run of instructions: from a block-entry pc up to
@@ -146,20 +138,18 @@ type block = {
 
 val dummy_block : block
 
-val max_block_insns : int
-(** Straight-line runs longer than this are split; the tail re-enters
-    through the block table, so nothing is lost but one lookup. *)
-
 val build :
   decode:(va:int -> pa:int -> Insn.t) ->
   va:int -> pa:int -> cached:bool -> gen:int -> block
 (** Form the block starting at [va]/[pa]: decode and lower until a
-    control transfer (plus delay slot), barrier, page end or
-    [max_block_insns].  A decode failure at the entry word re-raises; a
-    later one ends the block before the bad word, so it raises exactly
-    when step-at-a-time would reach it.  On cacheable text, a block
-    matching a stub shape gets a [U_stub] in slot 0 — only there, which
-    is what lets stub uops skip the cacheability test. *)
+    control transfer (plus delay slot), barrier, page end or 256
+    instructions (a longer run is split; the tail re-enters through the
+    block table, so nothing is lost but one lookup).  A decode failure
+    at the entry word re-raises; a later one ends the block before the
+    bad word, so it raises exactly when step-at-a-time would reach it.
+    On cacheable text, a block matching a stub shape gets a [U_stub] in
+    slot 0 — only there, which is what lets stub uops skip the
+    cacheability test. *)
 
 (** {2 The store-generation invalidation contract}
 

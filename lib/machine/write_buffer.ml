@@ -77,13 +77,6 @@ let store t ~now =
   t.stall_cycles <- t.stall_cycles + stall;
   stall
 
-(* Cycles until the buffer is fully drained, e.g. for uncached operations
-   that must wait for pending writes. *)
-let drain_time t ~now =
-  expire t now;
-  if t.count = 0 then 0
-  else max 0 (t.ring.(wrap t (t.head + t.count - 1)) - now)
-
 let pending t ~now =
   expire t now;
   t.count

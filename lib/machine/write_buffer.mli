@@ -20,5 +20,4 @@ val reset : t -> unit
 val store : t -> now:int -> int
 (** Issue a store at absolute cycle [now]; returns the stall suffered. *)
 
-val drain_time : t -> now:int -> int
 val pending : t -> now:int -> int

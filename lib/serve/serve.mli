@@ -100,13 +100,10 @@ val tcp_port : t -> int option
 
 val stats : t -> snapshot
 
-val request_stop : t -> unit
-(** Ask every domain to finish in-flight streams and exit; returns
-    immediately.  Listeners stop accepting at once. *)
-
 val wait : t -> unit
-(** Join all domains (after {!request_stop} or a control-socket
-    [shutdown]), then close listeners and unlink socket paths. *)
+(** Join all domains (after {!stop} or a control-socket [shutdown]),
+    then close listeners and unlink socket paths. *)
 
 val stop : t -> unit
-(** {!request_stop} then {!wait}. *)
+(** Ask every domain to finish in-flight streams and exit (listeners
+    stop accepting at once), then {!wait}. *)

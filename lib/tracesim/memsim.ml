@@ -201,9 +201,15 @@ type engine = {
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
+(* Lines are indexed by shifting ([log2 line]), so a line size that is not
+   a power of two would be simulated as the next smaller one. *)
 let nsets_of ~what ~bytes ~line ~ways =
-  if bytes <= 0 || line <= 0 || ways <= 0 || bytes mod (line * ways) <> 0
-  then invalid_arg ("Memsim.sweep: bad " ^ what ^ " geometry")
+  if line <= 0 || line land (line - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Memsim.sweep: %s line %d is not a power of two" what
+         line)
+  else if bytes <= 0 || ways <= 0 || bytes mod (line * ways) <> 0 then
+    invalid_arg ("Memsim.sweep: bad " ^ what ^ " geometry")
   else bytes / (line * ways)
 
 let gkey c = (c.tlb_entries, c.utlb_handler_insns, c.ktlb_handler_insns)
@@ -824,6 +830,8 @@ let grid ?(nested = true) ~base ~sizes ~lines ~tlb_entries ~wb_depths () :
     (string * config) list =
   if sizes = [] || lines = [] || tlb_entries = [] || wb_depths = [] then
     invalid_arg "Memsim.grid: empty axis";
+  if List.exists (fun s -> s <= 0) sizes then
+    invalid_arg "Memsim.grid: sizes must be positive";
   let min_size = List.fold_left min max_int sizes in
   List.concat_map
     (fun size ->

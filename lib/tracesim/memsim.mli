@@ -80,7 +80,8 @@ val sweep : ?jobs:int -> config list -> sweep
 (** [jobs] (default, and at most, [Domain.recommended_domain_count ()])
     bounds the domains a batch runs on.
     @raise Invalid_argument on an empty list, a degenerate cache
-    geometry or TLB size, or configurations that do not share (physically, [==]) the
+    geometry (including a line size that is not a power of two) or TLB
+    size, or configurations that do not share (physically, [==]) the
     same [pagemap] and [pt_base] — translation is done once per
     reference, so per-configuration page maps cannot be honoured. *)
 
@@ -123,4 +124,6 @@ val grid :
     [nested] (default) associativity grows with size at a fixed set
     count — ways = size / min size — so each size axis forms a nesting
     family the sweep simulates as one LRU stack; with [~nested:false]
-    every point is direct-mapped. *)
+    every point is direct-mapped.
+    @raise Invalid_argument on an empty axis or a size <= 0, or (nested)
+    a size that is not a multiple of the smallest. *)

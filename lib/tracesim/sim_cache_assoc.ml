@@ -48,6 +48,7 @@ let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 let create ?(policy = Write_through) ~size_bytes ~line_bytes ~ways () =
   if
     size_bytes <= 0 || line_bytes <= 0 || ways <= 0
+    || line_bytes land (line_bytes - 1) <> 0
     || size_bytes mod (line_bytes * ways) <> 0
   then invalid_arg "Sim_cache_assoc.create";
   let nsets = size_bytes / (line_bytes * ways) in

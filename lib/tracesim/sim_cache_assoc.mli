@@ -30,7 +30,8 @@ type t = {
 
 val create :
   ?policy:policy -> size_bytes:int -> line_bytes:int -> ways:int -> unit -> t
-(** [size_bytes] must be a multiple of [line_bytes * ways]. *)
+(** [line_bytes] must be a power of two and [size_bytes] a multiple of
+    [line_bytes * ways]. *)
 
 val read : t -> int -> bool
 (** [true] on hit; misses fill the LRU way of the set (writing back a

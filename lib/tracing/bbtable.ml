@@ -48,25 +48,10 @@ let mem t record_addr = Hashtbl.mem t.entries record_addr
 
 let size t = t.total_blocks
 
-(* Merge [src] into [dst] (e.g. kernel table + hand-traced entries). *)
-let merge_into ~dst src =
-  Hashtbl.iter (fun k e -> add dst ~record_addr:k e) src.entries
-
 let iter f t = Hashtbl.iter f t.entries
 
-(* Mark every block whose record address falls in [lo, hi) with [flag];
+(* Mark every block whose ORIGINAL address falls in [lo, hi) with [flag];
    used to tag the kernel idle loop after linking. *)
-let flag_range t ~lo ~hi flag =
-  let updates =
-    Hashtbl.fold
-      (fun k e acc -> if k >= lo && k < hi then (k, e) :: acc else acc)
-      t.entries []
-  in
-  List.iter
-    (fun (k, e) -> Hashtbl.replace t.entries k { e with flags = e.flags lor flag })
-    updates
-
-(* Same, keyed on the ORIGINAL block address range. *)
 let flag_orig_range t ~lo ~hi flag =
   let updates =
     Hashtbl.fold

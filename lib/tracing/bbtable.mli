@@ -41,11 +41,6 @@ val mem : t -> int -> bool
 val size : t -> int
 val iter : (int -> entry -> unit) -> t -> unit
 
-val merge_into : dst:t -> t -> unit
-
-val flag_range : t -> lo:int -> hi:int -> int -> unit
-(** Flag all blocks whose record address lies in [\[lo, hi)]. *)
-
 val flag_orig_range : t -> lo:int -> hi:int -> int -> unit
 (** Flag all blocks whose original address lies in [\[lo, hi)] — e.g. the
     kernel idle loop located from the original kernel's symbols. *)

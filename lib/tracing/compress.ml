@@ -19,9 +19,9 @@
      varint( zigzag(delta) * 2 + has_run )
      if has_run: varint(extra)     -- the delta repeats [extra] more times
 
-   The format is lossless and order-preserving: [decode (encode w) = w]
-   for every word sequence, checked by a qcheck property and by a
-   roundtrip of a real captured trace in the test suite. *)
+   The format is lossless and order-preserving: [decode] inverts the
+   encoder for every word sequence, checked by a qcheck property and by
+   a roundtrip of a real captured trace in the test suite. *)
 
 (* Deltas are differences of 32-bit words, reduced to the signed 32-bit
    range so that a wraparound (e.g. a marker in kseg1 followed by a low
@@ -45,13 +45,11 @@ let put_varint buf v =
 
 exception Corrupt of string
 
-(* Incremental encoder.  The streaming pipeline (Tracefile.open_writer,
-   Sink.to_file) hands the codec one ANALYZE chunk at a time; the run
-   state carried across calls is exactly the state the batch encoder
-   keeps between tokens — the previous raw word plus the pending
-   maximal-delta run — so the emitted bytes are identical no matter how
-   the words were split into chunks.  [encode] below is a thin wrapper,
-   keeping a single code path. *)
+(* Incremental encoder: a caller may hand it words one chunk at a time.
+   The state carried across calls is what the encoder keeps between
+   tokens — the previous raw word plus the pending maximal-delta run —
+   so the emitted bytes are identical no matter how the words were split
+   into chunks. *)
 
 type encoder = {
   mutable e_prev : int;  (* last raw word seen *)
@@ -86,51 +84,6 @@ let encode_chunk e buf (words : int array) ~len =
 
 let encode_finish = encoder_flush
 
-(* Batch encode writes through a fixed Bytes cursor instead of a Buffer:
-   a single token covers at least one word and is at most 5 varint bytes
-   (zigzag of a 33-bit magnitude, doubled), and a run token's two varints
-   amortize over >= 2 words, so [5 * n + 16] bytes never overflow.  The
-   token stream is the incremental encoder's exactly — a qcheck property
-   holds the two paths byte-identical under arbitrary chunking. *)
-let encode (words : int array) : string =
-  let n = Array.length words in
-  let out = Bytes.create ((n * 5) + 16) in
-  let o = ref 0 in
-  let put_varint v =
-    let v = ref v in
-    while !v >= 0x80 do
-      Bytes.unsafe_set out !o (Char.unsafe_chr (0x80 lor (!v land 0x7F)));
-      incr o;
-      v := !v lsr 7
-    done;
-    Bytes.unsafe_set out !o (Char.unsafe_chr !v);
-    incr o
-  in
-  let prev = ref 0 and delta = ref 0 and count = ref 0 in
-  let flush () =
-    if !count > 0 then begin
-      if !count > 1 then begin
-        put_varint ((zigzag !delta lsl 1) lor 1);
-        put_varint (!count - 1)
-      end
-      else put_varint (zigzag !delta lsl 1);
-      count := 0
-    end
-  in
-  for k = 0 to n - 1 do
-    let w = Array.unsafe_get words k in
-    let d = delta32 w !prev in
-    prev := w;
-    if !count > 0 && d = !delta then incr count
-    else begin
-      flush ();
-      delta := d;
-      count := 1
-    end
-  done;
-  flush ();
-  Bytes.sub_string out 0 !o
-
 (* Without this bound a hostile run-length token could claim a
    multi-billion-word run and exhaust memory before any structural check
    fires; 2^26 words (256 MiB decoded) is beyond any real capture — the
@@ -142,8 +95,8 @@ let max_decoded_words = 1 lsl 26
    token stream, emitting words through a callback so the caller never
    holds more than its own chunk.  The carried state is the partially
    accumulated varint (acc/shift), a completed run token still waiting
-   for its count varint, and the predictor word.  The checks — and their
-   messages — are the batch decoder's, in the same order. *)
+   for its count varint, and the predictor word.  [decode] below is a
+   whole-string wrapper over it. *)
 
 type decoder = {
   d_emit : int -> unit;
@@ -242,8 +195,8 @@ let decode ?expect (s : string) : int array =
    may self-overlap, RLE-style).  A distance of 0 is a padding item the
    decoder skips: the packer fills the final group with them so every
    complete stream is group-aligned — which makes the concatenation of
-   complete streams itself a valid stream, the property the block-
-   flushing {!Tracefile} writer relies on. *)
+   complete streams itself a valid stream, so {!Tracefile} reads v2 files
+   that were flushed in blocks with the one decoder. *)
 
 let lz_min_match = 4
 let lz_max_match = 259
@@ -712,21 +665,3 @@ let decode_semantic ~expect (s : string) : int array =
     o := !o + run_len.(r)
   done;
   if expect = 0 then [||] else out
-
-(* ------------------------------------------------------------------ *)
-
-let pack (words : int array) : string = lzss_pack (encode words)
-
-let unpack ?expect (s : string) : int array =
-  let limit =
-    match expect with
-    | Some e -> (e * max_delta_bytes_per_word) + 16
-    | None -> max_decoded_words * max_delta_bytes_per_word
-  in
-  decode ?expect (lzss_unpack ~limit s)
-
-let ratio (words : int array) : float =
-  if Array.length words = 0 then 1.0
-  else
-    float_of_int (String.length (pack words))
-    /. float_of_int (4 * Array.length words)

@@ -4,24 +4,21 @@
     fixed strides), so each word is stored as a zigzag-varint delta from
     its predecessor, with a run-length extension for repeated strides.
 
-    Used by {!Tracefile} (format version 2) and by the [dump -z] CLI
-    command; the [compression] bench experiment measures the density win
-    over the raw one-word format (paper §3.5: "the trace takes less space
-    and less time to write"). *)
+    Used by the {!Tracefile} formats: the delta/varint and LZSS stages
+    are version 2's payload and version 3's codec 0, the semantic
+    preconditioner below is version 3's codec 1, and the CRC guards the
+    version-3 index (paper §3.5: "the trace takes less space and less
+    time to write"). *)
 
 exception Corrupt of string
 (** Raised by {!decode} on malformed input (truncated or oversized
     varints, word-count mismatch). *)
 
-val encode : int array -> string
-(** Delta/varint stage alone. Total; never raises. *)
-
 val decode : ?expect:int -> string -> int array
-(** Inverse of {!encode}: [decode (encode w) = w] for all [w].
-    [?expect] both checks the decoded word count and bounds the decode
-    exactly; without it, hostile run-length tokens are cut off at 2^26
-    words so corrupt input cannot exhaust memory (fuzzed in the test
-    suite).
+(** Inverse of the {!encoder}'s token stream.  [?expect] both checks the
+    decoded word count and bounds the decode exactly; without it,
+    hostile run-length tokens are cut off at 2^26 words so corrupt input
+    cannot exhaust memory (fuzzed in the test suite).
     @raise Corrupt on malformed input. *)
 
 val lzss_pack : string -> string
@@ -37,21 +34,6 @@ val lzss_unpack : ?limit:int -> string -> string
     {!decode} would accept anyway.
     @raise Corrupt on malformed input or when the output exceeds
     [limit]. *)
-
-val pack : int array -> string
-(** Both stages: [lzss_pack (encode words)] — the {!Tracefile} v2
-    payload. *)
-
-val unpack : ?expect:int -> string -> int array
-(** Inverse of {!pack}.  With [?expect], both stages are bounded by the
-    expected word count (the LZSS stage by the largest delta stream that
-    many words can occupy), so a lying header cannot force an oversized
-    allocation.
-    @raise Corrupt on malformed input. *)
-
-val ratio : int array -> float
-(** {!pack}ed bytes over raw bytes ([4 * length]); 1.0 for the empty
-    stream. *)
 
 (** {1 Semantic preconditioning (v3 codec)}
 
@@ -97,12 +79,12 @@ val crc32_update : int -> string -> pos:int -> len:int -> int
 
 (** {1 Incremental interfaces}
 
-    The streaming trace pipeline ({!Tracefile.open_writer},
-    {!Tracefile.fold_words}, [Sink.to_file]) never holds a whole trace;
-    these carry the codec state across chunk boundaries.  The batch
-    entry points above are thin wrappers over them, so chunked and
-    whole-array use share one code path: feeding the same words in any
-    chunking produces byte-identical output (qcheck-enforced). *)
+    The streaming trace pipeline ({!Tracefile.fold_words},
+    [Sink.to_file]) never holds a whole trace; these carry the codec
+    state across chunk boundaries.  {!decode} and {!lzss_unpack} are
+    whole-string wrappers over the decoders, so chunked and whole-string
+    use share one code path, and feeding the encoder the same words in
+    any chunking produces byte-identical output (qcheck-enforced). *)
 
 type encoder
 (** Delta/varint encoder state: the previous raw word plus the pending
@@ -118,7 +100,7 @@ val encode_chunk : encoder -> Buffer.t -> int array -> len:int -> unit
 
 val encode_finish : encoder -> Buffer.t -> unit
 (** Flush the pending run.  The concatenation of every chunk's bytes
-    plus this tail equals [encode] of the concatenated words. *)
+    plus this tail is the token stream of the concatenated words. *)
 
 type decoder
 (** Delta/varint decoder state: partial varint, pending run token,
@@ -147,11 +129,9 @@ val lz_decoder : ?limit:int -> emit:(char -> unit) -> unit -> lz_decoder
 (** Decompressed bytes are pushed to [emit] as they are recovered.
     [limit] bounds the total output as in {!lzss_unpack}. *)
 
-val lz_decode_byte : lz_decoder -> char -> unit
+val lz_decode_bytes : lz_decoder -> string -> pos:int -> len:int -> unit
 (** @raise Corrupt as {!lzss_unpack} would (bad distance, output
     limit). *)
-
-val lz_decode_bytes : lz_decoder -> string -> pos:int -> len:int -> unit
 
 val lz_decode_finish : lz_decoder -> unit
 (** @raise Corrupt when end-of-input splits a match token ("truncated

@@ -80,4 +80,3 @@ let marker_kind w = (w lsr 12) land 0xF
 let marker_arg w = w land 0xFFF
 
 let is_user_addr w = w < 0x80000000
-let is_kernel_addr w = w >= 0x80000000 && not (is_marker w)

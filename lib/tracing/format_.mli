@@ -20,12 +20,8 @@ type marker =
   | Thread_switch of int
   | End
 
-val marker_base : int
-val marker_limit : int
-
 val is_marker : int -> bool
 val is_user_addr : int -> bool
-val is_kernel_addr : int -> bool
 
 val marker_word : marker -> int
 (** Encode a marker as a trace word. *)

@@ -63,8 +63,6 @@ type handlers = {
       (** [on_data addr pid kernel is_load bytes]. *)
 }
 
-val null_handlers : handlers
-
 type stats = {
   mutable words : int;
   mutable bb_records : int;

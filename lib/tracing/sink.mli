@@ -68,5 +68,5 @@ val to_file : ?compress:bool -> string -> t
 (** Streams chunks to a trace file through {!Tracefile.open_writer},
     coalescing small chunks with {!batching}; [finish] flushes and
     closes it (patching the header word count).  Memory stays bounded
-    by the batch either way; [~compress:true] writes the version-2
-    format block by block. *)
+    by the batch either way; [~compress:true] writes the indexed
+    version-3 format block by block. *)

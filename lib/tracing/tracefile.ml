@@ -18,8 +18,10 @@
                 packed length, codec byte, CRC-32 of the packed bytes)
                 followed by a 12-byte footer (block count, CRC-32 of the
                 index bytes, "SIDX").
-   [load] dispatches on the version, so consumers never care which way a
-   trace was dumped; v1/v2 files keep loading byte-identically forever.
+   One streaming writer writes versions 1 and 3; version 2 is read-only.
+   One reader, [fold_words], dispatches on the version, and [load] is a
+   whole-file fold, so consumers never care which way a trace was dumped
+   and v1/v2 files keep loading byte-identically forever.
 
    Version 3 exists because v2 is decode-forward-only: one sequential
    decoder, no seeking, and a single shared predictor chain from the
@@ -27,8 +29,8 @@
    chooses its own codec (semantic preconditioning, plain delta/varint,
    or raw words, whichever packed smallest; see {!Compress}) and resets
    every predictor — so the index lets [fold_words ?from ?until] seek to
-   the covering block, [fold_blocks_parallel] decode blocks concurrently
-   on the domain pool, and `systrace slice` cut a window without a full
+   the covering block, [fold_words ?jobs] decode blocks concurrently on
+   the domain pool, and `systrace slice` cut a window without a full
    decode.
 
    Robustness contract (defensive tracing, §4.3, extended to the stored
@@ -49,6 +51,9 @@ let magic = "STRC"
 let index_magic = "SIDX"
 
 exception Bad_file of string
+
+let bad path fmt =
+  Printf.ksprintf (fun m -> raise (Bad_file (path ^ ": " ^ m))) fmt
 
 (* Same bound as [Compress.max_decoded_words]: far beyond any real
    capture (the paper's largest kernel buffer is 64 MB = 2^24 words). *)
@@ -139,9 +144,7 @@ let v3_entry_write buf e =
    proportional to any header field before that field has been proven
    consistent with the actual file length. *)
 let v3_read_index ic ~file_len ~path ~n =
-  let bad fmt =
-    Printf.ksprintf (fun m -> raise (Bad_file (path ^ ": " ^ m))) fmt
-  in
+  let bad fmt = bad path fmt in
   let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF in
   let lenb = Bytes.create 4 in
   really_input ic lenb 0 4;
@@ -215,141 +218,65 @@ let v3_entry_words entries ~n k =
   in
   next - e.e_word_off
 
-(* Read and decode block [k], checking its CRC first. *)
-let v3_read_block ic entries ~n ~path k =
-  let bad fmt =
-    Printf.ksprintf (fun m -> raise (Bad_file (path ^ ": " ^ m))) fmt
-  in
+(* Block [k]'s packed bytes, CRC-checked.  Reads share the one channel,
+   so they are sequential; [v3_decode] may then run on any domain. *)
+let v3_read_packed ic entries ~path k =
   let e = entries.(k) in
   seek_in ic e.e_file_off;
   let z = really_input_string ic e.e_len in
-  if Compress.crc32 z <> e.e_crc then bad "block %d CRC mismatch" k;
+  if Compress.crc32 z <> e.e_crc then bad path "block %d CRC mismatch" k;
+  z
+
+let v3_decode entries ~n ~path k z =
   let expect = v3_entry_words entries ~n k in
-  try v3_decode_block ~codec:e.e_codec ~expect z
-  with Compress.Corrupt msg -> bad "block %d: %s" k msg
-
-(* ------------------------------------------------------------------ *)
-(* Whole-array interfaces                                              *)
-
-let check_save_words (words : int array) =
-  Array.iteri
-    (fun i w ->
-      if w < 0 || w > 0xFFFFFFFF then
-        invalid_arg
-          (Printf.sprintf
-             "Tracefile.save: word %d (0x%x) outside the 32-bit trace-word \
-              range"
-             i w))
-    words
-
-let save_v1 path (words : int array) =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      let hdr = Bytes.create 8 in
-      Bytes.set_int32_le hdr 0 1l;
-      Bytes.set_int32_le hdr 4 (Int32.of_int (Array.length words));
-      output_bytes oc hdr;
-      let buf = Bytes.create (Array.length words * 4) in
-      Array.iteri
-        (fun i w -> Bytes.set_int32_le buf (i * 4) (Int32.of_int w))
-        words;
-      output_bytes oc buf)
-
-let save_v2 path (words : int array) =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      let payload = Compress.pack words in
-      let hdr = Bytes.create 12 in
-      Bytes.set_int32_le hdr 0 2l;
-      Bytes.set_int32_le hdr 4 (Int32.of_int (Array.length words));
-      Bytes.set_int32_le hdr 8 (Int32.of_int (String.length payload));
-      output_bytes oc hdr;
-      output_string oc payload)
+  try v3_decode_block ~codec:entries.(k).e_codec ~expect z
+  with Compress.Corrupt msg -> bad path "block %d: %s" k msg
 
 (* ------------------------------------------------------------------ *)
 (* Streaming writer.
 
-   [save]/[load] materialize the whole word array; the streaming
-   pipeline must not.  The writer accepts ANALYZE-phase chunks as they
-   arrive and patches the header counts on close; peak memory is
-   O(block), not O(trace).
-
-   The version-2 writer cannot hold the whole delta stream either, so it
-   LZSS-packs it in ~1 MB blocks.  The concatenation of complete LZSS
-   streams is itself a valid LZSS stream: the packer pads each stream's
-   final control-byte group to a full 8 items (so the next block's first
-   byte is read as a fresh control byte, never as a leftover item), and
-   match distances are relative — each block's matches only reach into
-   that block's own plaintext, which sits at the same relative offset in
-   the concatenation.  So [load] and [fold_words] read block-flushed
-   files with the same decoder, and files whose delta stream fits one
-   block are byte-for-byte what [save ~compress:true ~version:2] writes.
-
-   The version-3 writer buffers words (not bytes): every
+   The writer accepts ANALYZE-phase chunks as they arrive and patches
+   the header counts on close, so peak memory is O(block), not
+   O(trace); [save] is the same writer fed one chunk.  Version 1
+   appends the raw words.  Version 3 buffers words (not bytes): every
    [v3_block_words] it packs a self-contained block, appends it to the
    file and its entry to the in-memory index, which [close_writer]
    writes as the trailer.  Block boundaries depend only on the word
    stream, never on how calls chunked it, so the streamed file is
-   byte-identical to [save] of the concatenation — for any chunking,
-   not just single-block files. *)
+   byte-identical to [save] of the concatenation. *)
 
 type writer = {
   w_oc : out_channel;
-  w_version : int;  (* 1, 2 or 3 *)
-  (* v2 state *)
-  w_enc : Compress.encoder;
-  w_pend : Buffer.t;  (* delta bytes awaiting an LZSS block flush *)
+  w_compress : bool;  (* version 3 if set, else version 1 *)
   (* v3 state *)
   w_block : int array;  (* words awaiting a block flush *)
   mutable w_fill : int;
   w_index : Buffer.t;  (* index entries of the flushed blocks *)
   mutable w_nblocks : int;
-  (* common *)
   mutable w_payload : int;  (* payload bytes written so far *)
+  (* common *)
   mutable w_words : int;
   mutable w_closed : bool;
 }
 
-let writer_block_bytes = 1 lsl 20
-
-let open_writer ?(compress = false) ?(version = 3) path =
-  if compress && version <> 2 && version <> 3 then
-    invalid_arg
-      (Printf.sprintf "Tracefile.open_writer: unsupported version %d" version);
-  let version = if compress then version else 1 in
+let open_writer ?(compress = false) path =
   let oc = open_out_bin path in
   output_string oc magic;
-  (* word count (and v2/v3 payload size) are patched by [close_writer] *)
+  (* word count (and v3 payload size) are patched by [close_writer] *)
   let hdr = Bytes.make (if compress then 12 else 8) '\000' in
-  Bytes.set_int32_le hdr 0 (Int32.of_int version);
+  Bytes.set_int32_le hdr 0 (if compress then 3l else 1l);
   output_bytes oc hdr;
   {
     w_oc = oc;
-    w_version = version;
-    w_enc = Compress.encoder ();
-    w_pend = Buffer.create (if version = 2 then 65536 else 16);
-    w_block = (if version = 3 then Array.make v3_block_words 0 else [||]);
+    w_compress = compress;
+    w_block = (if compress then Array.make v3_block_words 0 else [||]);
     w_fill = 0;
-    w_index = Buffer.create (if version = 3 then 1024 else 16);
+    w_index = Buffer.create (if compress then 1024 else 16);
     w_nblocks = 0;
     w_payload = 0;
     w_words = 0;
     w_closed = false;
   }
-
-let writer_flush_v2 w =
-  if Buffer.length w.w_pend > 0 then begin
-    let z = Compress.lzss_pack (Buffer.contents w.w_pend) in
-    Buffer.clear w.w_pend;
-    output_string w.w_oc z;
-    w.w_payload <- w.w_payload + String.length z
-  end
 
 let writer_flush_v3 w =
   if w.w_fill > 0 then begin
@@ -369,26 +296,24 @@ let writer_flush_v3 w =
     w.w_payload <- w.w_payload + String.length z
   end
 
+(* A word the 32-bit trace format cannot hold, named by its index. *)
+let out_of_range ~what i w =
+  invalid_arg
+    (Printf.sprintf
+       "Tracefile.%s: word %d (0x%x) outside the 32-bit trace-word range" what
+       i w)
+
 let write w (words : int array) ~len =
   if w.w_closed then invalid_arg "Tracefile.write: writer is closed";
   for i = 0 to len - 1 do
     let v = words.(i) in
-    if v < 0 || v > 0xFFFFFFFF then
-      invalid_arg
-        (Printf.sprintf
-           "Tracefile.write: word %d (0x%x) outside the 32-bit trace-word \
-            range"
-           (w.w_words + i) v)
+    if v < 0 || v > 0xFFFFFFFF then out_of_range ~what:"write" (w.w_words + i) v
   done;
   if w.w_words + len > max_words then
     invalid_arg
       (Printf.sprintf "Tracefile.write: trace exceeds the %d-word cap"
          max_words);
-  (match w.w_version with
-  | 2 ->
-    Compress.encode_chunk w.w_enc w.w_pend words ~len;
-    if Buffer.length w.w_pend >= writer_block_bytes then writer_flush_v2 w
-  | 3 ->
+  if w.w_compress then begin
     (* fill the pending block; flush whenever it reaches the block size,
        so boundaries depend only on the word stream *)
     let pos = ref 0 in
@@ -400,13 +325,15 @@ let write w (words : int array) ~len =
       pos := !pos + k;
       if w.w_fill = v3_block_words then writer_flush_v3 w
     done
-  | _ ->
+  end
+  else begin
     let buf = Bytes.create (len * 4) in
     for i = 0 to len - 1 do
       Bytes.set_int32_le buf (i * 4) (Int32.of_int words.(i))
     done;
-    output_bytes w.w_oc buf);
-  if w.w_version <> 3 then w.w_words <- w.w_words + len
+    output_bytes w.w_oc buf;
+    w.w_words <- w.w_words + len
+  end
 
 let close_writer w =
   if not w.w_closed then begin
@@ -414,11 +341,7 @@ let close_writer w =
     Fun.protect
       ~finally:(fun () -> close_out w.w_oc)
       (fun () ->
-        (match w.w_version with
-        | 2 ->
-          Compress.encode_finish w.w_enc w.w_pend;
-          writer_flush_v2 w
-        | 3 ->
+        if w.w_compress then begin
           writer_flush_v3 w;
           (* trailer: index entries, then block count + index CRC + magic
              — so an empty trace is a header plus an empty trailer, and
@@ -430,52 +353,42 @@ let close_writer w =
           Bytes.set_int32_le fb 4 (Int32.of_int (Compress.crc32 ib));
           Bytes.blit_string index_magic 0 fb 8 4;
           output_bytes w.w_oc fb
-        | _ -> ());
+        end;
         seek_out w.w_oc 8;
-        let tl = Bytes.create (if w.w_version = 1 then 4 else 8) in
+        let tl = Bytes.create (if w.w_compress then 8 else 4) in
         Bytes.set_int32_le tl 0 (Int32.of_int w.w_words);
-        if w.w_version <> 1 then
+        if w.w_compress then
           Bytes.set_int32_le tl 4 (Int32.of_int w.w_payload);
         output_bytes w.w_oc tl)
   end;
   w.w_words
 
-let save ?(compress = false) ?(version = 3) path (words : int array) =
-  check_save_words words;
-  if not compress then save_v1 path words
-  else
-    match version with
-    | 2 -> save_v2 path words
-    | 3 ->
-      (* route through the streaming writer: one code path, and the
-         byte-identity of save and chunked writes is true by
-         construction *)
-      let w = open_writer ~compress:true ~version:3 path in
-      Fun.protect
-        ~finally:(fun () -> ignore (close_writer w : int))
-        (fun () -> write w words ~len:(Array.length words))
-    | v ->
-      invalid_arg
-        (Printf.sprintf "Tracefile.save: unsupported version %d" v)
+let save ?compress path (words : int array) =
+  (* checked before the file is created, so a bad word leaves no file *)
+  Array.iteri
+    (fun i w -> if w < 0 || w > 0xFFFFFFFF then out_of_range ~what:"save" i w)
+    words;
+  let w = open_writer ?compress path in
+  Fun.protect
+    ~finally:(fun () -> ignore (close_writer w : int))
+    (fun () -> write w words ~len:(Array.length words))
 
 (* ------------------------------------------------------------------ *)
-(* Readers                                                             *)
+(* Reader                                                              *)
 
 (* Shared header parse: returns (version, word count, file length).
    Raises [Bad_file] on anything structurally wrong. *)
 let read_header ic ~path =
-  let bad fmt =
-    Printf.ksprintf (fun m -> raise (Bad_file (path ^ ": " ^ m))) fmt
-  in
   let file_len = in_channel_length ic in
   let m = really_input_string ic 4 in
-  if m <> magic then bad "not a trace file";
+  if m <> magic then bad path "not a trace file";
   let hdr = Bytes.create 8 in
   really_input ic hdr 0 8;
   let v = Int32.to_int (Bytes.get_int32_le hdr 0) in
   let n = Int32.to_int (Bytes.get_int32_le hdr 4) in
-  if n < 0 then bad "negative length";
-  if n > max_words then bad "word count %d exceeds the %d-word cap" n max_words;
+  if n < 0 then bad path "negative length";
+  if n > max_words then
+    bad path "word count %d exceeds the %d-word cap" n max_words;
   (v, n, file_len)
 
 (* [open_in_bin] opens a directory too, and the first length query on it
@@ -486,54 +399,7 @@ let open_trace path =
     raise (Sys_error (path ^ ": Is a directory"));
   open_in_bin path
 
-let load path : int array =
-  let ic = open_trace path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let bad fmt =
-        Printf.ksprintf (fun m -> raise (Bad_file (path ^ ": " ^ m))) fmt
-      in
-      try
-        let v, n, file_len = read_header ic ~path in
-        match v with
-        | 1 ->
-          (* Validate the count against the bytes actually present before
-             allocating [n * 4]: a corrupt count must not cost memory. *)
-          if file_len - 12 < n * 4 then
-            bad "truncated: header claims %d words, file holds %d bytes of \
-                 payload"
-              n (file_len - 12);
-          let buf = Bytes.create (n * 4) in
-          really_input ic buf 0 (n * 4);
-          Array.init n (fun i ->
-              Int32.to_int (Bytes.get_int32_le buf (i * 4)) land 0xFFFFFFFF)
-        | 2 ->
-          let lenb = Bytes.create 4 in
-          really_input ic lenb 0 4;
-          let len = Int32.to_int (Bytes.get_int32_le lenb 0) in
-          if len < 0 then bad "negative payload";
-          if file_len - 16 < len then
-            bad "truncated: header claims %d payload bytes, file holds %d" len
-              (file_len - 16);
-          let payload = really_input_string ic len in
-          (try Compress.unpack ~expect:n payload
-           with Compress.Corrupt msg -> bad "%s" msg)
-        | 3 ->
-          let _payload, entries = v3_read_index ic ~file_len ~path ~n in
-          let out = Array.make n 0 in
-          Array.iteri
-            (fun k e ->
-              let words = v3_read_block ic entries ~n ~path k in
-              Array.blit words 0 out e.e_word_off (Array.length words))
-            entries;
-          out
-        | v -> bad "version %d unsupported" v
-      with
-      | End_of_file -> bad "truncated file"
-      | Invalid_argument _ -> bad "malformed header")
-
-(* Exceptions raised by the caller's [f] must escape the folds as
+(* Exceptions raised by the caller's [f] must escape the fold as
    themselves, not be swallowed into [Bad_file] by the totality net
    below. *)
 exception Escape of exn
@@ -549,17 +415,16 @@ let check_window ~from ~until =
   | Some u when u < from -> invalid_arg "Tracefile: ?until before ?from"
   | _ -> ()
 
-let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
+let fold_words ?(chunk_words = 65536) ?(from = 0) ?until ?(jobs = 1) path
+    ~init ~f =
   if chunk_words <= 0 then
     invalid_arg "Tracefile.fold_words: chunk_words must be positive";
+  if jobs <= 0 then invalid_arg "Tracefile.fold_words: jobs must be positive";
   check_window ~from ~until;
   let ic = open_trace path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let bad fmt =
-        Printf.ksprintf (fun m -> raise (Bad_file (path ^ ": " ^ m))) fmt
-      in
       let acc = ref init in
       let apply chunk len =
         match f !acc chunk ~len with
@@ -573,7 +438,7 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
         (match v with
         | 1 ->
           if file_len - 12 < n * 4 then
-            bad
+            bad path
               "truncated: header claims %d words, file holds %d bytes of \
                payload"
               n (file_len - 12);
@@ -597,12 +462,16 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
           let lenb = Bytes.create 4 in
           really_input ic lenb 0 4;
           let len = Int32.to_int (Bytes.get_int32_le lenb 0) in
-          if len < 0 then bad "negative payload";
+          if len < 0 then bad path "negative payload";
           if file_len - 16 < len then
-            bad "truncated: header claims %d payload bytes, file holds %d" len
-              (file_len - 16);
-          (* forward-only stream: decode from the start, emit only the
-             window, stop once [until] words have been seen *)
+            bad path "truncated: header claims %d payload bytes, file holds %d"
+              len (file_len - 16);
+          (* forward-only stream: decode from the start and emit only the
+             window.  A window ending before the last word stops there; a
+             fold to the end decodes every byte, so trailing garbage or a
+             count mismatch is reported.  A file flushed in ~1 MB blocks
+             is a concatenation of complete LZSS streams, which the LZSS
+             decoder reads as one stream (see {!Compress}). *)
           let chunk = Array.make chunk_words 0 in
           let fill = ref 0 in
           let seen = ref 0 in
@@ -620,7 +489,7 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
               if !fill = chunk_words then flush ()
             end;
             incr seen;
-            if !seen >= until then begin
+            if !seen >= until && until < n then begin
               flush ();
               raise Early_stop
             end
@@ -642,7 +511,7 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
              Compress.lz_decode_finish z;
              Compress.decode_finish d
            with
-          | Compress.Corrupt msg -> bad "%s" msg
+          | Compress.Corrupt msg -> bad path "%s" msg
           | Early_stop -> ());
           flush ()
         | 3 ->
@@ -660,16 +529,15 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
             done;
             !lo
           in
-          let k = ref first in
-          while
-            !k < nblocks && entries.(!k).e_word_off < until
-          do
-            let e = entries.(!k) in
-            let words = v3_read_block ic entries ~n ~path !k in
+          let last = ref first in
+          while !last < nblocks && entries.(!last).e_word_off < until do
+            incr last
+          done;
+          (* clip block [k] to the window, then re-chunk *)
+          let deliver k words =
             let nw = Array.length words in
-            (* clip the block to the window, then re-chunk *)
-            let lo = max 0 (from - e.e_word_off) in
-            let hi = min nw (until - e.e_word_off) in
+            let lo = max 0 (from - entries.(k).e_word_off) in
+            let hi = min nw (until - entries.(k).e_word_off) in
             let pos = ref lo in
             while !pos < hi do
               let c = min chunk_words (hi - !pos) in
@@ -678,93 +546,47 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
               in
               apply slice c;
               pos := !pos + c
-            done;
-            incr k
+            done
+          in
+          (* Batches of [2 * jobs] blocks are read on this channel,
+             decoded on the pool, then delivered in stream order, so the
+             chunks do not depend on [jobs] and peak memory is
+             O(jobs * block).  [jobs = 1] is the same loop one block at a
+             time, decoded on the calling domain. *)
+          let batch = if jobs = 1 then 1 else 2 * jobs in
+          let k = ref first in
+          while !k < !last do
+            let b = min batch (!last - !k) in
+            let packed =
+              List.init b (fun i ->
+                  (!k + i, v3_read_packed ic entries ~path (!k + i)))
+            in
+            let decoded =
+              Systrace_util.Pool.map ~jobs
+                (fun (i, z) -> v3_decode entries ~n ~path i z)
+                packed
+            in
+            List.iteri (fun i words -> deliver (!k + i) words) decoded;
+            k := !k + b
           done
-        | v -> bad "version %d unsupported" v);
+        | v -> bad path "version %d unsupported" v);
         !acc
       with
       | Escape e -> raise e
-      | End_of_file -> bad "truncated file"
-      | Invalid_argument _ -> bad "malformed header")
+      | End_of_file -> bad path "truncated file"
+      | Invalid_argument _ -> bad path "malformed header")
 
-(* Parallel block decode.  v3 blocks are self-contained, so they decode
-   concurrently on the domain pool; [f] still runs on the calling domain
-   in stream order, so the fold is observationally identical to
-   {!fold_words} — only the decode is parallel.  Blocks are read and
-   decoded in batches of a few per worker, so peak memory is
-   O(jobs * block), not O(trace).  v1/v2 files fall back to the
-   sequential reader unchanged. *)
-let fold_blocks_parallel ?jobs path ~init ~f =
-  let jobs =
-    match jobs with Some j -> j | None -> Systrace_util.Pool.default_jobs ()
-  in
-  if jobs <= 0 then
-    invalid_arg "Tracefile.fold_blocks_parallel: jobs must be positive";
-  let ic = open_trace path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let bad fmt =
-        Printf.ksprintf (fun m -> raise (Bad_file (path ^ ": " ^ m))) fmt
-      in
-      try
-        let v, n, file_len = read_header ic ~path in
-        if v <> 3 then begin
-          close_in ic;
-          fold_words path ~init ~f
-        end
-        else begin
-          let _payload, entries = v3_read_index ic ~file_len ~path ~n in
-          let nblocks = Array.length entries in
-          let acc = ref init in
-          let apply chunk len =
-            match f !acc chunk ~len with
-            | a -> acc := a
-            | exception e -> raise (Escape e)
-          in
-          let batch = max 1 (jobs * 2) in
-          let k = ref 0 in
-          while !k < nblocks do
-            let b = min batch (nblocks - !k) in
-            (* read the packed bytes sequentially (one channel), decode
-               on the pool, then fold in order *)
-            let packed =
-              List.init b (fun i ->
-                  let e = entries.(!k + i) in
-                  seek_in ic e.e_file_off;
-                  (!k + i, really_input_string ic e.e_len))
-            in
-            let decoded =
-              try
-                Systrace_util.Pool.map ~jobs
-                  (fun (idx, z) ->
-                    let e = entries.(idx) in
-                    if Compress.crc32 z <> e.e_crc then
-                      raise
-                        (Compress.Corrupt
-                           (Printf.sprintf "block %d CRC mismatch" idx));
-                    v3_decode_block ~codec:e.e_codec
-                      ~expect:(v3_entry_words entries ~n idx)
-                      z)
-                  packed
-              with Compress.Corrupt msg -> bad "%s" msg
-            in
-            List.iter (fun words -> apply words (Array.length words)) decoded;
-            k := !k + b
-          done;
-          !acc
-        end
-      with
-      | Escape e -> raise e
-      | End_of_file -> bad "truncated file"
-      | Invalid_argument _ -> bad "malformed header")
+let load path : int array =
+  Array.concat
+    (List.rev
+       (fold_words path ~init:[] ~f:(fun acc chunk ~len ->
+            Array.sub chunk 0 len :: acc)))
 
 (* Extract the window [from, until) of a stored trace into a fresh v3
    trace file, decoding only the covering blocks (the `systrace slice`
    back end).  Returns the number of words written. *)
 let slice ?from ?until src dst =
-  let w = open_writer ~compress:true ~version:3 dst in
+  let w = open_writer ~compress:true dst in
   Fun.protect
     ~finally:(fun () -> ignore (close_writer w : int))
     (fun () ->

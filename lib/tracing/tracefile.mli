@@ -1,9 +1,11 @@
 (** On-disk trace files — the "traces on tape" of the paper's §3.4, for
     sharing and offline replay studies.  Three wire formats: raw words
-    (version 1), {!Compress} delta/varint (version 2), and indexed
-    self-contained compressed blocks (version 3 — seekable, parallel
-    decodable, semantically preconditioned); {!load} dispatches on the
-    stored version, and v1/v2 files keep loading byte-identically. *)
+    (version 1), {!Compress} delta/varint (version 2, read-only), and
+    indexed self-contained compressed blocks (version 3 — seekable,
+    parallel decodable, semantically preconditioned).  One streaming
+    writer writes versions 1 and 3; {!fold_words} reads all three, and
+    {!load} is a whole-file fold, so v1/v2 files keep loading
+    byte-identically. *)
 
 exception Bad_file of string
 
@@ -17,20 +19,19 @@ val v3_block_words : int
     independently — own codec choice, fresh predictors, own CRC — so
     blocks seek and decode in isolation. *)
 
-val save : ?compress:bool -> ?version:int -> string -> int array -> unit
-(** Write a captured trace. [~compress:true] (default [false]) selects a
-    compressed format: version 3 by default (indexed blocks, typically
-    4-100x smaller on real system traces), or [~version:2] for the
-    legacy whole-stream delta/varint format.  [version] is ignored
-    without [~compress:true].
+val save : ?compress:bool -> string -> int array -> unit
+(** Write a captured trace through the streaming writer in one chunk:
+    raw words (version 1) by default, or with [~compress:true] indexed
+    blocks (version 3, typically 4-100x smaller on real system traces).
     @raise Invalid_argument naming the offending index if any word is
     outside the 32-bit trace-word range (a corrupted in-memory buffer
-    must not round-trip into a "valid" file), or on an unsupported
-    [version]. *)
+    must not round-trip into a "valid" file); the check runs before the
+    file is created. *)
 
 val load : string -> int array
-(** Read back any format.  On ANY byte sequence this either returns a
-    word array or raises {!Bad_file} — never [End_of_file],
+(** Read back any format: {!fold_words} over the whole file, collected
+    into one array.  On ANY byte sequence this either returns a word
+    array or raises {!Bad_file} — never [End_of_file],
     [Invalid_argument], or an attacker-sized allocation; header counts
     are checked against {!max_words} and the actual file size before any
     buffer is allocated, and a v3 file's index and per-block CRCs are
@@ -48,18 +49,15 @@ val load : string -> int array
 
 type writer
 
-val open_writer : ?compress:bool -> ?version:int -> string -> writer
-(** Start a trace file of the given format (the header's word count is
-    patched on close, so the destination must be seekable — a regular
-    file, not a pipe).  With [~compress:true] (version 3 by default,
-    [~version:2] for the legacy format) the stream is compressed
-    incrementally: v3 packs a self-contained block every
-    {!v3_block_words} words and appends the index as a trailer on close;
-    v2 LZSS-packs the delta stream in ~1 MB blocks.  Either way block
-    boundaries depend only on the word stream, never on call chunking,
-    so the streamed file is byte-identical to [save] of the
-    concatenation.
-    @raise Invalid_argument on an unsupported [version]. *)
+val open_writer : ?compress:bool -> string -> writer
+(** Start a trace file (the header's word count is patched on close, so
+    the destination must be seekable — a regular file, not a pipe):
+    version 1 by default, version 3 with [~compress:true].  Version 3 is
+    compressed incrementally: a self-contained block every
+    {!v3_block_words} words, and the index appended as a trailer on
+    close.  Block boundaries depend only on the word stream, never on
+    call chunking, so the streamed file is byte-identical to [save] of
+    the concatenation. *)
 
 val write : writer -> int array -> len:int -> unit
 (** Append [words.(0 .. len-1)].  The array is consumed before return
@@ -79,13 +77,14 @@ val fold_words :
   ?chunk_words:int ->
   ?from:int ->
   ?until:int ->
+  ?jobs:int ->
   string ->
   init:'a ->
   f:('a -> int array -> len:int -> 'a) ->
   'a
 (** Fold [f] over a stored trace's words in chunks of at most
-    [chunk_words] (default 65536) — the streaming counterpart of
-    {!load}, with the same totality contract: any malformed input
+    [chunk_words] (default 65536), for every format — the one reader
+    behind {!load}, with the same totality contract: any malformed input
     raises {!Bad_file} (possibly after some chunks were already
     delivered — a corrupt tail is only discovered when reached).  The
     chunk array is reused between calls; [f] must copy what it keeps.
@@ -98,26 +97,16 @@ val fold_words :
     the window and stop at [until].  With a window, bytes past what the
     fold needed are not read, so corruption beyond the window goes
     undetected — use {!load} or a full fold to audit a file.
+
+    [?jobs] (default 1) decodes a v3 file's blocks on that many domains:
+    the covering blocks are read and CRC-checked in batches of
+    [2 * jobs], decoded on the pool, and [f] runs on the calling domain
+    in stream order, so on a file that reads cleanly the chunks are
+    identical to [jobs = 1]'s.  Peak memory is O(jobs * block).  v1 and
+    v2 files are read sequentially whatever [jobs] is.
     @raise Bad_file as {!load}.
     @raise Invalid_argument on a negative [from], [until < from], or
-    non-positive [chunk_words]. *)
-
-val fold_blocks_parallel :
-  ?jobs:int ->
-  string ->
-  init:'a ->
-  f:('a -> int array -> len:int -> 'a) ->
-  'a
-(** Like {!fold_words} over the whole trace, but v3 blocks are decoded
-    concurrently on the domain pool ([jobs] defaults to the hardware
-    core count, as [Pool.default_jobs]): blocks are read and CRC-checked
-    in batches, decoded in parallel, and [f] runs on the calling domain
-    in stream order — observationally identical to {!fold_words}, only
-    the decode is parallel.  Chunks are whole blocks (at most
-    {!v3_block_words} words).  Peak memory is O(jobs * block).  v1/v2
-    files fall back to the sequential reader.
-    @raise Bad_file as {!load}.
-    @raise Invalid_argument on non-positive [jobs]. *)
+    non-positive [chunk_words] or [jobs]. *)
 
 val slice : ?from:int -> ?until:int -> string -> string -> int
 (** [slice ?from ?until src dst] extracts the window [from, until) of a

@@ -33,11 +33,3 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 (* 32-bit word of random bits, as a non-negative int. *)
 let bits32 t = Int64.to_int (Int64.logand (next_int64 t) 0xFFFFFFFFL)
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

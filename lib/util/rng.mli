@@ -25,6 +25,3 @@ val bool : t -> bool
 
 val bits32 : t -> int
 (** A 32-bit word of random bits, in [\[0, 2^32)]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

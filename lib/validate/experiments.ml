@@ -57,74 +57,6 @@ let run_matrix ?(seed = 1) ?(progress = fun _ -> ()) ?(jobs = 1)
   merge rows entries
 
 (* ------------------------------------------------------------------ *)
-(* Geometry-sweep matrix: like [run_matrix], but each (workload, OS)
-   cell predicts a whole family of machine geometries from ONE traced
-   pass (Validate.run_workload_sweep / Memsim.sweep) instead of
-   re-collecting and re-parsing the trace per geometry. *)
-
-let run_geometry_matrix ?(seed = 1) ?(progress = fun _ -> ()) ?(jobs = 1)
-    ?(entries = Suite.all) ~geometries () :
-    (string * Validate.os * (string * Validate.row) list) list =
-  let pm = Mutex.create () in
-  let progress s =
-    Mutex.lock pm;
-    Fun.protect ~finally:(fun () -> Mutex.unlock pm) (fun () -> progress s)
-  in
-  let cells =
-    List.concat_map
-      (fun (e : Suite.entry) ->
-        let spec = spec_of e in
-        [ (e, spec, Validate.Ultrix); (e, spec, Validate.Mach) ])
-      entries
-  in
-  let results =
-    Pool.map ~jobs
-      (fun ((e : Suite.entry), spec, os) ->
-        progress (Printf.sprintf "%s (%s)" e.Suite.name (Validate.os_name os));
-        Validate.run_workload_sweep ~seed
-          ~geometries:(List.map snd geometries) os spec)
-      cells
-  in
-  List.map2
-    (fun ((e : Suite.entry), _, os) rows ->
-      (e.Suite.name, os, List.combine (List.map fst geometries) rows))
-    cells results
-
-let geometry_table
-    (matrix : (string * Validate.os * (string * Validate.row) list) list) =
-  let t =
-    Table.create
-      ~title:
-        "Geometry sweep: measured vs predicted run time per machine \
-         geometry (one traced pass per workload/OS cell predicts every \
-         geometry)"
-      ~headers:
-        [ "workload"; "OS"; "geometry"; "measured s"; "predicted s";
-          "error %" ]
-      ~aligns:
-        [ Table.Left; Table.Left; Table.Left; Table.Right; Table.Right;
-          Table.Right ]
-  in
-  List.iter
-    (fun (wname, os, rows) ->
-      List.iter
-        (fun (label, (r : Validate.row)) ->
-          Table.add_row t
-            [
-              wname;
-              Validate.os_name os;
-              label;
-              Printf.sprintf "%.4f" r.Validate.r_measured.Validate.m_seconds;
-              Printf.sprintf "%.4f"
-                r.Validate.r_predicted.Validate.p_breakdown
-                  .Systrace_tracesim.Predict.seconds;
-              Printf.sprintf "%.1f" (Validate.percent_error r);
-            ])
-        rows)
-    matrix;
-  t
-
-(* ------------------------------------------------------------------ *)
 (* Table 1: the workloads                                              *)
 
 let table1 () =
@@ -420,7 +352,7 @@ let pagemap_table ?(wname = "tomcatv") ?(nseeds = 4) ?(jobs = 1) () =
   let times =
     Pool.map ~jobs
       (fun (policy, seed) ->
-        (Validate.measure_with ~machine_cfg:mcfg ~pagemap:policy ~seed
+        (Validate.measure ~machine_cfg:mcfg ~pagemap:policy ~seed
            Validate.Ultrix spec)
           .Validate.m_seconds)
       cells

@@ -28,25 +28,6 @@ val run_matrix :
     serialized by a mutex and may be called from worker domains.
     [entries] restricts the matrix (tests use a subset). *)
 
-val run_geometry_matrix :
-  ?seed:int ->
-  ?progress:(string -> unit) ->
-  ?jobs:int ->
-  ?entries:Suite.entry list ->
-  geometries:(string * Systrace_machine.Machine.config) list ->
-  unit ->
-  (string * Validate.os * (string * Validate.row) list) list
-(** [run_matrix] across a labelled machine-geometry family: each
-    (workload, OS) cell runs one measured pass per geometry but only ONE
-    traced pass, predicting every geometry from the shared trace via
-    {!Validate.run_workload_sweep}.  Cells run on a pool of [jobs]
-    domains; results merge deterministically in suite order. *)
-
-val geometry_table :
-  (string * Validate.os * (string * Validate.row) list) list -> Table.t
-(** Measured vs predicted run time and error per geometry, from
-    {!run_geometry_matrix}. *)
-
 val table1 : unit -> Table.t
 val table2 : full_row list -> Table.t
 val figure3 : full_row list -> Table.t

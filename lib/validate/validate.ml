@@ -143,9 +143,8 @@ let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
 
 (* ------------------------------------------------------------------ *)
 
-(* The memory-simulator configuration a machine geometry implies, with
-   the page map shared by reference so [Memsim.sweep] can translate once
-   per trace word for every geometry at once. *)
+(* The memory-simulator configuration a machine geometry implies, over
+   the given page map. *)
 let memsim_cfg ~pagemap (mcfg : Systrace_machine.Machine.config) =
   {
     Memsim.icache_bytes = mcfg.Systrace_machine.Machine.icache_bytes;
@@ -165,80 +164,51 @@ let memsim_cfg ~pagemap (mcfg : Systrace_machine.Machine.config) =
     tlb_entries = 64;
   }
 
-let predict_sweep ?pagemap ?(seed = 1) ?(arith_stalls = -1) ?geometries os
-    spec : prediction array =
+let predict ?pagemap ?(seed = 1) ?(arith_stalls = -1) os spec : prediction =
   let t = system ?pagemap ~seed ~traced:true os spec in
-  let geometries =
-    match geometries with
-    | Some [] -> invalid_arg "predict_sweep: no geometries"
-    | Some gs -> gs
-    | None -> [ t.Builder.cfg.Builder.machine_cfg ]
-  in
+  let mcfg = t.Builder.cfg.Builder.machine_cfg in
   let parser = Builder.trace_parser t in
-  (* one extracted page map, shared (by reference) across every geometry:
-     the sweep translates each trace word once *)
-  let shared_pagemap = Builder.extract_pagemap t in
   let sw =
-    Memsim.sweep (List.map (memsim_cfg ~pagemap:shared_pagemap) geometries)
+    Memsim.sweep [ memsim_cfg ~pagemap:(Builder.extract_pagemap t) mcfg ]
   in
   (* The prediction is fully online (paper §4.3): each ANALYZE phase's
-     chunk drives the parser and memory simulation — all geometries at
-     once — as it is drained, so peak resident trace words is the largest
-     chunk — O(in-kernel buffer) — not the trace length.  The peak branch
-     of the tee is the witness the stream bench checks against the buffer
-     size. *)
-  let live =
-    List.filter_map
-      (fun (pi : Builder.proc_info) ->
-        if pi.prog.Builder.is_server then Some pi.pid else None)
-      t.Builder.procs
-  in
+     chunk drives the parser and memory simulation as it is drained, so
+     peak resident trace words is the largest chunk — O(in-kernel
+     buffer) — not the trace length.  The peak branch of the tee is the
+     witness the stream bench checks against the buffer size. *)
   let peak_sink, peak_words = Sink.peak () in
-  let sink = Sink.tee [ peak_sink; Memsim.sweep_sink ~live sw parser ] in
+  let sink =
+    Sink.tee
+      [ peak_sink; Memsim.sweep_sink ~live:(Builder.live_pids t) sw parser ]
+  in
   t.Builder.trace_sink <- Some (fun words len -> sink.Sink.on_words words ~len);
   run_to_halt t;
   Builder.drain_final t;
   sink.Sink.finish ();
   (* The arithmetic-stall estimate comes from the caller (usually the
-     measured pass's ideal-memory run) or is recomputed here; the ideal
-     run zeroes every memory penalty, so it is geometry-invariant and
-     shared by all predictions. *)
+     measured pass's ideal-memory run) or is recomputed here. *)
   let arith =
     if arith_stalls >= 0 then arith_stalls
     else (measure ?pagemap ~seed os spec).m_arith_ideal
   in
-  let stats = Memsim.sweep_stats sw in
+  let mem = (Memsim.sweep_stats sw).(0) in
   let parse = Parser.stats parser in
-  let console = Builder.console t in
-  let traced_insts =
-    t.Builder.machine.Systrace_machine.Machine.c.Systrace_machine.Machine.instructions
-  in
-  let tlbdropins = Builder.tlbdropins t in
-  let peak = peak_words () in
-  Array.of_list
-    (List.mapi
-       (fun i (mcfg : Systrace_machine.Machine.config) ->
-         let mem = stats.(i) in
-         let breakdown =
-           Predict.make ~mem ~parse ~arith_stalls:arith
-             ~dilation:Kcfg.time_dilation
-             ~read_miss_penalty:mcfg.Systrace_machine.Machine.read_miss_penalty
-             ~uncached_penalty:mcfg.Systrace_machine.Machine.uncached_penalty
-         in
-         {
-           p_breakdown = breakdown;
-           p_utlb = mem.Memsim.utlb_misses;
-           p_console = console;
-           p_parse = parse;
-           p_mem = mem;
-           p_traced_insts = traced_insts;
-           p_tlbdropins = tlbdropins;
-           p_peak_words = peak;
-         })
-       geometries)
-
-let predict ?pagemap ?seed ?arith_stalls os spec : prediction =
-  (predict_sweep ?pagemap ?seed ?arith_stalls os spec).(0)
+  {
+    p_breakdown =
+      Predict.make ~mem ~parse ~arith_stalls:arith
+        ~dilation:Kcfg.time_dilation
+        ~read_miss_penalty:mcfg.Systrace_machine.Machine.read_miss_penalty
+        ~uncached_penalty:mcfg.Systrace_machine.Machine.uncached_penalty;
+    p_utlb = mem.Memsim.utlb_misses;
+    p_console = Builder.console t;
+    p_parse = parse;
+    p_mem = mem;
+    p_traced_insts =
+      t.Builder.machine.Systrace_machine.Machine.c
+        .Systrace_machine.Machine.instructions;
+    p_tlbdropins = Builder.tlbdropins t;
+    p_peak_words = peak_words ();
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -259,40 +229,9 @@ let run_workload ?machine_cfg ?pagemap ?(seed = 1) os spec : row =
          spec.wname (os_name os) m.m_console p.p_console);
   { r_name = spec.wname; r_os = os; r_measured = m; r_predicted = p }
 
-(* One measured pass per geometry (the "real machine" must actually be
-   built with each geometry), but a single traced pass predicting all of
-   them: the trace is collected and parsed once and [Memsim.sweep]
-   evaluates every geometry from the shared decode. *)
-let run_workload_sweep ?pagemap ?(seed = 1) ~geometries os spec : row list =
-  let ms =
-    List.map
-      (fun machine_cfg -> measure ~machine_cfg ?pagemap ~seed os spec)
-      geometries
-  in
-  let arith =
-    match ms with m :: _ -> m.m_arith_ideal | [] -> invalid_arg
-      "run_workload_sweep: no geometries"
-  in
-  let ps = predict_sweep ?pagemap ~seed ~arith_stalls:arith ~geometries os spec in
-  List.mapi
-    (fun i m ->
-      let p = ps.(i) in
-      if m.m_console <> p.p_console then
-        failwith
-          (Printf.sprintf
-             "%s/%s: traced and untraced runs disagree on output:\n%S\nvs\n%S"
-             spec.wname (os_name os) m.m_console p.p_console);
-      { r_name = spec.wname; r_os = os; r_measured = m; r_predicted = p })
-    ms
-
 let percent_error row =
   Systrace_util.Stats.percent_error ~measured:row.r_measured.m_seconds
     ~predicted:row.r_predicted.p_breakdown.Predict.seconds
-
-(* [measure] with a non-default machine configuration (cache-geometry
-   studies). *)
-let measure_with ~machine_cfg ?pagemap ?(seed = 1) os spec =
-  measure ~machine_cfg ?pagemap ~seed os spec
 
 (* Time-dilation factor actually achieved by instrumentation (§4.1). *)
 let dilation row =

@@ -50,12 +50,6 @@ type prediction = {
           in-kernel buffer size rather than the trace length *)
 }
 
-val all_programs :
-  os -> Builder.file_spec list -> Builder.program list -> Builder.program list
-(** [all_programs os files programs] is what a system running [programs]
-    over [files] boots: [programs], preceded under Mach by the UX server
-    with the file plan of [files]. *)
-
 val system :
   ?pagemap:Kcfg.pagemap ->
   ?machine_cfg:Systrace_machine.Machine.config ->
@@ -66,38 +60,26 @@ val system :
   Builder.t
 (** The system {!measure} ([traced:false]) or {!predict} ([traced:true])
     boots, built but not yet run: the workload's programs (plus the UX
-    server under Mach) on the OS's default page-mapping policy. *)
+    server under Mach) on the OS's default page-mapping policy.
+    [Systrace.run_traced] and [run_measured] boot it too. *)
 
 val measure : ?pagemap:Kcfg.pagemap -> ?machine_cfg:Systrace_machine.Machine.config -> ?seed:int -> os -> spec -> measurement
 
-val measure_with :
-  machine_cfg:Systrace_machine.Machine.config ->
-  ?pagemap:Kcfg.pagemap ->
-  ?seed:int ->
-  os ->
-  spec ->
-  measurement
+val memsim_cfg :
+  pagemap:(int -> int -> int) ->
+  Systrace_machine.Machine.config ->
+  Memsim.config
+(** The memory-system simulation of a machine configuration's caches,
+    write buffer and TLB, translating through [pagemap] (e.g.
+    {!Builder.extract_pagemap} of the traced system). *)
 
 val predict :
   ?pagemap:Kcfg.pagemap -> ?seed:int -> ?arith_stalls:int -> os -> spec ->
   prediction
-(** One traced pass, one prediction for the default machine geometry.
-    Implemented as a single-element {!predict_sweep}. *)
-
-val predict_sweep :
-  ?pagemap:Kcfg.pagemap ->
-  ?seed:int ->
-  ?arith_stalls:int ->
-  ?geometries:Systrace_machine.Machine.config list ->
-  os ->
-  spec ->
-  prediction array
-(** One traced pass predicting every geometry at once: the trace is
-    collected, parsed and translated once, and a {!Memsim.sweep} updates
-    per-geometry cache/TLB/write-buffer state from the shared decode.
-    Returns predictions in [geometries] order (default: the machine's
-    base configuration); each is byte-identical to what a dedicated
-    {!predict} pass with that geometry would produce. *)
+(** One traced pass, parsed and simulated online as each ANALYZE chunk
+    is drained, predicting the default machine geometry.  [arith_stalls]
+    is the measured pass's ideal-memory estimate; without it, that run
+    is made here. *)
 
 type row = {
   r_name : string;
@@ -117,17 +99,6 @@ val run_workload :
     disagree on program output.  [machine_cfg] overrides the measured
     pass's machine configuration (e.g. [tier = Uop.Tcache]); the
     predicted pass is a trace-driven model and takes no machine. *)
-
-val run_workload_sweep :
-  ?pagemap:Kcfg.pagemap ->
-  ?seed:int ->
-  geometries:Systrace_machine.Machine.config list ->
-  os ->
-  spec ->
-  row list
-(** {!run_workload} across a geometry family: one measured pass per
-    geometry (the machine must really be built with each), one traced
-    pass predicting all of them via {!predict_sweep}. *)
 
 val percent_error : row -> float
 (** The Figure 3 quantity. *)

@@ -1,11 +1,12 @@
-(* Reference models for the memory-system engine in lib/tracesim.
+(* Reference models for the memory-system engine in lib/tracesim, and
+   the writer of the read-only trace-file version 2.
 
-   Each module here is the plain version of something the library does
-   faster: a direct-mapped cache, a stamp-based LRU cache, an eagerly
-   ticked write buffer, the one-configuration memory simulator, and the
-   hash-table walk of the running system's page tables.  The library
-   keeps one engine per concept; these stay in the test suite as the
-   oracles its qcheck properties compare against. *)
+   Each memory-system module here is the plain version of something the
+   library does faster: a direct-mapped cache, a stamp-based LRU cache,
+   an eagerly ticked write buffer, the one-configuration memory
+   simulator, and the hash-table walk of the running system's page
+   tables.  The library keeps one engine per concept; these stay in the
+   test suite as the oracles its qcheck properties compare against. *)
 
 open Systrace_tracesim
 
@@ -468,4 +469,61 @@ module Pagemap_walk = struct
     in
     (lookup, Hashtbl.fold (fun k _ acc -> k :: acc) user [],
      Hashtbl.fold (fun vpn _ acc -> vpn :: acc) kseg2 [])
+end
+
+(* ------------------------------------------------------------------ *)
+(* Trace-file version 2: "STRC", version, word count, payload byte
+   count, then the delta/varint token stream through the LZSS stage.
+   The library reads v2 but writes only v1 and v3; this is the writer
+   that made the v2 files, kept so the readers keep being tested on
+   both shapes v2 files take on disk.  A write that leaves [block_bytes]
+   or more token bytes pending (default ~1 MB, the streaming writer's
+   flush size) LZSS-packs them, so a file written in one call is the one
+   LZSS stream a whole-array save wrote, and a long file written in
+   chunks is several complete LZSS streams back to back. *)
+module Tracefile_v2 = struct
+  module Compress = Systrace_tracing.Compress
+
+  (* The whole-array delta/varint token stream. *)
+  let encode words =
+    let e = Compress.encoder () and buf = Buffer.create 256 in
+    Compress.encode_chunk e buf words ~len:(Array.length words);
+    Compress.encode_finish e buf;
+    Buffer.contents buf
+
+  (* [words] written [chunk_words] at a time (default: in one write). *)
+  let save ?(block_bytes = 1 lsl 20) ?chunk_words path words =
+    let n = Array.length words in
+    let chunk = match chunk_words with Some c -> c | None -> max n 1 in
+    let oc = open_out_bin path in
+    let enc = Compress.encoder () and pend = Buffer.create 4096 in
+    let payload = ref 0 in
+    let flush () =
+      if Buffer.length pend > 0 then begin
+        let z = Compress.lzss_pack (Buffer.contents pend) in
+        Buffer.clear pend;
+        output_string oc z;
+        payload := !payload + String.length z
+      end
+    in
+    output_string oc "STRC";
+    let hdr = Bytes.make 12 '\000' in
+    Bytes.set_int32_le hdr 0 2l;
+    output_bytes oc hdr;
+    let pos = ref 0 in
+    while !pos < n do
+      let len = min chunk (n - !pos) in
+      Compress.encode_chunk enc pend (Array.sub words !pos len) ~len;
+      if Buffer.length pend >= block_bytes then flush ();
+      pos := !pos + len
+    done;
+    Compress.encode_finish enc pend;
+    flush ();
+    (* the header's word count and payload size *)
+    seek_out oc 8;
+    let tl = Bytes.create 8 in
+    Bytes.set_int32_le tl 0 (Int32.of_int n);
+    Bytes.set_int32_le tl 4 (Int32.of_int !payload);
+    output_bytes oc tl;
+    close_out oc
 end

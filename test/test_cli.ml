@@ -40,6 +40,9 @@ let cases () =
     (2, [ "serve"; "--stats"; "--ctl"; file ]);
     (1, [ "analyze"; "gcc"; "fixture_v3.strc" ]);
     (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--tlb"; "8" ]);
+    (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--sizes"; "0" ]);
+    (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--sizes"; "3";
+          "--lines"; "24" ]);
     (1, [ "disasm"; "egrep"; "--symbol"; "nosuch" ]);
     (2, [ "slice"; "fixture_v3.strc"; "--from"; "0"; "--until"; "10"; "-o"; "/dev/full" ]);
     (2, [ "check"; dir ]);

@@ -133,8 +133,9 @@ let test_run_traced_sink_tee () =
 let test_v3_replay_matches_v2 () =
   (* the v3 store is a pure container change: strict-mode parse results
      and memory-system stats off a v3 file must be byte-identical to the
-     v2 file of the same capture — and the parallel block decode must
-     not change them either *)
+     v2 file of the same capture (written by the reference v2 writer) —
+     and neither a parallel block decode nor a sweep spread over several
+     domains may change them *)
   let words, run, base = baseline () in
   let with_tmp f =
     let path = Filename.temp_file "systrace_v3" ".strc" in
@@ -142,8 +143,8 @@ let test_v3_replay_matches_v2 () =
   in
   with_tmp (fun p2 ->
       with_tmp (fun p3 ->
-          Tracing.Tracefile.save ~compress:true ~version:2 p2 words;
-          Tracing.Tracefile.save ~compress:true ~version:3 p3 words;
+          Oracles.Tracefile_v2.save p2 words;
+          Tracing.Tracefile.save ~compress:true p3 words;
           let r2 = replay_file ~system:run.system ~memsim_cfg:(memsim_cfg run) p2 in
           let r3 = replay_file ~system:run.system ~memsim_cfg:(memsim_cfg run) p3 in
           Alcotest.(check bool) "v2 replay == baseline" true (r2 = base);
@@ -156,8 +157,44 @@ let test_v3_replay_matches_v2 () =
             replay_sweep_file ~jobs:3 ~system:run.system ~memsim_cfgs:cfgs p3
           in
           Alcotest.(check bool)
-            "parallel-decode sweep == sequential sweep" true
-            (sweep_par = sweep_seq)))
+            "sweep on 3 domains == sequential sweep" true
+            (sweep_par = sweep_seq);
+          (* the same trace through a 3-domain block decode *)
+          let replay_par =
+            let sink, result =
+              replay_sink ~system:run.system ~memsim_cfg:(memsim_cfg run) ()
+            in
+            Tracing.Tracefile.fold_words ~jobs:3 p3 ~init:()
+              ~f:(fun () ws ~len -> sink.Tracing.Sink.on_words ws ~len);
+            result ()
+          in
+          Alcotest.(check bool)
+            "parallel-decode replay == v2 replay" true (replay_par = r2)))
+
+let test_run_traced_notrace () =
+  (* a program built untraced runs uninstrumented under the traced
+     kernel: it has no block table, so only the kernel's references are
+     parsed, and the program's output is unchanged *)
+  let e = Workloads.Suite.find "egrep" in
+  let prog =
+    {
+      (e.Workloads.Suite.program ()) with
+      Systrace_kernel.Builder.notrace = true;
+    }
+  in
+  let user_refs = ref 0 and kernel_refs = ref 0 in
+  let on_event = function
+    | Inst { kernel; _ } | Data { kernel; _ } ->
+      incr (if kernel then kernel_refs else user_refs)
+  in
+  let run = run_traced ~on_event [ prog ] e.Workloads.Suite.files in
+  Alcotest.(check string) "console" "420" run.console;
+  check_int "no user references" 0 !user_refs;
+  Alcotest.(check bool) "kernel references traced" true (!kernel_refs > 0);
+  Alcotest.(check bool)
+    "kernel-only trace is shorter than the instrumented run's" true
+    (run.parse_stats.Tracing.Parser.words
+    < (snd (Lazy.force captured)).parse_stats.Tracing.Parser.words)
 
 let tests =
   [
@@ -171,4 +208,6 @@ let tests =
       test_predict_streams_bounded;
     Alcotest.test_case "run_traced sink tee totals" `Quick
       test_run_traced_sink_tee;
+    Alcotest.test_case "run_traced: an untraced program, kernel-only parse"
+      `Quick test_run_traced_notrace;
   ]

@@ -645,6 +645,29 @@ let test_sweep_rejects_mixed_pagemaps () =
         (translation is done once per reference)") (fun () ->
       ignore (Memsim.sweep [ sweep_base_cfg; other ]))
 
+let test_sweep_rejects_bad_geometry () =
+  (* a zero size is refused before the grid divides by it, and a line
+     that is not a power of two before it is indexed as the next smaller
+     one *)
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "grid size 0" (fun () ->
+      Memsim.grid ~base:sweep_base_cfg ~sizes:[ 0; 1024 ] ~lines:[ 16 ]
+        ~tlb_entries:[ 64 ] ~wb_depths:[ 2 ] ());
+  raises "24-byte icache lines" (fun () ->
+      Memsim.sweep
+        [ { sweep_base_cfg with Memsim.icache_bytes = 3072; icache_line = 24 }
+        ]);
+  raises "24-byte dcache lines" (fun () ->
+      Memsim.sweep
+        [ { sweep_base_cfg with Memsim.dcache_bytes = 3072; dcache_line = 24 }
+        ]);
+  raises "Sim_cache_assoc with 24-byte lines" (fun () ->
+      Sim_cache_assoc.create ~size_bytes:3072 ~line_bytes:24 ~ways:1 ())
+
 let test_sweep_batch_boundary () =
   (* more references than one batch holds, fed reference by reference:
      the batch is simulated mid-stream, then again when stats are read *)
@@ -803,6 +826,9 @@ let tests =
       QCheck_alcotest.to_alcotest prop_write_accounting;
       QCheck_alcotest.to_alcotest prop_sweep_equals_independent;
       QCheck_alcotest.to_alcotest prop_sweep_grid_equals_independent;
+      Alcotest.test_case
+        "sweep: rejects a zero size or a line that is not a power of two"
+        `Quick test_sweep_rejects_bad_geometry;
       Alcotest.test_case "sweep: rejects mixed pagemaps" `Quick
         test_sweep_rejects_mixed_pagemaps;
       Alcotest.test_case "grid: shape and nesting" `Quick test_grid_shape;

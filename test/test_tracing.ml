@@ -371,18 +371,18 @@ let test_compress_basic () =
   in
   List.iter
     (fun (name, words) ->
-      let enc = Compress.encode words in
+      let enc = Oracles.Tracefile_v2.encode words in
       Alcotest.(check (array int)) name words (Compress.decode enc))
     cases;
   (* a pure stride compresses to a handful of bytes *)
   let stride = Array.init 10_000 (fun i -> 4 * i) in
   Alcotest.(check bool)
     "stride run tiny" true
-    (String.length (Compress.encode stride) < 32)
+    (String.length (Oracles.Tracefile_v2.encode stride) < 32)
 
 let test_compress_corrupt () =
   let words = Array.init 64 (fun i -> i * 8) in
-  let enc = Compress.encode words in
+  let enc = Oracles.Tracefile_v2.encode words in
   (* truncated varint *)
   (try
      ignore (Compress.decode (String.make 1 '\xFF'));
@@ -404,7 +404,8 @@ let prop_compress_roundtrip =
              map (fun i -> i land 0xFFFFFFFF) (int_bound max_int) ]))
     (fun l ->
       let words = Array.of_list l in
-      Compress.decode ~expect:(Array.length words) (Compress.encode words)
+      Compress.decode ~expect:(Array.length words)
+        (Oracles.Tracefile_v2.encode words)
       = words)
 
 let test_tracefile_compressed () =
@@ -418,12 +419,12 @@ let test_tracefile_compressed () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Tracefile.save ~compress:true path words;
-      Alcotest.(check (array int)) "v2 roundtrip" words (Tracefile.load path);
+      Alcotest.(check (array int)) "v3 roundtrip" words (Tracefile.load path);
       let compressed_size = (Unix.stat path).Unix.st_size in
       Tracefile.save path words;
       Alcotest.(check (array int)) "v1 roundtrip" words (Tracefile.load path);
       let raw_size = (Unix.stat path).Unix.st_size in
-      Alcotest.(check bool) "v2 smaller" true (compressed_size < raw_size))
+      Alcotest.(check bool) "v3 smaller" true (compressed_size < raw_size))
 
 let tests =
   tests
@@ -465,13 +466,15 @@ let test_lzss_overlap_and_ratio () =
        0x10002344 |]
   in
   let loop_trace = Array.init 4002 (fun i -> body.(i mod 6)) in
-  let z1 = String.length (Compress.encode loop_trace) in
-  let z2 = String.length (Compress.pack loop_trace) in
-  Alcotest.(check bool) "lz beats delta-only on loops" true (z2 < z1 / 2);
+  let z1 = String.length (Oracles.Tracefile_v2.encode loop_trace) in
+  let packed = Compress.lzss_pack (Oracles.Tracefile_v2.encode loop_trace) in
+  Alcotest.(check bool)
+    "lz beats delta-only on loops" true
+    (String.length packed < z1 / 2);
   Alcotest.(check (array int))
     "pack roundtrip" loop_trace
-    (Compress.unpack ~expect:(Array.length loop_trace)
-       (Compress.pack loop_trace))
+    (Compress.decode ~expect:(Array.length loop_trace)
+       (Compress.lzss_unpack packed))
 
 let tests =
   tests
@@ -1042,6 +1045,14 @@ let test_tracefile_load_hardening () =
       Bytes.set_int32_le hdr2 12 100000l;
       write_file path (Bytes.to_string hdr2 ^ "zz");
       expect_bad_file path;
+      (* v2 whose header under-counts its payload: a full read decodes
+         every token, so the surplus word is reported (squares: no run
+         token spans the last two words) *)
+      Oracles.Tracefile_v2.save path (Array.init 100 (fun i -> i * i));
+      let under = Bytes.of_string (read_file path) in
+      Bytes.set_int32_le under 8 99l;
+      write_file path (Bytes.to_string under);
+      expect_bad_file path;
       (* truncating a real file anywhere must give Bad_file *)
       Tracefile.save path (Array.init 100 (fun i -> i * 3));
       let full = read_file path in
@@ -1147,7 +1158,7 @@ let prop_encoder_chunked =
           Compress.encode_chunk e buf (Array.sub words pos len) ~len)
         (cuts_of sizes (Array.length words));
       Compress.encode_finish e buf;
-      Buffer.contents buf = Compress.encode words)
+      Buffer.contents buf = Oracles.Tracefile_v2.encode words)
 
 let prop_decoder_chunked =
   QCheck.Test.make ~count:300
@@ -1156,7 +1167,7 @@ let prop_decoder_chunked =
        ~print:(fun (ws, _) -> Printf.sprintf "<%d words>" (Array.length ws))
        (QCheck.Gen.pair gen_words_arr gen_sizes))
     (fun (words, sizes) ->
-      let s = Compress.encode words in
+      let s = Oracles.Tracefile_v2.encode words in
       let out = ref [] in
       let d =
         Compress.decoder ~expect:(Array.length words)
@@ -1547,9 +1558,9 @@ let test_writer_byte_identical_to_save () =
     [ false; true ]
 
 let test_writer_multiblock_v2 () =
-  (* a delta stream larger than the ~1MB block size forces the writer
-     through several LZSS blocks; the concatenation must read back with
-     the ordinary loader AND the chunked reader *)
+  (* a delta stream larger than the ~1MB block size forces the v2
+     reference writer through several LZSS blocks; the concatenation must
+     read back with the ordinary loader AND the chunked reader *)
   let n = 300_000 in
   (* LCG, not an affine ramp: consecutive deltas must vary, or the whole
      stream collapses into one run token *)
@@ -1561,18 +1572,18 @@ let test_writer_multiblock_v2 () =
   in
   Alcotest.(check bool)
     "delta stream spans several blocks" true
-    (String.length (Compress.encode words) > 1 lsl 20);
+    (String.length (Oracles.Tracefile_v2.encode words) > 1 lsl 20);
   with_temp (fun path ->
-      let w = Tracefile.open_writer ~compress:true path in
-      List.iter
-        (fun (pos, len) -> Tracefile.write w (Array.sub words pos len) ~len)
-        (cuts_of [ 65536 ] n);
-      check_int "count" n (Tracefile.close_writer w);
-      Alcotest.(check bool) "load" true (Tracefile.load path = words);
-      let sum =
-        Tracefile.fold_words path ~init:0 ~f:(fun acc _ ~len -> acc + len)
-      in
-      check_int "fold word count" n sum)
+      with_temp (fun one ->
+          Oracles.Tracefile_v2.save ~chunk_words:65536 path words;
+          Oracles.Tracefile_v2.save one words;
+          check "block-flushed file is not the one-stream file" true
+            (read_file path <> read_file one);
+          Alcotest.(check bool) "load" true (Tracefile.load path = words);
+          let sum =
+            Tracefile.fold_words path ~init:0 ~f:(fun acc _ ~len -> acc + len)
+          in
+          check_int "fold word count" n sum))
 
 let test_writer_rejects_bad_words () =
   with_temp (fun path ->
@@ -1665,6 +1676,27 @@ let gen_v3_words =
               map (fun i -> i land 0xFFFFFFFF) (int_bound max_int);
             ])))
 
+(* The forms a stored trace takes: v1 and v3 from the library's writer,
+   v2 from the reference writer, as one LZSS stream or as LZSS blocks
+   flushed every few words. *)
+type stored = V1 | V2 | V2_blocks | V3
+
+let gen_stored = QCheck.Gen.oneofl [ V1; V2; V2_blocks; V3 ]
+
+let stored_name = function
+  | V1 -> "v1"
+  | V2 -> "v2"
+  | V2_blocks -> "v2 blocks"
+  | V3 -> "v3"
+
+let save_stored stored path words =
+  match stored with
+  | V1 -> Tracefile.save path words
+  | V2 -> Oracles.Tracefile_v2.save path words
+  | V2_blocks ->
+    Oracles.Tracefile_v2.save ~block_bytes:64 ~chunk_words:16 path words
+  | V3 -> Tracefile.save ~compress:true path words
+
 let prop_semantic_roundtrip =
   QCheck.Test.make ~count:300
     ~name:"compress: semantic codec roundtrip on random slices"
@@ -1680,7 +1712,8 @@ let prop_semantic_roundtrip =
       = Array.sub words pos len)
 
 let prop_v3_version_roundtrip =
-  (* both compressed formats, chunk-split writer == save, load intact *)
+  (* both compressed formats load intact; v3's chunk-split writer ==
+     save, and v2 files of either shape read back *)
   QCheck.Test.make ~count:200
     ~name:"tracefile: v2/v3 chunked write + load roundtrip"
     (QCheck.make
@@ -1690,13 +1723,19 @@ let prop_v3_version_roundtrip =
     (fun (words, sizes, version) ->
       with_temp (fun p1 ->
           with_temp (fun p2 ->
-              Tracefile.save ~compress:true ~version p1 words;
-              let w = Tracefile.open_writer ~compress:true ~version p2 in
-              List.iter
-                (fun (pos, len) ->
-                  Tracefile.write w (Array.sub words pos len) ~len)
-                (cuts_of sizes (Array.length words));
-              ignore (Tracefile.close_writer w);
+              if version = 2 then begin
+                save_stored V2 p1 words;
+                save_stored V2_blocks p2 words
+              end
+              else begin
+                Tracefile.save ~compress:true p1 words;
+                let w = Tracefile.open_writer ~compress:true p2 in
+                List.iter
+                  (fun (pos, len) ->
+                    Tracefile.write w (Array.sub words pos len) ~len)
+                  (cuts_of sizes (Array.length words));
+                ignore (Tracefile.close_writer w)
+              end;
               Tracefile.load p1 = words
               && (version = 2 || read_file p1 = read_file p2)
               && Tracefile.load p2 = words)))
@@ -1753,15 +1792,15 @@ let prop_fold_window =
   QCheck.Test.make ~count:150
     ~name:"tracefile: fold_words window == array window (v1/v2/v3)"
     (QCheck.make
-       ~print:(fun (ws, a, b, v) ->
-         Printf.sprintf "<%d words, [%d,%d), v%d>" (Array.length ws) a b v)
+       ~print:(fun (ws, a, b, st) ->
+         Printf.sprintf "<%d words, [%d,%d), %s>" (Array.length ws) a b
+           (stored_name st))
        QCheck.Gen.(
-         quad gen_v3_words (int_bound 600) (int_bound 600) (int_range 1 3)))
-    (fun (words, a, b, version) ->
+         quad gen_v3_words (int_bound 600) (int_bound 600) gen_stored))
+    (fun (words, a, b, stored) ->
       let from = min a b and until = max a b in
       with_temp (fun path ->
-          (if version = 1 then Tracefile.save path words
-           else Tracefile.save ~compress:true ~version path words);
+          save_stored stored path words;
           let got = ref [] in
           ignore
             (Tracefile.fold_words ~chunk_words:23 ~from ~until path ~init:()
@@ -1775,16 +1814,16 @@ let prop_slice_matches_window =
   QCheck.Test.make ~count:100
     ~name:"tracefile: slice(from,until) == materialized array slice"
     (QCheck.make
-       ~print:(fun (ws, a, b, v) ->
-         Printf.sprintf "<%d words, [%d,%d), v%d>" (Array.length ws) a b v)
+       ~print:(fun (ws, a, b, st) ->
+         Printf.sprintf "<%d words, [%d,%d), %s>" (Array.length ws) a b
+           (stored_name st))
        QCheck.Gen.(
-         quad gen_v3_words (int_bound 600) (int_bound 600) (int_range 1 3)))
-    (fun (words, a, b, version) ->
+         quad gen_v3_words (int_bound 600) (int_bound 600) gen_stored))
+    (fun (words, a, b, stored) ->
       let from = min a b and until = max a b in
       with_temp (fun src ->
           with_temp (fun dst ->
-              (if version = 1 then Tracefile.save src words
-               else Tracefile.save ~compress:true ~version src words);
+              save_stored stored src words;
               let wrote = Tracefile.slice ~from ~until src dst in
               let n = Array.length words in
               let from' = min from n and until' = min until n in
@@ -1793,39 +1832,61 @@ let prop_slice_matches_window =
                  = Array.sub words from' (max 0 (until' - from')))))
 
 let prop_parallel_fold_identity =
+  (* the parallel decode changes nothing the caller sees: the same
+     chunks for every format, window and chunk size; on the shared
+     multi-block file a batch spans several blocks *)
   QCheck.Test.make ~count:100
-    ~name:"tracefile: fold_blocks_parallel == fold_words (v1/v2/v3)"
+    ~name:"tracefile: fold_words ~jobs:k == ~jobs:1, chunk for chunk"
     (QCheck.make
-       ~print:(fun (ws, j, v) ->
-         Printf.sprintf "<%d words, jobs=%d, v%d>" (Array.length ws) j v)
-       QCheck.Gen.(triple gen_v3_words (int_range 1 4) (int_range 1 3)))
-    (fun (words, jobs, version) ->
-      with_temp (fun path ->
-          (if version = 1 then Tracefile.save path words
-           else Tracefile.save ~compress:true ~version path words);
-          let seq = ref [] in
-          ignore
-            (Tracefile.fold_words path ~init:()
-               ~f:(fun () c ~len -> seq := Array.sub c 0 len :: !seq));
-          let par = ref [] in
-          ignore
-            (Tracefile.fold_blocks_parallel ~jobs path ~init:()
-               ~f:(fun () c ~len -> par := Array.sub c 0 len :: !par));
-          Array.concat (List.rev !par) = Array.concat (List.rev !seq)))
+       ~print:(fun ((ws, st, multi), j, c, (a, b)) ->
+         Printf.sprintf "<%s, jobs=%d, chunk_words=%d, window %d..%d/1000>"
+           (if multi then "multi-block v3"
+            else
+              Printf.sprintf "%d words, %s" (Array.length ws)
+                (stored_name st))
+           j c (min a b) (max a b))
+       QCheck.Gen.(
+         quad
+           (triple gen_v3_words gen_stored bool)
+           (int_range 2 4)
+           (oneof [ int_range 1 97; int_range 1 100_000 ])
+           (pair (int_bound 1100) (int_bound 1100))))
+    (fun ((words, stored, multi), jobs, chunk_words, (a, b)) ->
+      let chunks path n ~jobs =
+        let from = min a b * n / 1000 and until = max a b * n / 1000 in
+        let got = ref [] in
+        ignore
+          (Tracefile.fold_words ~chunk_words ~from ~until ~jobs path ~init:()
+             ~f:(fun () c ~len -> got := Array.sub c 0 len :: !got));
+        List.rev !got
+      in
+      let same path n = chunks path n ~jobs = chunks path n ~jobs:1 in
+      if multi then
+        same (Lazy.force multiblock_file)
+          (Array.length (Lazy.force multiblock_words))
+      else
+        with_temp (fun path ->
+            save_stored stored path words;
+            same path (Array.length words)))
 
 let test_parallel_fold_multiblock () =
   (* several blocks decoded on the pool, folded in order, == sequential *)
   let words = Lazy.force multiblock_words in
   let path = Lazy.force multiblock_file in
-  let par = ref [] in
-  ignore
-    (Tracefile.fold_blocks_parallel ~jobs:3 path ~init:()
-       ~f:(fun () c ~len -> par := Array.sub c 0 len :: !par));
-  check "parallel multi-block == words" true
-    (Array.concat (List.rev !par) = words);
+  List.iter
+    (fun jobs ->
+      let par = ref [] in
+      ignore
+        (Tracefile.fold_words ~jobs path ~init:()
+           ~f:(fun () c ~len -> par := Array.sub c 0 len :: !par));
+      check
+        (Printf.sprintf "jobs %d: parallel multi-block == words" jobs)
+        true
+        (Array.concat (List.rev !par) = words))
+    [ 2; 3 ];
   (* callback exceptions escape as themselves *)
   match
-    Tracefile.fold_blocks_parallel ~jobs:2 path ~init:()
+    Tracefile.fold_words ~jobs:2 path ~init:()
       ~f:(fun () _ ~len:_ -> raise Exit)
   with
   | () -> Alcotest.fail "callback exception swallowed"
@@ -1838,18 +1899,17 @@ let test_empty_writer_roundtrip () =
   List.iter
     (fun version ->
       with_temp (fun path ->
-          let w =
-            if version = 1 then Tracefile.open_writer path
-            else Tracefile.open_writer ~compress:true ~version path
-          in
-          check_int "zero words" 0 (Tracefile.close_writer w);
+          (if version = 2 then save_stored V2 path [||]
+           else
+             let w = Tracefile.open_writer ~compress:(version = 3) path in
+             check_int "zero words" 0 (Tracefile.close_writer w));
           check "empty load" true (Tracefile.load path = [||]);
-          ignore
-            (Tracefile.fold_words path ~init:()
-               ~f:(fun () _ ~len:_ -> Alcotest.fail "chunk on empty trace"));
-          ignore
-            (Tracefile.fold_blocks_parallel ~jobs:2 path ~init:()
-               ~f:(fun () _ ~len:_ -> Alcotest.fail "chunk on empty trace"));
+          List.iter
+            (fun jobs ->
+              ignore
+                (Tracefile.fold_words ~jobs path ~init:() ~f:(fun () _ ~len:_ ->
+                     Alcotest.fail "chunk on empty trace")))
+            [ 1; 2 ];
           let c = Parser.scanner () in
           check "empty trace scans clean" true (Parser.scan_finish c = [])))
     [ 1; 2; 3 ]
@@ -1923,7 +1983,7 @@ let prop_v3_fuzz_total =
           in
           let via_par =
             match
-              Tracefile.fold_blocks_parallel ~jobs:2 path ~init:[]
+              Tracefile.fold_words ~jobs:2 path ~init:[]
                 ~f:(fun acc c ~len -> Array.sub c 0 len :: acc)
             with
             | chunks -> Ok (Array.concat (List.rev chunks))
@@ -2015,7 +2075,18 @@ let test_backward_compat_fixtures () =
            ~f:(fun () c ~len -> folded := Array.sub c 0 len :: !folded));
       check (Printf.sprintf "v%d fixture folds identically" version) true
         (Array.concat (List.rev !folded) = fixture_words))
-    [ ("fixture_v1.strc", 1); ("fixture_v2.strc", 2); ("fixture_v3.strc", 3) ]
+    [ ("fixture_v1.strc", 1); ("fixture_v2.strc", 2); ("fixture_v3.strc", 3) ];
+  (* the writers still produce the fixtures' bytes: v1 and v3 through
+     the library, v2 through the reference writer *)
+  List.iter
+    (fun (file, stored) ->
+      with_temp (fun path ->
+          save_stored stored path fixture_words;
+          Alcotest.(check string) (file ^ " rewritten") (read_file file)
+            (read_file path)))
+    [
+      ("fixture_v1.strc", V1); ("fixture_v2.strc", V2); ("fixture_v3.strc", V3);
+    ]
 
 let tests =
   tests

@@ -229,34 +229,6 @@ let test_flat_pagemap () =
     [ ("ultrix/careful", fst (Lazy.force captured));
       ("mach/random", fst (Lazy.force captured_mach)) ]
 
-(* predict_sweep: the per-geometry predictions must match what dedicated
-   single-geometry passes produce (element 0 is the default geometry, so
-   it is exactly [predict]'s result). *)
-let test_predict_sweep_consistent () =
-  let spec = Experiments.spec_of (Suite.find "sed") in
-  let base = Systrace_machine.Machine.default_config in
-  let big =
-    {
-      base with
-      Systrace_machine.Machine.icache_bytes = 65536;
-      dcache_bytes = 65536;
-    }
-  in
-  let single = Validate.predict ~arith_stalls:0 Validate.Ultrix spec in
-  let multi =
-    Validate.predict_sweep ~arith_stalls:0 ~geometries:[ base; big ]
-      Validate.Ultrix spec
-  in
-  Alcotest.(check bool) "first geometry == dedicated predict" true
-    (single.Validate.p_mem = multi.(0).Validate.p_mem);
-  Alcotest.(check bool) "breakdown identical" true
-    (single.Validate.p_breakdown = multi.(0).Validate.p_breakdown);
-  Alcotest.(check bool) "parse stats shared" true
-    (single.Validate.p_parse = multi.(0).Validate.p_parse);
-  Alcotest.(check bool) "bigger caches never miss more" true
-    (multi.(1).Validate.p_mem.Systrace_tracesim.Memsim.icache_misses
-    <= multi.(0).Validate.p_mem.Systrace_tracesim.Memsim.icache_misses)
-
 (* ------------------------------------------------------------------ *)
 (* Interpreter oracle on traced runs: every tier must leave the same
    machine and hand the host the same trace as step-at-a-time.  The
@@ -312,8 +284,6 @@ let tests =
       test_sweep_real_trace;
     Alcotest.test_case "sweep == singles on a fault-injected trace" `Quick
       test_sweep_real_trace_faulty;
-    Alcotest.test_case "predict_sweep consistent with predict" `Quick
-      test_predict_sweep_consistent;
     QCheck_alcotest.to_alcotest prop_sweep_equals_oracle;
     Alcotest.test_case "flat page map == hash-table walk" `Quick
       test_flat_pagemap;
