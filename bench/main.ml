@@ -494,10 +494,12 @@ let exp_micro () =
    memory simulation as it is drained), so peak resident trace words is
    bounded by the in-kernel buffer, not the trace length — and the stats
    must be exactly those of the materialized capture-then-replay path. *)
-(* Interpreter tier ablation: host cost of step vs tcache vs bcache on a
-   full untraced run, counters asserted identical. *)
+(* Interpreter tier ablation and oracle: host cost of step vs tcache vs
+   bcache over traced runs of the whole suite under both systems, each
+   run's counters, console and trace asserted identical across tiers
+   (fails on the first that differs). *)
 let exp_interp () =
-  heading "Interpreter execution tiers (step vs tcache vs bcache)";
+  heading "Interpreter execution tiers on the traced suite (step vs tcache vs bcache)";
   Table.print (Experiments.interp_ablation_table ())
 
 let exp_stream () =

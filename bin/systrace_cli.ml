@@ -212,17 +212,19 @@ let profile_cmd =
   (* The paper's "reference counting tools ... dynamic count of the number
      of times each instruction in the kernel was executed", used to
      identify anomalous system activity (§4.3). *)
-  let run name os seed topn =
+  let run name os seed topn traced =
     let e = find_workload name in
+    (* count_exec makes every stub uop fall through, so the counts are
+       per instruction in the traced run too *)
+    let machine_cfg =
+      { Machine.Machine.default_config with Machine.Machine.count_exec = true }
+    in
+    let programs = [ e.Workloads.Suite.program () ] in
     let sys =
-      run_measured ~os:(os_of os) ~seed
-        ~machine_cfg:
-          {
-            Machine.Machine.default_config with
-            Machine.Machine.count_exec = true;
-          }
-        [ e.Workloads.Suite.program () ]
-        e.Workloads.Suite.files
+      if traced then
+        (run_traced ~os:(os_of os) ~seed ~machine_cfg programs
+           e.Workloads.Suite.files).system
+      else run_measured ~os:(os_of os) ~seed ~machine_cfg programs e.Workloads.Suite.files
     in
     let m = sys.Systrace_kernel.Builder.machine in
     let kexe = sys.Systrace_kernel.Builder.kernel_exe in
@@ -263,28 +265,34 @@ let profile_cmd =
       List.sort (fun (_, a) (_, b) -> compare b a)
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
     in
-    Printf.printf "instruction execution profile for %s (%s):
-" name
-      (Validate.os_name os);
-    Printf.printf "  %-40s %12s
-" "kernel routine" "instructions";
+    Printf.printf "instruction execution profile for %s (%s%s):\n" name
+      (Validate.os_name os)
+      (if traced then ", traced" else "");
+    Printf.printf "  %-40s %12s\n" "kernel routine" "instructions";
     List.iteri
       (fun i (sym, n) ->
-        if i < topn then Printf.printf "  %-40s %12d
-" sym n)
+        if i < topn then Printf.printf "  %-40s %12d\n" sym n)
       rows;
-    Printf.printf "  %-40s %12d
-" "(user + DMA'd text)" !user_total
+    Printf.printf "  %-40s %12d\n" "(user + DMA'd text)" !user_total
   in
   let topn =
     Arg.(value & opt int 15 & info [ "top" ] ~doc:"Rows to display.")
+  in
+  let traced =
+    Arg.(
+      value & flag
+      & info [ "traced" ]
+          ~doc:
+            "Profile the traced system (instrumented kernel and program, \
+             with the kernel's trace drains and analysis phases) instead \
+             of the untraced one.")
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Per-instruction execution counts (the reference-counting tool of \
           paper 4.3), aggregated by kernel routine.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ topn)
+    Term.(const run $ workload_arg $ os_arg $ seed_arg $ topn $ traced)
 
 let validate_cmd =
   let run name os seed tier =

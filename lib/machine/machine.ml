@@ -214,10 +214,12 @@ type t = {
      the trap handler. *)
   mutable bb_kf : int;
   mutable bb_um : bool;
-  (* Host-side dispatch counts of the stub uops: whole-block runs and
-     fall-throughs to the scalar uops.  Not simulated state. *)
+  (* Host-side dispatch counts of the stub uops: whole-block runs (also
+     by kind, indexed as [Uop.stub_kinds]) and fall-throughs to the
+     scalar uops.  Not simulated state. *)
   mutable stub_runs : int;
   mutable stub_falls : int;
+  stub_kind_runs : int array;
   icache : Cache.t;
   dcache : Cache.t;
   wb : Write_buffer.t;
@@ -290,6 +292,7 @@ let create ?(cfg = default_config) () =
     bb_um = false;
     stub_runs = 0;
     stub_falls = 0;
+    stub_kind_runs = Array.make (Array.length Uop.stub_kinds) 0;
     icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.icache_line;
     dcache = Cache.create ~size_bytes:cfg.dcache_bytes ~line_bytes:cfg.dcache_line;
     wb = Write_buffer.create ~depth:cfg.wb_depth ~drain_cycles:cfg.wb_drain ();
@@ -933,9 +936,11 @@ let cp0_write t (c : Insn.cp0) v =
     t.entryhi <- v;
     tcache_flush t
   | C0_status ->
-    (* KU/IE bits gate segment permissions. *)
+    (* Of the status bits, only KUc (bit 1) gates segment permissions:
+       IE and IM writes leave every translation as it was. *)
+    let flip = (t.status lxor v) land 0x2 <> 0 in
     t.status <- v;
-    tcache_flush t
+    if flip then tcache_flush t
   | C0_cause -> t.cause <- v
   | C0_epc -> t.epc <- v
   | C0_prid -> ()
@@ -1181,26 +1186,28 @@ let bb_horizon t =
   let d = Disk.next_event t.disk in
   if t.next_clock < d then t.next_clock else d
 
-(* Credit uops [t.bb_kf, k) of block [b] — all executed in mode [um] —
-   to the instruction counters.  The span is contiguous in va, so the
-   idle-range attribution is the interval overlap instead of a per-
-   instruction compare. *)
+(* Credit [reps] executions of the instructions at va [lo0, hi0), all
+   in mode [t.bb_um], to the instruction counters.  The span is
+   contiguous, so the idle-range attribution is the interval overlap
+   instead of a per-instruction compare. *)
+let[@inline] bb_credit t lo0 hi0 reps =
+  let n = reps * ((hi0 - lo0) lsr 2) in
+  let c = t.c in
+  c.instructions <- c.instructions + n;
+  if t.bb_um then c.user_instructions <- c.user_instructions + n
+  else begin
+    c.kernel_instructions <- c.kernel_instructions + n;
+    let lo = if lo0 > t.idle_lo then lo0 else t.idle_lo in
+    let hi = if hi0 < t.idle_hi then hi0 else t.idle_hi in
+    if hi > lo then
+      c.idle_instructions <- c.idle_instructions + (reps * ((hi - lo) lsr 2))
+  end
+
+(* Credit uops [t.bb_kf, k) of block [b] — all executed in mode
+   [t.bb_um] — to the instruction counters. *)
 let bb_flush t b k =
   let kf = t.bb_kf in
-  let n = k - kf in
-  if n > 0 then begin
-    let c = t.c in
-    c.instructions <- c.instructions + n;
-    if t.bb_um then c.user_instructions <- c.user_instructions + n
-    else begin
-      c.kernel_instructions <- c.kernel_instructions + n;
-      let lo0 = b.bb_va + (kf * 4) and hi0 = b.bb_va + (k * 4) in
-      let lo = if lo0 > t.idle_lo then lo0 else t.idle_lo in
-      let hi = if hi0 < t.idle_hi then hi0 else t.idle_hi in
-      if hi > lo then
-        c.idle_instructions <- c.idle_instructions + ((hi - lo) lsr 2)
-    end
-  end;
+  if k > kf then bb_credit t (b.bb_va + (kf * 4)) (b.bb_va + (k * 4)) 1;
   t.bb_kf <- k
 
 (* Per-word execution counting (cfg.count_exec), as [step] does it. *)
@@ -1295,20 +1302,24 @@ let[@inline] fp_wait t ready =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Stub uops.  A [U_stub] replays one whole tracing-runtime block
-   ({!Uop.stub}) in one dispatch, applying the interpreted effects in
-   program order: per fetch the icache accounting and miss penalty, per
-   load the d-cache probe and penalty, per store the write-buffer
-   timing, memory write, decode-cache clear and generation bump, one
-   cycle per instruction, then the final registers and pc/npc; the
-   caller's [bb_end] credits the instruction counters.  It applies
-   nothing and returns -1 — the caller falls through to the scalar uops
-   — unless every data access translates to cached RAM with no side
-   effect ([ram_pa]), no store hits the block's own text page, and the
-   block fits under the event horizon at worst-case cycles; the caller
-   has already checked the run budget and the observers.  On success it
-   returns the icache line tag of the last fetch.  Slot 0's fetch was
-   charged by [bb_go] before the dispatch. *)
+(* Stub uops.  A [U_stub] replays one whole tracing-runtime block, or a
+   run of iterations of a kernel trace-buffer loop ({!Uop.stub}), in one
+   dispatch, applying the interpreted effects in program order: per
+   fetch the icache accounting and miss penalty, per load the d-cache
+   probe and penalty, per store the write-buffer timing, memory write,
+   decode-cache clear and generation bump, one cycle per instruction,
+   then the final registers and pc/npc; the caller's [bb_end] credits
+   the block's own instructions to the counters, and a loop stub
+   credits the rest itself.  It applies nothing and
+   returns -1 — the caller falls through to the scalar uops — unless
+   every data access translates to cached RAM with no side effect
+   ([ram_pa]), no store hits the block's own text page, and the run
+   fits under the event horizon at worst-case cycles; a loop stub also
+   needs every icache line of its loop resident.  The caller has
+   already checked that the block fits the run budget and that no
+   observer is set.  On success it returns the icache line tag of the
+   last fetch.  Slot 0's fetch was charged by [bb_go] before the
+   dispatch. *)
 
 (* Does the block fit under the event horizon at worst case: [n] base
    cycles, a miss penalty for each of the [n - 1] fetches after slot 0
@@ -1330,11 +1341,13 @@ let rec stub_lines_resident tags mask tg last =
   || (Array.unsafe_get tags (tg land mask) = tg
      && stub_lines_resident tags mask (tg + 1) last)
 
-let stub_resident t pa n =
+(* Every icache line holding a byte of [lo, hi] is resident. *)
+let lines_resident t lo hi =
   let ic = t.icache in
   let sh = ic.Cache.line_shift in
-  stub_lines_resident ic.Cache.tags (ic.Cache.nlines - 1) ((pa + 4) lsr sh)
-    ((pa + (4 * (n - 1))) lsr sh)
+  stub_lines_resident ic.Cache.tags (ic.Cache.nlines - 1) (lo lsr sh) (hi lsr sh)
+
+let stub_resident t pa n = lines_resident t (pa + 4) (pa + (4 * (n - 1)))
 
 let[@inline always] stub_fetch t pa ptag res =
   if res then ptag else bb_ifetch t pa ptag
@@ -1376,7 +1389,7 @@ let[@inline always] ram_pa_near t pa0 va0 va ~write =
 let[@inline always] stub_off_page b pa =
   pa lsr Addr.page_shift <> b.bb_pa lsr Addr.page_shift
 
-let stub_run t (b : Uop.block) (s : Uop.stub) next_ev ptag =
+let stub_run t (b : Uop.block) (s : Uop.stub) budget next_ev ptag =
   let regs = t.regs in
   let pa = b.bb_pa in
   match s with
@@ -1522,6 +1535,70 @@ let stub_run t (b : Uop.block) (s : Uop.stub) next_ev ptag =
       t.pc <- ra;
       t.npc <- ra + 4;
       stub_done t pa 8 ptag res
+    end
+  | Kd_copy { src; dst; tmp; stop } ->
+    (* The body at [pa] copies one word; each further word runs the head
+       at [pa - 8] first.  A run stops at [src = stop], at a page end of
+       either side, at the budget, or before a word that might not end
+       under the horizon; pc is left at the head. *)
+    let s0 = Array.unsafe_get regs src and d0 = Array.unsafe_get regs dst in
+    let spa = ram_pa t s0 ~write:false in
+    let dpa = ram_pa t d0 ~write:true in
+    let cfg = t.cfg in
+    let worst = cfg.read_miss_penalty + (cfg.wb_depth * cfg.wb_drain) in
+    if spa < 0 || dpa < 0
+       || not (stub_off_page b dpa && t.cycles + 6 + worst < next_ev
+               && lines_resident t (pa - 8) (pa + 20))
+    then -1
+    else begin
+      let room va = ((Addr.page_mask - (va land Addr.page_mask)) lsr 2) + 1 in
+      let kmax = Int.min (Int.min (room s0) (room d0)) (1 + ((budget - 6) / 8)) in
+      let e = Array.unsafe_get regs stop in
+      t.cycles <- t.cycles + 1;
+      let v = ref (bb_dload t spa) in
+      t.cycles <- t.cycles + 1;
+      bb_dstore t dpa !v;
+      t.cycles <- t.cycles + 4;
+      let k = ref 1 in
+      while !k < kmax && u32 (s0 + (4 * !k)) <> e && t.cycles + 8 + worst < next_ev do
+        t.cycles <- t.cycles + 3;
+        v := bb_dload t (spa + (4 * !k));
+        t.cycles <- t.cycles + 1;
+        bb_dstore t (dpa + (4 * !k)) !v;
+        t.cycles <- t.cycles + 4;
+        incr k
+      done;
+      let k = !k in
+      Array.unsafe_set regs src (u32 (s0 + (4 * k)));
+      Array.unsafe_set regs dst (u32 (d0 + (4 * k)));
+      Array.unsafe_set regs tmp !v;
+      let h = b.bb_va - 8 in
+      t.pc <- h;
+      t.npc <- h + 4;
+      let ic = t.icache in
+      ic.Cache.hits <- ic.Cache.hits + 5 + (8 * (k - 1));
+      bb_credit t h (h + 32) (k - 1);
+      (pa + 20) lsr ic.Cache.line_shift
+    end
+  | Spin { r } ->
+    (* [k] iterations of three single-cycle instructions: as many as are
+       left before the countdown exits (v for a positive v, else one,
+       except that -2^31 wraps to 2^31 - 1), fit the budget, and end
+       before the horizon. *)
+    let v = Array.unsafe_get regs r in
+    let left = 1 + (let x = u32 (v - 1) in if x < 0x80000000 then x else 0) in
+    let k = Int.min left (Int.min (budget / 3) ((next_ev - t.cycles - 1) / 3)) in
+    if k < 1 || not (lines_resident t pa (pa + 8)) then -1
+    else begin
+      t.cycles <- t.cycles + (3 * k);
+      let v = u32 (v - k) in
+      Array.unsafe_set regs r v;
+      t.pc <- (if s32 v > 0 then b.bb_va else b.bb_va + 12);
+      t.npc <- t.pc + 4;
+      let ic = t.icache in
+      ic.Cache.hits <- ic.Cache.hits + (3 * k) - 1;
+      bb_credit t b.bb_va (b.bb_va + 12) (k - 1);
+      (pa + 8) lsr ic.Cache.line_shift
     end
 
 (* The replay loop, as a self-tail-recursive toplevel function: it
@@ -1790,18 +1867,24 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
          reg_set t rt (int_of_float t.fregs.(fs));
          bb_fin t b lim budget k pa cur ce next_ev ptag
        | U_stub st ->
+         let n0 = t.c.instructions in
          let tg =
            if
              lim = Array.length b.bb_uops && (not ce)
              && (match (t.watchpoint, t.ref_tracer) with
                 | None, None -> true
                 | _ -> false)
-           then stub_run t b st next_ev ptag
+           then stub_run t b st budget next_ev ptag
            else -1
          in
          if tg >= 0 then begin
            t.stub_runs <- t.stub_runs + 1;
-           bb_end t b lim budget lim (t.cycles >= next_ev) next_ev tg
+           let kr = t.stub_kind_runs and i = Uop.stub_kind st in
+           Array.unsafe_set kr i (Array.unsafe_get kr i + 1);
+           (* a loop stub has credited its iterations beyond this
+              block's: the chaining budget loses them too *)
+           bb_end t b lim (budget - (t.c.instructions - n0)) lim
+             (t.cycles >= next_ev) next_ev tg
          end
          else begin
            (* fall through: run slot 0's own instruction, as its scalar
@@ -1816,6 +1899,10 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
              bb_fin_store t b lim budget k pa cur ce next_ev ptag
            | Bb_resume { cursor; _ } | Mt_store { cursor; _ } ->
              reg_set t cursor (Array.unsafe_get t.regs cursor + 4);
+             bb_fin t b lim budget k pa cur ce next_ev ptag
+           | Kd_copy _ -> bb_fin t b lim budget k pa cur ce next_ev ptag
+           | Spin { r } ->
+             reg_set t r (Array.unsafe_get t.regs r - 1);
              bb_fin t b lim budget k pa cur ce next_ev ptag
          end
        | U_other insn ->

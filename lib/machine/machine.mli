@@ -145,11 +145,15 @@ type t = {
   mutable bb_um : bool;
       (** Mode the pending replay span executed in. *)
   mutable stub_runs : int;
-      (** Host-side count of stub uops that ran their whole block. *)
+      (** Host-side count of stub uops that ran their whole block (a loop
+          stub: at least one iteration). *)
   mutable stub_falls : int;
       (** Host-side count of stub uops that fell through to the scalar
-          uops (observer set, budget or event horizon too close, or a
-          data access that would not translate to cached RAM). *)
+          uops (observer set, budget or event horizon too close, icache
+          lines of a loop stub not resident, or a data access that would
+          not translate to cached RAM). *)
+  stub_kind_runs : int array;
+      (** [stub_runs] by stub kind, indexed as {!Uop.stub_kinds}. *)
   icache : Cache.t;
   dcache : Cache.t;
   wb : Write_buffer.t;

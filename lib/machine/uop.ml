@@ -23,8 +23,9 @@ let bcache_enabled = function
   | Bcache -> true
 
 (* The four user-variant blocks of the tracing runtime (epoxie's
-   runtime.ml), with the registers and bookkeeping offsets they use.
-   See the mli for the shapes. *)
+   runtime.ml) and the kernel's two trace-buffer loops (ktraceops.ml),
+   with the registers and bookkeeping offsets they use.  See the mli for
+   the shapes. *)
 type stub =
   | Bb_head of { rt : int; book : int; off : int; cursor : int; limit : int; full : int }
   | Bb_resume of { cursor : int; book : int; ra_off : int; rt : int; off : int }
@@ -36,6 +37,18 @@ type stub =
       cursor : int; r0 : int; r1 : int; r2 : int; book : int;
       o0 : int; o1 : int; o2 : int; ra_off : int;
     }
+  | Kd_copy of { src : int; dst : int; tmp : int; stop : int }
+  | Spin of { r : int }
+
+let stub_kinds = [| "bb_head"; "bb_resume"; "mt_entry"; "mt_store"; "kd_copy"; "spin" |]
+
+let stub_kind = function
+  | Bb_head _ -> 0
+  | Bb_resume _ -> 1
+  | Mt_entry _ -> 2
+  | Mt_store _ -> 3
+  | Kd_copy _ -> 4
+  | Spin _ -> 5
 
 (* Pre-decoded instruction for the basic-block execution cache: operands
    are resolved to plain ints at block-build time (immediates applied,
@@ -132,13 +145,16 @@ let rec distinct = function
 
 let is_nop = function U_shift (Insn.SLL, 0, 0, 0) -> true | _ -> false
 
-(* Match a lowered block body against the four shapes.  The registers
-   each shape names must be pairwise distinct and not $zero, $at or $ra:
-   then every data address in the block is a function of the registers
-   at block entry and of the one load the memtrace entry decodes, which
-   is what lets the executor check all of them before applying any
-   effect. *)
-let stub_of (u : t array) =
+(* Match a lowered block body, decoded at [va], against the shapes.
+   The registers each runtime shape names must be pairwise distinct and
+   not $zero, $at or $ra: then every data address in the block is a
+   function of the registers at block entry and of the one load the
+   memtrace entry decodes, which is what lets the executor check all of
+   them before applying any effect.  The drain copy's body jumps back to
+   a head block two words before it; [head ()] lowers those two words
+   when they share the body's page, so the body's page generation
+   covers both. *)
+let stub_of ~va ~head (u : t array) =
   match u with
   | [| U_sw (rt, book, off);
        U_lw (rt1, 31, -4);
@@ -193,6 +209,22 @@ let stub_of (u : t array) =
          && List.for_all (( = ) book) [ book1; book2; book3 ]
          && distinct [ cursor; r0; r1; r2; book; 0; Reg.at; Reg.ra ] ->
     Some (Mt_store { cursor; r0; r1; r2; book; o0; o1; o2; ra_off })
+  | [| nop;
+       U_lw (tmp, src, 0);
+       U_sw (tmp1, dst, 0);
+       U_alui (Insn.ADDIU, src1, src2, 4);
+       U_j h;
+       U_alui (Insn.ADDIU, dst1, dst2, 4) |]
+    when is_nop nop && h = va - 8 && tmp1 = tmp && src1 = src && src2 = src
+         && dst1 = dst && dst2 = dst -> (
+    match head () with
+    | Some (U_beq (src3, stop, _), nop1)
+      when is_nop nop1 && src3 = src && distinct [ src; dst; tmp; stop; 0 ] ->
+      Some (Kd_copy { src; dst; tmp; stop })
+    | _ -> None)
+  | [| U_alui (Insn.ADDIU, r, r1, -1); U_bgtz (r2, b); nop |]
+    when is_nop nop && r1 = r && r2 = r && b = va && r <> 0 ->
+    Some (Spin { r })
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -247,8 +279,16 @@ let build ~decode ~va ~pa ~cached ~gen =
   (* Cacheability specialization: stub uops assume a cached fetch
      mapping, so only cacheable text gets one.  A stub uop takes slot 0
      and leaves the scalar uops of the slots it covers in place. *)
-  if cached then
-    (match stub_of uops with Some s -> uops.(0) <- U_stub s | None -> ());
+  if cached then begin
+    let head () =
+      if pa land Addr.page_mask < 8 then None
+      else
+        match (decode ~va:(va - 8) ~pa:(pa - 8), decode ~va:(va - 4) ~pa:(pa - 4)) with
+        | i0, i1 -> Some (of_insn i0, of_insn i1)
+        | exception _ -> None
+    in
+    match stub_of ~va ~head uops with Some s -> uops.(0) <- U_stub s | None -> ()
+  end;
   {
     bb_pa = pa;
     bb_va = va;

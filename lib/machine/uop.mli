@@ -29,11 +29,12 @@ val bcache_enabled : tier -> bool
 
 (** {2 Stub shapes}
 
-    The four user-variant blocks of epoxie's tracing runtime
-    ([lib/epoxie/runtime.ml]) that carry the per-reference cost of a
-    traced run, as decoded on cached text (registers: [rt]/[r0..r2] the
-    scratch registers, [book] the bookkeeping base, [cursor]/[limit] the
-    trace cursor and its high-water mark):
+    The four blocks of epoxie's tracing runtime ([lib/epoxie/runtime.ml])
+    that carry the per-reference cost of a traced run, and the kernel's
+    two trace-buffer loops ([lib/kernel/ktraceops.ml]), as decoded on
+    cached text (registers: [rt]/[r0..r2] the scratch registers, [book]
+    the bookkeeping base, [cursor]/[limit] the trace cursor and its
+    high-water mark):
 
     - [Bb_head]: [sw rt, off(book); lw rt, -4(ra); andi rt, rt, 0xffff;
       sll rt, rt, 2; addu rt, cursor, rt; sltu rt, limit, rt;
@@ -48,10 +49,21 @@ val bcache_enabled : tier -> bool
       delay-slot word and jump-table dispatch;
     - [Mt_store]: [addiu cursor, cursor, 4; sw r1, -4(cursor);
       lw r0, o0(book); lw r2, o2(book); move at, ra; lw ra, ra_off(book);
-      jr at; lw r1, o1(book)] — memtrace's record store and return.
+      jr at; lw r1, o1(book)] — memtrace's record store and return;
+    - [Kd_copy]: [nop; lw tmp, 0(src); sw tmp, 0(dst); addiu src, src, 4;
+      j H; addiu dst, dst, 4] at H+8, whose head block at H, on the same
+      page, is [beq src, stop, _; nop] — the drain's word copy from a
+      user trace buffer into the kernel's ($kd_loop).  One dispatch
+      copies a run of words and leaves pc at H;
+    - [Spin]: [addiu r, r, -1; bgtz r, B; nop] at B — the analysis-mode
+      countdown ($ka_spin).  One dispatch runs a run of iterations.
 
-    The registers a shape names are pairwise distinct and none is $zero,
-    $at or $ra.  The kernel variant's mfc0/mtc0 prologue never matches. *)
+    The registers a runtime shape names are pairwise distinct and none
+    is $zero, $at or $ra; [Kd_copy]'s four are pairwise distinct and not
+    $zero, and [Spin]'s [r] is not $zero.  The kernel variant of the
+    runtime matches where its blocks have the user shapes: its room
+    check, the block after the mtc0 barrier that closes its prologue, is
+    a [Bb_head]; its mfc0/mtc0 blocks match nothing. *)
 type stub =
   | Bb_head of { rt : int; book : int; off : int; cursor : int; limit : int; full : int }
   | Bb_resume of { cursor : int; book : int; ra_off : int; rt : int; off : int }
@@ -63,6 +75,14 @@ type stub =
       cursor : int; r0 : int; r1 : int; r2 : int; book : int;
       o0 : int; o1 : int; o2 : int; ra_off : int;
     }
+  | Kd_copy of { src : int; dst : int; tmp : int; stop : int }
+  | Spin of { r : int }
+
+val stub_kinds : string array
+(** The stub kinds' names, in constructor order. *)
+
+val stub_kind : stub -> int
+(** A stub's index in {!stub_kinds}. *)
 
 (** {2 The uop IR}
 
@@ -107,11 +127,12 @@ type t =
           5-bit fields but there are {!Reg.nfregs} registers, so the
           executor keeps those accesses bounds-checked, as [exec] does. *)
   | U_stub of stub
-      (** A whole tracing-runtime block as one dispatch, in slot 0 of a
-          block whose body matches the stub shape.  When the stub falls
-          through, slot 0's own instruction runs (a store or the cursor
-          bump, fixed by the shape); the covered slots keep their scalar
-          uops. *)
+      (** A whole tracing-runtime block, or a run of iterations of a
+          kernel trace-buffer loop, as one dispatch, in slot 0 of a block
+          whose body matches the stub shape.  When the stub falls
+          through, slot 0's own instruction runs (a store, the cursor
+          bump, a nop or the countdown, fixed by the shape); the covered
+          slots keep their scalar uops. *)
   | U_other of Insn.t                      (* full interpreter dispatch *)
 
 (** {2 Blocks} *)
@@ -149,7 +170,8 @@ val build :
     bad word, so it raises exactly when step-at-a-time would reach it.
     On cacheable text, a block matching a stub shape gets a [U_stub] in
     slot 0 — only there, which is what lets stub uops skip the
-    cacheability test. *)
+    cacheability test.  Matching [Kd_copy] decodes the two words before
+    [pa] when they are on its page. *)
 
 (** {2 The store-generation invalidation contract}
 

@@ -302,16 +302,8 @@ let finish_conn t c =
     + (match wire_diag with Some _ -> 1 | None -> 0)
     + (if c.sink_exn then 1 else 0)
   in
-  (match wire_diag with
-  | None ->
-    write_reply c.fd
-      (Printf.sprintf
-         "ok words=%d frames=%d dropped_words=%d dropped_frames=%d \
-          diagnoses=%d\n"
-         (Wire.words c.dec) (Wire.frames c.dec) c.dropped_words
-         c.dropped_frames ndiag)
-  | Some e -> write_reply c.fd (Printf.sprintf "err %s\n" (Wire.describe e)));
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
+  (* Account the stream before acknowledging it, so a client that has
+     its reply finds its words in the control socket's stats. *)
   let g = t.g in
   Mutex.lock g.mu;
   g.streams_active <- g.streams_active - 1;
@@ -324,7 +316,17 @@ let finish_conn t c =
   g.diagnoses <- g.diagnoses + ndiag;
   let pk = Bqueue.peak_words c.q in
   if pk > g.peak_resident then g.peak_resident <- pk;
-  Mutex.unlock g.mu
+  Mutex.unlock g.mu;
+  (match wire_diag with
+  | None ->
+    write_reply c.fd
+      (Printf.sprintf
+         "ok words=%d frames=%d dropped_words=%d dropped_frames=%d \
+          diagnoses=%d\n"
+         (Wire.words c.dec) (Wire.frames c.dec) c.dropped_words
+         c.dropped_frames ndiag)
+  | Some e -> write_reply c.fd (Printf.sprintf "err %s\n" (Wire.describe e)));
+  (try Unix.close c.fd with Unix.Unix_error _ -> ())
 
 (* Returns true when the connection is finished and closed. *)
 let service t c =

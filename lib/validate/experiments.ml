@@ -815,10 +815,8 @@ type tier_fingerprint = {
   f_checksum : int;
 }
 
-let tier_run ?(os = Validate.Ultrix) ~traced wname tier =
+let tier_fingerprint ~traced (b : Builder.t) =
   let module M = Systrace_machine.Machine in
-  let machine_cfg = { M.default_config with M.tier } in
-  let b = Validate.system ~machine_cfg ~traced os (spec_of (Suite.find wname)) in
   let words = ref 0 and sum = ref 0 in
   if traced then
     b.Builder.trace_sink <-
@@ -834,83 +832,96 @@ let tier_run ?(os = Validate.Ultrix) ~traced wname tier =
   if traced then Builder.drain_final b;
   let m = b.Builder.machine in
   let c = m.M.c in
-  ( b,
-    {
-      f_counters =
-        [
-          m.M.cycles; c.M.instructions; c.M.user_instructions;
-          c.M.kernel_instructions; c.M.idle_instructions;
-          c.M.uncached_ifetches; c.M.uncached_reads; c.M.utlb_misses;
-          c.M.ktlb_misses; c.M.tlb_invalid; c.M.tlb_mod; c.M.exceptions;
-          c.M.interrupts; c.M.syscalls; c.M.clock_ticks;
-          m.M.icache.Systrace_machine.Cache.hits;
-          m.M.icache.Systrace_machine.Cache.misses;
-          m.M.dcache.Systrace_machine.Cache.hits;
-          m.M.dcache.Systrace_machine.Cache.misses;
-          m.M.wb.Systrace_machine.Write_buffer.stores;
-          m.M.wb.Systrace_machine.Write_buffer.stall_cycles;
-          M.arith_stalls m;
-          m.M.fpu.Systrace_machine.Fpu.ops;
-        ];
-      f_console = Builder.console b;
-      f_words = !words;
-      f_checksum = !sum;
-    } )
+  {
+    f_counters =
+      [
+        m.M.cycles; c.M.instructions; c.M.user_instructions;
+        c.M.kernel_instructions; c.M.idle_instructions;
+        c.M.uncached_ifetches; c.M.uncached_reads; c.M.utlb_misses;
+        c.M.ktlb_misses; c.M.tlb_invalid; c.M.tlb_mod; c.M.exceptions;
+        c.M.interrupts; c.M.syscalls; c.M.clock_ticks;
+        m.M.icache.Systrace_machine.Cache.hits;
+        m.M.icache.Systrace_machine.Cache.misses;
+        m.M.dcache.Systrace_machine.Cache.hits;
+        m.M.dcache.Systrace_machine.Cache.misses;
+        m.M.wb.Systrace_machine.Write_buffer.stores;
+        m.M.wb.Systrace_machine.Write_buffer.stall_cycles;
+        M.arith_stalls m;
+        m.M.fpu.Systrace_machine.Fpu.ops;
+      ];
+    f_console = Builder.console b;
+    f_words = !words;
+    f_checksum = !sum;
+  }
 
-(* Host cost of the interpreter tiers on a full untraced boot + workload
-   run.  The simulated machine must be bit-for-bit indifferent: every
-   ground-truth counter and the console transcript are asserted
-   identical across tiers before the timings are reported, which
-   exercises the block cache's invalidation machinery (kernel loads
-   programs, remaps pages and switches modes constantly) at system
-   scale. *)
-let interp_ablation_table ?(wname = "egrep") () =
+let tier_run ?(os = Validate.Ultrix) ~traced wname tier =
+  let module M = Systrace_machine.Machine in
+  let machine_cfg = { M.default_config with M.tier } in
+  let b = Validate.system ~machine_cfg ~traced os (spec_of (Suite.find wname)) in
+  (b, tier_fingerprint ~traced b)
+
+(* Host cost of the interpreter tiers on the traced suite: every Table 1
+   workload under both systems, booted, run and drained at each tier.
+   The simulated machine must be bit-for-bit indifferent: every
+   ground-truth counter, the console transcript and the trace words
+   handed to the host are asserted identical to step-at-a-time's, cell
+   by cell, before the timings are reported.  That exercises the block
+   cache's invalidation machinery (kernel loads programs, remaps pages
+   and switches modes constantly) and every stub uop, kernel loops
+   included, at system scale. *)
+let interp_ablation_table () =
   let modes =
-    [
+    [|
       ("step (no caches)", Systrace_machine.Uop.Step);
       ("tcache", Systrace_machine.Uop.Tcache);
       ("tcache + bcache", Systrace_machine.Uop.Bcache);
-    ]
+    |]
   in
-  let results =
-    List.map
-      (fun (label, tier) ->
-        let t0 = Sys.time () in
-        let _, fp = tier_run ~traced:false wname tier in
-        (label, Sys.time () -. t0, fp))
-      modes
-  in
-  (match results with
-  | (_, _, fp0) :: rest ->
-    List.iter
-      (fun (label, _, fp) ->
-        if fp <> fp0 then
-          failwith
-            (Printf.sprintf
-               "interp ablation: %s diverges from step-at-a-time on %s" label
-               wname))
-      rest
-  | [] -> ());
-  let base = match results with (_, s, _) :: _ -> s | [] -> 1.0 in
+  let secs = Array.make (Array.length modes) 0.0 in
+  List.iter
+    (fun (e : Suite.entry) ->
+      List.iter
+        (fun os ->
+          let fps =
+            Array.mapi
+              (fun i (_, tier) ->
+                let t0 = Sys.time () in
+                let _, fp = tier_run ~os ~traced:true e.Suite.name tier in
+                secs.(i) <- secs.(i) +. (Sys.time () -. t0);
+                fp)
+              modes
+          in
+          Array.iteri
+            (fun i fp ->
+              if fp <> fps.(0) then
+                failwith
+                  (Printf.sprintf
+                     "interp ablation: %s diverges from step-at-a-time on \
+                      traced %s (%s)"
+                     (fst modes.(i)) e.Suite.name (Validate.os_name os)))
+            fps)
+        [ Validate.Ultrix; Validate.Mach ])
+    Suite.all;
   let t =
     Table.create
       ~title:
         (Printf.sprintf
-           "Interpreter execution tiers: host cost of an untraced %s run \
-(identical simulated counters and console asserted across all three)"
-           wname)
+           "Interpreter execution tiers: host cost of the traced suite, %d \
+            runs (identical counters, console and trace words asserted \
+            across all three, run by run)"
+           (2 * List.length Suite.all))
       ~headers:[ "mode"; "host cpu s"; "speedup" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right ]
   in
-  List.iter
-    (fun (label, secs, _) ->
+  Array.iteri
+    (fun i (label, _) ->
       Table.add_row t
         [
           label;
-          Printf.sprintf "%.2f" secs;
-          Printf.sprintf "%.2fx" (base /. secs);
+          Printf.sprintf "%.2f" secs.(i);
+          Printf.sprintf "%.2fx" (secs.(0) /. secs.(i));
         ])
-    results;
+    modes;
   t
 
 let os_structure_table (matrix : full_row list) =

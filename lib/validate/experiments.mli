@@ -83,6 +83,10 @@ type tier_fingerprint = {
   f_checksum : int;  (** order-sensitive checksum of those words *)
 }
 
+val tier_fingerprint : traced:bool -> Systrace_kernel.Builder.t -> tier_fingerprint
+(** Run a built system to halt (draining the in-kernel trace buffer at
+    the end when [traced]) and fingerprint it. *)
+
 val tier_run :
   ?os:Validate.os ->
   traced:bool ->
@@ -90,17 +94,18 @@ val tier_run :
   Systrace_machine.Uop.tier ->
   Systrace_kernel.Builder.t * tier_fingerprint
 (** Boot workload [wname] ([?os] default Ultrix; traced or not, as
-    {!Validate} builds it) at one interpreter tier, run it to halt
-    (draining the in-kernel trace buffer at the end) and fingerprint
-    it.  Every tier must give the same fingerprint: [Step] is the
-    oracle. *)
+    {!Validate} builds it) at one interpreter tier and
+    {!tier_fingerprint} it.  Every tier must give the same fingerprint:
+    [Step] is the oracle. *)
 
-val interp_ablation_table : ?wname:string -> unit -> Table.t
-(** DESIGN.md §5e: step-at-a-time vs translation micro-cache vs
-    basic-block replay on an untraced boot + workload run — host cost per
-    mode, with the ground-truth counters and console transcript asserted
-    identical first (the block cache must be invisible to the simulated
-    machine). *)
+val interp_ablation_table : unit -> Table.t
+(** DESIGN.md §5e and §5n: step-at-a-time vs translation micro-cache vs
+    basic-block replay on the traced suite (all twelve workloads, each
+    under both systems) — host cost per mode,
+    summed over the suite, with every run's {!tier_fingerprint} asserted
+    identical to step-at-a-time's first (the block cache and its stub
+    uops must be invisible to the simulated machine).  Raises [Failure]
+    naming the first run that differs. *)
 
 val os_structure_table : full_row list -> Table.t
 (** System vs user share of memory activity under each OS structure. *)

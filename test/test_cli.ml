@@ -5,13 +5,15 @@
 
 let cli = "../bin/systrace_cli.exe"
 
-(* Run the CLI with [args]; returns (exit code, stderr). *)
-let run args =
+(* Run the CLI with [args]; returns (exit code, stderr), or with
+   [~stdout:true] (exit code, stdout). *)
+let run ?(stdout = false) args =
   let err = Filename.temp_file "systrace_cli" ".err" in
   let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
-    Unix.create_process cli (Array.of_list (cli :: args)) null null fd
+    if stdout then Unix.create_process cli (Array.of_list (cli :: args)) null fd null
+    else Unix.create_process cli (Array.of_list (cli :: args)) null null fd
   in
   Unix.close fd;
   Unix.close null;
@@ -65,5 +67,21 @@ let test_bad_invocations () =
         (String.starts_with ~prefix:"Fatal error" msg))
     (cases ())
 
+(* The traced profile counts the kernel's trace-buffer work too: the
+   drain's copy loop is the routine that found the kernel loop stubs. *)
+let test_profile_traced () =
+  let code, out = run ~stdout:true [ "profile"; "egrep"; "--traced" ] in
+  Alcotest.(check int) "exit code" 0 code;
+  let has s =
+    let n = String.length s in
+    let rec at i = i + n <= String.length out && (String.sub out i n = s || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "traced header" true (has "(Ultrix, traced):\n");
+  Alcotest.(check bool) "lists the drain copy loop" true (has "ktraceops::$kd_loop")
+
 let tests =
-  [ Alcotest.test_case "bad invocations exit 1 or 2 with a message" `Quick test_bad_invocations ]
+  [
+    Alcotest.test_case "bad invocations exit 1 or 2 with a message" `Quick test_bad_invocations;
+    Alcotest.test_case "profile --traced lists the drain copy" `Quick test_profile_traced;
+  ]

@@ -709,6 +709,7 @@ type tc_op =
   | Op_tlbwi of { hi : int; lo : int; index : int }
   | Op_tlbwr of { hi : int; lo : int }
   | Op_status of int
+  | Op_user of int
   | Op_entryhi of int
   | Op_context of int
   | Op_rfe
@@ -745,20 +746,34 @@ let tc_machine () =
   let m = Machine.create () in
   Machine.load_exe_phys m exe ~text_pa:(Addr.kseg0_pa text_va)
     ~data_pa:(Addr.kseg0_pa data_va);
+  (* In user mode, fetching a snippet from kseg0 takes an address error:
+     the general vector halts, back in kernel mode. *)
+  Machine.write_phys_u32 m
+    (Addr.kseg0_pa Addr.general_vector)
+    (Encode.encode ~pc:Addr.general_vector (Insn.Hcall 0));
   m.Machine.hcall_handler <- Some (fun m code -> if code = 0 then Machine.halt m);
   (m, exe)
 
-let tc_run_snippet m exe name =
+let tc_enter m exe name ~max_insns =
   m.Machine.pc <- Exe.symbol exe name;
   m.Machine.npc <- m.Machine.pc + 4;
   m.Machine.next_is_delay <- false;
   m.Machine.halted <- false;
-  match Machine.run m ~max_insns:20 with
+  Machine.run m ~max_insns
+
+(* Run a snippet in kernel mode.  From user mode, the first attempt
+   traps to kernel mode through exception entry, which is itself one of
+   the flushes under test. *)
+let tc_run_snippet m exe name =
+  if m.Machine.status land 0x2 <> 0 then ignore (tc_enter m exe name ~max_insns:20);
+  match tc_enter m exe name ~max_insns:20 with
   | Machine.Halt -> ()
   | Machine.Limit -> Alcotest.fail (name ^ ": snippet did not halt")
 
-(* The machine stays in kernel mode so snippets keep executing: random
-   status values have their KU stack masked off. *)
+(* Random status values have their KU stack masked off, so a write
+   changes only the IE and IM bits of the mode the machine is in;
+   [Op_user] then sets KUc, and the machine stays in user mode (its
+   accesses checked there) until the next snippet traps back. *)
 let tc_status_mask = lnot 0x2A
 
 (* Mapped pages: a few small vpns plus the two a traced user reference
@@ -808,6 +823,7 @@ let tc_gen_op =
             entry_hi entry_lo (int_range 0 63));
       (1, map2 (fun hi lo -> Op_tlbwr { hi; lo }) entry_hi entry_lo);
       (1, map (fun s -> Op_status (s land tc_status_mask)) (int_bound 0xFFFF));
+      (1, map (fun s -> Op_user (s land tc_status_mask lor 0x2)) (int_bound 0xFFFF));
       (1, map (fun hi -> Op_entryhi hi) entry_hi);
       (1, map (fun c -> Op_context (c lsl 21)) (int_bound 0x3F));
       (1, return Op_rfe);
@@ -863,6 +879,14 @@ let prop_tcache_matches_walk =
             m.Machine.regs.(Reg.t0) <- s;
             tc_run_snippet m exe "op_status";
             true
+          | Op_user s ->
+            (* back to kernel mode if need be, then the mtc0 alone: the
+               next fetch would trap *)
+            if m.Machine.status land 0x2 <> 0 then
+              ignore (tc_enter m exe "op_status" ~max_insns:20);
+            m.Machine.regs.(Reg.t0) <- s;
+            tc_enter m exe "op_status" ~max_insns:1 = Machine.Limit
+            && m.Machine.status land 0x2 <> 0
           | Op_entryhi hi ->
             m.Machine.regs.(Reg.t0) <- hi;
             tc_run_snippet m exe "op_entryhi";
@@ -1570,6 +1594,196 @@ let test_machine_footprint () =
   check (Printf.sprintf "traced egrep machine: %d words < 3M" words) true
     (words < 3_000_000)
 
+(* ------------------------------------------------------------------ *)
+(* The kernel's trace-buffer loop stubs against step-at-a-time         *)
+
+(* The drain's copy loop as ktraceops.ml assembles it — a head block
+   [beq src, stop; nop], then a body entered through one more nop —
+   copying [n] words from [src] to [dst], then the analysis spin
+   counting [spin] down (with [spin] <= 1 its block is never entered at
+   its head, so no [Spin] stub dispatches).  [pre] runs first. *)
+let ks_build ?(pre = fun _ -> ()) ~src ~dst ~n ~spin a =
+  let open Asm in
+  pre a;
+  li a Reg.t4 src;
+  li a Reg.t3 (src + (4 * n));
+  li a Reg.s0 dst;
+  label a "kd_loop";
+  beq a Reg.t4 Reg.t3 "kd_done";
+  nop a;
+  lw a Reg.t5 0 Reg.t4;
+  sw a Reg.t5 0 Reg.s0;
+  addiu a Reg.t4 Reg.t4 4;
+  i a (Insn.J (Sym "kd_loop"));
+  addiu a Reg.s0 Reg.s0 4;
+  label a "kd_done";
+  li a Reg.v1 spin;
+  label a "ka_spin";
+  addiu a Reg.v1 Reg.v1 (-1);
+  bgtz a Reg.v1 "ka_spin";
+  halt a
+
+(* Enable the clock interrupt (the machine's clock is armed by
+   [ks_clock]). *)
+let ks_irq_on a =
+  Asm.li a Reg.t0 (0x401 lor (1 lsl (Addr.irq_clock + 8)));
+  Asm.mtc0 a Reg.t0 Insn.C0_status
+
+let ks_clock interval m =
+  m.Machine.clock_interval <- interval;
+  m.Machine.next_clock <- interval
+
+(* A kuseg source whose two virtual pages 0x10 and 0x11 map to frames
+   0x30 and 0x50, so a copy that ran past the first page's end would
+   read frame 0x31's poison instead of frame 0x50's words. *)
+let ks_map_source m =
+  List.iteri
+    (fun i (vpn, pfn) ->
+      Tlb.write m.Machine.tlb (8 + i)
+        ~hi:(Tlb.make_entryhi ~vpn ~asid:0)
+        ~lo:(Tlb.make_entrylo ~dirty:true ~valid:true ~global:true ~pfn ()))
+    [ (0x10, 0x30); (0x11, 0x50) ];
+  for w = 0 to 1023 do
+    Machine.write_phys_u32 m ((0x30 lsl 12) + (4 * w)) (0x3000_0000 + w);
+    Machine.write_phys_u32 m ((0x31 lsl 12) + (4 * w)) 0xDEAD_BEEF;
+    Machine.write_phys_u32 m ((0x50 lsl 12) + (4 * w)) (0x5000_0000 + w)
+  done
+
+(* Source words at [data_va] for the kseg0/kseg1 sources. *)
+let ks_fill_data m =
+  for w = 0 to 255 do
+    Machine.write_phys_u32 m (Addr.kseg0_pa data_va + (4 * w)) (0x1000 + w)
+  done
+
+(* Dispatches of the stub kind named [name] (see [Uop.stub_kinds]). *)
+let kind_runs m name =
+  let i = ref (-1) in
+  Array.iteri (fun k n -> if n = name then i := k) Uop.stub_kinds;
+  m.Machine.stub_kind_runs.(!i)
+
+(* Run [build] at step and at the block cache in lockstep, [chunk]
+   instructions per [Machine.run], comparing the fingerprints after
+   every chunk and memory (and the per-word execution counts) at the
+   end; returns the block-cache machine. *)
+let ks_both ?(prepare = fun (_ : Machine.t) -> ()) ?(cfg = Machine.default_config)
+    ?(chunk = 1_000_000) build =
+  let make tier =
+    let m, _ = setup ~cfg:{ cfg with Machine.tier } build in
+    bb_install_vectors m;
+    ks_fill_data m;
+    prepare m;
+    m
+  in
+  let ms = make Uop.Step and mb = make Uop.Bcache in
+  let rec go rounds =
+    if rounds > 200_000 then Alcotest.fail "program did not halt";
+    let rs = Machine.run ms ~max_insns:chunk in
+    let rb = Machine.run mb ~max_insns:chunk in
+    check "same stop reason" true (rs = rb);
+    if bb_fingerprint mb <> bb_fingerprint ms then
+      Alcotest.failf "bcache diverges from step after %d chunks of %d" (rounds + 1)
+        chunk;
+    if rs = Machine.Limit then go (rounds + 1)
+  in
+  go 0;
+  check "memory matches step" true (Bytes.equal ms.Machine.mem mb.Machine.mem);
+  check "execution counts match step" true
+    (ms.Machine.exec_counts = mb.Machine.exec_counts);
+  mb
+
+let kseg0 = data_va
+let kseg1 = data_va + 0x2000_0000
+let ks_dst = data_va + 0x1000
+
+(* A copy across a source page end whose next page is elsewhere in
+   physical memory, then a 2,000-iteration spin: both stubs run, the
+   copy in at least two dispatches. *)
+let test_ks_page_end () =
+  let m =
+    ks_both ~prepare:ks_map_source
+      (ks_build ~src:0x10F00 ~dst:ks_dst ~n:200 ~spin:2000)
+  in
+  check "copy ran in two or more dispatches" true (kind_runs m "kd_copy" >= 2);
+  check "spin ran" true (kind_runs m "spin" >= 1);
+  check_int "last word from the second frame" (0x5000_0000 + 135)
+    (Machine.read_phys_u32 m (Addr.kseg0_pa ks_dst + (4 * 199)));
+  check_int "word before the page end" (0x3000_0000 + 1023)
+    (Machine.read_phys_u32 m (Addr.kseg0_pa ks_dst + (4 * 63)))
+
+(* One fall-through cause each: the stub kinds in [none] must leave
+   everything to the scalar uops, and the result must still be step's. *)
+let ks_falls ?prepare ?cfg ?chunk ~none build () =
+  let m = ks_both ?prepare ?cfg ?chunk build in
+  check "stub uops fell through" true (m.Machine.stub_falls > 0);
+  List.iter (fun kind -> check_int (kind ^ ": no dispatch") 0 (kind_runs m kind)) none
+
+let ks_plain = ks_build ~src:kseg0 ~dst:ks_dst ~n:100 ~spin:500
+
+let test_ks_uncached_source =
+  ks_falls ~none:[ "kd_copy" ] (ks_build ~src:kseg1 ~dst:ks_dst ~n:100 ~spin:1)
+
+let test_ks_uncached_dest =
+  ks_falls ~none:[ "kd_copy" ]
+    (ks_build ~src:kseg0 ~dst:(ks_dst + 0x2000_0000) ~n:100 ~spin:1)
+
+let test_ks_tlb_miss_source () =
+  let m =
+    ks_both (ks_build ~src:0x20000 ~dst:ks_dst ~n:20 ~spin:1)
+  in
+  check_int "no copy dispatch" 0 (kind_runs m "kd_copy");
+  check_int "a refill per word" 20 m.Machine.c.Machine.utlb_misses
+
+let test_ks_dest_on_text =
+  ks_falls ~none:[ "kd_copy" ]
+    (ks_build ~src:kseg0 ~dst:(text_va + 0xC00) ~n:100 ~spin:1)
+
+let test_ks_watchpoint =
+  ks_falls ~none:[ "kd_copy"; "spin" ]
+    ~prepare:(fun m -> m.Machine.watchpoint <- Some (fun _ _ -> ()))
+    ks_plain
+
+let test_ks_ref_tracer =
+  ks_falls ~none:[ "kd_copy"; "spin" ]
+    ~prepare:(fun m -> m.Machine.ref_tracer <- Some (fun _ _ -> ()))
+    ks_plain
+
+let test_ks_count_exec =
+  ks_falls ~none:[ "kd_copy"; "spin" ]
+    ~cfg:{ Machine.default_config with Machine.count_exec = true }
+    ks_plain
+
+(* Five instructions per [run]: never room for the copy's 6-instruction
+   body, while the 3-instruction spin still runs one iteration at a
+   time. *)
+let test_ks_budget_below_block = ks_falls ~none:[ "kd_copy" ] ~chunk:5 ks_plain
+
+(* 50 instructions per [run]: copies end mid-run at the budget, and the
+   counters must agree after every run. *)
+let test_ks_budget_mid_copy () =
+  let m = ks_both ~chunk:50 ks_plain in
+  check "copy ran" true (kind_runs m "kd_copy" > 0);
+  check "spin ran" true (kind_runs m "spin" > 0)
+
+(* The first body entry finds its icache lines cold and falls through;
+   the second word's entry finds them resident. *)
+let test_ks_icache_cold () =
+  let m = ks_both (ks_build ~src:kseg0 ~dst:ks_dst ~n:2 ~spin:1) in
+  check_int "cold entry fell through" 1 m.Machine.stub_falls;
+  check_int "warm entry ran" 1 (kind_runs m "kd_copy")
+
+(* A clock every 150 cycles: the copy's horizon is often too close, and
+   ticks fall due mid-spin; each must be taken at step's cycle and pc. *)
+let test_ks_clock () =
+  let m =
+    ks_both ~prepare:(ks_clock 150)
+      (ks_build ~pre:ks_irq_on ~src:kseg0 ~dst:ks_dst ~n:200 ~spin:3000)
+  in
+  check "ticks taken" true (m.Machine.c.Machine.interrupts > 20);
+  check "copy ran" true (kind_runs m "kd_copy" > 0);
+  check "spin ran" true (kind_runs m "spin" > 0);
+  (* a cold icache accounts for at most one fall per loop *)
+  check "stubs fell through at the horizon" true (m.Machine.stub_falls > 10)
+
 let tests =
   tests
   @ [
@@ -1591,4 +1805,28 @@ let tests =
         test_store_invalidates_decode;
       Alcotest.test_case "random register range" `Quick test_random_register_range;
       Alcotest.test_case "context register" `Quick test_context_register;
+      Alcotest.test_case "loop stubs: copy across a page end" `Quick
+        test_ks_page_end;
+      Alcotest.test_case "loop stub falls through: uncached source" `Quick
+        test_ks_uncached_source;
+      Alcotest.test_case "loop stub falls through: uncached dest" `Quick
+        test_ks_uncached_dest;
+      Alcotest.test_case "loop stub falls through: source tlb miss" `Quick
+        test_ks_tlb_miss_source;
+      Alcotest.test_case "loop stub falls through: store to text" `Quick
+        test_ks_dest_on_text;
+      Alcotest.test_case "loop stub falls through: watchpoint" `Quick
+        test_ks_watchpoint;
+      Alcotest.test_case "loop stub falls through: ref tracer" `Quick
+        test_ks_ref_tracer;
+      Alcotest.test_case "loop stub falls through: count_exec" `Quick
+        test_ks_count_exec;
+      Alcotest.test_case "loop stub falls through: budget < block" `Quick
+        test_ks_budget_below_block;
+      Alcotest.test_case "loop stubs: budget ends mid-copy" `Quick
+        test_ks_budget_mid_copy;
+      Alcotest.test_case "loop stub falls through: icache cold" `Quick
+        test_ks_icache_cold;
+      Alcotest.test_case "loop stubs: clock ticks mid-spin" `Quick
+        test_ks_clock;
     ]

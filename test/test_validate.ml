@@ -234,29 +234,75 @@ let test_flat_pagemap () =
    machine and hand the host the same trace as step-at-a-time.  The
    traced run is where the stub uops and the second-level translation
    cache do their work, so the block cache must actually have run stubs
-   here. *)
+   here, the kernel's drain copy among them.  sed is kernel-heavy,
+   egrep user-heavy and fpppp floating-point. *)
 
-let test_traced_tier_oracle () =
+let kind_runs (b : Systrace_kernel.Builder.t) =
+  Test_machine.kind_runs b.Systrace_kernel.Builder.machine
+
+let check_fingerprints what (step : Experiments.tier_fingerprint) fp =
+  let module E = Experiments in
+  Alcotest.(check (list int)) (what ^ ": counters") step.E.f_counters fp.E.f_counters;
+  Alcotest.(check string) (what ^ ": console") step.E.f_console fp.E.f_console;
+  Alcotest.(check int) (what ^ ": trace words") step.E.f_words fp.E.f_words;
+  Alcotest.(check int) (what ^ ": trace checksum") step.E.f_checksum fp.E.f_checksum
+
+let test_traced_tier_oracle wname () =
   let module M = Systrace_machine.Machine in
   let module E = Experiments in
   List.iter
     (fun os ->
-      let name = Validate.os_name os in
-      let _, step = E.tier_run ~os ~traced:true "egrep" Systrace_machine.Uop.Step in
+      let name = wname ^ " " ^ Validate.os_name os in
+      let _, step = E.tier_run ~os ~traced:true wname Systrace_machine.Uop.Step in
       Alcotest.(check bool) (name ^ ": trace words delivered") true (step.E.f_words > 0);
       List.iter
         (fun tier ->
-          let b, fp = E.tier_run ~os ~traced:true "egrep" tier in
+          let b, fp = E.tier_run ~os ~traced:true wname tier in
           let what = name ^ " " ^ Systrace_machine.Uop.tier_name tier in
-          Alcotest.(check (list int)) (what ^ ": counters") step.E.f_counters fp.E.f_counters;
-          Alcotest.(check string) (what ^ ": console") step.E.f_console fp.E.f_console;
-          Alcotest.(check int) (what ^ ": trace words") step.E.f_words fp.E.f_words;
-          Alcotest.(check int) (what ^ ": trace checksum") step.E.f_checksum fp.E.f_checksum;
-          if tier = Systrace_machine.Uop.Bcache then
+          check_fingerprints what step fp;
+          if tier = Systrace_machine.Uop.Bcache then begin
             Alcotest.(check bool) (what ^ ": stub uops ran") true
-              (b.Systrace_kernel.Builder.machine.M.stub_runs > 0))
+              (b.Systrace_kernel.Builder.machine.M.stub_runs > 0);
+            Alcotest.(check bool) (what ^ ": drain copy stub ran") true
+              (kind_runs b "kd_copy" > 0)
+          end)
         [ Systrace_machine.Uop.Tcache; Systrace_machine.Uop.Bcache ])
     [ Validate.Ultrix; Validate.Mach ]
+
+(* A small in-kernel buffer, handed over in small chunks, sends traced
+   egrep through dozens of trace-analysis phases, and a fast clock ticks
+   every 15,000 traced cycles, so ticks fall due while the spin counts
+   down (a chunk's spin is about 12,000 cycles).  The kernel spins with
+   interrupts masked, but each tick's poll re-arms the clock from the
+   cycle it runs at: the spin's stub must run, and stop at the horizon
+   exactly where step-at-a-time polls. *)
+let test_traced_analysis_spin () =
+  let module M = Systrace_machine.Machine in
+  let module B = Systrace_kernel.Builder in
+  let e = Systrace_workloads.Suite.find "egrep" in
+  let run tier =
+    let cfg =
+      {
+        B.default_config with
+        B.traced = true;
+        trace_buf_bytes = 64 * 1024;
+        trace_slack_bytes = 24 * 1024;
+        analysis_chunk = 2048;
+        clock_interval = 1000;
+        machine_cfg = { M.default_config with M.tier };
+      }
+    in
+    let b = B.build ~cfg ~programs:[ e.Systrace_workloads.Suite.program () ]
+        ~files:e.Systrace_workloads.Suite.files () in
+    (b, Experiments.tier_fingerprint ~traced:true b)
+  in
+  let bs, step = run Systrace_machine.Uop.Step in
+  Alcotest.(check bool) "several analysis phases" true (bs.B.analyze_calls > 20);
+  Alcotest.(check bool) "clock ticks" true (bs.B.machine.M.c.M.clock_ticks > 100);
+  let b, fp = run Systrace_machine.Uop.Bcache in
+  check_fingerprints "small-buffer egrep bcache" step fp;
+  Alcotest.(check bool) "analysis spin stub ran" true (kind_runs b "spin" > 0);
+  Alcotest.(check bool) "drain copy stub ran" true (kind_runs b "kd_copy" > 0)
 
 (* The FP uops at system scale: liv is the Table 1 code with the most FP
    work per instruction (3.45M instructions untraced), so its arithmetic
@@ -277,7 +323,13 @@ let tests =
     Alcotest.test_case "matrix determinism (jobs=1 == jobs=4)" `Quick
       test_matrix_determinism;
     Alcotest.test_case "traced egrep: step == bcache == default tier" `Quick
-      test_traced_tier_oracle;
+      (test_traced_tier_oracle "egrep");
+    Alcotest.test_case "traced sed: step == tcache == bcache" `Quick
+      (test_traced_tier_oracle "sed");
+    Alcotest.test_case "traced fpppp: step == tcache == bcache" `Quick
+      (test_traced_tier_oracle "fpppp");
+    Alcotest.test_case "traced analysis phases: spin stub == step" `Quick
+      test_traced_analysis_spin;
     Alcotest.test_case "untraced liv: step == bcache, FP counters" `Quick
       test_fp_tier_oracle;
     Alcotest.test_case "sweep == singles on a real trace" `Quick
