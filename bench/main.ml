@@ -1,6 +1,6 @@
 (* Benchmark and experiment harness: regenerates every table and figure of
    the paper's evaluation, plus the design-choice ablations from DESIGN.md
-   and Bechamel microbenchmarks of the toolchain itself.
+   and the perf targets the CI gate reads.
 
      dune exec bench/main.exe                    -- everything
      dune exec bench/main.exe -- table2          -- one experiment
@@ -9,10 +9,10 @@
                                                     time (and byte-identity)
    Experiments: table1 table2 figure3 table3 figure2 expansion dilation
                 kernel_cpi distortion buffer_sweep pagemap corruption
-                faults os_structure drain_ablation trace_format stream
-                sweep store serve micro
+                faults os_structure drain_ablation trace_format interp
+                stream sweep store serve
 
-   `micro`, `stream`, `sweep`, `store`, `serve` and `table2 --timing` merge
+   `interp`, `stream`, `sweep`, `store`, `serve` and `table2 --timing` merge
    machine-readable results into BENCH_micro.json at the repo root (one
    {target, name, unit, value, jobs} object per benchmark, sorted by
    target/name) so the perf trajectory is tracked across PRs; `--out F`
@@ -133,8 +133,6 @@ let exp_pagemap () =
   heading "Ablation: page-mapping policy sensitivity (paper 4.4)";
   Table.print (Experiments.pagemap_table ~jobs:!jobs ())
 
-(* Trace-format ablation (DESIGN.md): one-word records vs Tunix-style
-   records that carry the block length inline. *)
 let exp_corruption () =
   heading "Defensive tracing: fault injection (paper 4.3)";
   Table.print (Experiments.corruption_table ())
@@ -155,6 +153,8 @@ let exp_drain_ablation () =
   heading "Ablation: drain-on-kernel-entry vs flush-when-full (paper 3.1)";
   Table.print (Experiments.drain_ablation_table ())
 
+(* Trace-format ablation (DESIGN.md): one-word records vs Tunix-style
+   records that carry the block length inline. *)
 let exp_trace_format () =
   heading "Ablation: trace format density (one-word vs Tunix records)";
   let e = Workloads.Suite.find "egrep" in
@@ -194,297 +194,26 @@ let exp_trace_format () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the toolchain                            *)
+(* Interpreter tiers on the traced suite                                *)
 
-(* A TLB-mapped spin loop with a representative instruction mix — one
-   load, one store, one taken jump and four ALU ops per iteration (29%
-   memory references, 14% branches, close to the classic R3000 workload
-   mixes) — with text and data in kuseg behind wired TLB entries, so
-   every fetch and data reference exercises the translation path the
-   micro-cache accelerates. *)
-let spin_machine ~tier =
-  let open Isa in
-  let a = Asm.create "spin" in
-  Asm.global a "_start";
-  Asm.label a "_start";
-  Asm.la a Reg.t2 "buf";
-  Asm.label a "loop";
-  (* A counter-update loop: three load-modify-store triples, a lui+ori
-     constant, an addiu pair, and the closing j+nop — the memory/ALU mix
-     of a kernel stats loop. *)
-  Asm.lw a Reg.t3 0 Reg.t2;
-  Asm.addiu a Reg.t3 Reg.t3 1;
-  Asm.sw a Reg.t3 0 Reg.t2;
-  Asm.lw a Reg.t4 4 Reg.t2;
-  Asm.addiu a Reg.t4 Reg.t4 1;
-  Asm.sw a Reg.t4 4 Reg.t2;
-  Asm.lw a Reg.t5 8 Reg.t2;
-  Asm.addiu a Reg.t5 Reg.t5 1;
-  Asm.sw a Reg.t5 8 Reg.t2;
-  Asm.i a (Insn.Lui (Reg.t6, Insn.Imm 0x12));
-  Asm.i a (Insn.Alui (Insn.ORI, Reg.t6, Reg.t6, Insn.Imm 0x34));
-  Asm.addiu a Reg.t8 Reg.t8 2;
-  Asm.addiu a Reg.t9 Reg.t9 3;
-  Asm.i a (Insn.J (Sym "loop"));
-  Asm.nop a;
-  Asm.dlabel a "buf";
-  Asm.space a 64;
-  let exe =
-    Link.link ~name:"spin" ~text_base:0x1000 ~data_base:0x8000 ~entry:"_start"
-      [ Asm.to_obj a ]
-  in
-  let cfg =
-    { Machine.Machine.default_config with
-      Machine.Machine.mem_bytes = 1 lsl 20; tier }
-  in
-  let m = Machine.Machine.create ~cfg () in
-  Machine.Machine.load_exe_phys m exe ~text_pa:0x1000 ~data_pa:0x8000;
-  (* Identity-map the low pages with wired global TLB entries. *)
-  for vpn = 0 to 15 do
-    Machine.Tlb.write m.Machine.Machine.tlb vpn
-      ~hi:(Machine.Tlb.make_entryhi ~vpn ~asid:0)
-      ~lo:(Machine.Tlb.make_entrylo ~dirty:true ~valid:true ~global:true ~pfn:vpn ())
-  done;
-  (m, exe)
-
-let spin_interp_test ~name ~tier =
-  let m, exe = spin_machine ~tier in
-  let open Bechamel in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         m.Machine.Machine.pc <- exe.Isa.Exe.entry;
-         m.Machine.Machine.npc <- exe.Isa.Exe.entry + 4;
-         m.Machine.Machine.next_is_delay <- false;
-         ignore (Machine.Machine.run m ~max_insns:50_000)))
-
-let interp_insns = 50_000.0
-
-(* Run a list of bechamel tests and return (name, ns/run) estimates. *)
-let run_bechamel ~quota tests =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second quota) ~kde:(Some 100) ()
-  in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"systrace" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols (Instance.monotonic_clock) raw in
-  let estimates = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-        estimates := (name, est) :: !estimates;
-        Printf.printf "  %-52s %12.0f ns/run\n" name est
-      | _ -> Printf.printf "  %-52s (no estimate)\n" name)
-    results;
-  !estimates
-
-(* [run_bechamel], [rounds] times, keeping each test's fastest estimate.
-   The interpreter-throughput floor is gated in CI on a shared host whose
-   run-to-run swing exceeds the margin over the floor; the minimum over
-   independent rounds is the usual low-noise location estimate for a
-   throughput micro (anything above the true cost is contention). *)
-let run_bechamel_min ~quota ~rounds tests =
-  let merge best est =
-    List.fold_left
-      (fun acc (name, v) ->
-        match List.assoc_opt name acc with
-        | Some v' when v' <= v -> acc
-        | _ -> (name, v) :: List.remove_assoc name acc)
-      best est
-  in
-  let rec go best r =
-    if r = 0 then best
-    else begin
-      if rounds > 1 then Printf.printf "  -- round %d/%d\n" (rounds - r + 1) rounds;
-      go (merge best (run_bechamel ~quota tests)) (r - 1)
-    end
-  in
-  go [] rounds
-
-(* bechamel prefixes the group name *)
-let strip_group name =
-  match String.index_opt name '/' with
-  | Some k -> String.sub name (k + 1) (String.length name - k - 1)
-  | None -> name
-
-(* The three interpreter tiers on the same 50k-insn mapped spin loop: the
-   block cache over the translation micro-cache, and the bare TLB walk. *)
-let interp_tests () =
-  [
-    spin_interp_test ~name:"machine: interpret 50k mapped insns (bcache)"
-      ~tier:Machine.Uop.Bcache;
-    spin_interp_test ~name:"machine: interpret 50k mapped insns (tcache)"
-      ~tier:Machine.Uop.Tcache;
-    spin_interp_test ~name:"machine: interpret 50k mapped insns (no tcache)"
-      ~tier:Machine.Uop.Step;
-  ]
-
-(* Derived interpreter throughput entries (insns/s) and the speedup
-   ratios the perf gate floors. *)
-let micro_interp_entries estimates =
-  let entry = Bench_json.entry ~target:"micro" in
-  let find_est name' =
-    List.find_opt (fun (name, _) -> strip_group name = name') estimates
-  in
-  match
-    ( find_est "machine: interpret 50k mapped insns (bcache)",
-      find_est "machine: interpret 50k mapped insns (tcache)",
-      find_est "machine: interpret 50k mapped insns (no tcache)" )
-  with
-  | Some (_, bc), Some (_, tc), Some (_, notc)
-    when bc > 0.0 && tc > 0.0 && notc > 0.0 ->
-    let ips est = interp_insns /. (est *. 1e-9) in
-    Printf.printf
-      "\n  interpreter throughput: %.2f M insns/s block-cached, %.2f M \
-       insns/s with micro-cache, %.2f M insns/s without (bcache %.2fx over \
-       tcache; tcache %.2fx over walk)\n"
-      (ips bc /. 1e6) (ips tc /. 1e6) (ips notc /. 1e6) (tc /. bc)
-      (notc /. tc);
+(* Interpreter tier ablation and oracle: host cost of step vs bcache over
+   traced runs of the whole suite under both systems, each run's
+   counters, console and trace asserted identical at both tiers (fails on
+   the first that differs).  Records each tier's host CPU seconds and the
+   block cache's speedup over step for the gate. *)
+let exp_interp () =
+  heading "Interpreter execution tiers on the traced suite (step vs bcache)";
+  let table, secs = Experiments.interp_ablation_table () in
+  Table.print table;
+  let step = List.assoc Machine.Uop.Step secs
+  and bcache = List.assoc Machine.Uop.Bcache secs in
+  let entry = Bench_json.entry ~target:"interp" in
+  Bench_json.record
     [
-      entry ~name:"machine: interpreter throughput (bcache)" ~unit_:"insns/s"
-        (ips bc);
-      entry ~name:"machine: interpreter throughput (tcache)" ~unit_:"insns/s"
-        (ips tc);
-      entry ~name:"machine: interpreter throughput (no tcache)"
-        ~unit_:"insns/s" (ips notc);
-      entry ~name:"machine: bcache speedup" ~unit_:"x" (tc /. bc);
-      entry ~name:"machine: tcache speedup" ~unit_:"x" (notc /. tc);
+      entry ~name:"step host cpu" ~unit_:"s" step;
+      entry ~name:"bcache host cpu" ~unit_:"s" bcache;
+      entry ~name:"bcache speedup over step" ~unit_:"x" (step /. bcache);
     ]
-  | _ -> []
-
-(* Dispatch-representation micro justifying the block cache's flat
-   pre-decoded array (DESIGN.md §5e): the same pre-decoded 8-uop loop body
-   replayed 50k times, dispatched through a one-level variant match vs by
-   calling pre-built closures (the closure-threaded alternative).  This
-   measures steady-state replay — which is all a hot block does — and does
-   not even charge the closure variant its extra block-build cost (one
-   environment allocation per decoded instruction). *)
-type dispatch_uop =
-  | D_add of int * int * int
-  | D_addi of int * int * int
-  | D_load of int * int * int
-  | D_store of int * int * int
-
-let dispatch_tests () =
-  let regs = Array.make 32 0 in
-  let mem = Array.make 256 0 in
-  let body =
-    [|
-      D_load (9, 8, 0); D_addi (9, 9, 1); D_store (9, 8, 0);
-      D_add (10, 10, 9); D_addi (11, 11, 1); D_add (12, 12, 11);
-      D_addi (13, 13, 3); D_add (14, 13, 11);
-    |]
-  in
-  let exec_flat u =
-    match u with
-    | D_add (rd, rs, rt) -> regs.(rd) <- regs.(rs) + regs.(rt)
-    | D_addi (rt, rs, imm) -> regs.(rt) <- regs.(rs) + imm
-    | D_load (rt, base, off) -> regs.(rt) <- mem.((regs.(base) + off) land 255)
-    | D_store (rt, base, off) ->
-      mem.((regs.(base) + off) land 255) <- regs.(rt)
-  in
-  let closure_of u =
-    match u with
-    | D_add (rd, rs, rt) -> fun () -> regs.(rd) <- regs.(rs) + regs.(rt)
-    | D_addi (rt, rs, imm) -> fun () -> regs.(rt) <- regs.(rs) + imm
-    | D_load (rt, base, off) ->
-      fun () -> regs.(rt) <- mem.((regs.(base) + off) land 255)
-    | D_store (rt, base, off) ->
-      fun () -> mem.((regs.(base) + off) land 255) <- regs.(rt)
-  in
-  let closures = Array.map closure_of body in
-  let n = Array.length body in
-  let open Bechamel in
-  [
-    Test.make ~name:"machine: uop dispatch (flat match)"
-      (Staged.stage (fun () ->
-           for k = 0 to 49_999 do
-             exec_flat (Array.unsafe_get body (k land (n - 1)))
-           done));
-    Test.make ~name:"machine: uop dispatch (closure-threaded)"
-      (Staged.stage (fun () ->
-           for k = 0 to 49_999 do
-             (Array.unsafe_get closures (k land (n - 1))) ()
-           done));
-  ]
-
-let exp_micro () =
-  heading "Microbenchmarks (Bechamel)";
-  if !quick then begin
-    (* CI smoke: only the interpreter targets (all three tiers), on a
-       small quota.  Records the same derived entries the full run does,
-       so the bcache >= 2x over tcache floor gates every push. *)
-    let estimates = run_bechamel_min ~quota:0.5 ~rounds:3 (interp_tests ()) in
-    let entry = Bench_json.entry ~target:"micro" in
-    let entries =
-      List.rev_map
-        (fun (name, est) -> entry ~name:(strip_group name) ~unit_:"ns/run" est)
-        estimates
-    in
-    Bench_json.record (entries @ micro_interp_entries estimates)
-  end
-  else begin
-    let open Bechamel in
-    (* trace parsing + memory simulation throughput over a captured trace *)
-    let e = Workloads.Suite.find "egrep" in
-    let words, run =
-      capture_trace [ e.Workloads.Suite.program () ] e.Workloads.Suite.files
-    in
-    let base_cfg = default_memsim_cfg ~system:run.system in
-    (* benchmark names are stable keys in BENCH_micro.json: no run-dependent
-       detail (word counts, job counts) belongs in them *)
-    let parse_test =
-      Test.make ~name:"tracesim: parse+simulate trace"
-        (Staged.stage (fun () ->
-             ignore (replay ~system:run.system ~memsim_cfg:base_cfg words)))
-    in
-    (* trace parsing alone, without the memory simulation behind it *)
-    let parse_only =
-      let sys = run.system in
-      let kernel_bbs = Option.get sys.Systrace_kernel.Builder.kernel_bbs in
-      fun () ->
-        let p = Tracing.Parser.create ~kernel_bbs () in
-        List.iter
-          (fun (pi : Systrace_kernel.Builder.proc_info) ->
-            Tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-          sys.Systrace_kernel.Builder.procs;
-        Tracing.Parser.feed p words ~len:(Array.length words)
-    in
-    let parse_only_test =
-      Test.make ~name:"tracing: parse trace" (Staged.stage parse_only)
-    in
-    (* instrumentation speed *)
-    let instr_test =
-      let prog = e.Workloads.Suite.program () in
-      Test.make ~name:"epoxie: instrument the egrep modules"
-        (Staged.stage (fun () ->
-             ignore
-               (Epoxie.Epoxie.instrument_modules
-                  prog.Systrace_kernel.Builder.modules)))
-    in
-    let tests =
-      [ parse_test; parse_only_test; instr_test ] @ dispatch_tests ()
-    in
-    let estimates =
-      run_bechamel_min ~quota:1.0 ~rounds:3 (interp_tests ())
-      @ run_bechamel ~quota:1.5 tests
-    in
-    (* machine-readable results, plus derived throughput numbers *)
-    let entry = Bench_json.entry ~target:"micro" in
-    let entries =
-      List.rev_map
-        (fun (name, est) -> entry ~name:(strip_group name) ~unit_:"ns/run" est)
-        estimates
-    in
-    Bench_json.record (entries @ micro_interp_entries estimates)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Streaming pipeline: online analysis vs whole-trace materialization   *)
@@ -494,14 +223,6 @@ let exp_micro () =
    memory simulation as it is drained), so peak resident trace words is
    bounded by the in-kernel buffer, not the trace length — and the stats
    must be exactly those of the materialized capture-then-replay path. *)
-(* Interpreter tier ablation and oracle: host cost of step vs tcache vs
-   bcache over traced runs of the whole suite under both systems, each
-   run's counters, console and trace asserted identical across tiers
-   (fails on the first that differs). *)
-let exp_interp () =
-  heading "Interpreter execution tiers on the traced suite (step vs tcache vs bcache)";
-  Table.print (Experiments.interp_ablation_table ())
-
 let exp_stream () =
   heading "Streaming pipeline: online analysis vs whole-trace materialization";
   let wname = if !quick then "egrep" else "tomcatv" in
@@ -970,28 +691,22 @@ let gate () =
                e.Bench_json.value)
             (e.Bench_json.value <= 1.5));
       (fun () ->
-        (* the floor line prints both throughputs, held or not, so the
+        (* the floor line prints both tiers' seconds, held or not, so the
            trajectory is visible on every push *)
         match
-          ( Bench_json.find entries "micro"
-              "machine: interpreter throughput (bcache)",
-            Bench_json.find entries "micro"
-              "machine: interpreter throughput (tcache)" )
+          ( Bench_json.find entries "interp" "bcache speedup over step",
+            Bench_json.find entries "interp" "step host cpu",
+            Bench_json.find entries "interp" "bcache host cpu" )
         with
-        | Some b, Some tc ->
-          let tcv = tc.Bench_json.value in
+        | Some x, Some st, Some bc ->
           check
             (Printf.sprintf
-               "bcache interpreter throughput %.1fM insns/s >= 2x tcache \
-                %.1fM insns/s"
-               (b.Bench_json.value /. 1e6)
-               (tcv /. 1e6))
-            (b.Bench_json.value >= 2.0 *. tcv)
+               "bcache speedup over step %.2fx in traced-suite host cpu \
+                (step %.1fs, bcache %.1fs) >= 5.50x"
+               x.Bench_json.value st.Bench_json.value bc.Bench_json.value)
+            (x.Bench_json.value >= 5.5)
         | _ ->
-          check
-            "micro interpreter throughput entries missing (run `micro` \
-             first)"
-            false);
+          check "interp host cpu entries missing (run `interp` first)" false);
       (fun () ->
         match Bench_json.find entries "store" "compression ratio (v3)" with
         | None ->
@@ -1124,49 +839,6 @@ let experiments =
     ("sweep", exp_sweep);
     ("store", exp_store);
     ("serve", exp_serve);
-    ("micro", exp_micro);
-    ("allocprobe", fun () ->
-      (* diagnostic: minor words allocated per interpreted instruction *)
-      List.iter
-        (fun (label, tier) ->
-          let open Isa in
-          let a = Asm.create "spin" in
-          Asm.global a "_start";
-          Asm.label a "_start";
-          Asm.la a Reg.t2 "buf";
-          Asm.label a "loop";
-          Asm.lw a Reg.t3 0 Reg.t2;
-          Asm.addiu a Reg.t3 Reg.t3 1;
-          Asm.sw a Reg.t3 0 Reg.t2;
-          Asm.i a (Insn.J (Sym "loop"));
-          Asm.nop a;
-          Asm.dlabel a "buf";
-          Asm.space a 64;
-          let exe =
-            Link.link ~name:"spin" ~text_base:0x1000 ~data_base:0x8000
-              ~entry:"_start" [ Asm.to_obj a ]
-          in
-          let cfg =
-            { Machine.Machine.default_config with
-              Machine.Machine.mem_bytes = 1 lsl 20; tier }
-          in
-          let m = Machine.Machine.create ~cfg () in
-          Machine.Machine.load_exe_phys m exe ~text_pa:0x1000 ~data_pa:0x8000;
-          for vpn = 0 to 15 do
-            Machine.Tlb.write m.Machine.Machine.tlb vpn
-              ~hi:(Machine.Tlb.make_entryhi ~vpn ~asid:0)
-              ~lo:(Machine.Tlb.make_entrylo ~dirty:true ~valid:true
-                     ~global:true ~pfn:vpn ())
-          done;
-          m.Machine.Machine.pc <- exe.Isa.Exe.entry;
-          m.Machine.Machine.npc <- exe.Isa.Exe.entry + 4;
-          ignore (Machine.Machine.run m ~max_insns:50_000);
-          let w0 = Gc.minor_words () in
-          ignore (Machine.Machine.run m ~max_insns:500_000);
-          let w1 = Gc.minor_words () in
-          Printf.printf "%s: %.3f minor words/insn\n" label
-            ((w1 -. w0) /. 500_000.0))
-        [ ("bcache", Machine.Uop.Bcache); ("tcache", Machine.Uop.Tcache) ]);
   ]
 
 let usage () =
@@ -1175,13 +847,13 @@ let usage () =
      available: %s\n\
      -j N      run the experiment matrix on N domains (default %d)\n\
      --timing  (with table2) serial vs parallel wall time + byte-identity\n\
-     --quick   (with faults/stream/sweep/store/serve/table2/micro) smaller\n\
+     --quick   (with faults/stream/sweep/store/serve/table2) smaller\n\
     \          runs, for CI smoke\n\
      --out F   merge machine-readable results into F, not BENCH_micro.json\n\
      --gate    after any requested experiment, fail if the recorded results\n\
     \          breach the CI perf floors (sweep <= 2x single pass, sweep\n\
-    \          work saved >= 5x, stream ratio, interpreter throughput\n\
-    \          (bcache >= 2x over tcache),\n\
+    \          work saved >= 5x, stream ratio, bcache >= 5.5x step host\n\
+    \          CPU over the traced suite (interp),\n\
     \          store v3 ratio >= 4.5x, parallel decode >= 1.5x on >= 2\n\
     \          cores, serve lossless/latency/fault-suite floors and\n\
     \          aggregate ingest >= 2x single stream on >= 4 workers)\n"

@@ -55,11 +55,11 @@ let tier_arg =
     & info [ "interp-tier" ] ~docv:"TIER"
         ~doc:
           "Interpreter execution tier: $(b,step) (step-at-a-time oracle, \
-           full TLB walk per access), $(b,tcache) (+ last-translation \
-           micro-cache), or $(b,bcache) (+ decode-once basic-block \
-           execution cache and the tracing runtime's stub uops; the \
-           default).  Purely a host-side accelerator choice: simulation \
-           results are identical at every tier.")
+           full TLB walk per access) or $(b,bcache) (translation cache, \
+           decode-once basic-block execution cache and the tracing \
+           runtime's stub uops; the default).  Purely a host-side \
+           accelerator choice: simulation results are identical at \
+           both tiers.")
 
 (* The tier is purely a host-side accelerator, so the only thing the
    flag changes is the machine config the system is built with. *)
@@ -837,7 +837,12 @@ let serve_cmd =
           lossy;
         }
       in
-      let t = Serve.Server.start cfg in
+      let t =
+        try Serve.Server.start cfg
+        with Invalid_argument msg ->
+          Printf.eprintf "bad queue: %s\n" msg;
+          exit 2
+      in
       Option.iter (Printf.printf "unix %s\n") unix_path;
       Option.iter (Printf.printf "tcp 127.0.0.1:%d\n") (Serve.Server.tcp_port t);
       Option.iter (Printf.printf "ctl %s\n") ctl_path;

@@ -51,7 +51,7 @@ type config = {
   disk_seek : int;
   disk_per_block : int;
   count_exec : bool;           (* per-instruction-word execution counts *)
-  tier : Uop.tier;    (* interpreter tier: step|tcache|bcache *)
+  tier : Uop.tier;    (* interpreter tier: step|bcache *)
 }
 
 let default_config =
@@ -252,7 +252,7 @@ let create ?(cfg = default_config) () =
     mem = Bytes.make cfg.mem_bytes '\000';
     dec = Array.make ((cfg.mem_bytes + Addr.page_mask) lsr Addr.page_shift) [||];
     bcache_tab =
-      (if Uop.bcache_enabled cfg.tier then
+      (if cfg.tier = Uop.Bcache then
          Array.make bcache_slots Uop.dummy_block
        else [||]);
     bgen = Uop.Gens.create ~mem_bytes:cfg.mem_bytes;
@@ -496,7 +496,7 @@ let translate_i t va ~write:w ~fetch =
     in
     let frame = pte land lnot 1 and cached = pte land 1 = 0 in
     (* only an enabled cache is ever filled, so a hit implies enabled *)
-    if hit || Uop.tcache_enabled t.cfg.tier then begin
+    if hit || t.cfg.tier = Uop.Bcache then begin
       if not hit then begin
         Array.unsafe_set tc.l2_key s (vpn lor tc.l2_gen);
         Array.unsafe_set tc.l2_pte s pte
@@ -2172,7 +2172,7 @@ type stop_reason = Halt | Limit
 
 let run t ~max_insns =
   let start = t.c.instructions in
-  if Uop.bcache_enabled t.cfg.tier then
+  if t.cfg.tier = Uop.Bcache then
     let rec go () =
       if t.halted then Halt
       else begin

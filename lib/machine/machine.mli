@@ -44,16 +44,15 @@ type config = {
   count_exec : bool;  (** per-instruction-word execution counts (§4.3) *)
   tier : Uop.tier;
       (** Interpreter tier (default {!Uop.Bcache}): [Step] is the
-          step-at-a-time oracle with a full TLB walk per access; [Tcache]
-          adds the translation micro-cache and its second level;
-          [Bcache] adds the decode-once basic-block execution cache (one
+          step-at-a-time oracle with a full TLB walk per access;
+          [Bcache] adds the translation micro-cache and its second
+          level, the decode-once basic-block execution cache (one
           fetch translation + bounds check per block, keyed by (physical
           address, pc, cacheability), invalidated by per-page store
           generations, so self-modifying code, DMA, TLB remaps and mode
           switches behave exactly as in step-at-a-time execution) and
           the tracing runtime's stub uops on every cached block.  {!step}
-          remains the state-identical oracle for every tier
-          (qcheck-enforced). *)
+          remains the state-identical oracle (qcheck-enforced). *)
 }
 
 val default_config : config
@@ -75,7 +74,7 @@ type counters = {
   mutable clock_ticks : int;
 }
 
-(** Translation cache, used from [Tcache] up: a last-translation
+(** Translation cache, used at [Bcache]: a last-translation
     micro-cache (one vpn -> page frame entry per access class: fetch,
     load, store) backed by a second level of {!l2_slots} direct-mapped
     entries per class, indexed by a hash of the vpn.  Both levels are filled
@@ -185,8 +184,8 @@ val asid : t -> int
 
 val translate : t -> int -> write:bool -> fetch:bool -> int * bool
 (** [translate t va ~write ~fetch] is [(pa, cached)]; raises {!Trap} on
-    failure.  Goes through the last-translation micro-cache at every
-    tier above [Step]. *)
+    failure.  Goes through the last-translation micro-cache at
+    [Bcache]. *)
 
 val translate_walk : t -> int -> write:bool -> fetch:bool -> int * bool
 (** The full segment-check + TLB walk, never consulting the micro-cache —

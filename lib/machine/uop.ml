@@ -5,22 +5,13 @@
 
 open Systrace_isa
 
-type tier = Step | Tcache | Bcache
+type tier = Step | Bcache
 
-let all_tiers = [ Step; Tcache; Bcache ]
+let all_tiers = [ Step; Bcache ]
 
 let tier_name = function
   | Step -> "step"
-  | Tcache -> "tcache"
   | Bcache -> "bcache"
-
-let tcache_enabled = function
-  | Step -> false
-  | Tcache | Bcache -> true
-
-let bcache_enabled = function
-  | Step | Tcache -> false
-  | Bcache -> true
 
 (* The four user-variant blocks of the tracing runtime (epoxie's
    runtime.ml) and the kernel's two trace-buffer loops (ktraceops.ml),

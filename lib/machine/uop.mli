@@ -4,28 +4,25 @@
 
     This module owns everything about *what* a compiled block contains;
     {!Machine} owns the architectural state and *how* blocks replay.
-    [Machine.step] remains the state-identical oracle for every tier. *)
+    [Machine.step] remains the state-identical oracle. *)
 
 open Systrace_isa
 
 (** {2 Execution tiers}
 
-    The interpreter tiers, each strictly a host-side accelerator over the
-    one below it — simulated state, counters and console are bit-identical
-    across all three (qcheck- and ablation-enforced):
+    The interpreter tiers; [Bcache] is strictly a host-side accelerator
+    over [Step] — simulated state, counters and console are bit-identical
+    at both (qcheck- and ablation-enforced):
 
     - [Step]: step-at-a-time oracle, full TLB walk on every access.
-    - [Tcache]: + last-translation micro-cache per access class, with a
-      hashed second level.
-    - [Bcache]: + decode-once basic-block cache with successor memo, and
-      stub uops for the tracing runtime's blocks. *)
-type tier = Step | Tcache | Bcache
+    - [Bcache]: the translation cache (last-translation micro-cache per
+      access class, with a hashed second level), the decode-once
+      basic-block cache with successor memo, and stub uops for the
+      tracing runtime's blocks. *)
+type tier = Step | Bcache
 
 val all_tiers : tier list
 val tier_name : tier -> string
-
-val tcache_enabled : tier -> bool
-val bcache_enabled : tier -> bool
 
 (** {2 Stub shapes}
 

@@ -92,7 +92,8 @@ val start : config -> t
 (** Bind the configured listeners, spawn the acceptor and worker
     domains, and return immediately.  Ignores [SIGPIPE] process-wide (a
     dying client must not kill the daemon).
-    @raise Invalid_argument if no listener is configured.
+    @raise Invalid_argument if no listener is configured, or if
+      [queue_slots < 2], [slot_words < 1] or [batch_bytes < 8].
     @raise Unix.Unix_error if a bind fails (e.g. path in use). *)
 
 val tcp_port : t -> int option

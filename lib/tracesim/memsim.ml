@@ -668,10 +668,16 @@ let sweep ?jobs cfg_list : sweep =
            (translation is done once per reference)")
     cfgs;
   let cells = cells cfgs (* also checks every cache geometry *) in
-  (* and every TLB, now rather than at the first batch *)
+  (* and every TLB and write buffer, now rather than at the first batch *)
   List.iter
     (fun (entries, _, _) -> ignore (Sim_tlb.create ~size:entries () : Sim_tlb.t))
     (distinct (List.map gkey cfg_list));
+  Array.iter
+    (fun c ->
+      if c.wb_depth < 1 then
+        invalid_arg
+          (Printf.sprintf "Memsim.sweep: write-buffer depth %d < 1" c.wb_depth))
+    cfgs;
   (* more domains than cores only contend (DESIGN.md 5d) *)
   let cores = Domain.recommended_domain_count () in
   let jobs = match jobs with Some j -> min j cores | None -> cores in

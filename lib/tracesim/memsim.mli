@@ -80,10 +80,11 @@ val sweep : ?jobs:int -> config list -> sweep
 (** [jobs] (default, and at most, [Domain.recommended_domain_count ()])
     bounds the domains a batch runs on.
     @raise Invalid_argument on an empty list, a degenerate cache
-    geometry (including a line size that is not a power of two) or TLB
-    size, or configurations that do not share (physically, [==]) the
-    same [pagemap] and [pt_base] — translation is done once per
-    reference, so per-configuration page maps cannot be honoured. *)
+    geometry (including a line size that is not a power of two), TLB
+    size or write-buffer depth, or configurations that do not share
+    (physically, [==]) the same [pagemap] and [pt_base] — translation
+    is done once per reference, so per-configuration page maps cannot
+    be honoured. *)
 
 val sweep_stats : sweep -> stats array
 (** Per-configuration stats, in the order the configs were given. *)

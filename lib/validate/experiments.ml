@@ -796,13 +796,7 @@ let drain_ablation_table ?(wname = "sed") () =
   t
 
 (* ------------------------------------------------------------------ *)
-(* OS structure and memory behaviour: the study these traces enabled
-   (Chen & Bershad, SOSP'93, reference [7]).  From the predicted runs'
-   per-mode attribution: how much of each workload's memory-system time
-   is system (kernel + server) rather than user, under each structure. *)
-
-(* ------------------------------------------------------------------ *)
-(* DESIGN.md Â§5e: interpreter execution-mode ablation                   *)
+(* DESIGN.md §5e: interpreter execution-mode ablation                 *)
 
 (* Everything a run shows of the simulated machine at the end: cycles,
    every ground-truth counter, the icache/dcache hit and miss counts, the
@@ -867,14 +861,13 @@ let tier_run ?(os = Validate.Ultrix) ~traced wname tier =
    handed to the host are asserted identical to step-at-a-time's, cell
    by cell, before the timings are reported.  That exercises the block
    cache's invalidation machinery (kernel loads programs, remaps pages
-   and switches modes constantly) and every stub uop, kernel loops
-   included, at system scale. *)
+   and switches modes constantly), the translation cache's flushes and
+   every stub uop, kernel loops included, at system scale. *)
 let interp_ablation_table () =
   let modes =
     [|
       ("step (no caches)", Systrace_machine.Uop.Step);
-      ("tcache", Systrace_machine.Uop.Tcache);
-      ("tcache + bcache", Systrace_machine.Uop.Bcache);
+      ("bcache (translation + block caches)", Systrace_machine.Uop.Bcache);
     |]
   in
   let secs = Array.make (Array.length modes) 0.0 in
@@ -908,7 +901,7 @@ let interp_ablation_table () =
         (Printf.sprintf
            "Interpreter execution tiers: host cost of the traced suite, %d \
             runs (identical counters, console and trace words asserted \
-            across all three, run by run)"
+            at both tiers, run by run)"
            (2 * List.length Suite.all))
       ~headers:[ "mode"; "host cpu s"; "speedup" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right ]
@@ -922,7 +915,13 @@ let interp_ablation_table () =
           Printf.sprintf "%.2fx" (secs.(0) /. secs.(i));
         ])
     modes;
-  t
+  (t, Array.to_list (Array.mapi (fun i (_, tier) -> (tier, secs.(i))) modes))
+
+(* ------------------------------------------------------------------ *)
+(* OS structure and memory behaviour: the study these traces enabled
+   (Chen & Bershad, SOSP'93, reference [7]).  From the predicted runs'
+   per-mode attribution: how much of each workload's memory-system time
+   is system (kernel + server) rather than user, under each structure. *)
 
 let os_structure_table (matrix : full_row list) =
   let t =

@@ -98,14 +98,15 @@ val tier_run :
     {!tier_fingerprint} it.  Every tier must give the same fingerprint:
     [Step] is the oracle. *)
 
-val interp_ablation_table : unit -> Table.t
-(** DESIGN.md §5e and §5n: step-at-a-time vs translation micro-cache vs
-    basic-block replay on the traced suite (all twelve workloads, each
-    under both systems) — host cost per mode,
-    summed over the suite, with every run's {!tier_fingerprint} asserted
-    identical to step-at-a-time's first (the block cache and its stub
-    uops must be invisible to the simulated machine).  Raises [Failure]
-    naming the first run that differs. *)
+val interp_ablation_table :
+  unit -> Table.t * (Systrace_machine.Uop.tier * float) list
+(** DESIGN.md §5e and §5n: step-at-a-time vs the translation and block
+    caches on the traced suite (all twelve workloads, each under both
+    systems) — host CPU seconds per tier, summed over the suite and
+    returned beside the table, with every run's {!tier_fingerprint}
+    asserted identical to step-at-a-time's first (the caches and the
+    stub uops must be invisible to the simulated machine).  Raises
+    [Failure] naming the first run that differs. *)
 
 val os_structure_table : full_row list -> Table.t
 (** System vs user share of memory activity under each OS structure. *)

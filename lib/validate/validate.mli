@@ -97,7 +97,7 @@ val run_workload :
   row
 (** Measured and predicted passes; fails if traced and untraced runs
     disagree on program output.  [machine_cfg] overrides the measured
-    pass's machine configuration (e.g. [tier = Uop.Tcache]); the
+    pass's machine configuration (e.g. [tier = Uop.Step]); the
     predicted pass is a trace-driven model and takes no machine. *)
 
 val percent_error : row -> float

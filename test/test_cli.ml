@@ -40,6 +40,8 @@ let cases () =
     (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "tcp:localhost:1" ]);
     (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "tcp:127.0.0.1:99999" ]);
     (2, [ "serve"; "--stats"; "--ctl"; file ]);
+    (2, [ "serve"; "--unix"; file; "--queue-slots"; "1" ]);
+    (2, [ "serve"; "--unix"; file; "--slot-words"; "0" ]);
     (1, [ "analyze"; "gcc"; "fixture_v3.strc" ]);
     (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--tlb"; "8" ]);
     (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--sizes"; "0" ]);

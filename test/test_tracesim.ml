@@ -668,6 +668,15 @@ let test_sweep_rejects_bad_geometry () =
   raises "Sim_cache_assoc with 24-byte lines" (fun () ->
       Sim_cache_assoc.create ~size_bytes:3072 ~line_bytes:24 ~ways:1 ())
 
+(* a zero-depth write buffer is refused when the sweep is created, not
+   at its first batch, after the parser has already consumed words *)
+let test_sweep_rejects_bad_wb_depth () =
+  Alcotest.check_raises "write-buffer depth 0 rejected"
+    (Invalid_argument "Memsim.sweep: write-buffer depth 0 < 1") (fun () ->
+      ignore
+        (Memsim.sweep
+           [ sweep_base_cfg; { sweep_base_cfg with Memsim.wb_depth = 0 } ]))
+
 let test_sweep_batch_boundary () =
   (* more references than one batch holds, fed reference by reference:
      the batch is simulated mid-stream, then again when stats are read *)
@@ -829,6 +838,8 @@ let tests =
       Alcotest.test_case
         "sweep: rejects a zero size or a line that is not a power of two"
         `Quick test_sweep_rejects_bad_geometry;
+      Alcotest.test_case "sweep: rejects a write-buffer depth of 0 at creation"
+        `Quick test_sweep_rejects_bad_wb_depth;
       Alcotest.test_case "sweep: rejects mixed pagemaps" `Quick
         test_sweep_rejects_mixed_pagemaps;
       Alcotest.test_case "grid: shape and nesting" `Quick test_grid_shape;

@@ -230,8 +230,8 @@ let test_flat_pagemap () =
       ("mach/random", fst (Lazy.force captured_mach)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter oracle on traced runs: every tier must leave the same
-   machine and hand the host the same trace as step-at-a-time.  The
+(* Interpreter oracle on traced runs: the block cache must leave the
+   same machine and hand the host the same trace as step-at-a-time.  The
    traced run is where the stub uops and the second-level translation
    cache do their work, so the block cache must actually have run stubs
    here, the kernel's drain copy among them.  sed is kernel-heavy,
@@ -255,18 +255,13 @@ let test_traced_tier_oracle wname () =
       let name = wname ^ " " ^ Validate.os_name os in
       let _, step = E.tier_run ~os ~traced:true wname Systrace_machine.Uop.Step in
       Alcotest.(check bool) (name ^ ": trace words delivered") true (step.E.f_words > 0);
-      List.iter
-        (fun tier ->
-          let b, fp = E.tier_run ~os ~traced:true wname tier in
-          let what = name ^ " " ^ Systrace_machine.Uop.tier_name tier in
-          check_fingerprints what step fp;
-          if tier = Systrace_machine.Uop.Bcache then begin
-            Alcotest.(check bool) (what ^ ": stub uops ran") true
-              (b.Systrace_kernel.Builder.machine.M.stub_runs > 0);
-            Alcotest.(check bool) (what ^ ": drain copy stub ran") true
-              (kind_runs b "kd_copy" > 0)
-          end)
-        [ Systrace_machine.Uop.Tcache; Systrace_machine.Uop.Bcache ])
+      let b, fp = E.tier_run ~os ~traced:true wname Systrace_machine.Uop.Bcache in
+      let what = name ^ " bcache" in
+      check_fingerprints what step fp;
+      Alcotest.(check bool) (what ^ ": stub uops ran") true
+        (b.Systrace_kernel.Builder.machine.M.stub_runs > 0);
+      Alcotest.(check bool) (what ^ ": drain copy stub ran") true
+        (kind_runs b "kd_copy" > 0))
     [ Validate.Ultrix; Validate.Mach ]
 
 (* A small in-kernel buffer, handed over in small chunks, sends traced
@@ -324,9 +319,9 @@ let tests =
       test_matrix_determinism;
     Alcotest.test_case "traced egrep: step == bcache == default tier" `Quick
       (test_traced_tier_oracle "egrep");
-    Alcotest.test_case "traced sed: step == tcache == bcache" `Quick
+    Alcotest.test_case "traced sed: step == bcache" `Quick
       (test_traced_tier_oracle "sed");
-    Alcotest.test_case "traced fpppp: step == tcache == bcache" `Quick
+    Alcotest.test_case "traced fpppp: step == bcache" `Quick
       (test_traced_tier_oracle "fpppp");
     Alcotest.test_case "traced analysis phases: spin stub == step" `Quick
       test_traced_analysis_spin;
