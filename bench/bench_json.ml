@@ -3,14 +3,14 @@
    per benchmark — so the perf trajectory is tracked across PRs.
 
    [target] names the experiment that produced the entry ("interp",
-   "stream", "table2"); [jobs] is the number of worker domains actually
+   "stream", "sweep"); [jobs] is the number of worker domains actually
    in effect (1 for single-domain measurements).  Benchmark names carry
    no run-dependent detail (no word counts, no job counts) so the same
    measurement always lands on the same key.
 
    Writers merge: an invocation replaces the entries it re-measured
    (matched by target + name) and keeps the rest, so `main.exe interp`
-   and `main.exe table2 --timing` both contribute to the same file.
+   and `main.exe sweep` both contribute to the same file.
    [save] sorts by (target, name), so regenerating the file is
    diff-stable whatever order the experiments ran in.  The file is our
    own output, so the loader only has to parse the exact format [save]

@@ -5,18 +5,16 @@
      dune exec bench/main.exe                    -- everything
      dune exec bench/main.exe -- table2          -- one experiment
      dune exec bench/main.exe -- -j 8 table2     -- matrix on 8 domains
-     dune exec bench/main.exe -- table2 --timing -- serial vs parallel wall
-                                                    time (and byte-identity)
    Experiments: table1 table2 figure3 table3 figure2 expansion dilation
                 kernel_cpi distortion buffer_sweep pagemap corruption
                 faults os_structure drain_ablation trace_format interp
                 stream sweep store serve
 
-   `interp`, `stream`, `sweep`, `store`, `serve` and `table2 --timing` merge
-   machine-readable results into BENCH_micro.json at the repo root (one
-   {target, name, unit, value, jobs} object per benchmark, sorted by
-   target/name) so the perf trajectory is tracked across PRs; `--out F`
-   redirects them to a named file instead.  `--gate` checks the recorded
+   `interp`, `stream`, `sweep`, `store` and `serve` merge machine-readable
+   results into BENCH_micro.json at the repo root (one {target, name,
+   unit, value, jobs} object per benchmark, sorted by target/name) so the
+   perf trajectory is tracked across PRs; `--out F` redirects them to a
+   named file instead.  `--gate` checks the recorded
    results against the CI perf floors after the requested experiments
    run and exits non-zero on a breach. *)
 
@@ -36,10 +34,10 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let run_matrix ?entries ~jobs () =
+let run_matrix ~jobs () =
   let t0 = Unix.gettimeofday () in
   let m =
-    Experiments.run_matrix ~jobs ?entries
+    Experiments.run_matrix ~jobs
       ~progress:(fun s ->
         Printf.eprintf "  [%6.1fs] running %s\n%!" (Unix.gettimeofday () -. t0) s)
       ()
@@ -59,43 +57,6 @@ let exp_table1 () =
 let exp_table2 () =
   heading "Table 2: run times, measured and predicted";
   Table.print (Experiments.table2 (Lazy.force matrix))
-
-(* Serial vs parallel wall time for the full matrix, with the rendered
-   tables checked byte-for-byte identical. *)
-let exp_table2_timing () =
-  heading "Table 2 timing: serial vs parallel matrix";
-  let entries =
-    if !quick then
-      List.filteri (fun i _ -> i < 3) Workloads.Suite.all
-    else Workloads.Suite.all
-  in
-  let render m =
-    Table.render (Experiments.table2 m) ^ Table.render (Experiments.table3 m)
-  in
-  let serial, t_serial = timed (fun () -> run_matrix ~entries ~jobs:1 ()) in
-  let parallel, t_parallel =
-    timed (fun () -> run_matrix ~entries ~jobs:!jobs ())
-  in
-  if render serial <> render parallel then
-    failwith "table2 --timing: parallel tables differ from serial tables";
-  Table.print (Experiments.table2 parallel);
-  (* the pool caps workers at the hardware core count, so report the
-     worker count that actually ran, not the -j request *)
-  let eff = Pool.effective_jobs ~jobs:!jobs (2 * List.length entries) in
-  Printf.printf
-    "\nmatrix wall time: serial %.1fs, parallel (%d jobs requested, %d \
-     effective) %.1fs -> %.2fx speedup; tables byte-identical\n"
-    t_serial !jobs eff t_parallel (t_serial /. t_parallel);
-  (* No "parallel speedup" entry: on a box where the pool degrades to one
-     worker the ratio measures noise, not scaling.  The wall times stand
-     on their own; the gated throughput claim is the sweep's work-saved
-     metric, which does not depend on the host's core count. *)
-  let entry = Bench_json.entry ~target:"table2" ~jobs:eff in
-  Bench_json.record
-    [
-      entry ~name:"matrix serial" ~unit_:"s" t_serial;
-      entry ~name:"matrix parallel" ~unit_:"s" t_parallel;
-    ]
 
 let exp_figure3 () =
   heading "Figure 3: error in predicted execution times (Ultrix)";
@@ -322,7 +283,8 @@ let exp_sweep () =
   let _, t_replay =
     timed (fun () -> replay ~system:run.system ~memsim_cfg:base words)
   in
-  (* replay_sweep, spelled out to learn how many domains simulated *)
+  (* one multi-configuration replay, spelled out to learn how many
+     domains simulated *)
   let (swept, domains), t_sweep_replay =
     timed (fun () ->
         let sw = Tracesim.Memsim.sweep cfgs in
@@ -782,11 +744,10 @@ let experiments =
 
 let usage () =
   Printf.eprintf
-    "usage: %s [-j N] [experiment] [--timing] [--quick] [--gate]\n\
+    "usage: %s [-j N] [experiment] [--quick] [--gate]\n\
      available: %s\n\
      -j N      run the experiment matrix on N domains (default %d)\n\
-     --timing  (with table2) serial vs parallel wall time + byte-identity\n\
-     --quick   (with faults/stream/sweep/store/serve/table2) smaller\n\
+     --quick   (with faults/stream/sweep/store/serve) smaller\n\
     \          runs, for CI smoke\n\
      --out F   merge machine-readable results into F, not BENCH_micro.json\n\
      --gate    after any requested experiment, fail if the recorded results\n\
@@ -803,7 +764,6 @@ let usage () =
 
 let () =
   let name = ref None in
-  let timing = ref false in
   let gating = ref false in
   let rec parse = function
     | [] -> ()
@@ -813,9 +773,6 @@ let () =
         jobs := n;
         parse rest
       | _ -> usage ())
-    | "--timing" :: rest ->
-      timing := true;
-      parse rest
     | "--quick" :: rest ->
       quick := true;
       parse rest
@@ -831,11 +788,8 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (match (!name, !timing) with
-  | None, false when !gating -> () (* bare --gate: check existing results *)
-  | None, false -> List.iter (fun (_, f) -> f ()) experiments
-  | None, true -> usage ()
-  | Some "table2", true -> exp_table2_timing ()
-  | Some _, true -> usage ()
-  | Some name, false -> (List.assoc name experiments) ());
+  (match !name with
+  | None when !gating -> () (* bare --gate: check existing results *)
+  | None -> List.iter (fun (_, f) -> f ()) experiments
+  | Some name -> (List.assoc name experiments) ());
   if !gating then gate ()

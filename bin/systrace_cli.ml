@@ -157,8 +157,10 @@ let trace_cmd =
       | None -> Tracing.Sink.null
       | Some path -> Tracing.Sink.to_file ~compress path
     in
+    (* without -n, no reference record need be built *)
+    let on_event = if nshow > 0 then Some on_event else None in
     let r =
-      run_traced ~os:(os_of os) ~seed ~on_event ~sink
+      run_traced ~os:(os_of os) ~seed ?on_event ~sink
         [ e.Workloads.Suite.program () ]
         e.Workloads.Suite.files
     in
@@ -664,7 +666,7 @@ let disasm_cmd =
     let e = find_workload name in
     let prog = e.Workloads.Suite.program () in
     let open Isa in
-    let crt = Systrace_kernel.Builder.crt0 ~traced:instrumented ~user_buf_pages:4 in
+    let crt = Systrace_kernel.Builder.crt0 ~traced:instrumented in
     let mods =
       if instrumented then
         let imods, _ = Epoxie.Epoxie.instrument_modules prog.Systrace_kernel.Builder.modules in

@@ -118,14 +118,15 @@ type traced_run = {
     built with [~notrace:true] runs uninstrumented: its references are
     not in the trace, and the kernel's still are.  The system is the one
     {!Validate.system} boots; [?machine_cfg] replaces its machine
-    configuration.
+    configuration.  [on_event] is optional: without it the parser only
+    counts, and no reference record is built.
 
     [?sink] attaches a streaming consumer ({!Tracing.Sink}) to the raw
     word stream: it receives each ANALYZE phase's chunk before the
     parser does, and its [finish] runs after the final drain — so a
     whole run can be counted, written to disk, or fed to a second
     analysis online, in O(chunk) memory. *)
-let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
+let run_traced ?(os = Ultrix) ?(seed = 1) ?on_event
     ?(sink = Systrace_tracing.Sink.null) ?machine_cfg
     (programs : Systrace_kernel.Builder.program list)
     (files : Systrace_kernel.Builder.file_spec list) : traced_run =
@@ -135,25 +136,25 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
       { Validate.wname = ""; files; programs }
   in
   let parser = Builder.trace_parser t in
-  Systrace_tracing.Parser.set_handlers parser
-    {
-      Systrace_tracing.Parser.on_inst =
-        (fun addr pid kernel -> on_event (Inst { addr; pid; kernel }));
-      on_data =
-        (fun addr pid kernel is_load bytes ->
-          on_event (Data { addr; pid; kernel; is_load; bytes }));
-    };
-  t.Builder.trace_sink <-
-    Some
-      (fun words len ->
-        sink.Systrace_tracing.Sink.on_words words ~len;
-        Systrace_tracing.Parser.feed parser words ~len);
-  (match Builder.run t ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "Systrace.run_traced: no halt");
-  Builder.drain_final t;
-  sink.Systrace_tracing.Sink.finish ();
-  Systrace_tracing.Parser.finish ~live:(Builder.live_pids t) parser;
+  Option.iter
+    (fun on_event ->
+      Systrace_tracing.Parser.set_handlers parser
+        {
+          Systrace_tracing.Parser.on_inst =
+            (fun addr pid kernel -> on_event (Inst { addr; pid; kernel }));
+          on_data =
+            (fun addr pid kernel is_load bytes ->
+              on_event (Data { addr; pid; kernel; is_load; bytes }));
+        })
+    on_event;
+  Validate.run
+    ~sink:
+      (Systrace_tracing.Sink.tee
+         [
+           sink;
+           Systrace_tracing.Sink.to_parser ~live:(Builder.live_pids t) parser;
+         ])
+    t;
   {
     console = Builder.console t;
     parse_stats = Systrace_tracing.Parser.stats parser;
@@ -172,9 +173,7 @@ let run_measured ?(os = Ultrix) ?(seed = 1) ?machine_cfg
     Validate.system ?machine_cfg ~seed ~traced:false os
       { Validate.wname = ""; files; programs }
   in
-  (match Systrace_kernel.Builder.run t ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "Systrace.run_measured: no halt");
+  Validate.run t;
   t
 
 (** Capture a traced run's raw in-kernel trace words as well as parsing
@@ -230,28 +229,16 @@ let replay_sink ~(system : Systrace_kernel.Builder.t)
       let stats, _, parse = result () in
       (stats.(0), parse) )
 
-(** Replay a captured trace through many configurations in one pass.
-    Returns, in [memsim_cfgs] order, each configuration's stats and its
-    (icache, dcache-read) access counts — the miss-ratio denominators —
-    plus the shared parse stats. *)
-let replay_sweep ~(system : Systrace_kernel.Builder.t)
-    ~(memsim_cfgs : Systrace_tracesim.Memsim.config list) (words : int array) :
-    Systrace_tracesim.Memsim.stats array
-    * (int * int) array
-    * Systrace_tracing.Parser.stats =
-  let sink, result = replay_sweep_sink ~system ~memsim_cfgs () in
-  sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
-  result ()
-
 (** Replay a captured trace through a fresh trace-driven memory-system
     simulation (see {!Tracesim.Memsim}) — the mechanism behind the cache
     and TLB studies the traces were built for. *)
 let replay ~(system : Systrace_kernel.Builder.t) ~(memsim_cfg : Systrace_tracesim.Memsim.config)
     (words : int array) : Systrace_tracesim.Memsim.stats * Systrace_tracing.Parser.stats =
-  let stats, _, parse = replay_sweep ~system ~memsim_cfgs:[ memsim_cfg ] words in
-  (stats.(0), parse)
+  let sink, result = replay_sink ~system ~memsim_cfg () in
+  sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
+  result ()
 
-(** {!replay_sweep} straight off a stored trace file: the words stream
+(** {!replay_sweep_sink} straight off a stored trace file: the words stream
     from disk through {!Tracing.Tracefile.fold_words} into the
     simulation chunk by chunk, so a trace much larger than memory replays
     in O(chunk) space, whatever the number of configurations.  [jobs] is

@@ -42,12 +42,10 @@ type config = {
   traced : bool;
   trace_buf_bytes : int;
   trace_slack_bytes : int;
-  user_buf_pages : int;
   clock_interval : int;
   machine_cfg : Machine.config;
   seed : int;
   analysis_chunk : int;
-  analysis_cycles_per_word : int;
   drain_on_entry : bool;
       (* drain user trace buffers on every kernel entry (the paper's
          design, preserves interleaving); false = flush-only-when-full
@@ -61,12 +59,10 @@ let default_config =
     traced = false;
     trace_buf_bytes = Kcfg.ktrace_buf_bytes_default;
     trace_slack_bytes = Kcfg.ktrace_slack_bytes;
-    user_buf_pages = Abi.user_buf_pages_default;
     clock_interval = Kcfg.clock_interval_default;
     machine_cfg = Machine.default_config;
     seed = 1;
     analysis_chunk = 65536;
-    analysis_cycles_per_word = 2;
     drain_on_entry = true;
   }
 
@@ -103,7 +99,7 @@ exception Panic of string
 (* ------------------------------------------------------------------ *)
 (* User-side C runtime                                                  *)
 
-let crt0 ~traced ~user_buf_pages : Objfile.t =
+let crt0 ~traced : Objfile.t =
   let a = Asm.create ~no_instrument:true "crt0" in
   let open Asm in
   global a "_start";
@@ -111,7 +107,7 @@ let crt0 ~traced ~user_buf_pages : Objfile.t =
   if traced then begin
     li a Abi.xreg_book Abi.user_book_va;
     li a Abi.xreg_cursor Abi.user_buf_va;
-    li a Abi.xreg_limit (Abi.user_buf_va + (user_buf_pages * 4096) - 256)
+    li a Abi.xreg_limit (Abi.user_buf_va + (Abi.user_buf_pages * 4096) - 256)
   end;
   jal a "main";
   move a Reg.a0 Reg.v0;
@@ -128,7 +124,7 @@ let crt0 ~traced ~user_buf_pages : Objfile.t =
   if traced then begin
     li a Abi.xreg_book Abi.user_book_va;
     li a Abi.xreg_cursor Abi.user_buf_va;
-    li a Abi.xreg_limit (Abi.user_buf_va + (user_buf_pages * 4096) - 256)
+    li a Abi.xreg_limit (Abi.user_buf_va + (Abi.user_buf_pages * 4096) - 256)
   end;
   jalr a Reg.a0;
   li a Reg.v0 Abi.sys_exit;
@@ -186,7 +182,7 @@ let link_kernel cfg =
   end
 
 let link_program cfg (p : program) =
-  let crt_plain = crt0 ~traced:false ~user_buf_pages:cfg.user_buf_pages in
+  let crt_plain = crt0 ~traced:false in
   let orig =
     Link.link ~name:p.pname ~text_base:Kcfg.user_text_va
       ~data_base:Kcfg.user_data_va ~entry:"_start"
@@ -195,7 +191,7 @@ let link_program cfg (p : program) =
   if (not cfg.traced) || p.notrace then (orig, orig, None)
   else begin
     let imods, descs = Epoxie.instrument_modules p.modules in
-    let crt_traced = crt0 ~traced:true ~user_buf_pages:cfg.user_buf_pages in
+    let crt_traced = crt0 ~traced:true in
     let instr =
       Link.link ~name:p.pname ~text_base:Kcfg.user_text_va
         ~data_base:Kcfg.user_data_va ~entry:"_start" ~traced:true
@@ -340,7 +336,7 @@ let load_program t (pi : proc_info) ~heap_pages =
     t.cfg.traced && exe.Exe.traced && t.cfg.personality = Kcfg.Ultrix
   in
   if traced_now then
-    ignore (map_region Abi.user_book_va (1 + t.cfg.user_buf_pages));
+    ignore (map_region Abi.user_book_va (1 + Abi.user_buf_pages));
   (* Make sure PT pages exist for the trace region and heap under Mach
      (PTEs stay invalid; the fault path fills them). *)
   if t.cfg.traced && t.cfg.personality = Kcfg.Mach then
@@ -369,7 +365,7 @@ let load_program t (pi : proc_info) ~heap_pages =
      fds live in the UX server and the same words hold the per-thread
      trace-page PTEs, which must start invalid (0). *)
   (match t.cfg.personality with
-  | Kcfg.Ultrix | Kcfg.Tunix ->
+  | Kcfg.Ultrix ->
     for fd = 0 to Kcfg.max_fds - 1 do
       pcb (Kcfg.pcb_fds + (fd * Kcfg.pcb_fd_stride)) 0xFFFFFFFF
     done
@@ -428,6 +424,11 @@ let read_chunk t pa chunk =
   done;
   words
 
+(* The analysis program's cost per trace word handed over: each ANALYZE
+   phase returns [chunk * analysis_cycles_per_word] in $v1, for the
+   kernel's analysis spin to count down in the program's stead. *)
+let analysis_cycles_per_word = 2
+
 let hcall_handler t (m : Machine.t) code =
   if code = Abi.hc_halt || code = Abi.hc_exit_all then begin
     (* The cursor is parked to ktrace_cursor_home only on return to user,
@@ -467,7 +468,7 @@ let hcall_handler t (m : Machine.t) code =
     end;
     let left = remaining - chunk in
     m.Machine.regs.(Reg.v0) <- left;
-    m.Machine.regs.(Reg.v1) <- chunk * t.cfg.analysis_cycles_per_word;
+    m.Machine.regs.(Reg.v1) <- chunk * analysis_cycles_per_word;
     if left = 0 then t.consumed <- 0
   end
   else if code = Abi.hc_debug then ()
@@ -538,13 +539,13 @@ let build ?(cfg = default_config) ~programs ~files () =
   poke t "ktrace_discard_end" (discard + 4096 - 256);
   poke t "ktrace_on" (if cfg.traced then 1 else 0);
   poke t "kpersonality"
-    (match cfg.personality with Kcfg.Ultrix -> 0 | Kcfg.Mach -> 1 | Kcfg.Tunix -> 0);
+    (match cfg.personality with Kcfg.Ultrix -> 0 | Kcfg.Mach -> 1);
   (* The trace region only exists on traced systems: a zero page count
      disables the Mach fault path and the per-thread remap loop. *)
-  poke t "ktrace_region_pages" (if cfg.traced then 1 + cfg.user_buf_pages else 0);
+  poke t "ktrace_region_pages" (if cfg.traced then 1 + Abi.user_buf_pages else 0);
   poke t "ktrace_region_end"
     (if cfg.traced then
-       Abi.user_book_va + ((1 + cfg.user_buf_pages) * 4096)
+       Abi.user_book_va + ((1 + Abi.user_buf_pages) * 4096)
      else Abi.user_book_va);
   (* Buffer cache headers *)
   let bufpages = Exe.symbol kernel_exe "bufpages" in

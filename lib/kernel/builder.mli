@@ -43,12 +43,10 @@ type config = {
   traced : bool;
   trace_buf_bytes : int;
   trace_slack_bytes : int;
-  user_buf_pages : int;
   clock_interval : int;
   machine_cfg : Machine.config;
   seed : int;
   analysis_chunk : int;
-  analysis_cycles_per_word : int;
   drain_on_entry : bool;
       (** drain user trace buffers on every kernel entry (the paper's
           design, preserving the global interleaving); [false] is the
@@ -130,6 +128,6 @@ val poke : t -> string -> int -> unit
 val peek : t -> string -> int
 val peek_off : t -> string -> int -> int
 
-val crt0 : traced:bool -> user_buf_pages:int -> Objfile.t
+val crt0 : traced:bool -> Objfile.t
 (** The user-side C runtime: program entry (initialising the stolen
     registers on traced systems) and the Mach thread trampoline. *)

@@ -123,12 +123,11 @@ let sys_disk_read = 18              (* low-level block read (server only) *)
 let sys_disk_write = 19             (* low-level block write (server only) *)
 let sys_thread_create = 22          (* Mach: thread in the caller's task *)
 
-type personality = Ultrix | Mach | Tunix
+type personality = Ultrix | Mach
 
 let personality_name = function
   | Ultrix -> "ultrix"
   | Mach -> "mach"
-  | Tunix -> "tunix"
 
 (* Page-mapping policy (paper, §4.2): careful = page colouring against the
    cache; random = Mach 3.0's random frame selection. *)

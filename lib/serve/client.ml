@@ -29,9 +29,11 @@ let rec write_all fd s pos len =
 type stream = {
   fd : Unix.file_descr;
   buf : Buffer.t;
-  frame_words : int;
   flush_bytes : int;
 }
+
+(* The largest frame one [send] range is split into. *)
+let frame_words = 65536
 
 let flush st =
   if Buffer.length st.buf > 0 then begin
@@ -39,18 +41,15 @@ let flush st =
     Buffer.clear st.buf
   end
 
-let start ?(frame_words = 65536) fd =
-  if frame_words < 1 || frame_words > Wire.max_frame_words then
-    invalid_arg "Client.start: frame_words";
-  let st = { fd; buf = Buffer.create (1 lsl 20); frame_words;
-             flush_bytes = 1 lsl 20 } in
+let start fd =
+  let st = { fd; buf = Buffer.create (1 lsl 20); flush_bytes = 1 lsl 20 } in
   Wire.put_magic st.buf;
   st
 
 let send st ws ~off ~len =
   let sent = ref 0 in
   while !sent < len do
-    let k = min st.frame_words (len - !sent) in
+    let k = min frame_words (len - !sent) in
     Wire.put_frame_header st.buf k;
     Wire.put_words st.buf ws ~off:(off + !sent) ~len:k;
     sent := !sent + k;

@@ -13,9 +13,9 @@ val connect : addr -> Unix.file_descr
     frames and flushed in large writes. *)
 type stream
 
-val start : ?frame_words:int -> Unix.file_descr -> stream
-(** Begin a stream on a connected socket.  [frame_words] (default
-    65536) is the largest frame one {!send} range is split into. *)
+val start : Unix.file_descr -> stream
+(** Begin a stream on a connected socket.  One {!send} range is split
+    into frames of at most 65536 words. *)
 
 val send : stream -> int array -> off:int -> len:int -> unit
 (** Stream [len] words as one or more frames — the client-side drain. *)

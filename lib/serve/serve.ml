@@ -161,7 +161,9 @@ type conn = {
   mutable rpos : int;
   mutable rlen : int;
   mutable eof : bool;
-  scratch : int array;  (* lossy-mode decode target when the queue is full *)
+  scratch : int array;
+      (* lossy-mode decode target when the queue is full; empty when
+         lossless *)
   mutable frame_had_drop : bool;
   mutable dropped_words : int;
   mutable dropped_frames : int;
@@ -361,7 +363,7 @@ let make_conn t fd =
     rpos = 0;
     rlen = 0;
     eof = false;
-    scratch = Array.make t.cfg.slot_words 0;
+    scratch = (if t.cfg.lossy then Array.make t.cfg.slot_words 0 else [||]);
     frame_had_drop = false;
     dropped_words = 0;
     dropped_frames = 0;

@@ -49,7 +49,7 @@ let shadow_slot r =
    region (paper, section 3.6). *)
 let user_book_va = 0x7E000000
 let user_buf_va = user_book_va + 0x1000
-let user_buf_pages_default = 4
+let user_buf_pages = 4
 
 (* Region test used by the Mach personality's fault handler. *)
 let in_user_trace_region va =

@@ -26,12 +26,12 @@
        that are supposed to be pristine;
      - recovery mode ([create ~recover:true]) builds a structured {!error}
        (word index, source, expected vs got, enclosing drain/exception
-       state), reports it through the [on_error] callback, abandons the
-       suspect source state, resynchronizes at the next marker word (the
-       only words identifiable without parser state, since they live in a
-       reserved address slice), counts the skipped words per source, and
-       keeps parsing — one bad word no longer discards a whole
-       trace-analysis phase.
+       state), records it, abandons the suspect source state,
+       resynchronizes at the next marker word (the only words
+       identifiable without parser state, since they live in a reserved
+       address slice), counts the skipped words per source, and keeps
+       parsing — one bad word no longer discards a whole trace-analysis
+       phase.
 
    The word loop is the innermost loop of every reconstruct-and-feed-memsim
    experiment, so [feed] is allocation-free: open blocks are tracked with
@@ -165,15 +165,13 @@ type t = {
   mutable drain_left : int;     (* -2: expecting count word *)
   (* recovery mode *)
   recover : bool;
-  on_error : error -> unit;
   mutable errors_rev : error list;
   skipped : (source, int) Hashtbl.t;
   mutable resync : bool;        (* discarding words until the next marker *)
   mutable resync_source : source;
 }
 
-let create ?(recover = false) ?(on_error = fun (_ : error) -> ())
-    ~kernel_bbs () =
+let create ?(recover = false) ~kernel_bbs () =
   let base = fresh_src () in
   {
     kernel_bbs;
@@ -188,7 +186,6 @@ let create ?(recover = false) ?(on_error = fun (_ : error) -> ())
     drain_pid = -1;
     drain_left = 0;
     recover;
-    on_error;
     errors_rev = [];
     skipped = Hashtbl.create 8;
     resync = false;
@@ -438,8 +435,7 @@ let feed_word t ~idx w =
 
 let record_error t e =
   t.s.parse_errors <- t.s.parse_errors + 1;
-  t.errors_rev <- e :: t.errors_rev;
-  t.on_error e
+  t.errors_rev <- e :: t.errors_rev
 
 let bump_skip t source n =
   Hashtbl.replace t.skipped source

@@ -17,9 +17,9 @@
     - strict mode (the default) raises {!Corrupt} and discards the rest of
       the phase;
     - recovery mode ([create ~recover:true ()]) builds a structured
-      {!error}, reports it through [on_error], abandons the suspect
-      source state, resynchronizes at the next marker word, counts the
-      skipped words per {!source}, and keeps parsing.  {!feed} never
+      {!error} (read back with {!errors}), abandons the suspect source
+      state, resynchronizes at the next marker word, counts the skipped
+      words per {!source}, and keeps parsing.  {!feed} never
       raises in recovery mode, whatever the input.
 
     {!feed} is allocation-free (sentinel open blocks, non-allocating
@@ -91,15 +91,10 @@ val fresh_stats : unit -> stats
 
 type t
 
-val create :
-  ?recover:bool ->
-  ?on_error:(error -> unit) ->
-  kernel_bbs:Bbtable.t ->
-  unit ->
-  t
+val create : ?recover:bool -> kernel_bbs:Bbtable.t -> unit -> t
 (** [recover] (default [false]) turns format violations into recorded
-    {!error} diagnoses (reported through [on_error] as they happen)
-    followed by resynchronization, instead of a {!Corrupt} exception. *)
+    {!error} diagnoses followed by resynchronization, instead of a
+    {!Corrupt} exception. *)
 
 val set_handlers : t -> handlers -> unit
 

@@ -22,9 +22,8 @@
      domains stall every minor GC for everyone, and the "parallel" run
      loses to the serial one (measured 0.39x at [-j 4] on one core).
      Capping turns that configuration back into the serial path.
-   - Indices are claimed in blocks of [chunk] (default [n / (workers*8)],
-     at least 1), not one-at-a-time, so the claim mutex is off the hot
-     path for large matrices while the tail still load-balances.
+   - Workers claim one index at a time under a mutex: every caller maps
+     a few dozen whole simulations at most, so the lock is never hot.
    - Each worker's first action is to grow its own minor heap: spawned
      domains do NOT inherit the parent's [Gc.set], and the default minor
      heap makes allocation-heavy simulation cells trigger frequent
@@ -40,50 +39,39 @@ let effective_jobs ?(oversubscribe = false) ~jobs n =
   let j = if oversubscribe then jobs else min jobs cores in
   max 1 (min j n)
 
-let map ?(oversubscribe = false) ?chunk ~jobs f xs =
+let map ?(oversubscribe = false) ~jobs f xs =
   let n = List.length xs in
   let nworkers = effective_jobs ~oversubscribe ~jobs n in
   if nworkers <= 1 || n <= 1 then List.map f xs
   else begin
-    let block =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some c -> invalid_arg (Printf.sprintf "Pool.map: chunk %d < 1" c)
-      | None -> max 1 (n / (nworkers * 8))
-    in
     let items = Array.of_list xs in
     let results = Array.make n Pending in
     let next = ref 0 in
     let m = Mutex.create () in
     let failed = Atomic.make false in
-    (* Claim a block [lo, hi) under the mutex; compute outside it.  Workers
-       keep claiming until the queue is empty or some job has failed (no
-       point starting new work that will be thrown away). *)
+    (* Claim an index under the mutex; compute outside it.  Workers keep
+       claiming until the queue is empty or some job has failed (no point
+       starting new work that will be thrown away). *)
     let claim () =
       Mutex.lock m;
-      let lo = if Atomic.get failed || !next >= n then -1 else !next in
-      let hi = if lo < 0 then -1 else min n (lo + block) in
-      if lo >= 0 then next := hi;
+      let k = if Atomic.get failed || !next >= n then -1 else !next in
+      if k >= 0 then incr next;
       Mutex.unlock m;
-      (lo, hi)
+      k
     in
     let worker () =
       let g = Gc.get () in
       if g.Gc.minor_heap_size < worker_minor_heap then
         Gc.set { g with Gc.minor_heap_size = worker_minor_heap };
       let rec go () =
-        let lo, hi = claim () in
-        if lo >= 0 then begin
-          let k = ref lo in
-          while !k < hi && not (Atomic.get failed) do
-            (match f items.(!k) with
-            | r -> results.(!k) <- Done r
-            | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              results.(!k) <- Failed (e, bt);
-              Atomic.set failed true);
-            incr k
-          done;
+        let k = claim () in
+        if k >= 0 then begin
+          (match f items.(k) with
+          | r -> results.(k) <- Done r
+          | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            results.(k) <- Failed (e, bt);
+            Atomic.set failed true);
           go ()
         end
       in

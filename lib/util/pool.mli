@@ -6,7 +6,6 @@
 
 val map :
   ?oversubscribe:bool ->
-  ?chunk:int ->
   jobs:int ->
   ('a -> 'b) ->
   'a list ->
@@ -21,12 +20,10 @@ val map :
     default.  [oversubscribe] keeps the literal [jobs] for tests and
     experiments that want the contention on purpose.
 
-    Workers claim indices in blocks of [chunk] (default
-    [n / (workers * 8)], at least 1) to keep the claim lock off the hot
-    path.  [chunk] must be >= 1 or [Invalid_argument] is raised.
+    Workers claim one index at a time.
 
     If any job raises, the exception of the first failing job in input
-    order (among those that ran — later blocks may be abandoned) is
+    order (among those that ran — later items may be abandoned) is
     re-raised in the caller after all workers have stopped.  With one
     effective worker (or fewer than two items) this is exactly
     [List.map f xs] on the calling domain. *)

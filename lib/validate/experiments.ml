@@ -20,10 +20,10 @@ type full_row = {
 
 (* Every Table 2/3/Figure 3 cell is a self-contained thunk: it builds its
    own machine, kernel and workload state from the immutable [Suite.entry]
-   (all randomness flows from the explicit [seed]), so the matrix can run
+   (all randomness flows from the system's seed), so the matrix can run
    on a domain pool.  Results are merged back in suite order, making the
    rendered tables byte-identical whatever [jobs] is. *)
-let run_matrix ?(seed = 1) ?(progress = fun _ -> ()) ?(jobs = 1)
+let run_matrix ?(progress = fun _ -> ()) ?(jobs = 1)
     ?(entries = Suite.all) () : full_row list =
   let pm = Mutex.create () in
   let progress s =
@@ -44,7 +44,7 @@ let run_matrix ?(seed = 1) ?(progress = fun _ -> ()) ?(jobs = 1)
     Pool.map ~jobs
       (fun ((e : Suite.entry), spec, os) ->
         progress (Printf.sprintf "%s (%s)" e.Suite.name (Validate.os_name os));
-        Validate.run_workload ~seed os spec)
+        Validate.run_workload os spec)
       cells
   in
   let rec merge rows entries =
@@ -244,7 +244,8 @@ let kernel_cpi_table (matrix : full_row list) =
 (* ------------------------------------------------------------------ *)
 (* §4.3: in-kernel buffer size vs mode-transition dirt                  *)
 
-let buffer_sweep_table ?(wname = "compress") ?(jobs = 1) () =
+let buffer_sweep_table ?(jobs = 1) () =
+  let wname = "compress" in
   let e = Suite.find wname in
   let t =
     Table.create
@@ -275,25 +276,13 @@ let buffer_sweep_table ?(wname = "compress") ?(jobs = 1) () =
           Builder.build ~cfg ~programs:[ e.Suite.program () ]
             ~files:e.Suite.files ()
         in
-        let kernel_bbs = Option.get b.Builder.kernel_bbs in
-        let p = Systrace_tracing.Parser.create ~kernel_bbs () in
-        List.iter
-          (fun (pi : Builder.proc_info) ->
-            Systrace_tracing.Parser.register_pid p ~pid:pi.pid
-              (Option.get pi.bbs))
-          b.Builder.procs;
+        let p = Builder.trace_parser b in
         let counter, words = Systrace_tracing.Sink.counting () in
-        let sink =
-          Systrace_tracing.Sink.tee
-            [ counter; Systrace_tracing.Sink.to_parser p ]
-        in
-        b.Builder.trace_sink <-
-          Some (fun ws len -> sink.Systrace_tracing.Sink.on_words ws ~len);
-        (match Builder.run b ~max_insns:2_000_000_000 with
-        | Systrace_machine.Machine.Halt -> ()
-        | Systrace_machine.Machine.Limit -> failwith "buffer sweep: no halt");
-        Builder.drain_final b;
-        sink.Systrace_tracing.Sink.finish ();
+        Validate.run
+          ~sink:
+            (Systrace_tracing.Sink.tee
+               [ counter; Systrace_tracing.Sink.to_parser p ])
+          b;
         let stats = Systrace_tracing.Parser.stats p in
         (* disk completions whose trace was lost: total disk ops minus the
            ones we can see; approximate dirt indicator via mode transitions *)
@@ -316,7 +305,8 @@ let buffer_sweep_table ?(wname = "compress") ?(jobs = 1) () =
 (* ------------------------------------------------------------------ *)
 (* §4.4: page-mapping policy sensitivity (tomcatv)                      *)
 
-let pagemap_table ?(wname = "tomcatv") ?(nseeds = 4) ?(jobs = 1) () =
+let pagemap_table ?(jobs = 1) () =
+  let wname = "tomcatv" and nseeds = 4 in
   let e = Suite.find wname in
   (* Use the DECstation's real 64KB caches: page placement matters most
      when the working set is marginal against the cache, which is how the
@@ -386,7 +376,7 @@ let pagemap_table ?(wname = "tomcatv") ?(nseeds = 4) ?(jobs = 1) () =
    by comparing machine-level event rates between the untraced and traced
    runs of the same workloads. *)
 
-let distortion_table ?(wnames = [ "egrep"; "compress"; "eqntott" ]) () =
+let distortion_table () =
   let t =
     Table.create
       ~title:
@@ -400,16 +390,11 @@ let distortion_table ?(wnames = [ "egrep"; "compress"; "eqntott" ]) () =
   in
   List.iter
     (fun wname ->
-      let e = Suite.find wname in
       let run traced =
-        let cfg = { Builder.default_config with Builder.traced } in
         let b =
-          Builder.build ~cfg ~programs:[ e.Suite.program () ]
-            ~files:e.Suite.files ()
+          Validate.system ~traced Validate.Ultrix (spec_of (Suite.find wname))
         in
-        (match Builder.run b ~max_insns:2_000_000_000 with
-        | Systrace_machine.Machine.Halt -> ()
-        | Systrace_machine.Machine.Limit -> failwith "distortion: no halt");
+        Validate.run b;
         b
       in
       let bu = run false and bt = run true in
@@ -431,7 +416,7 @@ let distortion_table ?(wnames = [ "egrep"; "compress"; "eqntott" ]) () =
             bt.Builder.machine.Systrace_machine.Machine.c
               .Systrace_machine.Machine.utlb_misses;
         ])
-    wnames;
+    [ "egrep"; "compress"; "eqntott" ];
   t
 
 (* ------------------------------------------------------------------ *)
@@ -441,21 +426,19 @@ let distortion_table ?(wnames = [ "egrep"; "compress"; "eqntott" ]) () =
    Quantify it: corrupt one random word of a captured trace per trial and
    count how often the parsing library's defensive checks catch it. *)
 
-let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
-  let e = Suite.find wname in
-  (* capture the trace once *)
-  let cfg = { Builder.default_config with Builder.traced = true } in
+(* The traced run the defensive-tracing tables corrupt, captured once:
+   the system (for its block tables and page map) and every trace word. *)
+let capture wname =
   let b =
-    Builder.build ~cfg ~programs:[ e.Suite.program () ] ~files:e.Suite.files ()
+    Validate.system ~traced:true Validate.Ultrix (spec_of (Suite.find wname))
   in
-  let capture, trace = Systrace_tracing.Sink.to_array () in
-  b.Builder.trace_sink <-
-    Some (fun ws len -> capture.Systrace_tracing.Sink.on_words ws ~len);
-  (match Builder.run b ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "corruption: no halt");
-  Builder.drain_final b;
-  let words = trace () in
+  let sink, trace = Systrace_tracing.Sink.to_array () in
+  Validate.run ~sink b;
+  (b, trace ())
+
+let corruption_table () =
+  let wname = "egrep" and trials = 300 in
+  let b, words = capture wname in
   (* Two lines of defence, as in §4.3: the format's structural redundancy
      (parser [Corrupt]) and analysis-level sanity checks — references to
      unmapped pages in the simulator flag "erroneous writes" whose
@@ -491,7 +474,7 @@ let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
   in
   (* sanity: the pristine trace parses with no unmapped references *)
   if parse words <> 0 then failwith "corruption: pristine trace not clean";
-  let rng = Systrace_util.Rng.create seed in
+  let rng = Systrace_util.Rng.create 7 in
   (* each kind maps (pristine words, position) to a corrupted copy *)
   let overwrite f ws pos =
     let ws = Array.copy ws in
@@ -566,34 +549,16 @@ let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
    control: a valid transform of the stream (drains are resumable), so its
    row should read 0% detected, 0% lost. *)
 
-let faults_table ?(wname = "egrep") ?(trials = 40) ?(seed = 11)
-    ?(rates = [ 1e-4; 1e-3; 1e-2 ]) () =
+let faults_table ?(trials = 40) ?(rates = [ 1e-4; 1e-3; 1e-2 ]) () =
   let module P = Systrace_tracing.Parser in
   let module F = Systrace_tracing.Faults in
-  let e = Suite.find wname in
-  (* capture the trace once *)
-  let cfg = { Builder.default_config with Builder.traced = true } in
-  let b =
-    Builder.build ~cfg ~programs:[ e.Suite.program () ] ~files:e.Suite.files ()
-  in
-  let capture, trace = Systrace_tracing.Sink.to_array () in
-  b.Builder.trace_sink <-
-    Some (fun ws len -> capture.Systrace_tracing.Sink.on_words ws ~len);
-  (match Builder.run b ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "faults: no halt");
-  Builder.drain_final b;
-  let words = trace () in
-  let kernel_bbs = Option.get b.Builder.kernel_bbs in
-  let user_bbs =
-    List.filter_map (fun (p : Builder.proc_info) -> p.bbs) b.Builder.procs
-  in
+  let wname = "egrep" in
+  let b, words = capture wname in
   (* Parse [ws], fingerprinting the reconstructed reference stream so
      "identical to the clean run" is checkable exactly.  Returns
      (strict_raised, diagnoses, refs, fingerprint, stats). *)
   let run_parse ~recover ws =
-    let p = P.create ~recover ~kernel_bbs () in
-    List.iteri (fun pid bbs -> P.register_pid p ~pid bbs) user_bbs;
+    let p = Builder.trace_parser ~recover b in
     let h = ref 0 in
     let refs = ref 0 in
     let mix v = h := ((!h * 1000003) + v) land max_int in
@@ -631,7 +596,7 @@ let faults_table ?(wname = "egrep") ?(trials = 40) ?(seed = 11)
   if clean_refs <> r_refs || clean_hash <> r_hash || s_stats <> r_stats then
     failwith "faults: recovery-mode stream differs from strict on the clean \
               trace";
-  let rng = Systrace_util.Rng.create seed in
+  let rng = Systrace_util.Rng.create 11 in
   let t =
     Table.create
       ~title:
@@ -705,7 +670,8 @@ let faults_table ?(wname = "egrep") ?(trials = 40) ?(seed = 11)
    the global stream; the table also shows what the disorder does to a
    trace-driven simulation of the same run. *)
 
-let drain_ablation_table ?(wname = "sed") () =
+let drain_ablation_table () =
+  let wname = "sed" in
   let e = Suite.find wname in
   let run drain_on_entry =
     let cfg =
@@ -744,14 +710,7 @@ let drain_ablation_table ?(wname = "sed") () =
     (* virtual-indexed stand-in map (identity-ish): the page map is only
        extractable after the run, and the comparison between the two
        policies only needs a fixed translation *)
-    let sink = Systrace_tracesim.Memsim.sweep_sink sw p in
-    b.Builder.trace_sink <-
-      Some (fun ws len -> sink.Systrace_tracing.Sink.on_words ws ~len);
-    (match Builder.run b ~max_insns:2_000_000_000 with
-    | Systrace_machine.Machine.Halt -> ()
-    | Systrace_machine.Machine.Limit -> failwith "drain ablation: no halt");
-    Builder.drain_final b;
-    sink.Systrace_tracing.Sink.finish ();
+    Validate.run ~sink:(Systrace_tracesim.Memsim.sweep_sink sw p) b;
     (String.trim (Builder.console b),
      Systrace_tracing.Parser.stats p,
      (Systrace_tracesim.Memsim.sweep_stats sw).(0),
@@ -809,21 +768,17 @@ type tier_fingerprint = {
   f_checksum : int;
 }
 
-let tier_fingerprint ~traced (b : Builder.t) =
+let tier_fingerprint (b : Builder.t) =
   let module M = Systrace_machine.Machine in
   let words = ref 0 and sum = ref 0 in
-  if traced then
-    b.Builder.trace_sink <-
-      Some
-        (fun ws len ->
-          words := !words + len;
-          for i = 0 to len - 1 do
-            sum := ((!sum * 31) + ws.(i)) land 0x3FFF_FFFF_FFFF
-          done);
-  (match Builder.run b ~max_insns:2_000_000_000 with
-  | M.Halt -> ()
-  | M.Limit -> failwith "tier_run: system did not halt");
-  if traced then Builder.drain_final b;
+  Validate.run
+    ~sink:
+      (Systrace_tracing.Sink.make (fun ws ~len ->
+           words := !words + len;
+           for i = 0 to len - 1 do
+             sum := ((!sum * 31) + ws.(i)) land 0x3FFF_FFFF_FFFF
+           done))
+    b;
   let m = b.Builder.machine in
   let c = m.M.c in
   {
@@ -852,7 +807,7 @@ let tier_run ?(os = Validate.Ultrix) ~traced wname tier =
   let module M = Systrace_machine.Machine in
   let machine_cfg = { M.default_config with M.tier } in
   let b = Validate.system ~machine_cfg ~traced os (spec_of (Suite.find wname)) in
-  (b, tier_fingerprint ~traced b)
+  (b, tier_fingerprint b)
 
 (* Host cost of the interpreter tiers on the traced suite: every Table 1
    workload under both systems, booted, run and drained at each tier.

@@ -15,7 +15,6 @@ type full_row = {
 }
 
 val run_matrix :
-  ?seed:int ->
   ?progress:(string -> unit) ->
   ?jobs:int ->
   ?entries:Suite.entry list ->
@@ -42,31 +41,26 @@ val dilation_table : full_row list -> Table.t
 val kernel_cpi_table : full_row list -> Table.t
 (** §3.4: kernel vs user CPI from trace-driven simulation. *)
 
-val distortion_table : ?wnames:string list -> unit -> Table.t
-(** §4.1: machine-level event rates, untraced vs traced execution. *)
+val distortion_table : unit -> Table.t
+(** §4.1: machine-level event rates, untraced vs traced execution, on
+    egrep, compress and eqntott. *)
 
-val buffer_sweep_table : ?wname:string -> ?jobs:int -> unit -> Table.t
-(** §4.3: in-kernel buffer size vs trace-analysis transitions; the sweep
-    points run on a pool of [jobs] domains. *)
+val buffer_sweep_table : ?jobs:int -> unit -> Table.t
+(** §4.3: in-kernel buffer size vs trace-analysis transitions on traced
+    compress; the sweep points run on a pool of [jobs] domains. *)
 
-val pagemap_table :
-  ?wname:string -> ?nseeds:int -> ?jobs:int -> unit -> Table.t
-(** §4.2/§4.4: page-mapping policy sensitivity across seeds; the
-    (policy, seed) cells run on a pool of [jobs] domains. *)
+val pagemap_table : ?jobs:int -> unit -> Table.t
+(** §4.2/§4.4: page-mapping policy sensitivity of tomcatv across four
+    seeds; the (policy, seed) cells run on a pool of [jobs] domains. *)
 
-val corruption_table : ?wname:string -> ?trials:int -> ?seed:int -> unit -> Table.t
-(** §4.3 fault injection: detection rate of single-word corruptions. *)
+val corruption_table : unit -> Table.t
+(** §4.3 fault injection: detection rate of single-word corruptions of
+    the egrep trace, 300 trials per kind. *)
 
-val faults_table :
-  ?wname:string ->
-  ?trials:int ->
-  ?seed:int ->
-  ?rates:float list ->
-  unit ->
-  Table.t
+val faults_table : ?trials:int -> ?rates:float list -> unit -> Table.t
 (** §4.3, quantitative: sweep the [Tracing.Faults] catalogue (bit flips,
     drops, duplicates, swaps, truncation, marker/drain mutations, drain
-    splits) over a captured trace at several injection rates, reporting
+    splits) over the egrep trace at several injection rates, reporting
     per-kind detection rate, detection latency (words from injection to
     first recovery-mode diagnosis), and recovery loss (references missing
     vs the clean run).  Asserts the rate-0 criterion first: strict and
@@ -83,9 +77,9 @@ type tier_fingerprint = {
   f_checksum : int;  (** order-sensitive checksum of those words *)
 }
 
-val tier_fingerprint : traced:bool -> Systrace_kernel.Builder.t -> tier_fingerprint
-(** Run a built system to halt (draining the in-kernel trace buffer at
-    the end when [traced]) and fingerprint it. *)
+val tier_fingerprint : Systrace_kernel.Builder.t -> tier_fingerprint
+(** Run a built system to halt through {!Validate.run} and fingerprint
+    it. *)
 
 val tier_run :
   ?os:Validate.os ->
@@ -114,7 +108,7 @@ val os_structure_table : full_row list -> Table.t
 val figure2 : unit -> string
 (** Before/after disassembly of the paper's fopen example. *)
 
-val drain_ablation_table : ?wname:string -> unit -> Table.t
+val drain_ablation_table : unit -> Table.t
 (** DESIGN.md §5: drain-user-buffers-on-every-kernel-entry (the paper's
     interleaving-preserving design) vs flush-only-when-full, with the
     kernel counting the trace words each skipped drain lets kernel records

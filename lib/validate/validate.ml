@@ -99,16 +99,24 @@ let system ?pagemap ?machine_cfg ?(seed = 1) ~traced os spec =
     ~programs:(all_programs os spec.files spec.programs)
     ~files:spec.files ()
 
-let run_to_halt t =
-  match Builder.run t ~max_insns with
+(* Every run to halt goes through here, so the end-of-run sequence —
+   halt, then the final drain, then one [finish] — has one copy (two
+   recorded bugs lived in hand-written ones: DESIGN.md §5b #4, #10). *)
+let run ?(sink = Sink.null) (t : Builder.t) =
+  let traced = t.Builder.cfg.Builder.traced in
+  if traced then
+    t.Builder.trace_sink <- Some (fun words len -> sink.Sink.on_words words ~len);
+  (match Builder.run t ~max_insns with
   | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "validate: system did not halt"
+  | Systrace_machine.Machine.Limit -> failwith "validate: system did not halt");
+  if traced then Builder.drain_final t;
+  sink.Sink.finish ()
 
 (* ------------------------------------------------------------------ *)
 
 let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
   let t = system ?pagemap ?machine_cfg ~seed ~traced:false os spec in
-  run_to_halt t;
+  run t;
   let c = t.Builder.machine.Systrace_machine.Machine.c in
   (* pixie-style arithmetic stall estimate: a functional run with an ideal
      memory system, so FP interlocks are the only stalls. *)
@@ -123,7 +131,7 @@ let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
   let ti =
     system ?pagemap ~machine_cfg:ideal_cfg ~seed ~traced:false os spec
   in
-  run_to_halt ti;
+  run ti;
   {
     m_cycles = t.Builder.machine.Systrace_machine.Machine.cycles;
     m_seconds =
@@ -164,8 +172,8 @@ let memsim_cfg ~pagemap (mcfg : Systrace_machine.Machine.config) =
     tlb_entries = 64;
   }
 
-let predict ?pagemap ?(seed = 1) ?(arith_stalls = -1) os spec : prediction =
-  let t = system ?pagemap ~seed ~traced:true os spec in
+let predict ?(seed = 1) ~arith_stalls os spec : prediction =
+  let t = system ~seed ~traced:true os spec in
   let mcfg = t.Builder.cfg.Builder.machine_cfg in
   let parser = Builder.trace_parser t in
   let sw =
@@ -177,25 +185,16 @@ let predict ?pagemap ?(seed = 1) ?(arith_stalls = -1) os spec : prediction =
      buffer) — not the trace length.  The peak branch of the tee is the
      witness the stream bench checks against the buffer size. *)
   let peak_sink, peak_words = Sink.peak () in
-  let sink =
-    Sink.tee
-      [ peak_sink; Memsim.sweep_sink ~live:(Builder.live_pids t) sw parser ]
-  in
-  t.Builder.trace_sink <- Some (fun words len -> sink.Sink.on_words words ~len);
-  run_to_halt t;
-  Builder.drain_final t;
-  sink.Sink.finish ();
-  (* The arithmetic-stall estimate comes from the caller (usually the
-     measured pass's ideal-memory run) or is recomputed here. *)
-  let arith =
-    if arith_stalls >= 0 then arith_stalls
-    else (measure ?pagemap ~seed os spec).m_arith_ideal
-  in
+  run
+    ~sink:
+      (Sink.tee
+         [ peak_sink; Memsim.sweep_sink ~live:(Builder.live_pids t) sw parser ])
+    t;
   let mem = (Memsim.sweep_stats sw).(0) in
   let parse = Parser.stats parser in
   {
     p_breakdown =
-      Predict.make ~mem ~parse ~arith_stalls:arith
+      Predict.make ~mem ~parse ~arith_stalls
         ~dilation:Kcfg.time_dilation
         ~read_miss_penalty:mcfg.Systrace_machine.Machine.read_miss_penalty
         ~uncached_penalty:mcfg.Systrace_machine.Machine.uncached_penalty;
@@ -219,9 +218,9 @@ type row = {
   r_predicted : prediction;
 }
 
-let run_workload ?machine_cfg ?pagemap ?(seed = 1) os spec : row =
-  let m = measure ?machine_cfg ?pagemap ~seed os spec in
-  let p = predict ?pagemap ~seed ~arith_stalls:m.m_arith_ideal os spec in
+let run_workload ?machine_cfg ?(seed = 1) os spec : row =
+  let m = measure ?machine_cfg ~seed os spec in
+  let p = predict ~seed ~arith_stalls:m.m_arith_ideal os spec in
   if m.m_console <> p.p_console then
     failwith
       (Printf.sprintf

@@ -63,6 +63,19 @@ val system :
     server under Mach) on the OS's default page-mapping policy.
     [Systrace.run_traced] and [run_measured] boot it too. *)
 
+val run : ?sink:Sink.t -> Builder.t -> unit
+(** Run a built system to its halt — the one driver every harness,
+    experiment and journey goes through (paper §4.3, Figure 1).  On a
+    traced system each ANALYZE chunk goes to [sink] (default
+    {!Sink.null}) as it is drained, and after the halt the tail left in
+    the in-kernel buffer follows, in chunks of the same bound.  Then
+    [sink]'s [finish] runs, exactly once — also on an untraced system,
+    which hands the sink no words, so a file sink is always closed.
+    @raise Failure if the system does not halt within 2·10{^9}
+    instructions.
+    @raise Builder.Panic if the kernel panics.  If the run raises,
+    [finish] does not run. *)
+
 val measure : ?pagemap:Kcfg.pagemap -> ?machine_cfg:Systrace_machine.Machine.config -> ?seed:int -> os -> spec -> measurement
 
 val memsim_cfg :
@@ -73,13 +86,11 @@ val memsim_cfg :
     write buffer and TLB, translating through [pagemap] (e.g.
     {!Builder.extract_pagemap} of the traced system). *)
 
-val predict :
-  ?pagemap:Kcfg.pagemap -> ?seed:int -> ?arith_stalls:int -> os -> spec ->
-  prediction
+val predict : ?seed:int -> arith_stalls:int -> os -> spec -> prediction
 (** One traced pass, parsed and simulated online as each ANALYZE chunk
     is drained, predicting the default machine geometry.  [arith_stalls]
-    is the measured pass's ideal-memory estimate; without it, that run
-    is made here. *)
+    is the measured pass's ideal-memory estimate
+    ([m_arith_ideal]). *)
 
 type row = {
   r_name : string;
@@ -90,7 +101,6 @@ type row = {
 
 val run_workload :
   ?machine_cfg:Systrace_machine.Machine.config ->
-  ?pagemap:Kcfg.pagemap ->
   ?seed:int ->
   os ->
   spec ->

@@ -7,6 +7,7 @@ open Systrace_isa
 open Systrace_tracing
 open Systrace_kernel
 open Systrace_workloads
+open Systrace_validate
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -120,9 +121,7 @@ let expected_checksum =
 
 let run_system ?(cfg = Builder.default_config) ?(files = []) programs =
   let t = Builder.build ~cfg ~programs ~files () in
-  (match Builder.run t ~max_insns:100_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> Alcotest.fail "system did not halt");
+  Validate.run t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -161,18 +160,8 @@ let test_utlb_misses_occur () =
 let run_traced ?(cfg = Builder.default_config) ?(files = []) ?(live = []) programs =
   let cfg = { cfg with Builder.traced = true } in
   let t = Builder.build ~cfg ~programs ~files () in
-  let kernel_bbs = Option.get t.Builder.kernel_bbs in
-  let p = Parser.create ~kernel_bbs () in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-    t.Builder.procs;
-  t.Builder.trace_sink <- Some (fun words len -> Parser.feed p words ~len);
-  (match Builder.run t ~max_insns:600_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> Alcotest.fail "traced system did not halt");
-  Builder.drain_final t;
-  Parser.finish ~live p;
+  let p = Builder.trace_parser t in
+  Validate.run ~sink:(Sink.to_parser ~live p) t;
   (t, Parser.stats p)
 
 let test_traced_hello () =
@@ -325,13 +314,7 @@ let test_selective_tracing () =
   in
   let cfg = { Builder.default_config with Builder.traced = true } in
   let t = Builder.build ~cfg ~programs:[ traced_p; untraced_p ] ~files:[] () in
-  let p = Parser.create ~kernel_bbs:(Option.get t.Builder.kernel_bbs) () in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      match pi.bbs with
-      | Some bbs -> Parser.register_pid p ~pid:pi.pid bbs
-      | None -> ())
-    t.Builder.procs;
+  let p = Builder.trace_parser t in
   let user_insts_by_pid = Hashtbl.create 4 in
   Parser.set_handlers p
     {
@@ -342,12 +325,7 @@ let test_selective_tracing () =
               (1 + Option.value ~default:0 (Hashtbl.find_opt user_insts_by_pid pid)));
       on_data = (fun _ _ _ _ _ -> ());
     };
-  t.Builder.trace_sink <- Some (fun words len -> Parser.feed p words ~len);
-  (match Builder.run t ~max_insns:200_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> Alcotest.fail "no halt");
-  Builder.drain_final t;
-  Parser.finish p;
+  Validate.run ~sink:(Sink.to_parser p) t;
   check_int "both produced output" 8 (String.length (Builder.console t));
   let insts pid = Option.value ~default:0 (Hashtbl.find_opt user_insts_by_pid pid) in
   check "traced process in trace" true (insts 0 > 100);
@@ -412,14 +390,8 @@ let test_file_writes_reach_disk () =
   (* Ultrix's synchronous write-through: output written by sed must be on
      the disk image when the system halts, with the substitution applied. *)
   let e = Systrace_workloads.Suite.find "sed" in
-  let t =
-    Builder.build ~cfg:Builder.default_config
-      ~programs:[ e.Systrace_workloads.Suite.program () ]
-      ~files:e.Systrace_workloads.Suite.files ()
-  in
-  (match Builder.run t ~max_insns:200_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> Alcotest.fail "no halt");
+  let t = Validate.system ~traced:false Validate.Ultrix (Experiments.spec_of e) in
+  Validate.run t;
   let plan = Builder.file_plan e.Systrace_workloads.Suite.files in
   let _, start, _ = List.find (fun (n, _, _) -> n = "sed.out") plan in
   let out =
@@ -450,25 +422,15 @@ let test_concurrent_workload_mix () =
   (* solo outputs, for comparison *)
   let solo =
     List.map
-      (fun (e : Systrace_workloads.Suite.entry) ->
-        let t =
-          Builder.build ~cfg:Builder.default_config
-            ~programs:[ e.Systrace_workloads.Suite.program () ]
-            ~files:e.Systrace_workloads.Suite.files ()
-        in
-        (match Builder.run t ~max_insns:500_000_000 with
-        | Systrace_machine.Machine.Halt -> ()
-        | Systrace_machine.Machine.Limit -> Alcotest.fail "solo: no halt");
+      (fun e ->
+        let t = Validate.system ~traced:false Validate.Ultrix (Experiments.spec_of e) in
+        Validate.run t;
         Builder.console t)
       entries
   in
   let cfg = { Builder.default_config with Builder.traced = true } in
   let t = Builder.build ~cfg ~programs ~files () in
-  let p = Parser.create ~kernel_bbs:(Option.get t.Builder.kernel_bbs) () in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-    t.Builder.procs;
+  let p = Builder.trace_parser t in
   let per_pid = Hashtbl.create 8 in
   Parser.set_handlers p
     {
@@ -479,12 +441,7 @@ let test_concurrent_workload_mix () =
               (1 + Option.value ~default:0 (Hashtbl.find_opt per_pid pid)));
       on_data = (fun _ _ _ _ _ -> ());
     };
-  t.Builder.trace_sink <- Some (fun words len -> Parser.feed p words ~len);
-  (match Builder.run t ~max_insns:1_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> Alcotest.fail "mix: no halt");
-  Builder.drain_final t;
-  Parser.finish p;
+  Validate.run ~sink:(Sink.to_parser p) t;
   (* every solo output appears in the interleaved console *)
   let out = Builder.console t in
   List.iteri
@@ -524,19 +481,8 @@ let test_drain_ablation () =
         ~programs:[ e.Systrace_workloads.Suite.program () ]
         ~files:e.Systrace_workloads.Suite.files ()
     in
-    let p =
-      Parser.create ~kernel_bbs:(Option.get t.Builder.kernel_bbs) ()
-    in
-    List.iter
-      (fun (pi : Builder.proc_info) ->
-        Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-      t.Builder.procs;
-    t.Builder.trace_sink <- Some (fun ws len -> Parser.feed p ws ~len);
-    (match Builder.run t ~max_insns:2_000_000_000 with
-    | Systrace_machine.Machine.Halt -> ()
-    | Systrace_machine.Machine.Limit -> Alcotest.fail "no halt");
-    Builder.drain_final t;
-    Parser.finish p;
+    let p = Builder.trace_parser t in
+    Validate.run ~sink:(Sink.to_parser p) t;
     ( String.trim (Builder.console t),
       Parser.stats p,
       Builder.peek t "kstat_displaced" )

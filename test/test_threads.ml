@@ -6,6 +6,7 @@ open Systrace_isa
 open Systrace_tracing
 open Systrace_kernel
 open Systrace_workloads
+open Systrace_validate
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -103,9 +104,7 @@ let count_chars c s =
 
 let test_threads_untraced () =
   let t = build_system false in
-  (match Builder.run t ~max_insns:200_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> Alcotest.fail "no halt");
+  Validate.run t;
   let out = Builder.console t in
   check_int "a count" 5 (count_chars 'a' out);
   check_int "b count" 5 (count_chars 'b' out);
@@ -115,12 +114,7 @@ let test_threads_untraced () =
 
 let test_threads_traced () =
   let t = build_system true in
-  let kernel_bbs = Option.get t.Builder.kernel_bbs in
-  let p = Parser.create ~kernel_bbs () in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-    t.Builder.procs;
+  let p = Builder.trace_parser t in
   (* The spawned thread gets the first free PCB: pid 2 (0 = server,
      1 = main).  It runs the same binary as pid 1. *)
   let thr_prog = Builder.proc t 1 in
@@ -135,12 +129,7 @@ let test_threads_traced () =
               (1 + Option.value ~default:0 (Hashtbl.find_opt per_pid pid)));
       on_data = (fun _ _ _ _ _ -> ());
     };
-  t.Builder.trace_sink <- Some (fun words len -> Parser.feed p words ~len);
-  (match Builder.run t ~max_insns:600_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> Alcotest.fail "traced: no halt");
-  Builder.drain_final t;
-  Parser.finish ~live:[ 0; 2 ] p;
+  Validate.run ~sink:(Sink.to_parser ~live:[ 0; 2 ] p) t;
   let out = Builder.console t in
   check_int "a count" 5 (count_chars 'a' out);
   check_int "b count" 5 (count_chars 'b' out);

@@ -108,21 +108,7 @@ let test_pool_exception_order () =
     failwith (string_of_int x)
   in
   Alcotest.check_raises "first in input order wins" (Failure "0") (fun () ->
-      ignore (Pool.map ~oversubscribe:true ~chunk:1 ~jobs:2 f [ 0; 1 ]))
-
-let test_pool_chunk () =
-  let xs = List.init 37 Fun.id in
-  let sq = List.map (fun x -> x * x) xs in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunk=%d" chunk)
-        sq
-        (Pool.map ~oversubscribe:true ~chunk ~jobs:4 (fun x -> x * x) xs))
-    [ 1; 3; 8; 100 ];
-  Alcotest.check_raises "chunk must be >= 1"
-    (Invalid_argument "Pool.map: chunk 0 < 1") (fun () ->
-      ignore (Pool.map ~oversubscribe:true ~chunk:0 ~jobs:4 Fun.id [ 1; 2 ]))
+      ignore (Pool.map ~oversubscribe:true ~jobs:2 f [ 0; 1 ]))
 
 let prop_pool_matches_list_map =
   QCheck.Test.make ~count:50 ~name:"Pool.map == List.map for any jobs"
@@ -134,12 +120,10 @@ let prop_pool_matches_list_map =
 let prop_pool_1_vs_n =
   QCheck.Test.make ~count:30
     ~name:"Pool.map: 1-domain and N-domain runs agree"
-    QCheck.(
-      triple (int_range 2 6) (int_range 1 10)
-        (list_of_size Gen.(int_range 0 60) small_int))
-    (fun (jobs, chunk, xs) ->
+    QCheck.(pair (int_range 2 6) (list_of_size Gen.(int_range 0 60) small_int))
+    (fun (jobs, xs) ->
       let f x = (x * 7) lxor (x lsr 1) in
-      Pool.map ~oversubscribe:true ~chunk ~jobs f xs = Pool.map ~jobs:1 f xs)
+      Pool.map ~oversubscribe:true ~jobs f xs = Pool.map ~jobs:1 f xs)
 
 let tests =
   [
@@ -147,7 +131,6 @@ let tests =
     Alcotest.test_case "pool preserves order" `Quick test_pool_order;
     Alcotest.test_case "pool propagates exceptions" `Quick test_pool_exception;
     Alcotest.test_case "pool exception order" `Quick test_pool_exception_order;
-    Alcotest.test_case "pool chunked claiming" `Quick test_pool_chunk;
     QCheck_alcotest.to_alcotest prop_pool_matches_list_map;
     QCheck_alcotest.to_alcotest prop_pool_1_vs_n;
     Alcotest.test_case "rng seeds differ" `Quick test_rng_seeds_differ;

@@ -36,27 +36,14 @@ let test_matrix_determinism () =
 (* run a traced system to its halt, keeping every trace word *)
 let capture b =
   let sink, trace = Systrace_tracing.Sink.to_array () in
-  b.Systrace_kernel.Builder.trace_sink <-
-    Some (fun ws len -> sink.Systrace_tracing.Sink.on_words ws ~len);
-  (match Systrace_kernel.Builder.run b ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "sweep equiv: no halt");
-  Systrace_kernel.Builder.drain_final b;
+  Validate.run ~sink b;
   (b, trace ())
 
 let captured =
   lazy
-    (let e = Suite.find "egrep" in
-     let cfg =
-       {
-         Systrace_kernel.Builder.default_config with
-         Systrace_kernel.Builder.traced = true;
-       }
-     in
-     capture
-       (Systrace_kernel.Builder.build ~cfg
-          ~programs:[ e.Suite.program () ]
-          ~files:e.Suite.files ()))
+    (capture
+       (Validate.system ~traced:true Validate.Ultrix
+          (Experiments.spec_of (Suite.find "egrep"))))
 
 let mk_parser ~recover b = Systrace_kernel.Builder.trace_parser ~recover b
 
@@ -271,25 +258,30 @@ let test_traced_tier_oracle wname () =
    interrupts masked, but each tick's poll re-arms the clock from the
    cycle it runs at: the spin's stub must run, and stop at the horizon
    exactly where step-at-a-time polls. *)
-let test_traced_analysis_spin () =
+let small_buffer_egrep tier =
   let module M = Systrace_machine.Machine in
   let module B = Systrace_kernel.Builder in
   let e = Systrace_workloads.Suite.find "egrep" in
+  let cfg =
+    {
+      B.default_config with
+      B.traced = true;
+      trace_buf_bytes = 64 * 1024;
+      trace_slack_bytes = 24 * 1024;
+      analysis_chunk = 2048;
+      clock_interval = 1000;
+      machine_cfg = { M.default_config with M.tier };
+    }
+  in
+  B.build ~cfg ~programs:[ e.Systrace_workloads.Suite.program () ]
+    ~files:e.Systrace_workloads.Suite.files ()
+
+let test_traced_analysis_spin () =
+  let module M = Systrace_machine.Machine in
+  let module B = Systrace_kernel.Builder in
   let run tier =
-    let cfg =
-      {
-        B.default_config with
-        B.traced = true;
-        trace_buf_bytes = 64 * 1024;
-        trace_slack_bytes = 24 * 1024;
-        analysis_chunk = 2048;
-        clock_interval = 1000;
-        machine_cfg = { M.default_config with M.tier };
-      }
-    in
-    let b = B.build ~cfg ~programs:[ e.Systrace_workloads.Suite.program () ]
-        ~files:e.Systrace_workloads.Suite.files () in
-    (b, Experiments.tier_fingerprint ~traced:true b)
+    let b = small_buffer_egrep tier in
+    (b, Experiments.tier_fingerprint b)
   in
   let bs, step = run Systrace_machine.Uop.Step in
   Alcotest.(check bool) "several analysis phases" true (bs.B.analyze_calls > 20);
@@ -298,6 +290,61 @@ let test_traced_analysis_spin () =
   check_fingerprints "small-buffer egrep bcache" step fp;
   Alcotest.(check bool) "analysis spin stub ran" true (kind_runs b "spin" > 0);
   Alcotest.(check bool) "drain copy stub ran" true (kind_runs b "kd_copy" > 0)
+
+(* Validate.run's contract, on the small-buffer egrep: the sink gets
+   each ANALYZE chunk as it is drained (before the machine halts), none
+   longer than the analysis chunk, then the tail, and together they are
+   the whole trace, which a strict parse accepts; then [finish], once.
+   An untraced system hands the sink no words but still finishes it. *)
+type sink_event = Chunk of int * int | Finish
+
+let recorder (b : Systrace_kernel.Builder.t) =
+  let log = ref [] in
+  let insns () =
+    b.Systrace_kernel.Builder.machine.Systrace_machine.Machine.c
+      .Systrace_machine.Machine.instructions
+  in
+  ( Systrace_tracing.Sink.make
+      ~finish:(fun () -> log := Finish :: !log)
+      (fun _ ~len -> log := Chunk (len, insns ()) :: !log),
+    fun () -> List.rev !log )
+
+let test_run_contract () =
+  let module P = Systrace_tracing.Parser in
+  let b = small_buffer_egrep Systrace_machine.Uop.Bcache in
+  let p = Systrace_kernel.Builder.trace_parser b in
+  let sink, log = recorder b in
+  Validate.run
+    ~sink:(Systrace_tracing.Sink.tee [ sink; Systrace_tracing.Sink.to_parser p ])
+    b;
+  let log = log () in
+  let chunks =
+    List.filter_map (function Chunk (n, at) -> Some (n, at) | Finish -> None) log
+  in
+  let halted_at =
+    b.Systrace_kernel.Builder.machine.Systrace_machine.Machine.c
+      .Systrace_machine.Machine.instructions
+  in
+  Alcotest.(check bool) "more than 20 chunks" true (List.length chunks > 20);
+  Alcotest.(check bool) "no chunk above 2,048 words" true
+    (List.for_all (fun (n, _) -> n > 0 && n <= 2048) chunks);
+  Alcotest.(check bool) "first chunk drained while running" true
+    (snd (List.hd chunks) < halted_at);
+  Alcotest.(check int) "tail delivered after the halt" halted_at
+    (snd (List.nth chunks (List.length chunks - 1)));
+  Alcotest.(check int) "chunks add up to the parsed trace"
+    (P.stats p).P.words
+    (List.fold_left (fun s (n, _) -> s + n) 0 chunks);
+  Alcotest.(check bool) "finish once, after the last chunk" true
+    (List.filter (( = ) Finish) log = [ Finish ]
+    && List.nth log (List.length log - 1) = Finish);
+  let u =
+    Validate.system ~traced:false Validate.Ultrix
+      (Experiments.spec_of (Suite.find "egrep"))
+  in
+  let sink, log = recorder u in
+  Validate.run ~sink u;
+  Alcotest.(check bool) "untraced: no words, finish once" true (log () = [ Finish ])
 
 (* The FP uops at system scale: liv is the Table 1 code with the most FP
    work per instruction (3.45M instructions untraced), so its arithmetic
@@ -325,6 +372,8 @@ let tests =
       (test_traced_tier_oracle "fpppp");
     Alcotest.test_case "traced analysis phases: spin stub == step" `Quick
       test_traced_analysis_spin;
+    Alcotest.test_case "Validate.run: chunks as drained, tail, one finish" `Quick
+      test_run_contract;
     Alcotest.test_case "untraced liv: step == bcache, FP counters" `Quick
       test_fp_tier_oracle;
     Alcotest.test_case "sweep == singles on a real trace" `Quick

@@ -30,14 +30,9 @@ let goldens =
   ]
 
 let run_ultrix (e : Suite.entry) =
-  let t =
-    Builder.build ~cfg:Builder.default_config
-      ~programs:[ e.Suite.program () ]
-      ~files:e.Suite.files ()
-  in
-  match Builder.run t ~max_insns:500_000_000 with
-  | Systrace_machine.Machine.Halt -> t
-  | Systrace_machine.Machine.Limit -> Alcotest.failf "%s did not halt" e.Suite.name
+  let t = Validate.system ~traced:false Validate.Ultrix (Experiments.spec_of e) in
+  Validate.run t;
+  t
 
 let strip s = String.trim s
 
