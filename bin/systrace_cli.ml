@@ -410,12 +410,7 @@ let analyze_cmd =
   let run name os seed file =
     let sys = traced_system name os seed in
     let mem, parse =
-      try
-        replay_file ~system:sys ~memsim_cfg:(default_memsim_cfg ~system:sys)
-          file
-      with Tracing.Tracefile.Bad_file msg ->
-        Printf.eprintf "%s: UNREADABLE\n  %s\n" file msg;
-        exit 1
+      replay_file ~system:sys ~memsim_cfg:(default_memsim_cfg ~system:sys) file
     in
     Printf.printf
       "%s: %d words -> %d instructions (%d user / %d kernel), %d data refs\n"
@@ -461,11 +456,7 @@ let sweep_cmd =
       try
         replay_sweep_file ~jobs ~system:sys ~memsim_cfgs:(List.map snd grid)
           file
-      with
-      | Tracing.Tracefile.Bad_file msg ->
-        Printf.eprintf "%s: UNREADABLE\n  %s\n" file msg;
-        exit 1
-      | Invalid_argument msg ->
+      with Invalid_argument msg ->
         Printf.eprintf "bad grid: %s\n" msg;
         exit 1
     in
@@ -627,9 +618,6 @@ let slice_cmd =
   let run file from until out =
     match Tracing.Tracefile.slice ?from ?until file out with
     | n -> Printf.printf "wrote %d words to %s\n" n out
-    | exception Tracing.Tracefile.Bad_file msg ->
-      Printf.eprintf "%s: UNREADABLE\n  %s\n" file msg;
-      exit 1
     | exception Invalid_argument msg ->
       Printf.eprintf "bad window: %s\n" msg;
       exit 1
@@ -828,7 +816,7 @@ let serve_cmd =
       let t =
         try Serve.Server.start cfg
         with Invalid_argument msg ->
-          Printf.eprintf "bad queue: %s\n" msg;
+          Printf.eprintf "bad serve configuration: %s\n" msg;
           exit 2
       in
       Option.iter (Printf.printf "unix %s\n") unix_path;
@@ -860,7 +848,10 @@ let serve_cmd =
   in
   let workers =
     Arg.(value & opt int 2
-         & info [ "workers" ] ~docv:"N" ~doc:"Worker domains.")
+         & info [ "workers" ] ~docv:"N"
+             ~doc:
+               (Printf.sprintf "Worker domains (at most %d)."
+                  Serve.Server.max_workers))
   in
   let queue_slots =
     Arg.(value & opt int 4

@@ -27,12 +27,7 @@ open Rewrite
 
 exception Reserved_register_used of string
 
-type bb_desc = {
-  anchor : string;
-  orig_index : int;
-  ninsns : int;
-  mems : (int * int * bool) array;
-}
+type bb_desc = Epoxie.bb_desc
 
 let cursor = Abi.xreg_cursor
 
@@ -73,12 +68,6 @@ let instrument_obj (obj : Objfile.t) : Objfile.t * bb_desc list =
   else begin
     check_reserved obj;
     let blocks = Bb.analyze obj.text in
-    let insns =
-      Array.of_list
-        (List.filter_map
-           (function Objfile.Insn i -> Some i | Objfile.Label _ -> None)
-           obj.text)
-    in
     let starts = Hashtbl.create 64 in
     List.iteri (fun k (b : Bb.block) -> Hashtbl.replace starts b.Bb.start (k, b)) blocks;
     let descs = ref [] in
@@ -104,7 +93,7 @@ let instrument_obj (obj : Objfile.t) : Objfile.t * bb_desc list =
             List.iter emit (emit_word_of_reg Reg.at);
             descs :=
               {
-                anchor;
+                Epoxie.anchor;
                 orig_index = b.Bb.start;
                 ninsns = b.Bb.len;
                 mems =
@@ -131,7 +120,6 @@ let instrument_obj (obj : Objfile.t) : Objfile.t * bb_desc list =
            else emit (TInsn (insn, true)));
           incr idx)
       obj.text;
-    ignore insns;
     let text = untag_items (List.rev !out) in
     (Objfile.validate { obj with text }, List.rev !descs)
   end
@@ -140,10 +128,6 @@ let instrument_modules mods =
   let results = List.map (fun m -> (m.Objfile.name, instrument_obj m)) mods in
   ( List.map (fun (_, (m, _)) -> m) results,
     List.map (fun (name, (_, d)) -> (name, d)) results )
-
-let expansion ~original ~instrumented =
-  let count ms = List.fold_left (fun n m -> n + Objfile.insn_count m) 0 ms in
-  float_of_int (count instrumented) /. float_of_int (count original)
 
 (* ------------------------------------------------------------------ *)
 (* Tunix trace parsing: records are (anchor address, length) pairs

@@ -13,19 +13,13 @@ exception Reserved_register_used of string
     register ($t7-$t9, $at) is used, or a memory instruction sits in a
     delay slot. *)
 
-type bb_desc = {
-  anchor : string;
-  orig_index : int;
-  ninsns : int;
-  mems : (int * int * bool) array;
-}
+type bb_desc = Epoxie.bb_desc
+(** The same descriptor as epoxie's, so {!Bbmap.build} makes the table. *)
 
 val instrument_obj : Objfile.t -> Objfile.t * bb_desc list
 
 val instrument_modules :
   Objfile.t list -> Objfile.t list * (string * bb_desc list) list
-
-val expansion : original:Objfile.t list -> instrumented:Objfile.t list -> float
 
 (** {2 Tunix trace parsing} *)
 

@@ -121,8 +121,3 @@ let instrument_modules (mods : Objfile.t list) : Objfile.t list =
       (0, []) mods
   in
   List.rev rev
-
-(* Text growth factor, comparable with [Epoxie.expansion]. *)
-let expansion ~original ~instrumented =
-  let count ms = List.fold_left (fun n m -> n + Objfile.insn_count m) 0 ms in
-  float_of_int (count instrumented) /. float_of_int (count original)

@@ -15,5 +15,4 @@ val instrument_obj : Objfile.t -> first_id:int -> Objfile.t * int
 (** Returns the rewritten module and the next free block id. *)
 
 val instrument_modules : Objfile.t list -> Objfile.t list
-
-val expansion : original:Objfile.t list -> instrumented:Objfile.t list -> float
+(** Its text growth is measured with {!Epoxie.expansion}. *)

@@ -533,11 +533,19 @@ let bind_tcp host port =
   in
   (fd, bound)
 
+(* Well below the runtime's 128 domains, which must also hold the
+   acceptor, the caller's own domain and any client domains in-process:
+   a [Domain.spawn] that fails half-way would leave the listeners bound. *)
+let max_workers = 64
+
 let start cfg =
   if cfg.unix_path = None && cfg.tcp = None then
     invalid_arg "Serve.start: no listener configured";
   if cfg.queue_slots < 2 then invalid_arg "Serve.start: queue_slots < 2";
   if cfg.slot_words < 1 then invalid_arg "Serve.start: slot_words < 1";
+  if cfg.workers > max_workers then
+    invalid_arg
+      (Printf.sprintf "Serve.start: workers %d > %d" cfg.workers max_workers);
   (match Sys.os_type with
   | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ());

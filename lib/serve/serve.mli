@@ -87,12 +87,17 @@ val render : snapshot -> string
 
 type t
 
+val max_workers : int
+(** The most worker domains {!start} accepts (64), well inside the
+    runtime's domain limit. *)
+
 val start : config -> t
 (** Bind the configured listeners, spawn the acceptor and worker
     domains, and return immediately.  Ignores [SIGPIPE] process-wide (a
     dying client must not kill the daemon).
     @raise Invalid_argument if no listener is configured, or if
-      [queue_slots < 2] or [slot_words < 1].
+      [queue_slots < 2], [slot_words < 1] or [workers > max_workers];
+      nothing is bound or spawned then.
     @raise Unix.Unix_error if a bind fails (e.g. path in use). *)
 
 val tcp_port : t -> int option

@@ -169,7 +169,7 @@ let expansion_table () =
       let imods, _ = Epoxie.instrument_modules mods in
       let pmods = Pixie.instrument_modules mods in
       let fe = Epoxie.expansion ~original:mods ~instrumented:imods in
-      let fp = Pixie.expansion ~original:mods ~instrumented:pmods in
+      let fp = Epoxie.expansion ~original:mods ~instrumented:pmods in
       epoxie_fs := fe :: !epoxie_fs;
       pixie_fs := fp :: !pixie_fs;
       Table.add_row t

@@ -26,11 +26,23 @@ let run ?(stdout = false) args =
   Sys.remove err;
   (code, msg)
 
-(* A slice output path in a directory that exists: a failed slice must
-   leave no file there. *)
-let slice_out =
+let tmp_path name =
   Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "systrace-slice-out-%d.strc" (Unix.getpid ()))
+    (Printf.sprintf "systrace-%d-%s" (Unix.getpid ()) name)
+
+(* Paths in a directory that exists: a failed slice must leave no file
+   at its output, and a refused daemon no socket. *)
+let slice_out = tmp_path "slice-out.strc"
+let sock = tmp_path "serve.sock"
+
+(* The v3 fixture's first 100 bytes: a header whose payload is cut
+   short. *)
+let truncated = tmp_path "truncated.strc"
+
+let write_truncated () =
+  let bytes = In_channel.with_open_bin "fixture_v3.strc" In_channel.input_all in
+  Out_channel.with_open_bin truncated (fun oc ->
+      output_string oc (String.sub bytes 0 100))
 
 let cases () =
   let dir = Filename.get_temp_dir_name () in
@@ -51,18 +63,26 @@ let cases () =
     (2, [ "serve"; "--stats"; "--ctl"; file ]);
     (2, [ "serve"; "--unix"; file; "--queue-slots"; "1" ]);
     (2, [ "serve"; "--unix"; file; "--slot-words"; "0" ]);
+    (2, [ "serve"; "--unix"; sock; "--workers"; "1000" ]);
+    (2, [ "serve"; "--unix"; sock; "--pipeline"; "parse" ]);
+    (2, [ "serve"; "--unix"; sock; "--pipeline"; "bogus" ]);
     (1, [ "analyze"; "gcc"; "fixture_v3.strc" ]);
     (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--tlb"; "8" ]);
     (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--sizes"; "0" ]);
     (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--sizes"; "3";
           "--lines"; "24" ]);
     (1, [ "disasm"; "egrep"; "--symbol"; "nosuch" ]);
+    (1, [ "analyze"; "egrep"; truncated ]);
+    (1, [ "sweep"; "egrep"; truncated ]);
+    (1, [ "slice"; truncated; "-o"; slice_out ]);
     (2, [ "slice"; "fixture_v3.strc"; "--from"; "0"; "--until"; "10"; "-o"; "/dev/full" ]);
     (2, [ "check"; dir ]);
     (2, [ "analyze"; "egrep"; dir ]);
   ]
 
 let test_bad_invocations () =
+  write_truncated ();
+  Fun.protect ~finally:(fun () -> Sys.remove truncated) @@ fun () ->
   List.iter
     (fun (expect, args) ->
       (try Sys.remove slice_out with Sys_error _ -> ());
@@ -70,9 +90,12 @@ let test_bad_invocations () =
       let what = String.concat " " args in
       let msg = String.trim msg in
       Alcotest.(check int) (what ^ ": exit code") expect code;
-      if List.mem slice_out args then
-        Alcotest.(check bool) (what ^ ": no output file") false
-          (Sys.file_exists slice_out);
+      List.iter
+        (fun path ->
+          if List.mem path args then
+            Alcotest.(check bool) (what ^ ": no file left at " ^ path) false
+              (Sys.file_exists path))
+        [ slice_out; sock ];
       Alcotest.(check bool) (what ^ ": stderr says why") true (msg <> "");
       Alcotest.(check bool) (what ^ ": one line on stderr") false
         (String.contains msg '\n');

@@ -462,23 +462,7 @@ let run_mahler (mods : Objfile.t list) =
   in
   let minstr = make_machine instr_exe in
   run minstr;
-  (* Build the lookup table from the Mahler descriptors. *)
-  let table = Bbtable.create () in
-  List.iter
-    (fun (mname, ds) ->
-      let orig_base = Exe.symbol orig_exe (mname ^ "::$text_start") in
-      List.iter
-        (fun (d : Mahler.bb_desc) ->
-          Bbtable.add table
-            ~record_addr:(Exe.symbol instr_exe (mname ^ "::" ^ d.Mahler.anchor))
-            {
-              Bbtable.orig_addr = orig_base + (d.Mahler.orig_index * 4);
-              ninsns = d.Mahler.ninsns;
-              mems = d.Mahler.mems;
-              flags = 0;
-            })
-        ds)
-    descs;
+  let table = Bbmap.build ~instrumented:instr_exe ~original:orig_exe descs in
   let cursor = minstr.Machine.regs.(Abi.xreg_cursor) in
   let nwords = (cursor - buf_va) / 4 in
   let words =
@@ -535,18 +519,7 @@ let test_mahler_length_validation () =
   let instr_exe =
     Link.link ~name:"i" ~text_base:text_va ~data_base:data_va ~entry:"main" imods
   in
-  let table = Bbtable.create () in
-  List.iter
-    (fun (mname, ds) ->
-      let base = Exe.symbol orig_exe (mname ^ "::$text_start") in
-      List.iter
-        (fun (d : Mahler.bb_desc) ->
-          Bbtable.add table
-            ~record_addr:(Exe.symbol instr_exe (mname ^ "::" ^ d.Mahler.anchor))
-            { Bbtable.orig_addr = base + (d.Mahler.orig_index * 4);
-              ninsns = d.Mahler.ninsns; mems = d.Mahler.mems; flags = 0 })
-        ds)
-    descs;
+  let table = Bbmap.build ~instrumented:instr_exe ~original:orig_exe descs in
   let anchor = Exe.symbol instr_exe "prog::$mbb0" in
   check "bad length rejected" true
     (try

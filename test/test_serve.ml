@@ -487,6 +487,49 @@ let test_torn_frames_and_disconnects () =
   (* every accepted connection's descriptor is back *)
   check_int "no leaked file descriptors" baseline_fds (open_fds ())
 
+(* The full-parse pipeline, as `serve --pipeline parse -w egrep` builds
+   it: each stream gets a recovery-mode parser over egrep's traced
+   system.  egrep's own trace parses clean; sed's, read against egrep's
+   block tables, is diagnosed. *)
+let test_parse_pipeline () =
+  let capture name =
+    let b =
+      Validate.system ~traced:true Validate.Ultrix
+        (Experiments.spec_of (Workloads.Suite.find name))
+    in
+    let sink, words = Tracing.Sink.to_array () in
+    Validate.run ~sink b;
+    (b, words ())
+  in
+  let egrep, egrep_words = capture "egrep" in
+  let _, sed_words = capture "sed" in
+  let path = tmp_name "parse" in
+  let cfg =
+    {
+      (Server.default_config
+         (Server.to_parser_pipeline (fun () ->
+              Kernel.Builder.trace_parser ~recover:true egrep)))
+      with
+      Server.unix_path = Some path;
+    }
+  in
+  with_server cfg (fun t ->
+      let diagnoses words =
+        match Client.run (Client.Unix_path path) words with
+        | Some r ->
+          check_int "every word echoed" (Array.length words) r.Client.r_words;
+          r.Client.r_diagnoses
+        | None -> Alcotest.fail "stream rejected"
+      in
+      check_int "egrep's trace: diagnoses=0" 0 (diagnoses egrep_words);
+      let wrong = diagnoses sed_words in
+      check_bool
+        (Printf.sprintf "sed's trace: diagnoses=%d > 0" wrong)
+        true (wrong > 0);
+      let s = quiesce t in
+      check_int "no stream faulted" 0 s.Server.streams_faulted;
+      check_int "daemon diagnoses are the pipeline's" wrong s.Server.diagnoses)
+
 let test_ctl_stats_shutdown () =
   let path = tmp_name "ctl_d" in
   let ctl = tmp_name "ctl_c" in
@@ -553,4 +596,6 @@ let tests =
       test_torn_frames_and_disconnects;
     Alcotest.test_case "control socket stats and shutdown" `Quick
       test_ctl_stats_shutdown;
+    Alcotest.test_case "parse pipeline diagnoses a foreign trace" `Quick
+      test_parse_pipeline;
   ]

@@ -90,7 +90,7 @@ let test_expansion_bands () =
         let imods, _ = Epoxie.instrument_modules mods in
         let pmods = Pixie.instrument_modules mods in
         let fe = Epoxie.expansion ~original:mods ~instrumented:imods in
-        let fp = Pixie.expansion ~original:mods ~instrumented:pmods in
+        let fp = Epoxie.expansion ~original:mods ~instrumented:pmods in
         check (e.Suite.name ^ ": epoxie < pixie") true (fe < fp);
         (fe, fp))
       Suite.all
