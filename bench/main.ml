@@ -186,7 +186,9 @@ let exp_interp () =
    run analyses the trace online (each ANALYZE chunk drives the parser and
    memory simulation as it is drained), so peak resident trace words is
    bounded by the in-kernel buffer, not the trace length — and the stats
-   must be exactly those of the materialized capture-then-replay path. *)
+   must be exactly those of the materialized capture-then-replay path.
+   Each side is the best of 3 repeats, alternating, so one slow phase of
+   a shared host does not decide the ratio. *)
 let exp_stream () =
   heading "Streaming pipeline: online analysis vs whole-trace materialization";
   let wname = if !quick then "egrep" else "tomcatv" in
@@ -198,50 +200,69 @@ let exp_stream () =
       programs = [ e.Workloads.Suite.program () ];
     }
   in
-  (* materialized: capture the whole trace into an array, replay offline *)
-  let (words, run), t_capture =
-    timed (fun () ->
-        capture_trace [ e.Workloads.Suite.program () ] e.Workloads.Suite.files)
-  in
-  let memsim_cfg = default_memsim_cfg ~system:run.system in
-  let (mem_m, _), t_replay =
-    timed (fun () -> replay ~system:run.system ~memsim_cfg words)
-  in
-  (* streamed: the same run with parse+simulate online during generation *)
-  let p, t_stream =
-    timed (fun () -> Validate.predict ~arith_stalls:0 Validate.Ultrix spec)
-  in
-  (* identical analysis results, or the streaming path is broken *)
-  if p.Validate.p_parse <> run.parse_stats then
-    failwith "stream: online parse stats differ from materialized run";
-  if p.Validate.p_mem <> mem_m then
-    failwith "stream: online memory-simulation stats differ from replay";
-  let trace_words = Array.length words in
-  let peak = p.Validate.p_peak_words in
   let buf_words =
     Systrace_kernel.Builder.default_config.Systrace_kernel.Builder.trace_buf_bytes
     / 4
   in
-  if peak > buf_words then
-    failwith
-      (Printf.sprintf "stream: peak resident words %d exceed buffer (%d words)"
-         peak buf_words);
-  let wps = float_of_int trace_words /. t_replay in
-  let t_mat = t_capture +. t_replay in
+  let best_capture = ref infinity and best_replay = ref infinity
+  and best_mat = ref infinity and best_stream = ref infinity in
+  let trace_words = ref 0 and peak = ref 0 in
+  for r = 1 to 3 do
+    (* materialized: capture the whole trace into an array, replay
+       offline *)
+    let (words, run), t_capture =
+      timed (fun () ->
+          capture_trace [ e.Workloads.Suite.program () ] e.Workloads.Suite.files)
+    in
+    let memsim_cfg = default_memsim_cfg ~system:run.system in
+    let (mem_m, _), t_replay =
+      timed (fun () -> replay ~system:run.system ~memsim_cfg words)
+    in
+    (* streamed: the same run with parse+simulate online during
+       generation *)
+    let p, t_stream =
+      timed (fun () -> Validate.predict ~arith_stalls:0 Validate.Ultrix spec)
+    in
+    (* identical analysis results, or the streaming path is broken *)
+    if p.Validate.p_parse <> run.parse_stats then
+      failwith "stream: online parse stats differ from materialized run";
+    if p.Validate.p_mem <> mem_m then
+      failwith "stream: online memory-simulation stats differ from replay";
+    if p.Validate.p_peak_words > buf_words then
+      failwith
+        (Printf.sprintf
+           "stream: peak resident words %d exceed buffer (%d words)"
+           p.Validate.p_peak_words buf_words);
+    let t_mat = t_capture +. t_replay in
+    Printf.printf
+      "  repeat %d: materialized %.2fs (capture %.2fs + replay %.2fs), \
+       streamed %.2fs\n"
+      r t_mat t_capture t_replay t_stream;
+    if t_mat < !best_mat then begin
+      best_mat := t_mat;
+      best_capture := t_capture;
+      best_replay := t_replay
+    end;
+    best_stream := Float.min !best_stream t_stream;
+    trace_words := Array.length words;
+    peak := p.Validate.p_peak_words
+  done;
+  let trace_words = !trace_words and peak = !peak in
+  let ratio = !best_stream /. !best_mat in
   Printf.printf
-    "workload %s: %d trace words\n\
+    "workload %s: %d trace words, best of 3 each\n\
     \  materialized: capture %.2fs + replay %.2fs (%.2f Mwords/s), %d words \
      resident\n\
     \  streamed:     %.2fs end-to-end (%.2fx of materialized), peak %d words \
      resident (%.1f%% of trace, buffer holds %d)\n\
     \  parse and memory-simulation stats identical on both paths\n"
-    wname trace_words t_capture t_replay (wps /. 1e6) trace_words t_stream
-    (t_stream /. t_mat) peak
+    wname trace_words !best_capture !best_replay
+    (float_of_int trace_words /. !best_replay /. 1e6)
+    trace_words !best_stream ratio peak
     (100.0 *. float_of_int peak /. float_of_int trace_words)
     buf_words;
-  check_floor (t_stream /. t_mat <= 1.5)
-    (Printf.sprintf "streamed/materialized wall %.2fx <= 1.50x"
-       (t_stream /. t_mat))
+  check_floor (ratio <= 1.5)
+    (Printf.sprintf "streamed/materialized wall %.2fx <= 1.50x" ratio)
 
 (* ------------------------------------------------------------------ *)
 (* Single-pass multi-configuration sweep (Memsim.sweep)                 *)
@@ -253,9 +274,14 @@ let exp_stream () =
    way costs K such passes; the sweep costs one generation plus a
    one-pass multi-configuration analysis.  "work saved"
    = K * single-pass wall / sweep wall is the wall-clock reduction over
-   the K independent runs the sweep replaces — unlike the retired
-   "parallel speedup" entry it does not depend on how many domains the
-   host happens to have. *)
+   the K independent runs the sweep replaces.  Both analyses (parse
+   included) run on one domain, the best of 5 alternating repeats each,
+   so "engine work" — the K-configuration analysis over one
+   configuration's — measures what the engine shares, whatever the
+   host's core count.  Its floor is set per trace from runs on a 2-core
+   container, with margin: the engine read 2.22-2.35x on egrep and
+   3.72-3.93x on tomcatv, and the one that kept a copy of every cache
+   per TLB size read 2.63-2.80x and 4.33-4.42x, failing both. *)
 let exp_sweep () =
   heading "Multi-configuration sweep: one trace pass vs per-config passes";
   let wname = if !quick then "egrep" else "tomcatv" in
@@ -275,21 +301,27 @@ let exp_sweep () =
   in
   let cfgs = List.map snd grid in
   let k = List.length cfgs in
-  let _, t_replay =
-    timed (fun () -> replay ~system:run.system ~memsim_cfg:base words)
+  let analyse cfgs =
+    let sw = Tracesim.Memsim.sweep ~jobs:1 cfgs in
+    let sink =
+      Tracesim.Memsim.sweep_sink sw (Kernel.Builder.trace_parser run.system)
+    in
+    sink.Tracing.Sink.on_words words ~len:(Array.length words);
+    Tracesim.Memsim.sweep_stats sw
   in
-  (* one multi-configuration replay, spelled out to learn how many
-     domains simulated *)
-  let (swept, domains), t_sweep_replay =
-    timed (fun () ->
-        let sw = Tracesim.Memsim.sweep cfgs in
-        let sink =
-          Tracesim.Memsim.sweep_sink sw (Kernel.Builder.trace_parser run.system)
-        in
-        sink.Tracing.Sink.on_words words ~len:(Array.length words);
-        let stats = Tracesim.Memsim.sweep_stats sw in
-        (stats, Tracesim.Memsim.sweep_domains sw))
-  in
+  let t_replay = ref infinity and t_sweep_replay = ref infinity in
+  let swept = ref [||] in
+  for r = 1 to 5 do
+    let _, t1 = timed (fun () -> analyse [ base ]) in
+    let stats, tk = timed (fun () -> analyse cfgs) in
+    Printf.printf
+      "  repeat %d: one configuration %.3fs, %d configurations %.3fs\n" r t1
+      k tk;
+    t_replay := Float.min !t_replay t1;
+    t_sweep_replay := Float.min !t_sweep_replay tk;
+    swept := stats
+  done;
+  let t_replay = !t_replay and t_sweep_replay = !t_sweep_replay in
   (* spot-check the sweep against independent single-config replays on a
      few grid points (the qcheck and validate suites prove the full
      equivalence; this guards the numbers printed below) *)
@@ -297,7 +329,7 @@ let exp_sweep () =
     (fun i cfg ->
       if i mod (max 1 (k / 3)) = 0 then begin
         let mem, _ = replay ~system:run.system ~memsim_cfg:cfg words in
-        if mem <> swept.(i) then
+        if mem <> !swept.(i) then
           failwith
             (Printf.sprintf
                "sweep: config %d differs from its single-config replay" i)
@@ -307,22 +339,26 @@ let exp_sweep () =
   let t_sweep_pass = t_capture +. t_sweep_replay in
   let ratio = t_sweep_pass /. t_single_pass in
   let saved = float_of_int k *. t_single_pass /. t_sweep_pass in
+  let engine = t_sweep_replay /. t_replay in
   Printf.printf
-    "workload %s: %d trace words, %d configurations\n\
+    "workload %s: %d trace words, %d configurations, one domain\n\
     \  single-config pass: generate %.2fs + analyse %.3fs = %.2fs\n\
     \  sweep pass:         generate %.2fs + analyse %.3fs = %.2fs (%.2fx one \
      pass)\n\
-    \  analysis alone: %.3fs for %d configs = %.2fx one config's analysis \
-     (%d domains)\n\
+    \  engine work: %.3fs for %d configs = %.2fx one config's analysis\n\
     \  work saved over %d independent passes: %.1fx\n"
     wname (Array.length words) k t_capture t_replay t_single_pass t_capture
-    t_sweep_replay t_sweep_pass ratio t_sweep_replay k
-    (t_sweep_replay /. t_replay) domains k saved;
+    t_sweep_replay t_sweep_pass ratio t_sweep_replay k engine k saved;
   check_floor (ratio <= 2.0)
     (Printf.sprintf "sweep pass %.2fx <= 2.00x one single-config pass" ratio);
   check_floor (saved >= 5.0)
     (Printf.sprintf "sweep work saved %.1fx >= 5.0x over independent passes"
-       saved)
+       saved);
+  let engine_floor = if !quick then 2.5 else 4.2 in
+  check_floor (engine <= engine_floor)
+    (Printf.sprintf
+       "sweep engine work %.2fx <= %.2fx one config's analysis, one domain"
+       engine engine_floor)
 
 (* ------------------------------------------------------------------ *)
 (* Trace store: v3 pack/unpack throughput, compression ratio, indexed   *)

@@ -88,13 +88,15 @@ let asid_of_pid pid = pid + 1
      so configurations sharing (tlb_entries, handler lengths) share one
      TLB and one synthesized stream ("groups" below).
    - Cache contents depend on the trace and the group's synthesized
-     stream; within a group, distinct geometries are simulated once each,
-     shared by every configuration that names them — and icache families
-     that nest (same line size and set count, ascending ways) collapse
-     into a single Mattson LRU stack ({!Sim_stack}), one state update for
-     the whole family.  The dcache's write-through/no-allocate write path
-     breaks the stack's inclusion property (DESIGN.md 5f), so dcache
-     geometries stay one unit each.
+     stream.  Each distinct geometry is one unit, simulated once for
+     every group that names it, and icache families that nest (same line
+     size and set count, ascending ways) collapse into a single Mattson
+     LRU stack ({!Sim_stack}), one state update for the whole family.
+     The dcache's write-through/no-allocate write path breaks the stack's
+     inclusion property (DESIGN.md 5f), so dcache geometries stay one
+     unit each.  A unit's state is shared by its groups: trace references
+     update it once, and a group holds a private copy of a set only while
+     the synthesized references make its set differ (below).
    - The write buffer depends on everything above plus the penalties, but
      its clock is a pure sum of counted events: rather than ticking every
      lane's buffer on every reference, each lane derives its clock from
@@ -122,44 +124,287 @@ let ctx_synth = 0
 let ctx_kernel = 1
 let ctx_user = 2
 
-let bump m ctx =
-  m.c_total <- m.c_total + 1;
-  if ctx = ctx_synth then m.c_synth <- m.c_synth + 1
-  else if ctx = ctx_kernel then m.c_kernel <- m.c_kernel + 1
-  else m.c_user <- m.c_user + 1
+let add m ctx d =
+  m.c_total <- m.c_total + d;
+  if ctx = ctx_synth then m.c_synth <- m.c_synth + d
+  else if ctx = ctx_kernel then m.c_kernel <- m.c_kernel + d
+  else m.c_user <- m.c_user + d
 
-(* bump the counter of every stack member whose bit is set in [mask] *)
-let rec bump_mask ms ctx mask i =
+(* add [d] to the counter of every stack member whose bit is set in
+   [mask] (a plain cache is a one-member family: mask 1 is a miss) *)
+let rec add_mask ms ctx d mask i =
   if mask <> 0 then begin
-    if mask land 1 = 1 then bump (Array.unsafe_get ms i) ctx;
-    bump_mask ms ctx (mask lsr 1) (i + 1)
+    if mask land 1 = 1 then add (Array.unsafe_get ms i) ctx d;
+    add_mask ms ctx d (mask lsr 1) (i + 1)
   end
 
-type ic_kind =
-  | Ic_plain of Sim_cache_assoc.t * miss_ctr
-  | Ic_stack of Sim_stack.t * miss_ctr array  (* counters in ways order *)
+(* A unit: one cache geometry (a {!Sim_cache_assoc}) or one nesting
+   icache family (a {!Sim_stack}), for every group that names it.
 
-(* Each unit remembers the line it last touched, which is then at the
-   front of its set: a repeat of that line is a hit that changes no cache
-   state, so it is not probed at all (the units' own hit counters, which
-   nothing reports, skip it). *)
-type ic_unit = { ic_shift : int; mutable ic_last : int; ic : ic_kind }
+   The unit's state is one group's own, its owner's: the group with the
+   largest TLB, which takes the fewest misses.  Trace references and the
+   owner's synthesized references (the handler fetches at pa 0x0-0x1C
+   and 0x80-0xDC, the PTE loads, the 0x9000 root-table load) update it.
+   The other groups are its guests.  A set that a guest's own
+   synthesized reference would change, or that the owner's would change
+   under it, is first copied into the guest's view — a cache of the same
+   geometry of which only the copied sets are ever read — and from then
+   on the guest reads and writes its copy, beside the shared set: every
+   trace reference to the set updates both.  The copy is dropped as soon
+   as the two sets are equal again, line for line in recency order; the
+   groups are run owner first, so a guest that synthesizes what the
+   owner just did (a miss in every TLB, the cold ones above all) drops
+   the copy at once.  The shared counts are the trace references'
+   misses on the shared state; a group's counts add its correction: its
+   synthesized misses, and +1/-1 wherever a trace reference missed in
+   its copy and hit in the shared set or the reverse.
 
-type dc_unit = {
-  du_cache : Sim_cache_assoc.t;
-  du_ctr : miss_ctr;
-  du_shift : int;
-  mutable du_last : int;
+   The unit remembers the line it last touched, which is then at the
+   front of its set, shared and private copies alike: a repeat of that
+   line is a hit that changes no cache state, so it is not probed at all
+   (the caches' own hit counters, which nothing reports, skip it). *)
+type 'c cunit = {
+  u_shift : int;
+  mutable u_last : int;
+  mutable u_ndiv : int;           (* private copies held *)
+  u_cache : 'c;                   (* the shared state *)
+  u_ctrs : miss_ctr array;        (* its trace misses, per family member *)
+  u_guests : int;                 (* bit i = user i is a guest (not 0) *)
+  u_views : 'c array;             (* per user, owner (0) first: private sets *)
+  u_corr : miss_ctr array array;  (* per user: its counts - the shared *)
+  u_div : int array;              (* per set: bit i = user i has a copy *)
+  u_gline : int array;            (* per user: its last synthesized line *)
+  u_gseq : int array;             (* and the handler sequence it was in *)
 }
 
+let plain_read c pa = if Sim_cache_assoc.read c pa then 0 else 1
+
+let converge u set i =
+  Array.unsafe_set u.u_div set (Array.unsafe_get u.u_div set land lnot (1 lsl i));
+  u.u_ndiv <- u.u_ndiv - 1
+
+(* The guests in [d] (bit i = user i) hold a copy of [set], which a trace
+   reference has just read with miss mask [mask] in the shared state:
+   read each copy too, correct the guest's counts where it disagrees,
+   and drop the copies the read made equal to the shared set.  The cache
+   operations are parameters: this runs only on sets that differ. *)
+let rec guests_read read same u set pa ctx mask d i =
+  if d <> 0 then begin
+    if d land 1 = 1 then begin
+      let v = Array.unsafe_get u.u_views i in
+      let mv = read v pa in
+      if mv <> mask then begin
+        let m = Array.unsafe_get u.u_corr i in
+        add_mask m ctx 1 (mv land lnot mask) 0;
+        add_mask m ctx (-1) (mask land lnot mv) 0
+      end;
+      if same u.u_cache v set then converge u set i
+    end;
+    guests_read read same u set pa ctx mask (d lsr 1) (i + 1)
+  end
+
+(* A synthesized read by guest [i]: on its copy of the set if it has one;
+   otherwise on a copy taken now.  Either way, a line that already leads
+   the set the guest sees is a hit that changes nothing. *)
+let guest_synth read at_front copy_set same u i set pa =
+  let bit = 1 lsl i and d = Array.unsafe_get u.u_div set in
+  let mine = d land bit <> 0 and v = Array.unsafe_get u.u_views i in
+  if not (at_front (if mine then v else u.u_cache) pa) then begin
+    u.u_last <- -1;
+    if not mine then begin
+      copy_set u.u_cache v set;
+      Array.unsafe_set u.u_div set (d lor bit);
+      u.u_ndiv <- u.u_ndiv + 1
+    end;
+    let mv = read v pa in
+    if mv <> 0 then add_mask (Array.unsafe_get u.u_corr i) ctx_synth 1 mv 0;
+    if mine && same u.u_cache v set then converge u set i
+  end
+
+(* The owner's synthesized read is about to change [set] of the shared
+   state: every guest without a copy takes one first, as the read is not
+   in its stream. *)
+let rec snapshot copy_set u set missing i =
+  if missing <> 0 then begin
+    if missing land 1 = 1 then begin
+      copy_set u.u_cache (Array.unsafe_get u.u_views i) set;
+      u.u_ndiv <- u.u_ndiv + 1
+    end;
+    snapshot copy_set u set (missing lsr 1) (i + 1)
+  end
+
+let owner_synth at_front copy_set u set pa =
+  let d = Array.unsafe_get u.u_div set in
+  if d <> u.u_guests && not (at_front u.u_cache pa) then begin
+    snapshot copy_set u set (u.u_guests land lnot d) 0;
+    Array.unsafe_set u.u_div set u.u_guests
+  end
+
+(* Guest [i]'s last synthesized line in this unit leads the set it sees
+   while the group's handler sequence [seq] runs: no trace reference
+   comes between, and no other group's synthesized reference does (the
+   owner's ran before, and copies whatever it changes).  A repeat is not
+   read at all. *)
+let[@inline] guest_repeat u i seq ln =
+  Array.unsafe_get u.u_gline i = ln && Array.unsafe_get u.u_gseq i = seq
+  || begin
+    Array.unsafe_set u.u_gline i ln;
+    Array.unsafe_set u.u_gseq i seq;
+    false
+  end
+
+let plain_guests u pa ctx miss =
+  let set = Sim_cache_assoc.set_of u.u_cache pa in
+  guests_read plain_read Sim_cache_assoc.same_set u set pa ctx miss
+    (Array.unsafe_get u.u_div set) 0
+
+let stack_guests u pa ctx mask =
+  let set = Sim_stack.set_of u.u_cache pa in
+  guests_read Sim_stack.read Sim_stack.same_set u set pa ctx mask
+    (Array.unsafe_get u.u_div set) 0
+
+(* A trace read of a line other than the unit's last: the shared state,
+   then the guests' copies of the set, if any. *)
+let[@inline] plain_probe u pa ctx =
+  if Sim_cache_assoc.read u.u_cache pa then begin
+    if u.u_ndiv > 0 then plain_guests u pa ctx 0
+  end
+  else begin
+    add (Array.unsafe_get u.u_ctrs 0) ctx 1;
+    if u.u_ndiv > 0 then plain_guests u pa ctx 1
+  end
+
+let[@inline] stack_probe u pa ctx =
+  let mask = Sim_stack.read u.u_cache pa in
+  if mask <> 0 then add_mask u.u_ctrs ctx 1 mask 0;
+  if u.u_ndiv > 0 then stack_guests u pa ctx mask
+
+(* a trace read by every dcache unit *)
+let plain_reads units pa ctx =
+  for i = 0 to Array.length units - 1 do
+    let u = Array.unsafe_get units i in
+    let ln = pa lsr u.u_shift in
+    if ln <> u.u_last then begin
+      u.u_last <- ln;
+      plain_probe u pa ctx
+    end
+  done
+
+(* A synthesized read by one group during its handler sequence [seq],
+   its user index in each unit in [users].  The owner's read leaves the
+   last line to units with no guest: where a guest holds a copy, the
+   line does not lead it. *)
+let plain_synths units users seq pa =
+  for i = 0 to Array.length units - 1 do
+    let u = Array.unsafe_get units i in
+    let ln = pa lsr u.u_shift and k = Array.unsafe_get users i in
+    if k = 0 then begin
+      if ln <> u.u_last then begin
+        let c = u.u_cache in
+        if u.u_guests <> 0 then
+          owner_synth Sim_cache_assoc.at_front Sim_cache_assoc.copy_set u
+            (Sim_cache_assoc.set_of c pa) pa;
+        u.u_last <- (if u.u_guests = 0 then ln else -1);
+        if not (Sim_cache_assoc.read c pa) then
+          add (Array.unsafe_get (Array.unsafe_get u.u_corr 0) 0) ctx_synth 1
+      end
+    end
+    else if not (guest_repeat u k seq ln) then
+      guest_synth plain_read Sim_cache_assoc.at_front Sim_cache_assoc.copy_set
+        Sim_cache_assoc.same_set u k (Sim_cache_assoc.set_of u.u_cache pa) pa
+  done
+
+let stack_synths units users seq pa =
+  for i = 0 to Array.length units - 1 do
+    let u = Array.unsafe_get units i in
+    let ln = pa lsr u.u_shift and k = Array.unsafe_get users i in
+    if k = 0 then begin
+      if ln <> u.u_last then begin
+        let st = u.u_cache in
+        if u.u_guests <> 0 then
+          owner_synth Sim_stack.at_front Sim_stack.copy_set u
+            (Sim_stack.set_of st pa) pa;
+        u.u_last <- (if u.u_guests = 0 then ln else -1);
+        let mask = Sim_stack.read st pa in
+        if mask <> 0 then
+          add_mask (Array.unsafe_get u.u_corr 0) ctx_synth 1 mask 0
+      end
+    end
+    else if not (guest_repeat u k seq ln) then
+      guest_synth Sim_stack.read Sim_stack.at_front Sim_stack.copy_set
+        Sim_stack.same_set u k (Sim_stack.set_of u.u_cache pa) pa
+  done
+
+(* write-through/no-allocate: a store only moves the caches' own write
+   counters, which a qcheck property ties to the returned hit/miss; a
+   write miss leaves its set as it was.  The guests' copies of the set
+   take the store too.  [acc]: bit 1 = some copy hit, bit 0 = some
+   missed. *)
+let rec guests_write u set pa d i acc =
+  if d = 0 then acc
+  else
+    let acc =
+      if d land 1 = 0 then acc
+      else begin
+        let v = Array.unsafe_get u.u_views i in
+        if Sim_cache_assoc.write v pa then begin
+          if Sim_cache_assoc.same_set u.u_cache v set then converge u set i;
+          acc lor 2
+        end
+        else acc lor 1
+      end
+    in
+    guests_write u set pa (d lsr 1) (i + 1) acc
+
+let plain_writes units pa =
+  for i = 0 to Array.length units - 1 do
+    let u = Array.unsafe_get units i in
+    let ln = pa lsr u.u_shift in
+    if ln <> u.u_last then begin
+      let c = u.u_cache in
+      let hit = Sim_cache_assoc.write c pa in
+      if u.u_ndiv = 0 then (if hit then u.u_last <- ln)
+      else begin
+        let set = Sim_cache_assoc.set_of c pa in
+        let r =
+          guests_write u set pa (Array.unsafe_get u.u_div set) 0
+            (if hit then 2 else 1)
+        in
+        (* the line leads every copy of its set only if every copy hit;
+           a hit in some copies only may have reordered them under the
+           last line *)
+        if r = 2 then u.u_last <- ln else if r = 3 then u.u_last <- -1
+      end
+    end
+  done
+
 (* configurations whose TLB parameters agree see the same reference
-   stream (trace + synthesized handlers) and share everything below *)
+   stream (trace + synthesized handlers) *)
+(* A TLB access known to hit again: [m_vpn] and [m_asid] were found or
+   refilled when the TLB had taken [m_miss] misses, and only a miss
+   refills (evicts). *)
+type tlb_memo = {
+  mutable m_vpn : int;
+  mutable m_asid : int;
+  mutable m_miss : int;
+}
+
 type group = {
   gr_tlb : Sim_tlb.t;
+  gr_mi : tlb_memo;  (* the last user ifetch's page, user data's, kseg2's *)
+  gr_md : tlb_memo;
+  gr_mk : tlb_memo;
   gr_utlb_insns : int;
   gr_ktlb_insns : int;
-  gr_ic : ic_unit array;
-  gr_dc : dc_unit array;
+  (* the units its lanes name, and its user index in each (0: it owns
+     the unit): icache units of one geometry and nesting families, dcache
+     units *)
+  gr_icp : Sim_cache_assoc.t cunit array;
+  gr_icp_user : int array;
+  gr_ics : Sim_stack.t cunit array;
+  gr_ics_user : int array;
+  gr_dc : Sim_cache_assoc.t cunit array;
+  gr_dc_user : int array;
   mutable gr_lanes : lane array;
   mutable gr_utlb : int;
   mutable gr_ktlb : int;
@@ -174,8 +419,10 @@ and lane = {
   la_rmp : int;    (* read-miss and uncached penalties *)
   la_up : int;
   la_group : group;
-  la_ic : miss_ctr;
+  la_ic : miss_ctr;   (* the shared count of its icache geometry *)
+  la_icx : miss_ctr;  (* and its group's correction *)
   la_dc : miss_ctr;
+  la_dcx : miss_ctr;
   la_wb : Sim_wb.t;
   mutable la_stall : int;
   mutable la_stall_k : int;  (* the kernel's share of [la_stall] *)
@@ -183,6 +430,9 @@ and lane = {
 
 type engine = {
   e_groups : group array;
+  e_icp : Sim_cache_assoc.t cunit array;
+  e_ics : Sim_stack.t cunit array;
+  e_dc : Sim_cache_assoc.t cunit array;
   e_pagemap : int -> int -> int;
   e_pt_base : int -> int;
   (* trace-only counters, identical for every configuration *)
@@ -200,6 +450,8 @@ type engine = {
 }
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let memo () = { m_vpn = -1; m_asid = -1; m_miss = -1 }
 
 (* Lines are indexed by shifting ([log2 line]), so a line size that is not
    a power of two would be simulated as the next smaller one. *)
@@ -235,102 +487,184 @@ let distinct l =
   List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l
   |> List.rev
 
+let rec index_of x = function
+  | [] -> invalid_arg "Memsim.index_of"
+  | y :: l -> if x = y then 0 else 1 + index_of x l
+
+(* The units of one geometry: [users] are the groups that name it, owner
+   first; a copy's owner is a bit of an int, so a unit serves at most 62
+   groups and more take further units.  [make ()] builds one cache of the
+   geometry, [members] is the family's size. *)
+let rec cunits users ~line ~nsets ~members make =
+  let rec take n = function
+    | x :: l when n > 0 ->
+      let a, b = take (n - 1) l in
+      (x :: a, b)
+    | l -> ([], l)
+  in
+  match take 62 users with
+  | [], _ -> []
+  | mine, rest ->
+    let n = List.length mine in
+    let counters () = Array.init members (fun _ -> ctr ()) in
+    let shared = make () in
+    ( mine,
+      {
+        u_shift = log2 line;
+        u_last = -1;
+        u_ndiv = 0;
+        u_cache = shared;
+        u_ctrs = counters ();
+        u_guests = ((1 lsl n) - 1) land lnot 1;
+        u_views = Array.init n (fun i -> if i = 0 then shared else make ());
+        u_corr = Array.init n (fun _ -> counters ());
+        u_div = Array.make (if n > 1 then nsets else 0) 0;
+        u_gline = Array.make n (-1);
+        u_gseq = Array.make n (-1);
+      } )
+    :: cunits rest ~line ~nsets ~members make
+
 (* The engine over [members], (index, config) pairs sharing one page map. *)
 let engine members =
   let cfgs = List.map snd members in
   let c0 = List.hd cfgs in
-  (* per group: the shared state plus lookup tables from a lane's cache
-     geometry to its member counter / unit *)
-  let built =
+  (* the groups, largest TLB first: each unit's owner is the first group
+     that names it, and the groups run in this order *)
+  let order =
+    List.stable_sort
+      (fun (a, _, _) (b, _, _) -> compare b a)
+      (distinct (List.map gkey cfgs))
+  in
+  (* each unit as (key, its groups, its state) *)
+  let units key_of ~line ~nsets ~members make key =
+    let names gk = List.exists (fun c -> gkey c = gk && key_of c = key) cfgs in
     List.map
-      (fun ((tlb_entries, uh, kh) as key) ->
-        let members = List.filter (fun c -> gkey c = key) cfgs in
-        let dc_units =
-          List.map
-            (fun ((line, nsets, ways) as g) ->
-              ( g,
-                {
-                  du_cache =
-                    Sim_cache_assoc.create ~size_bytes:(line * nsets * ways)
-                      ~line_bytes:line ~ways ();
-                  du_ctr = ctr ();
-                  du_shift = log2 line;
-                  du_last = -1;
-                } ))
-            (distinct (List.map dc_geom members))
-        in
-        (* icache units: nesting families (same line, same nsets, several
-           associativities) collapse into one LRU stack *)
-        let ic_geoms = distinct (List.map ic_geom members) in
-        let ic_units =
-          List.map
-            (fun (line, nsets) ->
-              let ways =
-                List.sort compare
-                  (List.filter_map
-                     (fun (l, n, w) ->
-                       if l = line && n = nsets then Some w else None)
-                     ic_geoms)
-              in
-              let mk ic = { ic_shift = log2 line; ic_last = -1; ic } in
-              match ways with
-              | [ w ] ->
-                let m = ctr () in
-                ( mk (Ic_plain
-                    ( Sim_cache_assoc.create ~size_bytes:(line * nsets * w)
-                        ~line_bytes:line ~ways:w (),
-                      m )),
-                  [ ((line, nsets, w), m) ] )
-              | ways ->
-                let ms = Array.of_list (List.map (fun _ -> ctr ()) ways) in
-                ( mk (Ic_stack
-                    ( Sim_stack.create ~line_bytes:line ~nsets
-                        ~ways:(Array.of_list ways),
-                      ms )),
-                  List.mapi (fun i w -> ((line, nsets, w), ms.(i))) ways ))
-            (distinct (List.map ic_family members))
-        in
-        let g =
+      (fun (users, u) -> (key, users, u))
+      (cunits (List.filter names order) ~line ~nsets ~members make)
+  in
+  let dc_units =
+    List.concat_map
+      (fun ((line, nsets, ways) as g) ->
+        units dc_geom ~line ~nsets ~members:1
+          (fun () ->
+            Sim_cache_assoc.create ~size_bytes:(line * nsets * ways)
+              ~line_bytes:line ~ways ())
+          g)
+      (distinct (List.map dc_geom cfgs))
+  in
+  (* icache units: a family of one associativity is a plain cache; a
+     nesting family (same line, same nsets, several associativities)
+     collapses into one LRU stack *)
+  let ic_geoms = distinct (List.map ic_geom cfgs) in
+  let family_ways (line, nsets) =
+    List.sort compare
+      (List.filter_map
+         (fun (l, n, w) -> if l = line && n = nsets then Some w else None)
+         ic_geoms)
+  in
+  let families = distinct (List.map ic_family cfgs) in
+  let icp_units =
+    List.concat_map
+      (fun ((line, nsets) as fam) ->
+        match family_ways fam with
+        | [ w ] ->
+          units ic_family ~line ~nsets ~members:1
+            (fun () ->
+              Sim_cache_assoc.create ~size_bytes:(line * nsets * w)
+                ~line_bytes:line ~ways:w ())
+            fam
+        | _ -> [])
+      families
+  in
+  let ics_units =
+    List.concat_map
+      (fun ((line, nsets) as fam) ->
+        match family_ways fam with
+        | [ _ ] -> []
+        | ways ->
+          units ic_family ~line ~nsets ~members:(List.length ways)
+            (fun () ->
+              Sim_stack.create ~line_bytes:line ~nsets ~ways:(Array.of_list ways))
+            fam)
+      families
+  in
+  let states l = Array.of_list (List.map (fun (_, _, u) -> u) l) in
+  (* a group's units, its user index in each, and its lanes' unit *)
+  let mine gk l = List.filter (fun (_, users, _) -> List.mem gk users) l in
+  let indices gk l =
+    Array.of_list (List.map (fun (_, users, _) -> index_of gk users) l)
+  in
+  let find gk key l =
+    List.find (fun (k, users, _) -> k = key && List.mem gk users) l
+  in
+  let groups =
+    List.map
+      (fun ((tlb_entries, uh, kh) as gk) ->
+        let icp = mine gk icp_units and ics = mine gk ics_units
+        and dc = mine gk dc_units in
+        ( gk,
           {
             gr_tlb = Sim_tlb.create ~size:tlb_entries ();
+            gr_mi = memo ();
+            gr_md = memo ();
+            gr_mk = memo ();
             gr_utlb_insns = uh;
             gr_ktlb_insns = kh;
-            gr_ic = Array.of_list (List.map fst ic_units);
-            gr_dc = Array.of_list (List.map snd dc_units);
+            gr_icp = states icp;
+            gr_icp_user = indices gk icp;
+            gr_ics = states ics;
+            gr_ics_user = indices gk ics;
+            gr_dc = states dc;
+            gr_dc_user = indices gk dc;
             gr_lanes = [||];
             gr_utlb = 0;
             gr_ktlb = 0;
             gr_synth = 0;
             gr_unmapped = 0;
-          }
-        in
-        (key, (g, List.concat_map snd ic_units, dc_units)))
-      (distinct (List.map gkey cfgs))
+          } ))
+      order
+  in
+  (* a lane's counters in a unit: the shared member count, and its
+     group's correction *)
+  let counters gk (_, users, u) member =
+    (u.u_ctrs.(member), u.u_corr.(index_of gk users).(member))
   in
   let lanes =
     List.map
       (fun (index, c) ->
-        let g, ic_lookup, dc_lookup = List.assoc (gkey c) built in
+        let gk = gkey c and fam = ic_family c in
+        let la_ic, la_icx =
+          match family_ways fam with
+          | [ _ ] -> counters gk (find gk fam icp_units) 0
+          | ways ->
+            counters gk (find gk fam ics_units) (index_of c.icache_ways ways)
+        in
+        let la_dc, la_dcx = counters gk (find gk (dc_geom c) dc_units) 0 in
         {
           la_index = index;
           la_rmp = c.read_miss_penalty;
           la_up = c.uncached_penalty;
-          la_group = g;
-          la_ic = List.assoc (ic_geom c) ic_lookup;
-          la_dc = (List.assoc (dc_geom c) dc_lookup).du_ctr;
+          la_group = List.assoc gk groups;
+          la_ic;
+          la_icx;
+          la_dc;
+          la_dcx;
           la_wb = Sim_wb.create ~depth:c.wb_depth ~drain_cycles:c.wb_drain;
           la_stall = 0;
           la_stall_k = 0;
         })
       members
   in
-  let groups = List.map (fun (_, (g, _, _)) -> g) built in
+  let groups = List.map snd groups in
   List.iter
     (fun g ->
       g.gr_lanes <- Array.of_list (List.filter (fun l -> l.la_group == g) lanes))
     groups;
   {
     e_groups = Array.of_list groups;
+    e_icp = states icp_units;
+    e_ics = states ics_units;
+    e_dc = states dc_units;
     e_pagemap = c0.pagemap;
     e_pt_base = c0.pt_base;
     sv_insts = 0;
@@ -346,44 +680,32 @@ let engine members =
     sv_unmapped = 0;
   }
 
-(* one icache read by every unit of a group *)
-let g_ic_read g pa ctx =
-  let units = g.gr_ic in
-  for i = 0 to Array.length units - 1 do
-    let u = Array.unsafe_get units i in
-    let ln = pa lsr u.ic_shift in
-    if ln <> u.ic_last then begin
-      u.ic_last <- ln;
-      match u.ic with
-      | Ic_plain (c, m) -> if not (Sim_cache_assoc.read c pa) then bump m ctx
-      | Ic_stack (st, ms) ->
-        let mask = Sim_stack.read st pa in
-        if mask <> 0 then bump_mask ms ctx mask 0
-    end
-  done
+(* [Sim_tlb.access] on the group's TLB.  A page that [m] knows is a hit,
+   counted as the TLB counts one, without the call. *)
+let[@inline] g_tlb g m ~vpn ~asid ~global ~user =
+  let t = g.gr_tlb in
+  let misses = t.Sim_tlb.user_misses + t.Sim_tlb.kernel_misses in
+  if vpn = m.m_vpn && asid = m.m_asid && misses = m.m_miss then begin
+    t.Sim_tlb.refcount <- t.Sim_tlb.refcount + 1;
+    t.Sim_tlb.hits <- t.Sim_tlb.hits + 1;
+    true
+  end
+  else begin
+    let hit = Sim_tlb.access t ~vpn ~asid ~global ~user in
+    m.m_vpn <- vpn;
+    m.m_asid <- asid;
+    m.m_miss <- (if hit then misses else misses + 1);
+    hit
+  end
 
-let g_dc_read g pa ctx =
-  let units = g.gr_dc in
-  for i = 0 to Array.length units - 1 do
-    let u = Array.unsafe_get units i in
-    let ln = pa lsr u.du_shift in
-    if ln <> u.du_last then begin
-      u.du_last <- ln;
-      if not (Sim_cache_assoc.read u.du_cache pa) then bump u.du_ctr ctx
-    end
-  done
+(* A synthesized read by every unit of group [g].  Each TLB miss starts a
+   handler sequence, so the group's miss count numbers them. *)
+let g_ic_read g pa =
+  let seq = g.gr_utlb + g.gr_ktlb in
+  plain_synths g.gr_icp g.gr_icp_user seq pa;
+  stack_synths g.gr_ics g.gr_ics_user seq pa
 
-(* write-through/no-allocate: a store only moves the caches' own write
-   counters, which a qcheck property ties to the returned hit/miss; a
-   write miss leaves every set, and so the unit's last line, as it was *)
-let g_dc_write g pa =
-  let units = g.gr_dc in
-  for i = 0 to Array.length units - 1 do
-    let u = Array.unsafe_get units i in
-    let ln = pa lsr u.du_shift in
-    if ln <> u.du_last && Sim_cache_assoc.write u.du_cache pa then
-      u.du_last <- ln
-  done
+let g_dc_read g pa = plain_synths g.gr_dc g.gr_dc_user (g.gr_utlb + g.gr_ktlb) pa
 
 (* The synthesized handler paths: the KTLB refill fast path (ifetches at
    the general vector plus the kseg0 root-table load, approximated by a
@@ -395,12 +717,12 @@ let g_synth_ktlb g =
   g.gr_ktlb <- g.gr_ktlb + 1;
   for k = 0 to g.gr_ktlb_insns - 1 do
     g.gr_synth <- g.gr_synth + 1;
-    g_ic_read g (0x80 + (k * 4)) ctx_synth
+    g_ic_read g (0x80 + (k * 4))
   done;
-  g_dc_read g 0x9000 ctx_synth
+  g_dc_read g 0x9000
 
 let g_kseg2_load e g pid va =
-  if not (Sim_tlb.access g.gr_tlb ~vpn:(va lsr 12) ~asid:0 ~global:true
+  if not (g_tlb g g.gr_mk ~vpn:(va lsr 12) ~asid:0 ~global:true
             ~user:false)
   then g_synth_ktlb g;
   let pa = e.e_pagemap pid va in
@@ -411,34 +733,33 @@ let g_kseg2_load e g pid va =
       va land 0x00FFFFFF
     end
   in
-  g_dc_read g pa ctx_synth
+  g_dc_read g pa
 
 let g_synth_utlb e g pid vpn =
   g.gr_utlb <- g.gr_utlb + 1;
   for k = 0 to g.gr_utlb_insns - 1 do
     g.gr_synth <- g.gr_synth + 1;
-    g_ic_read g (k * 4) ctx_synth
+    g_ic_read g (k * 4)
   done;
   g_kseg2_load e g pid (e.e_pt_base pid + (vpn * 4))
 
 (* Issue a store to the write buffer of every lane of [g], once the
-   group's TLB/cache state is current for the reference.  A lane's clock
-   is derived on demand: the one-configuration simulator ticks 1 per
-   instruction (trace and synthesized, plus one extra before each KTLB
-   root-table load), the uncached penalty per uncached event, and the
-   read-miss penalty per cache read miss; stalls advance the clock too.
-   All of those are already counted, so the clock is a sum. *)
+   caches are current for the reference.  A lane's clock is derived on
+   demand: the one-configuration simulator ticks 1 per instruction
+   (trace and synthesized, plus one extra before each KTLB root-table
+   load), the uncached penalty per uncached event, and the read-miss
+   penalty per cache read miss; stalls advance the clock too.  All of
+   those are already counted, so the clock is a sum. *)
 let g_store e g kernel =
   let base = e.sv_insts + g.gr_synth + g.gr_ktlb
   and unc = e.sv_unc_ifetch + e.sv_unc_dload + e.sv_unc_dstore in
   let lanes = g.gr_lanes in
   for i = 0 to Array.length lanes - 1 do
     let l = Array.unsafe_get lanes i in
-    let clock =
-      base + (unc * l.la_up)
-      + ((l.la_ic.c_total + l.la_dc.c_total) * l.la_rmp)
-      + l.la_stall
+    let misses =
+      l.la_ic.c_total + l.la_icx.c_total + l.la_dc.c_total + l.la_dcx.c_total
     in
+    let clock = base + (unc * l.la_up) + (misses * l.la_rmp) + l.la_stall in
     let stall = Sim_wb.store l.la_wb ~clock in
     if stall > 0 then begin
       l.la_stall <- l.la_stall + stall;
@@ -455,6 +776,30 @@ let trace_pa e addr pa =
     addr land 0x00FFFFFF
   end
 
+(* a trace read by every icache unit: [plain_reads] and [stack_reads] in
+   one call *)
+let e_ic_read e pa ctx =
+  let units = e.e_icp in
+  for i = 0 to Array.length units - 1 do
+    let u = Array.unsafe_get units i in
+    let ln = pa lsr u.u_shift in
+    if ln <> u.u_last then begin
+      u.u_last <- ln;
+      plain_probe u pa ctx
+    end
+  done;
+  let units = e.e_ics in
+  for i = 0 to Array.length units - 1 do
+    let u = Array.unsafe_get units i in
+    let ln = pa lsr u.u_shift in
+    if ln <> u.u_last then begin
+      u.u_last <- ln;
+      stack_probe u pa ctx
+    end
+  done
+
+(* Every group's TLB sees the reference (and synthesizes its handler
+   references) before the caches see the reference itself. *)
 let e_inst e addr pid kernel pa =
   e.sv_insts <- e.sv_insts + 1;
   if kernel then e.sv_kernel_insts <- e.sv_kernel_insts + 1
@@ -466,17 +811,12 @@ let e_inst e addr pid kernel pa =
     let pa = trace_pa e addr pa in
     for i = 0 to Array.length groups - 1 do
       let g = Array.unsafe_get groups i in
-      if not (Sim_tlb.access g.gr_tlb ~vpn ~asid ~global:false ~user:true)
-      then g_synth_utlb e g pid vpn;
-      g_ic_read g pa ctx
-    done
+      if not (g_tlb g g.gr_mi ~vpn ~asid ~global:false ~user:true)
+      then g_synth_utlb e g pid vpn
+    done;
+    e_ic_read e pa ctx
   end
-  else if addr < kseg1_base then begin
-    let pa = addr - 0x80000000 in
-    for i = 0 to Array.length groups - 1 do
-      g_ic_read (Array.unsafe_get groups i) pa ctx
-    done
-  end
+  else if addr < kseg1_base then e_ic_read e (addr - 0x80000000) ctx
   else if addr < kseg2_base then begin
     e.sv_unc_ifetch <- e.sv_unc_ifetch + 1;
     if kernel then e.sv_unc_kernel <- e.sv_unc_kernel + 1
@@ -487,10 +827,10 @@ let e_inst e addr pid kernel pa =
     let pa = trace_pa e addr pa in
     for i = 0 to Array.length groups - 1 do
       let g = Array.unsafe_get groups i in
-      if not (Sim_tlb.access g.gr_tlb ~vpn ~asid:0 ~global:true ~user:false)
-      then g_synth_ktlb g;
-      g_ic_read g pa ctx
-    done
+      if not (g_tlb g g.gr_mk ~vpn ~asid:0 ~global:true ~user:false)
+      then g_synth_ktlb g
+    done;
+    e_ic_read e pa ctx
   end
 
 let e_data e addr pid kernel is_load pa =
@@ -513,25 +853,27 @@ let e_data e addr pid kernel is_load pa =
       if kuseg || kseg2 then trace_pa e addr pa else addr - 0x80000000
     in
     let groups = e.e_groups in
-    for i = 0 to Array.length groups - 1 do
-      let g = Array.unsafe_get groups i in
-      if kuseg then begin
-        if
-          not
-            (Sim_tlb.access g.gr_tlb ~vpn ~asid:(asid_of_pid pid)
-               ~global:false ~user:true)
+    if kuseg then begin
+      let asid = asid_of_pid pid in
+      for i = 0 to Array.length groups - 1 do
+        let g = Array.unsafe_get groups i in
+        if not (g_tlb g g.gr_md ~vpn ~asid ~global:false ~user:true)
         then g_synth_utlb e g pid vpn
-      end
-      else if kseg2 then begin
-        if not (Sim_tlb.access g.gr_tlb ~vpn ~asid:0 ~global:true ~user:false)
+      done
+    end
+    else if kseg2 then
+      for i = 0 to Array.length groups - 1 do
+        let g = Array.unsafe_get groups i in
+        if not (g_tlb g g.gr_mk ~vpn ~asid:0 ~global:true ~user:false)
         then g_synth_ktlb g
-      end;
-      if is_load then g_dc_read g pa ctx
-      else begin
-        g_dc_write g pa;
-        g_store e g kernel
-      end
-    done
+      done;
+    if is_load then plain_reads e.e_dc pa ctx
+    else begin
+      plain_writes e.e_dc pa;
+      for i = 0 to Array.length groups - 1 do
+        g_store e (Array.unsafe_get groups i) kernel
+      done
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -573,21 +915,21 @@ let run_batch e b n =
 (* ------------------------------------------------------------------ *)
 (* Cells and clusters.
 
-   A cell is the lanes of one TLB group that share an icache unit or a
-   dcache unit (a connected component): no simulated state is shared
-   across cells except the group's TLB, which is cheap to replicate.  The
-   cells, in TLB-group order, are cut into contiguous runs of about equal
-   cache-unit count, one per cluster, so a TLB is replicated only where a
-   cut splits its group; each cluster is an independent engine
-   over its own configurations — its own TLB replicas, its own trace
-   counters — so the engine's sweep == singles proof covers it.  Cluster
-   k runs on worker k for every batch: worker 0 is the calling domain,
-   the others are spawned for the batch and joined at its end.  Each
-   cluster's engine is allocated by the domain that first runs it, so its
+   A cell is the configurations that share an icache family or a dcache
+   geometry (a connected component), whatever their TLB sizes: no
+   simulated state is shared across cells except the groups' TLBs, which
+   are cheap to replicate.  The cells, in order of their first
+   configuration, are cut into contiguous runs of about equal cache-unit
+   count, one per cluster; each cluster is an independent engine over its
+   own configurations — its own TLB replicas, its own trace counters — so
+   the engine's sweep == singles proof covers it.  Cluster k runs on
+   worker k for every batch: worker 0 is the calling domain, the others
+   are spawned for the batch and joined at its end.  Each cluster's
+   engine is allocated by the domain that first runs it, so its
    per-access counters sit in that domain's heap, away from the other
    clusters' (no false sharing between workers). *)
 
-(* [(units, config indices)] per cell, grouped by TLB group *)
+(* [(units, config indices)] per cell *)
 let cells cfgs =
   let n = Array.length cfgs in
   let parent = Array.init n Fun.id in
@@ -604,18 +946,10 @@ let cells cfgs =
   in
   Array.iteri
     (fun i c ->
-      let g = gkey c in
-      link (`Ic (g, ic_family c)) i;
-      link (`Dc (g, dc_geom c)) i)
+      link (`Ic (ic_family c)) i;
+      link (`Dc (dc_geom c)) i)
     cfgs;
   let all = List.init n Fun.id in
-  let roots =
-    List.concat_map
-      (fun g -> distinct (List.filter_map
-                            (fun i -> if gkey cfgs.(i) = g then Some (root i) else None)
-                            all))
-      (distinct (List.map gkey (Array.to_list cfgs)))
-  in
   List.map
     (fun r ->
       let idx = List.filter (fun i -> root i = r) all in
@@ -625,7 +959,7 @@ let cells cfgs =
         + List.length (distinct (List.map dc_geom members))
       in
       (units, idx))
-    roots
+    (distinct (List.map root all))
 
 (* cut the cells into [w] non-empty contiguous runs, a cell going to the
    run its unit-count midpoint falls in; each run's indices ascending *)
@@ -781,6 +1115,19 @@ let sweep_sink ?live sw parser : Sink.t =
 
 let sweep_domains sw = sw.sw_domains
 
+let sweep_private_sets sw =
+  flush sw;
+  let n = ref 0 in
+  Array.iter
+    (function
+      | None -> ()
+      | Some e ->
+        Array.iter (fun u -> n := !n + u.u_ndiv) e.e_icp;
+        Array.iter (fun u -> n := !n + u.u_ndiv) e.e_ics;
+        Array.iter (fun u -> n := !n + u.u_ndiv) e.e_dc)
+    sw.sw_engines;
+  !n
+
 (* per-lane results, in configuration order *)
 let per_lane sw f =
   flush sw;
@@ -803,14 +1150,18 @@ let sweep_stats sw =
         kernel_insts = e.sv_kernel_insts;
         user_insts = e.sv_user_insts;
         kernel_stall =
-          ((l.la_ic.c_kernel + l.la_dc.c_kernel) * rmp)
+          ((l.la_ic.c_kernel + l.la_icx.c_kernel + l.la_dc.c_kernel
+           + l.la_dcx.c_kernel)
+           * rmp)
           + (e.sv_unc_kernel * up) + l.la_stall_k;
         user_stall =
-          ((l.la_ic.c_user + l.la_dc.c_user) * rmp)
+          ((l.la_ic.c_user + l.la_icx.c_user + l.la_dc.c_user
+           + l.la_dcx.c_user)
+           * rmp)
           + (e.sv_unc_user * up) + l.la_stall - l.la_stall_k;
         synth_insts = g.gr_synth;
-        icache_misses = l.la_ic.c_total;
-        dcache_read_misses = l.la_dc.c_total;
+        icache_misses = l.la_ic.c_total + l.la_icx.c_total;
+        dcache_read_misses = l.la_dc.c_total + l.la_dcx.c_total;
         uncached_reads = e.sv_unc_ifetch + e.sv_unc_dload;
         uncached_writes = e.sv_unc_dstore;
         wb_stalls = l.la_stall;

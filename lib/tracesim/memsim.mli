@@ -56,10 +56,13 @@ type stats = {
     [sweep cfgs] evaluates every configuration in one trace pass: word
     decode, reference classification and page-map translation happen once
     per reference; configurations sharing TLB parameters share one TLB
-    and one synthesized-handler stream; distinct cache geometries within
-    such a group are simulated once each, with nesting icache families
+    and one synthesized-handler stream; distinct cache geometries are
+    simulated once each for every TLB size, with nesting icache families
     (same line size and set count, ascending ways) collapsed into a
-    single Mattson LRU stack ({!Sim_stack}).
+    single Mattson LRU stack ({!Sim_stack}).  Trace references update a
+    geometry's one shared state, which is the largest TLB's own; another
+    TLB group keeps a private copy of a set only while the synthesized
+    handler references make its set differ.
 
     References are batched (up to 2{^18}); a batch is simulated when it
     fills, at the end of every {!sweep_sink} chunk and before any
@@ -96,6 +99,10 @@ val sweep_accesses : sweep -> (int * int) array
 val sweep_domains : sweep -> int
 (** The most domains any batch has run on so far (0 before the first
     batch, 1 when every batch ran inline). *)
+
+val sweep_private_sets : sweep -> int
+(** The private set copies the TLB groups hold now, over every cache
+    unit: 0 when each group's caches equal the shared state. *)
 
 val sweep_on_inst : sweep -> int -> int -> bool -> unit
 val sweep_on_data : sweep -> int -> int -> bool -> bool -> int -> unit

@@ -164,6 +164,28 @@ let write t pa =
     false
   end
 
+(* Per-set access, for a sweep that keeps one shared cache and private
+   copies of the sets some configurations see differently: [b] must have
+   [a]'s geometry. *)
+let set_of t pa =
+  let ln = pa lsr t.line_shift in
+  if t.set_mask >= 0 then ln land t.set_mask else ln mod t.nsets
+
+let at_front t pa =
+  let ln = pa lsr t.line_shift in
+  Array.unsafe_get t.slots (base_of t ln) lor 1 = (ln lsl 1) lor 1
+
+let copy_set a b set =
+  Array.blit a.slots (set * a.ways) b.slots (set * a.ways) a.ways
+
+let rec same_from (x : int array) (y : int array) i stop =
+  i >= stop
+  || (Array.unsafe_get x i = Array.unsafe_get y i && same_from x y (i + 1) stop)
+
+let same_set a b set =
+  let base = set * a.ways in
+  same_from a.slots b.slots base (base + a.ways)
+
 let reset t =
   Array.fill t.slots 0 (Array.length t.slots) (-1);
   t.read_hits <- 0;

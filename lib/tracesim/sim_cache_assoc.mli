@@ -41,4 +41,19 @@ val write : t -> int -> bool
 (** [true] on hit. [Write_through]: state changes only on hit.
     [Write_back]: a miss allocates; hits and allocations dirty the line. *)
 
+val set_of : t -> int -> int
+(** The set a physical address indexes. *)
+
+val at_front : t -> int -> bool
+(** [at_front t pa]: [pa]'s line is the most recently used of its set, so
+    reading it changes nothing. *)
+
+val copy_set : t -> t -> int -> unit
+(** [copy_set a b set] overwrites set [set] of [b] with [a]'s, recency
+    order and dirty bits included; [b] must have [a]'s geometry. *)
+
+val same_set : t -> t -> int -> bool
+(** [same_set a b set]: set [set] holds the same lines in the same order
+    in [a] and in [b] (of the same geometry). *)
+
 val reset : t -> unit

@@ -84,4 +84,23 @@ let read t pa =
   let base = set * t.maxw in
   if Array.unsafe_get t.stacks base = ln then 0 else push t base ln
 
+(* Per-set access, as {!Sim_cache_assoc}'s: [b] must have [a]'s family. *)
+let set_of t pa =
+  let ln = pa lsr t.line_shift in
+  if t.set_mask >= 0 then ln land t.set_mask else ln mod t.nsets
+
+let at_front t pa =
+  Array.unsafe_get t.stacks (set_of t pa * t.maxw) = pa lsr t.line_shift
+
+let copy_set a b set =
+  Array.blit a.stacks (set * a.maxw) b.stacks (set * a.maxw) a.maxw
+
+let rec same_from (x : int array) (y : int array) i stop =
+  i >= stop
+  || (Array.unsafe_get x i = Array.unsafe_get y i && same_from x y (i + 1) stop)
+
+let same_set a b set =
+  let base = set * a.maxw in
+  same_from a.stacks b.stacks base (base + a.maxw)
+
 let reset t = Array.fill t.stacks 0 (Array.length t.stacks) (-1)

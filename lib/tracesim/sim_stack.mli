@@ -19,4 +19,12 @@ val read : t -> int -> int
 (** [read t pa] simulates one read in every member; returns a bitmask
     with bit [i] set iff member [i] (in [ways] order) missed. *)
 
+val set_of : t -> int -> int
+val at_front : t -> int -> bool
+val copy_set : t -> t -> int -> unit
+val same_set : t -> t -> int -> bool
+(** Per-set access, as {!Sim_cache_assoc.set_of} and its neighbours; the
+    two stacks of [copy_set] and [same_set] must share [line_bytes],
+    [nsets] and [ways]. *)
+
 val reset : t -> unit

@@ -163,6 +163,9 @@ type t = {
   (* drain framing *)
   mutable drain_pid : int;      (* -1 = not in a drain *)
   mutable drain_left : int;     (* -2: expecting count word *)
+  (* the drain's source and block table, resolved once per drain *)
+  mutable drain_src : src;
+  mutable drain_bbs : Bbtable.t option;  (* None: pid not registered *)
   (* recovery mode *)
   recover : bool;
   mutable errors_rev : error list;
@@ -185,6 +188,8 @@ let create ?(recover = false) ~kernel_bbs () =
     s = fresh_stats ();
     drain_pid = -1;
     drain_left = 0;
+    drain_src = base;
+    drain_bbs = None;
     recover;
     errors_rev = [];
     skipped = Hashtbl.create 8;
@@ -194,7 +199,9 @@ let create ?(recover = false) ~kernel_bbs () =
 
 let set_handlers t h = t.h <- h
 
-let register_pid t ~pid bbs = Hashtbl.replace t.user_bbs pid bbs
+let register_pid t ~pid bbs =
+  Hashtbl.replace t.user_bbs pid bbs;
+  if pid = t.drain_pid then t.drain_bbs <- Some bbs
 
 let stats t = t.s
 
@@ -325,11 +332,10 @@ let user_src t pid =
     s
 
 let feed_user_word t ~idx w =
-  let pid = t.drain_pid in
-  let src = user_src t pid in
+  let pid = t.drain_pid and src = t.drain_src in
   if src.entry != no_entry then feed_data_word t src ~kernel:false ~pid ~idx w
   else
-    match Hashtbl.find_opt t.user_bbs pid with
+    match t.drain_bbs with
     | None ->
       fail t ~at:idx ~source:(User pid)
         ~expected:"a drain for a registered pid" ~got:w
@@ -346,6 +352,8 @@ let on_pid_switch t p =
 let on_drain t p =
   t.s.drains <- t.s.drains + 1;
   t.drain_pid <- p;
+  t.drain_src <- user_src t p;
+  t.drain_bbs <- Hashtbl.find_opt t.user_bbs p;
   t.drain_left <- -2 (* count word follows *)
 
 let on_exc_enter t =

@@ -814,6 +814,144 @@ let prop_sweep_conflicting_lines =
       in
       check_sweep_matches_singles ~jobs cfgs events)
 
+(* --- one shared state per cache geometry, private sets per TLB group --- *)
+
+(* References aimed at the sets the synthesized handler references use:
+   the UTLB vector (pa 0x0-0x1C), the KTLB vector (0x80-0xDC), the root
+   table (0x9000) and the page-table lines of the user pages below
+   (0x1000-0x101C), each also 1-3 KB up, in the same set of every cache
+   of the grid; plus loads, stores and ifetches on eight user pages
+   (whose first lines are the UTLB vector's and the page table's) and on
+   the kseg2 page tables, which keep tiny TLBs missing. *)
+let divergent_event_gen =
+  QCheck.Gen.(
+    let* target = int_range 0 5 and* k = int_bound 7 and* up = int_bound 3 in
+    let* pid = int_range 0 2 and* kernel = bool and* kind = int_range 0 2 in
+    let addr =
+      match target with
+      | 0 -> 0x80000000 + (up * 1024) + (k * 4)
+      | 1 -> 0x80000080 + (up * 1024) + (k * 12)
+      | 2 -> 0x80009000 + (up * 1024) + (k * 4)
+      | 3 -> 0x80001000 + (up * 1024) + (k * 4)
+      | 4 -> 0x00400000 + (k * 0x1000) + (up * 4)
+      | _ -> 0xC0000000 + (pid * 0x200000) + (k * 0x1000) + (up * 4)
+    in
+    return (kind = 0, addr, pid, kernel, kind = 1))
+
+let prop_sweep_divergent_groups =
+  (* TLBs of 9, 10 and 12 entries (1, 2 and 4 replaceable) miss all the
+     time, so each group's handler references keep making sets of the
+     shared caches differ: private copies are taken, read, written and
+     dropped, and every group's counts carry corrections *)
+  QCheck.Test.make ~count:100 ~name:"sweep == singles with divergent TLB groups"
+    (QCheck.make ~print:(fun (jobs, nested, lines, events) ->
+         Printf.sprintf "jobs %d, %s, lines %s, %d events" jobs
+           (if nested then "nested" else "flat")
+           (String.concat "/" (List.map string_of_int lines))
+           (List.length events))
+       QCheck.Gen.(
+         let* jobs = int_range 1 3 and* nested = bool in
+         let* lines = oneofl [ [ 4; 16 ]; [ 16; 32 ]; [ 4; 32 ] ] in
+         let* events = list_size (int_range 1 300) divergent_event_gen in
+         return (jobs, nested, lines, events)))
+    (fun (jobs, nested, lines, events) ->
+      let cfgs =
+        List.map snd
+          (Memsim.grid ~nested ~base:sweep_base_cfg ~sizes:[ 256; 512; 1024 ]
+             ~lines ~tlb_entries:[ 9; 10; 12 ] ~wb_depths:[ 2; 4 ] ())
+      in
+      check_sweep_matches_singles ~jobs cfgs events)
+
+(* Feed [steps], each a reference and the private set copies expected
+   after it, then hold every configuration to its single run. *)
+let check_copies cfgs steps =
+  let sw = Memsim.sweep ~jobs:1 cfgs in
+  List.iter
+    (fun (what, (is_inst, addr, pid, kernel, is_load), n) ->
+      if is_inst then Memsim.sweep_on_inst sw addr pid kernel
+      else Memsim.sweep_on_data sw addr pid kernel is_load 4;
+      check_int what n (Memsim.sweep_private_sets sw))
+    steps;
+  let events = List.map (fun (_, ev, _) -> ev) steps in
+  let swept = Memsim.sweep_stats sw in
+  List.iteri
+    (fun i c ->
+      let m = Oracles.Memsim_single.create c in
+      drive_events (Oracles.Memsim_single.on_inst m)
+        (Oracles.Memsim_single.on_data m) events;
+      check (Printf.sprintf "config %d == its single run" i) true
+        (stats_equal (Oracles.Memsim_single.stats m) swept.(i)))
+    cfgs;
+  swept
+
+let test_sweep_set_diverges_and_converges () =
+  (* One 64-set direct-mapped cache of each kind.  A KTLB miss
+     synthesizes [ktlb_handler_insns] ifetches at pa 0x80 (icache set 8)
+     and the root-table load at pa 0x9000 (dcache set 0); kseg2 page
+     0xC0001 maps to pa 0x1000, page 0xC0002 to 0x2000. *)
+  let base =
+    { sweep_base_cfg with Memsim.utlb_handler_insns = 0; ktlb_handler_insns = 0 }
+  in
+  let load va = (false, va, 0, true, true)
+  and fetch va = (true, va, 0, true, false) in
+  (* A guest's own miss: 9 entries (one replaceable) beside the owner's
+     64.  A miss in both TLBs leaves no copy: the guest synthesizes what
+     the owner just did. *)
+  let swept =
+    check_copies
+      [
+        { base with Memsim.tlb_entries = 9 };
+        { base with Memsim.tlb_entries = 64 };
+      ]
+      [
+        ("cold misses in both TLBs: no copy survives", load 0xC0001040, 0);
+        ( "the root line leads the shared set: nothing to copy",
+          load 0xC0002040,
+          0 );
+        ("line 0 displaces the root line", load 0x80000000, 0);
+        ("the 9-entry TLB misses alone: its set 0 differs", load 0xC0001040, 1);
+        ("a trace load of the root line: equal again", load 0x80009000, 0);
+      ]
+  in
+  (* six read misses each, but the 9-entry group's last root load hit
+     its copy where the owner missed: one more of its misses is
+     synthesized, one fewer charged to the kernel *)
+  check_int "same dcache misses" swept.(0).Memsim.dcache_read_misses
+    swept.(1).Memsim.dcache_read_misses;
+  check_int "one kernel miss fewer in the 9-entry group"
+    (swept.(1).Memsim.kernel_stall - sweep_base_cfg.Memsim.read_miss_penalty)
+    swept.(0).Memsim.kernel_stall;
+  (* The owner's miss: equal TLBs, the first configuration owns the
+     units, and only its handler fetches (two, in one line).  Its fetch
+     changes icache set 8 under the guest, which keeps the set as it was;
+     both load the root line, so the dcache copy goes at once. *)
+  let swept =
+    check_copies
+      [ { base with Memsim.ktlb_handler_insns = 2 }; base ]
+      [
+        ( "the owner's handler fetch: the guest's set 8 differs",
+          load 0xC0001040,
+          1 );
+        ("a trace fetch of that line: equal again", fetch 0x80000080, 0);
+      ]
+  in
+  check_int "the guest's fetch missed where the owner's hit"
+    (swept.(0).Memsim.kernel_stall + sweep_base_cfg.Memsim.read_miss_penalty)
+    swept.(1).Memsim.kernel_stall
+
+let test_sweep_many_groups () =
+  (* 70 TLB sizes over one geometry: more groups than a unit has copy
+     bits for, so the geometry takes two units *)
+  let events =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:600
+      divergent_event_gen
+  in
+  let cfgs =
+    List.init 70 (fun i -> { sweep_base_cfg with Memsim.tlb_entries = 9 + i })
+  in
+  check "sweep == singles over 70 TLB groups" true
+    (check_sweep_matches_singles ~jobs:1 cfgs events)
+
 let test_grid_shape () =
   let g =
     Memsim.grid ~base:sweep_base_cfg ~sizes:[ 1024; 4096 ] ~lines:[ 16; 32 ]
@@ -846,6 +984,11 @@ let tests =
       QCheck_alcotest.to_alcotest prop_assoc_equals_stamp_lru;
       QCheck_alcotest.to_alcotest prop_tlb_memo_equals_scan;
       QCheck_alcotest.to_alcotest prop_sweep_conflicting_lines;
+      QCheck_alcotest.to_alcotest prop_sweep_divergent_groups;
+      Alcotest.test_case "sweep: a set diverges and converges back" `Quick
+        test_sweep_set_diverges_and_converges;
+      Alcotest.test_case "sweep: more TLB groups than copy bits" `Quick
+        test_sweep_many_groups;
       Alcotest.test_case "sweep: batch boundary mid-stream" `Quick
         test_sweep_batch_boundary;
       Alcotest.test_case "sweep: clusters fan out on the main domain" `Quick

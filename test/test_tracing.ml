@@ -200,6 +200,21 @@ let test_defensive_incomplete_at_finish () =
 let test_defensive_kernel_addr_in_drain () =
   expect_corrupt [ Format_.marker_word (Format_.Drain 1); 1; 0x80100040 ]
 
+(* each drain resolves its own pid's table: a registered pid's drain
+   does not lend its table to the next drain's unregistered pid *)
+let test_defensive_unregistered_drain () =
+  expect_corrupt
+    [
+      Format_.marker_word (Format_.Drain 1);
+      3;
+      0x00410000;
+      0x00500000;
+      0x00500004;
+      Format_.marker_word (Format_.Drain 7);
+      1;
+      0x00410000;
+    ]
+
 let test_marker_roundtrip () =
   let ms =
     [
@@ -264,6 +279,8 @@ let tests =
       test_defensive_incomplete_at_finish;
     Alcotest.test_case "defensive: kernel addr in drain" `Quick
       test_defensive_kernel_addr_in_drain;
+    Alcotest.test_case "defensive: drain for an unregistered pid" `Quick
+      test_defensive_unregistered_drain;
     Alcotest.test_case "marker roundtrip" `Quick test_marker_roundtrip;
     Alcotest.test_case "mode transitions" `Quick test_mode_transitions;
     QCheck_alcotest.to_alcotest prop_marker_roundtrip;
