@@ -275,13 +275,13 @@ let exp_stream () =
    one-pass multi-configuration analysis.  "work saved"
    = K * single-pass wall / sweep wall is the wall-clock reduction over
    the K independent runs the sweep replaces.  Both analyses (parse
-   included) run on one domain, the best of 5 alternating repeats each,
-   so "engine work" — the K-configuration analysis over one
-   configuration's — measures what the engine shares, whatever the
-   host's core count.  Its floor is set per trace from runs on a 2-core
-   container, with margin: the engine read 2.22-2.35x on egrep and
-   3.72-3.93x on tomcatv, and the one that kept a copy of every cache
-   per TLB size read 2.63-2.80x and 4.33-4.42x, failing both. *)
+   included) take the best of 5 alternating repeats each, so "engine
+   work" — the K-configuration analysis over one configuration's —
+   measures what the engine shares.  Its floor is set per trace from
+   runs on a 2-core container, with margin: the engine read 2.22-2.35x
+   on egrep and 3.72-3.93x on tomcatv, and the one that kept a copy of
+   every cache per TLB size read 2.63-2.80x and 4.33-4.42x, failing
+   both. *)
 let exp_sweep () =
   heading "Multi-configuration sweep: one trace pass vs per-config passes";
   let wname = if !quick then "egrep" else "tomcatv" in
@@ -302,7 +302,7 @@ let exp_sweep () =
   let cfgs = List.map snd grid in
   let k = List.length cfgs in
   let analyse cfgs =
-    let sw = Tracesim.Memsim.sweep ~jobs:1 cfgs in
+    let sw = Tracesim.Memsim.sweep cfgs in
     let sink =
       Tracesim.Memsim.sweep_sink sw (Kernel.Builder.trace_parser run.system)
     in
@@ -341,7 +341,7 @@ let exp_sweep () =
   let saved = float_of_int k *. t_single_pass /. t_sweep_pass in
   let engine = t_sweep_replay /. t_replay in
   Printf.printf
-    "workload %s: %d trace words, %d configurations, one domain\n\
+    "workload %s: %d trace words, %d configurations\n\
     \  single-config pass: generate %.2fs + analyse %.3fs = %.2fs\n\
     \  sweep pass:         generate %.2fs + analyse %.3fs = %.2fs (%.2fx one \
      pass)\n\
@@ -357,7 +357,7 @@ let exp_sweep () =
   let engine_floor = if !quick then 2.5 else 4.2 in
   check_floor (engine <= engine_floor)
     (Printf.sprintf
-       "sweep engine work %.2fx <= %.2fx one config's analysis, one domain"
+       "sweep engine work %.2fx <= %.2fx one config's analysis"
        engine engine_floor)
 
 (* ------------------------------------------------------------------ *)

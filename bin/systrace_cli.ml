@@ -438,9 +438,8 @@ let sweep_cmd =
      trace: the trace is decoded and translated once and a
      Tracesim.Memsim.sweep updates every configuration's cache/TLB/write-
      buffer state from the shared decode, so the grid costs about one
-     replay instead of one per configuration.  -j spreads the
-     configurations' clusters over that many domains. *)
-  let run name os seed file sizes lines tlbs wbs flat jobs =
+     replay instead of one per configuration. *)
+  let run name os seed file sizes lines tlbs wbs flat =
     let sys = traced_system name os seed in
     let base = default_memsim_cfg ~system:sys in
     let grid =
@@ -454,8 +453,7 @@ let sweep_cmd =
     in
     let stats, accesses, parse =
       try
-        replay_sweep_file ~jobs ~system:sys ~memsim_cfgs:(List.map snd grid)
-          file
+        replay_sweep_file ~system:sys ~memsim_cfgs:(List.map snd grid) file
       with Invalid_argument msg ->
         Printf.eprintf "bad grid: %s\n" msg;
         exit 1
@@ -505,24 +503,13 @@ let sweep_cmd =
              ~doc:"Direct-map every size instead of growing associativity \
                    with size (disables the nested LRU-stack fast path).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Systrace_util.Pool.default_jobs ())
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Run the simulation on up to $(docv) domains (at most one per \
-             core), one cluster of configurations each; the trace is \
-             decoded sequentially.  Results are identical whatever $(docv) \
-             is.")
-  in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Evaluate a (size x line x TLB x write-buffer) geometry grid \
              over a stored trace in a single streaming pass; print the \
              miss-ratio table.")
     Term.(const run $ workload_arg $ os_arg $ seed_arg $ file $ sizes $ lines
-          $ tlbs $ wbs $ flat $ jobs)
+          $ tlbs $ wbs $ flat)
 
 let check_cmd =
   (* Validate a stored trace (defensive tracing, paper 4.3).  Always runs

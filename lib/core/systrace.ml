@@ -194,14 +194,13 @@ let capture_trace ?os ?seed ?machine_cfg programs files :
     {!Tracing.Tracefile.fold_words}) can feed it in bounded memory.  One
     parser pass drives every configuration at once, so replaying a trace
     through K memory systems costs roughly one replay, not K (geometry
-    and TLB state that can be shared or nested is), and the simulation
-    runs on up to [jobs] domains (default: the core count).  Results
-    come back in [memsim_cfgs] order, byte-identical to K separate
-    replays.  The sink's [finish] is a no-op: a replay observes whatever
-    prefix it is given (stored traces may lack the liveness information
+    and TLB state that can be shared or nested is).  Results come back
+    in [memsim_cfgs] order, byte-identical to K separate replays.  The
+    sink's [finish] is a no-op: a replay observes whatever prefix it is
+    given (stored traces may lack the liveness information
     [Parser.finish] needs).  Read the results off the second component
     when done. *)
-let replay_sweep_sink ?jobs ~(system : Systrace_kernel.Builder.t)
+let replay_sweep_sink ~(system : Systrace_kernel.Builder.t)
     ~(memsim_cfgs : Systrace_tracesim.Memsim.config list) () :
     Systrace_tracing.Sink.t
     * (unit ->
@@ -209,7 +208,7 @@ let replay_sweep_sink ?jobs ~(system : Systrace_kernel.Builder.t)
       * (int * int) array
       * Systrace_tracing.Parser.stats) =
   let parser = Systrace_kernel.Builder.trace_parser system in
-  let sw = Systrace_tracesim.Memsim.sweep ?jobs memsim_cfgs in
+  let sw = Systrace_tracesim.Memsim.sweep memsim_cfgs in
   let sink = Systrace_tracesim.Memsim.sweep_sink sw parser in
   ( Systrace_tracing.Sink.make sink.Systrace_tracing.Sink.on_words,
     fun () ->
@@ -241,17 +240,15 @@ let replay ~(system : Systrace_kernel.Builder.t) ~(memsim_cfg : Systrace_tracesi
 (** {!replay_sweep_sink} straight off a stored trace file: the words stream
     from disk through {!Tracing.Tracefile.fold_words} into the
     simulation chunk by chunk, so a trace much larger than memory replays
-    in O(chunk) space, whatever the number of configurations.  [jobs] is
-    the simulation's domain count (default: the core count); the blocks
-    are decoded sequentially, so decode and simulation do not both claim
-    every core.  Results are identical whatever [jobs] is.
+    in O(chunk) space, whatever the number of configurations.  Decode,
+    parse and simulation share the calling domain.
     @raise Tracing.Tracefile.Bad_file as [fold_words]. *)
-let replay_sweep_file ?jobs ~(system : Systrace_kernel.Builder.t)
+let replay_sweep_file ~(system : Systrace_kernel.Builder.t)
     ~(memsim_cfgs : Systrace_tracesim.Memsim.config list) path :
     Systrace_tracesim.Memsim.stats array
     * (int * int) array
     * Systrace_tracing.Parser.stats =
-  let sink, result = replay_sweep_sink ?jobs ~system ~memsim_cfgs () in
+  let sink, result = replay_sweep_sink ~system ~memsim_cfgs () in
   Systrace_tracing.Tracefile.fold_words path ~init:() ~f:(fun () words ~len ->
       sink.Systrace_tracing.Sink.on_words words ~len);
   result ()

@@ -415,8 +415,7 @@ type group = {
 (* one configuration's view: its group, its cache-unit counters, and its
    own write buffer (the only state no two distinct configs can share) *)
 and lane = {
-  la_index : int;  (* position in the sweep's configuration list *)
-  la_rmp : int;    (* read-miss and uncached penalties *)
+  la_rmp : int;  (* read-miss and uncached penalties *)
   la_up : int;
   la_group : group;
   la_ic : miss_ctr;   (* the shared count of its icache geometry *)
@@ -433,6 +432,7 @@ type engine = {
   e_icp : Sim_cache_assoc.t cunit array;
   e_ics : Sim_stack.t cunit array;
   e_dc : Sim_cache_assoc.t cunit array;
+  e_lanes : lane array;  (* in configuration order *)
   e_pagemap : int -> int -> int;
   e_pt_base : int -> int;
   (* trace-only counters, identical for every configuration *)
@@ -524,9 +524,8 @@ let rec cunits users ~line ~nsets ~members make =
       } )
     :: cunits rest ~line ~nsets ~members make
 
-(* The engine over [members], (index, config) pairs sharing one page map. *)
-let engine members =
-  let cfgs = List.map snd members in
+(* The engine over [cfgs], which share one page map. *)
+let engine cfgs =
   let c0 = List.hd cfgs in
   (* the groups, largest TLB first: each unit's owner is the first group
      that names it, and the groups run in this order *)
@@ -542,6 +541,9 @@ let engine members =
       (fun (users, u) -> (key, users, u))
       (cunits (List.filter names order) ~line ~nsets ~members make)
   in
+  (* the icache geometries first: a grid varies both caches together,
+     and its bad line or size is reported as the icache's *)
+  let ic_geoms = distinct (List.map ic_geom cfgs) in
   let dc_units =
     List.concat_map
       (fun ((line, nsets, ways) as g) ->
@@ -555,7 +557,6 @@ let engine members =
   (* icache units: a family of one associativity is a plain cache; a
      nesting family (same line, same nsets, several associativities)
      collapses into one LRU stack *)
-  let ic_geoms = distinct (List.map ic_geom cfgs) in
   let family_ways (line, nsets) =
     List.sort compare
       (List.filter_map
@@ -631,7 +632,10 @@ let engine members =
   in
   let lanes =
     List.map
-      (fun (index, c) ->
+      (fun c ->
+        if c.wb_depth < 1 then
+          invalid_arg
+            (Printf.sprintf "Memsim.sweep: write-buffer depth %d < 1" c.wb_depth);
         let gk = gkey c and fam = ic_family c in
         let la_ic, la_icx =
           match family_ways fam with
@@ -641,7 +645,6 @@ let engine members =
         in
         let la_dc, la_dcx = counters gk (find gk (dc_geom c) dc_units) 0 in
         {
-          la_index = index;
           la_rmp = c.read_miss_penalty;
           la_up = c.uncached_penalty;
           la_group = List.assoc gk groups;
@@ -653,7 +656,7 @@ let engine members =
           la_stall = 0;
           la_stall_k = 0;
         })
-      members
+      cfgs
   in
   let groups = List.map snd groups in
   List.iter
@@ -665,6 +668,7 @@ let engine members =
     e_icp = states icp_units;
     e_ics = states ics_units;
     e_dc = states dc_units;
+    e_lanes = Array.of_list lanes;
     e_pagemap = c0.pagemap;
     e_pt_base = c0.pt_base;
     sv_insts = 0;
@@ -882,15 +886,11 @@ let e_data e addr pid kernel is_load pa =
    The parser's handlers only append: each reference becomes three words
    of a fixed batch — its address, its packed pid/mode/kind, and the
    page-map translation (-1 unmapped; read once per reference, whatever
-   the number of configurations).  The batch is simulated when it fills,
-   at the end of every sink chunk and before any statistic is read, so no
-   work outlives an [on_words] call.  A batch that fans out holds up to
-   2^18 references, about one 65,536-word chunk, to spread the domains'
-   fork and join; one simulated inline needs no such amortizing and is
-   kept small, which keeps it in cache and off the heap. *)
+   the number of configurations).  The batch is simulated when it fills
+   and before any statistic is read.  It holds 2^12 references (96 KB),
+   small enough to stay in cache. *)
 
-let batch_refs = 1 lsl 18
-let inline_batch_refs = 1 lsl 12
+let batch_refs = 1 lsl 12
 
 let k_inst = 0
 let k_load = 1
@@ -912,159 +912,28 @@ let run_batch e b n =
     else e_data e addr pid kernel (kind = k_load) pa
   done
 
-(* ------------------------------------------------------------------ *)
-(* Cells and clusters.
-
-   A cell is the configurations that share an icache family or a dcache
-   geometry (a connected component), whatever their TLB sizes: no
-   simulated state is shared across cells except the groups' TLBs, which
-   are cheap to replicate.  The cells, in order of their first
-   configuration, are cut into contiguous runs of about equal cache-unit
-   count, one per cluster; each cluster is an independent engine over its
-   own configurations — its own TLB replicas, its own trace counters — so
-   the engine's sweep == singles proof covers it.  Cluster k runs on
-   worker k for every batch: worker 0 is the calling domain, the others
-   are spawned for the batch and joined at its end.  Each cluster's
-   engine is allocated by the domain that first runs it, so its
-   per-access counters sit in that domain's heap, away from the other
-   clusters' (no false sharing between workers). *)
-
-(* [(units, config indices)] per cell *)
-let cells cfgs =
-  let n = Array.length cfgs in
-  let parent = Array.init n Fun.id in
-  let rec root i = if parent.(i) = i then i else root parent.(i) in
-  let union i j =
-    let ri = root i and rj = root j in
-    if ri <> rj then parent.(max ri rj) <- min ri rj
-  in
-  let first = Hashtbl.create 16 in
-  let link key i =
-    match Hashtbl.find_opt first key with
-    | Some j -> union i j
-    | None -> Hashtbl.add first key i
-  in
-  Array.iteri
-    (fun i c ->
-      link (`Ic (ic_family c)) i;
-      link (`Dc (dc_geom c)) i)
-    cfgs;
-  let all = List.init n Fun.id in
-  List.map
-    (fun r ->
-      let idx = List.filter (fun i -> root i = r) all in
-      let members = List.map (fun i -> cfgs.(i)) idx in
-      let units =
-        List.length (distinct (List.map ic_family members))
-        + List.length (distinct (List.map dc_geom members))
-      in
-      (units, idx))
-    (distinct (List.map root all))
-
-(* cut the cells into [w] non-empty contiguous runs, a cell going to the
-   run its unit-count midpoint falls in; each run's indices ascending *)
-let deal w cells =
-  let total = List.fold_left (fun n (u, _) -> n + u) 0 cells in
-  let parts = Array.make w [] in
-  let k = ref 0 and cum = ref 0 and left = ref (List.length cells) in
-  List.iter
-    (fun (u, idx) ->
-      if
-        !k < w - 1 && parts.(!k) <> []
-        && (((2 * !cum) + u) * w > 2 * (!k + 1) * total || !left < w - !k)
-      then incr k;
-      parts.(!k) <- idx @ parts.(!k);
-      cum := !cum + u;
-      decr left)
-    cells;
-  Array.map (List.sort compare) parts
-
 type sweep = {
-  sw_cfgs : config array;
-  sw_pagemap : int -> int -> int;
-  sw_clusters : int list array;  (* config indices per cluster *)
-  sw_engines : engine option array;  (* built by their first worker *)
+  sw_engine : engine;
   sw_batch : int array;
-  sw_cap : int;  (* references the batch holds *)
   mutable sw_n : int;
-  mutable sw_domains : int;  (* most domains one batch has run on *)
 }
 
-let sweep ?jobs cfg_list : sweep =
-  let cfgs = Array.of_list cfg_list in
-  if Array.length cfgs = 0 then invalid_arg "Memsim.sweep: no configurations";
-  let c0 = cfgs.(0) in
-  Array.iter
-    (fun c ->
-      if c.pagemap != c0.pagemap || c.pt_base != c0.pt_base then
-        invalid_arg
-          "Memsim.sweep: all configurations must share pagemap and pt_base \
-           (translation is done once per reference)")
-    cfgs;
-  let cells = cells cfgs (* also checks every cache geometry *) in
-  (* and every TLB and write buffer, now rather than at the first batch *)
-  List.iter
-    (fun (entries, _, _) -> ignore (Sim_tlb.create ~size:entries () : Sim_tlb.t))
-    (distinct (List.map gkey cfg_list));
-  Array.iter
-    (fun c ->
-      if c.wb_depth < 1 then
-        invalid_arg
-          (Printf.sprintf "Memsim.sweep: write-buffer depth %d < 1" c.wb_depth))
-    cfgs;
-  (* more domains than cores only contend (DESIGN.md 5d) *)
-  let cores = Domain.recommended_domain_count () in
-  let jobs = match jobs with Some j -> min j cores | None -> cores in
-  let w =
-    if Domain.is_main_domain () then max 1 (min jobs (List.length cells))
-    else 1
-  in
-  let clusters = deal w cells in
-  let cap = if w > 1 then batch_refs else inline_batch_refs in
-  {
-    sw_cfgs = cfgs;
-    sw_pagemap = c0.pagemap;
-    sw_clusters = clusters;
-    sw_engines = Array.make w None;
-    sw_batch = Array.make (3 * cap) 0;
-    sw_cap = cap;
-    sw_n = 0;
-    sw_domains = 0;
-  }
+let sweep cfgs : sweep =
+  match cfgs with
+  | [] -> invalid_arg "Memsim.sweep: no configurations"
+  | c0 :: _ ->
+    List.iter
+      (fun c ->
+        if c.pagemap != c0.pagemap || c.pt_base != c0.pt_base then
+          invalid_arg
+            "Memsim.sweep: all configurations must share pagemap and pt_base \
+             (translation is done once per reference)")
+      cfgs;
+    { sw_engine = engine cfgs; sw_batch = Array.make (3 * batch_refs) 0; sw_n = 0 }
 
-let engine_of sw k =
-  match sw.sw_engines.(k) with
-  | Some e -> e
-  | None ->
-    let e = engine (List.map (fun i -> (i, sw.sw_cfgs.(i))) sw.sw_clusters.(k)) in
-    sw.sw_engines.(k) <- Some e;
-    e
-
-let run_cluster sw k n = run_batch (engine_of sw k) sw.sw_batch n
-
-(* Simulate the batch: fanned out over the clusters' workers from the
-   main domain only, so sweeps inside a domain pool's jobs run inline. *)
 let flush sw =
-  let n = sw.sw_n in
-  if n > 0 then begin
-    let w = Array.length sw.sw_clusters in
-    if w > 1 && Domain.is_main_domain () then begin
-      let workers =
-        Array.init (w - 1) (fun j -> Domain.spawn (fun () -> run_cluster sw (j + 1) n))
-      in
-      (match run_cluster sw 0 n with
-      | () -> Array.iter Domain.join workers
-      | exception ex ->
-        Array.iter (fun d -> try Domain.join d with _ -> ()) workers;
-        raise ex);
-      if sw.sw_domains < w then sw.sw_domains <- w
-    end
-    else begin
-      for k = 0 to w - 1 do
-        run_cluster sw k n
-      done;
-      if sw.sw_domains < 1 then sw.sw_domains <- 1
-    end;
+  if sw.sw_n > 0 then begin
+    run_batch sw.sw_engine sw.sw_batch sw.sw_n;
     sw.sw_n <- 0
   end
 
@@ -1075,11 +944,12 @@ let push sw addr meta pa =
   Array.unsafe_set b (j + 1) meta;
   Array.unsafe_set b (j + 2) pa;
   sw.sw_n <- n + 1;
-  if n + 1 = sw.sw_cap then flush sw
+  if n + 1 = batch_refs then flush sw
 
 (* only kuseg and kseg2 references are translated through the page map *)
 let lookup sw pid addr =
-  if addr < kuseg_limit || addr >= kseg2_base then sw.sw_pagemap pid addr
+  if addr < kuseg_limit || addr >= kseg2_base then
+    sw.sw_engine.e_pagemap pid addr
   else 0
 
 let sweep_on_inst sw addr pid kernel =
@@ -1101,45 +971,18 @@ let sweep_handlers sw : Parser.handlers =
 
 let sweep_sink ?live sw parser : Sink.t =
   Parser.set_handlers parser (sweep_handlers sw);
-  let s = Sink.to_parser ?live parser in
-  {
-    s with
-    Sink.on_words =
-      (fun words ~len ->
-        match s.Sink.on_words words ~len with
-        | () -> flush sw
-        | exception ex ->
-          flush sw;
-          raise ex);
-  }
-
-let sweep_domains sw = sw.sw_domains
+  Sink.to_parser ?live parser
 
 let sweep_private_sets sw =
   flush sw;
-  let n = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some e ->
-        Array.iter (fun u -> n := !n + u.u_ndiv) e.e_icp;
-        Array.iter (fun u -> n := !n + u.u_ndiv) e.e_ics;
-        Array.iter (fun u -> n := !n + u.u_ndiv) e.e_dc)
-    sw.sw_engines;
-  !n
+  let e = sw.sw_engine in
+  let held units = Array.fold_left (fun n u -> n + u.u_ndiv) 0 units in
+  held e.e_icp + held e.e_ics + held e.e_dc
 
 (* per-lane results, in configuration order *)
 let per_lane sw f =
   flush sw;
-  let out = Array.make (Array.length sw.sw_cfgs) None in
-  Array.iteri
-    (fun k _ ->
-      let e = engine_of sw k in
-      Array.iter
-        (fun g -> Array.iter (fun l -> out.(l.la_index) <- Some (f e l)) g.gr_lanes)
-        e.e_groups)
-    sw.sw_clusters;
-  Array.map Option.get out
+  Array.map (f sw.sw_engine) sw.sw_engine.e_lanes
 
 let sweep_stats sw =
   per_lane sw (fun e l ->

@@ -64,24 +64,21 @@ type stats = {
     TLB group keeps a private copy of a set only while the synthesized
     handler references make its set differ.
 
-    References are batched (up to 2{^18}); a batch is simulated when it
-    fills, at the end of every {!sweep_sink} chunk and before any
-    statistic is read.  The configurations are split into independent
-    clusters run on up to [jobs] domains per batch, from the main domain
-    only: a sweep created or fed on another domain (a {!Systrace_util.Pool}
-    job, say) runs inline.
+    References are batched, 2{^12} at a time; a batch is simulated on
+    the domain that feeds it, when it fills and before any statistic is
+    read.
 
     [sweep_stats] returns, per configuration and in list order,
     {b byte-identical} stats to an independent one-configuration
-    simulation of the same trace, whatever [jobs], the batch boundaries
-    and the chunk boundaries (qcheck properties in the test suite hold it
-    to the one-configuration oracle kept there). *)
+    simulation of the same trace, whatever the batch boundaries and the
+    chunk boundaries (qcheck properties in the test suite hold it to the
+    one-configuration oracle kept there). *)
 
 type sweep
 
-val sweep : ?jobs:int -> config list -> sweep
-(** [jobs] (default, and at most, [Domain.recommended_domain_count ()])
-    bounds the domains a batch runs on.
+val sweep : config list -> sweep
+(** Builds every configuration's caches, TLB and write buffer at once,
+    so a bad configuration is refused before any reference is fed.
     @raise Invalid_argument on an empty list, a degenerate cache
     geometry (including a line size that is not a power of two), TLB
     size or write-buffer depth, or configurations that do not share
@@ -96,10 +93,6 @@ val sweep_accesses : sweep -> (int * int) array
 (** Per-configuration [(icache_accesses, dcache_read_accesses)] —
     the denominators for miss-ratio tables. *)
 
-val sweep_domains : sweep -> int
-(** The most domains any batch has run on so far (0 before the first
-    batch, 1 when every batch ran inline). *)
-
 val sweep_private_sets : sweep -> int
 (** The private set copies the TLB groups hold now, over every cache
     unit: 0 when each group's caches equal the shared state. *)
@@ -113,10 +106,9 @@ val sweep_handlers : sweep -> Systrace_tracing.Parser.handlers
 val sweep_sink :
   ?live:int list -> sweep -> Systrace_tracing.Parser.t -> Systrace_tracing.Sink.t
 (** [sweep_sink sw parser] attaches {!sweep_handlers} to [parser] and
-    wraps it as a streaming word consumer ([Sink.to_parser ?live]) that
-    simulates its batch before each [on_words] returns: feed it raw trace
-    chunks and the simulation runs online, during generation — peak
-    resident words stay O(chunk) instead of O(trace). *)
+    wraps it as a streaming word consumer ([Sink.to_parser ?live]): feed
+    it raw trace chunks and the simulation runs online, during
+    generation — peak resident words stay O(chunk) instead of O(trace). *)
 
 val grid :
   ?nested:bool ->

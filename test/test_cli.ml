@@ -3,7 +3,8 @@
    documented exit code (1 bad data, 2 usage or environment), never
    Cmdliner's internal-error exit 125. *)
 
-let cli = "../bin/systrace_cli.exe"
+let cli = Fixture.path "../bin/systrace_cli.exe"
+let v3 = Fixture.path "fixture_v3.strc"
 
 (* Run the CLI with [args]; returns (exit code, stderr), or with
    [~stdout:true] (exit code, stdout). *)
@@ -40,7 +41,7 @@ let sock = tmp_path "serve.sock"
 let truncated = tmp_path "truncated.strc"
 
 let write_truncated () =
-  let bytes = In_channel.with_open_bin "fixture_v3.strc" In_channel.input_all in
+  let bytes = In_channel.with_open_bin v3 In_channel.input_all in
   Out_channel.with_open_bin truncated (fun oc ->
       output_string oc (String.sub bytes 0 100))
 
@@ -54,28 +55,26 @@ let cases () =
     (2, [ "sweep"; "egrep"; file ]);
     (2, [ "slice"; file; "--from"; "0"; "--until"; "10"; "-o"; file ]);
     (2, [ "slice"; file; "-o"; slice_out ]);
-    (1, [ "slice"; "fixture_v3.strc"; "--from"; "10"; "--until"; "5";
-          "-o"; slice_out ]);
+    (1, [ "slice"; v3; "--from"; "10"; "--until"; "5"; "-o"; slice_out ]);
     (2, [ "trace"; "egrep"; "--trace-out"; file ]);
-    (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "unix:" ^ file ]);
-    (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "tcp:localhost:1" ]);
-    (2, [ "serve"; "--send"; "fixture_v3.strc"; "--connect"; "tcp:127.0.0.1:99999" ]);
+    (2, [ "serve"; "--send"; v3; "--connect"; "unix:" ^ file ]);
+    (2, [ "serve"; "--send"; v3; "--connect"; "tcp:localhost:1" ]);
+    (2, [ "serve"; "--send"; v3; "--connect"; "tcp:127.0.0.1:99999" ]);
     (2, [ "serve"; "--stats"; "--ctl"; file ]);
     (2, [ "serve"; "--unix"; file; "--queue-slots"; "1" ]);
     (2, [ "serve"; "--unix"; file; "--slot-words"; "0" ]);
     (2, [ "serve"; "--unix"; sock; "--workers"; "1000" ]);
     (2, [ "serve"; "--unix"; sock; "--pipeline"; "parse" ]);
     (2, [ "serve"; "--unix"; sock; "--pipeline"; "bogus" ]);
-    (1, [ "analyze"; "gcc"; "fixture_v3.strc" ]);
-    (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--tlb"; "8" ]);
-    (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--sizes"; "0" ]);
-    (1, [ "sweep"; "egrep"; "fixture_v3.strc"; "--sizes"; "3";
-          "--lines"; "24" ]);
+    (1, [ "analyze"; "gcc"; v3 ]);
+    (1, [ "sweep"; "egrep"; v3; "--tlb"; "8" ]);
+    (1, [ "sweep"; "egrep"; v3; "--sizes"; "0" ]);
+    (1, [ "sweep"; "egrep"; v3; "--sizes"; "3"; "--lines"; "24" ]);
     (1, [ "disasm"; "egrep"; "--symbol"; "nosuch" ]);
     (1, [ "analyze"; "egrep"; truncated ]);
     (1, [ "sweep"; "egrep"; truncated ]);
     (1, [ "slice"; truncated; "-o"; slice_out ]);
-    (2, [ "slice"; "fixture_v3.strc"; "--from"; "0"; "--until"; "10"; "-o"; "/dev/full" ]);
+    (2, [ "slice"; v3; "--from"; "0"; "--until"; "10"; "-o"; "/dev/full" ]);
     (2, [ "check"; dir ]);
     (2, [ "analyze"; "egrep"; dir ]);
   ]

@@ -291,7 +291,7 @@ let with_server cfg f =
   let t = Server.start cfg in
   Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f t)
 
-let fixture_words = lazy (Tracing.Tracefile.load "fixture_v3.strc")
+let fixture_words = lazy (Tracing.Tracefile.load (Fixture.path "fixture_v3.strc"))
 
 let test_loopback_roundtrip () =
   let path = tmp_name "rt" in

@@ -574,8 +574,8 @@ let drive_events feed_inst feed_data events =
 
 let stats_equal (a : Memsim.stats) (b : Memsim.stats) = a = b
 
-let check_sweep_matches_singles ?jobs cfgs events =
-  let sw = Memsim.sweep ?jobs cfgs in
+let check_sweep_matches_singles cfgs events =
+  let sw = Memsim.sweep cfgs in
   drive_events (Memsim.sweep_on_inst sw) (Memsim.sweep_on_data sw) events;
   let swept = Memsim.sweep_stats sw in
   List.for_all2
@@ -593,8 +593,8 @@ let prop_sweep_equals_independent =
      random axes, so a run mixes TLB groups, plain and stacked icache
      units, deduplicated identical configs, and distinct write buffers. *)
   QCheck.Test.make ~count:60 ~name:"sweep == independent single-config runs"
-    (QCheck.make ~print:(fun (jobs, cfgs, events) ->
-         Printf.sprintf "jobs %d, %d cfgs, %d events" jobs (List.length cfgs)
+    (QCheck.make ~print:(fun (cfgs, events) ->
+         Printf.sprintf "%d cfgs, %d events" (List.length cfgs)
            (List.length events))
        QCheck.Gen.(
          let cfg_gen =
@@ -616,11 +616,10 @@ let prop_sweep_equals_independent =
                wb_depth = wb;
              }
          in
-         let* jobs = int_range 1 3 in
          let* cfgs = list_size (int_range 1 6) cfg_gen in
          let* events = list_size (int_range 1 500) event_gen in
-         return (jobs, cfgs, events)))
-    (fun (jobs, cfgs, events) -> check_sweep_matches_singles ~jobs cfgs events)
+         return (cfgs, events)))
+    (fun (cfgs, events) -> check_sweep_matches_singles cfgs events)
 
 let prop_sweep_grid_equals_independent =
   (* Same contract through Memsim.grid's nested families, where the size
@@ -690,56 +689,7 @@ let test_sweep_batch_boundary () =
          ~tlb_entries:[ 16; 64 ] ~wb_depths:[ 2 ] ())
   in
   check "sweep == singles across a batch boundary" true
-    (check_sweep_matches_singles ~jobs:2 cfgs events)
-
-(* the default 4 x 3 x 3 x 2 grid: 9 cells, 72 configurations *)
-let default_grid () =
-  List.map snd
-    (Memsim.grid ~base:sweep_base_cfg ~sizes:[ 1024; 2048; 4096; 16384 ]
-       ~lines:[ 4; 16; 32 ] ~tlb_entries:[ 16; 32; 64 ] ~wb_depths:[ 2; 4 ] ())
-
-let run_sweep ~jobs cfgs events =
-  let sw = Memsim.sweep ~jobs cfgs in
-  drive_events (Memsim.sweep_on_inst sw) (Memsim.sweep_on_data sw) events;
-  let stats = Memsim.sweep_stats sw in
-  (stats, Memsim.sweep_domains sw)
-
-let test_sweep_fans_out_on_main () =
-  let events =
-    QCheck.Gen.generate ~rand:(Random.State.make [| 5 |]) ~n:3000 event_gen
-  in
-  let cfgs = default_grid () in
-  let one, d1 = run_sweep ~jobs:1 cfgs events in
-  let three, d3 = run_sweep ~jobs:3 cfgs events in
-  let single, ds = run_sweep ~jobs:3 [ List.hd cfgs ] events in
-  check_int "jobs 1: inline" 1 d1;
-  check_int "jobs 3: three domains, at most one per core"
-    (min 3 (Domain.recommended_domain_count ())) d3;
-  check_int "one configuration, one cell: inline" 1 ds;
-  check "jobs 3 == jobs 1" true (one = three);
-  check "one-config sweep == its column" true (single.(0) = one.(0))
-
-let test_sweep_in_pool_inline () =
-  (* a sweep created and fed inside a domain-pool job never fans out,
-     and its results equal the main domain's fanned-out run *)
-  let events =
-    QCheck.Gen.generate ~rand:(Random.State.make [| 6 |]) ~n:3000 event_gen
-  in
-  let cfgs = default_grid () in
-  let main, dmain = run_sweep ~jobs:2 cfgs events in
-  check_int "main domain fans out"
-    (min 2 (Domain.recommended_domain_count ())) dmain;
-  let pooled =
-    Systrace_util.Pool.map ~oversubscribe:true ~jobs:2
-      (fun () -> (Domain.is_main_domain (), run_sweep ~jobs:2 cfgs events))
-      [ (); () ]
-  in
-  List.iter
-    (fun (on_main, (stats, domains)) ->
-      check "pool job off the main domain" false on_main;
-      check_int "pool job: inline" 1 domains;
-      check "pool job == main domain" true (stats = main))
-    pooled
+    (check_sweep_matches_singles cfgs events)
 
 let prop_assoc_equals_stamp_lru =
   (* The recency-ordered sets against the stamp-and-scan LRU they
@@ -797,10 +747,8 @@ let prop_sweep_conflicting_lines =
      2- and 4-way dcaches: write hits reorder a set between two reads,
      which the units' last-line memo must follow. *)
   QCheck.Test.make ~count:200 ~name:"sweep == singles on conflicting lines"
-    QCheck.(
-      pair (int_range 1 3)
-        (list_of_size Gen.(int_range 1 300) (pair bool (int_bound 7))))
-    (fun (jobs, refs) ->
+    QCheck.(list_of_size Gen.(int_range 1 300) (pair bool (int_bound 7)))
+    (fun refs ->
       let cfgs =
         List.map
           (fun ways -> { sweep_base_cfg with Memsim.dcache_ways = ways })
@@ -812,7 +760,7 @@ let prop_sweep_conflicting_lines =
           (fun (is_load, k) -> (false, 0x80010000 + (k * 1024), 0, true, is_load))
           refs
       in
-      check_sweep_matches_singles ~jobs cfgs events)
+      check_sweep_matches_singles cfgs events)
 
 (* --- one shared state per cache geometry, private sets per TLB group --- *)
 
@@ -844,28 +792,28 @@ let prop_sweep_divergent_groups =
      shared caches differ: private copies are taken, read, written and
      dropped, and every group's counts carry corrections *)
   QCheck.Test.make ~count:100 ~name:"sweep == singles with divergent TLB groups"
-    (QCheck.make ~print:(fun (jobs, nested, lines, events) ->
-         Printf.sprintf "jobs %d, %s, lines %s, %d events" jobs
+    (QCheck.make ~print:(fun (nested, lines, events) ->
+         Printf.sprintf "%s, lines %s, %d events"
            (if nested then "nested" else "flat")
            (String.concat "/" (List.map string_of_int lines))
            (List.length events))
        QCheck.Gen.(
-         let* jobs = int_range 1 3 and* nested = bool in
+         let* nested = bool in
          let* lines = oneofl [ [ 4; 16 ]; [ 16; 32 ]; [ 4; 32 ] ] in
          let* events = list_size (int_range 1 300) divergent_event_gen in
-         return (jobs, nested, lines, events)))
-    (fun (jobs, nested, lines, events) ->
+         return (nested, lines, events)))
+    (fun (nested, lines, events) ->
       let cfgs =
         List.map snd
           (Memsim.grid ~nested ~base:sweep_base_cfg ~sizes:[ 256; 512; 1024 ]
              ~lines ~tlb_entries:[ 9; 10; 12 ] ~wb_depths:[ 2; 4 ] ())
       in
-      check_sweep_matches_singles ~jobs cfgs events)
+      check_sweep_matches_singles cfgs events)
 
 (* Feed [steps], each a reference and the private set copies expected
    after it, then hold every configuration to its single run. *)
 let check_copies cfgs steps =
-  let sw = Memsim.sweep ~jobs:1 cfgs in
+  let sw = Memsim.sweep cfgs in
   List.iter
     (fun (what, (is_inst, addr, pid, kernel, is_load), n) ->
       if is_inst then Memsim.sweep_on_inst sw addr pid kernel
@@ -950,7 +898,7 @@ let test_sweep_many_groups () =
     List.init 70 (fun i -> { sweep_base_cfg with Memsim.tlb_entries = 9 + i })
   in
   check "sweep == singles over 70 TLB groups" true
-    (check_sweep_matches_singles ~jobs:1 cfgs events)
+    (check_sweep_matches_singles cfgs events)
 
 let test_grid_shape () =
   let g =
@@ -991,8 +939,4 @@ let tests =
         test_sweep_many_groups;
       Alcotest.test_case "sweep: batch boundary mid-stream" `Quick
         test_sweep_batch_boundary;
-      Alcotest.test_case "sweep: clusters fan out on the main domain" `Quick
-        test_sweep_fans_out_on_main;
-      Alcotest.test_case "sweep: inside a domain pool, inline" `Quick
-        test_sweep_in_pool_inline;
     ]

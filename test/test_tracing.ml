@@ -2068,6 +2068,7 @@ let fixture_words =
 let test_backward_compat_fixtures () =
   List.iter
     (fun (file, version) ->
+      let file = Fixture.path file in
       let words = Tracefile.load file in
       check (Printf.sprintf "v%d fixture loads byte-identically" version) true
         (words = fixture_words);
@@ -2084,8 +2085,8 @@ let test_backward_compat_fixtures () =
     (fun (file, stored) ->
       with_temp (fun path ->
           save_stored stored path fixture_words;
-          Alcotest.(check string) (file ^ " rewritten") (read_file file)
-            (read_file path)))
+          Alcotest.(check string) (file ^ " rewritten")
+            (read_file (Fixture.path file)) (read_file path)))
     [
       ("fixture_v1.strc", V1); ("fixture_v2.strc", V2); ("fixture_v3.strc", V3);
     ]

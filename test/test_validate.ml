@@ -104,9 +104,9 @@ let test_sweep_real_trace_faulty () =
   in
   sweep_vs_singles ~recover:true ~rng_seed:7 b words (sweep_grid b)
 
-(* egrep under Mach: the UX server, the random page map, and more
-   references than one sweep batch holds, so a whole-trace chunk crosses a
-   batch boundary. *)
+(* egrep under Mach: the UX server, the random page map, and over 2^18
+   references, so a whole-trace chunk crosses many sweep batch
+   boundaries. *)
 let captured_mach =
   lazy
     (capture
@@ -145,21 +145,20 @@ let oracle_cases =
      in
      (match List.nth cases 2 with
      | _, _, _, s :: _ when s.Systrace_tracesim.Memsim.insts + s.datas > 1 lsl 18 -> ()
-     | _ -> failwith "the Mach trace no longer spans a sweep batch");
+     | _ -> failwith "the Mach trace no longer holds 2^18 references");
      cases)
 
 let prop_sweep_equals_oracle =
-  (* The batched, clustered engine against the one-configuration oracle
-     on real traces: any domain count, any chunking (one whole-trace
-     chunk included, which on the Mach trace puts a batch boundary inside
-     the chunk), clean or fault-injected words. *)
+  (* The batched engine against the one-configuration oracle on real
+     traces: any chunking (one whole-trace chunk included, which on the
+     Mach trace puts many batch boundaries inside the chunk), clean or
+     fault-injected words. *)
   QCheck.Test.make ~count:8
-    ~name:"sweep == one-config oracle on real traces (jobs, chunks, faults)"
-    QCheck.(
-      quad (int_range 1 3) (int_range 0 3) bool (int_bound 1_000_000))
-    (fun (jobs, case, whole, seed) ->
+    ~name:"sweep == one-config oracle on real traces (chunks, faults)"
+    QCheck.(triple (int_range 0 3) bool (int_bound 1_000_000))
+    (fun (case, whole, seed) ->
       let b, words, cfgs, expect = List.nth (Lazy.force oracle_cases) case in
-      let sw = Systrace_tracesim.Memsim.sweep ~jobs cfgs in
+      let sw = Systrace_tracesim.Memsim.sweep cfgs in
       let sink = Systrace_tracesim.Memsim.sweep_sink sw (mk_parser ~recover:true b) in
       if whole then begin
         sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
@@ -167,18 +166,6 @@ let prop_sweep_equals_oracle =
       end
       else feed_random_chunks ~rng:(Systrace_util.Rng.create seed) sink words;
       Array.to_list (Systrace_tracesim.Memsim.sweep_stats sw) = expect)
-
-(* No simulation outlives an [on_words] call: the egrep trace holds fewer
-   references than a fanned-out batch, so only the end-of-chunk flush can
-   have run it before the stats are read. *)
-let test_sweep_sink_flushes_chunks () =
-  let b, words = Lazy.force captured in
-  let sw = Systrace_tracesim.Memsim.sweep ~jobs:2 (sweep_grid b) in
-  let sink = Systrace_tracesim.Memsim.sweep_sink sw (mk_parser ~recover:false b) in
-  Alcotest.(check int) "nothing simulated yet" 0 (Systrace_tracesim.Memsim.sweep_domains sw);
-  sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
-  Alcotest.(check bool) "simulated within on_words" true
-    (Systrace_tracesim.Memsim.sweep_domains sw > 0)
 
 (* The flat page map against the hash-table walk it replaced, on an
    Ultrix careful-map and a Mach random-map system: every mapped page (at
@@ -383,6 +370,4 @@ let tests =
     QCheck_alcotest.to_alcotest prop_sweep_equals_oracle;
     Alcotest.test_case "flat page map == hash-table walk" `Quick
       test_flat_pagemap;
-    Alcotest.test_case "sweep_sink simulates each chunk before returning" `Quick
-      test_sweep_sink_flushes_chunks;
   ]
