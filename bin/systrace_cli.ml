@@ -17,7 +17,7 @@
      systrace serve --unix PATH [--tcp PORT] [--ctl PATH]
                                          -- trace-ingest daemon: concurrent
                                             streams, online analysis,
-                                            bounded-queue backpressure
+                                            lossless backpressure
      systrace serve --send FILE --connect unix:PATH
                                          -- stream a stored trace at a daemon
      systrace serve --stats --ctl PATH   -- a running daemon's counters
@@ -733,8 +733,8 @@ let serve_cmd =
     Serve.Server.to_parser_pipeline (fun () ->
         Systrace_kernel.Builder.trace_parser ~recover:true sys)
   in
-  let run unix_path tcp_port_opt ctl_path workers queue_slots slot_words lossy
-      pipeline workload os seed send connect do_stats do_shutdown =
+  let run unix_path tcp_port_opt ctl_path workers pipeline workload os seed
+      send connect do_stats do_shutdown =
     match (send, do_stats, do_shutdown) with
     | Some file, false, false -> (
       (* client: replay a stored trace at a running daemon *)
@@ -795,9 +795,6 @@ let serve_cmd =
           tcp = Option.map (tcp_endpoint "127.0.0.1") tcp_port_opt;
           ctl_path;
           workers;
-          queue_slots;
-          slot_words;
-          lossy;
         }
       in
       let t =
@@ -809,9 +806,7 @@ let serve_cmd =
       Option.iter (Printf.printf "unix %s\n") unix_path;
       Option.iter (Printf.printf "tcp 127.0.0.1:%d\n") (Serve.Server.tcp_port t);
       Option.iter (Printf.printf "ctl %s\n") ctl_path;
-      Printf.printf "workers %d queue %dx%d words %s\n%!" (max 1 workers)
-        queue_slots slot_words
-        (if lossy then "lossy" else "lossless");
+      Printf.printf "workers %d\n%!" (max 1 workers);
       Serve.Server.wait t
     | Some _, _, _ ->
       Printf.eprintf "--send cannot be combined with --stats/--shutdown\n";
@@ -839,23 +834,6 @@ let serve_cmd =
              ~doc:
                (Printf.sprintf "Worker domains (at most %d)."
                   Serve.Server.max_workers))
-  in
-  let queue_slots =
-    Arg.(value & opt int 4
-         & info [ "queue-slots" ] ~docv:"N"
-             ~doc:"Bounded-queue ring slots per connection.")
-  in
-  let slot_words =
-    Arg.(value & opt int 16384
-         & info [ "slot-words" ] ~docv:"N"
-             ~doc:"Words per queue slot (peak resident words per stream = \
-                   slots x words).")
-  in
-  let lossy =
-    Arg.(value & flag
-         & info [ "lossy" ]
-             ~doc:"Drop-and-count instead of backpressure when a client \
-                   outruns analysis (the paper's lost-reference accounting).")
   in
   let pipeline =
     Arg.(value & opt string "scan"
@@ -898,12 +876,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Trace-ingest daemon: accept concurrent trace streams over \
              Unix/TCP sockets and run a per-stream analysis pipeline \
-             online, with bounded-queue backpressure (or $(b,--lossy) \
-             lost-reference accounting) and aggregated counters on a \
-             control socket.")
-    Term.(const run $ unix_path $ tcp_port $ ctl_path $ workers $ queue_slots
-          $ slot_words $ lossy $ pipeline $ workload $ os_arg $ seed_arg
-          $ send $ connect $ do_stats $ do_shutdown)
+             online, with aggregated counters on a control socket.  A \
+             connection's socket is read again only after its pipeline \
+             has taken every word of the last read, so a client that \
+             outruns its analysis blocks and no word is dropped.")
+    Term.(const run $ unix_path $ tcp_port $ ctl_path $ workers $ pipeline
+          $ workload $ os_arg $ seed_arg $ send $ connect $ do_stats
+          $ do_shutdown)
 
 (* Errors that reach the top are reported, not treated as internal
    errors (Cmdliner's exit 125): environment failures exit 2, bad trace

@@ -82,7 +82,6 @@ end
 
 module Serve = struct
   module Wire = Systrace_serve.Wire
-  module Bqueue = Systrace_serve.Bqueue
   module Server = Systrace_serve.Serve
   module Client = Systrace_serve.Client
 end

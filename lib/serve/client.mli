@@ -25,6 +25,9 @@ type reply = {
   r_words : int;
   r_frames : int;
   r_dropped_words : int;
+      (** always 0, as is [r_dropped_frames]: the server drops no word.
+          The reply line keeps both fields for the clients that parse
+          it. *)
   r_dropped_frames : int;
   r_diagnoses : int;
 }

@@ -1,10 +1,10 @@
 (* The trace-ingest daemon: acceptor domain + worker domains, each
    worker running a select loop over the connections it owns.  Per
    connection the hot path is: one batched [read] into a reused byte
-   buffer, [Wire.decode] straight into the bounded queue's open slot
-   (no intermediate array), then pop-and-drain each queued chunk
-   through the stream's sink pipeline.  See serve.mli for the flow
-   control story. *)
+   buffer, [Wire.decode] straight into the connection's one chunk (no
+   intermediate array), and the chunk handed to the stream's sink
+   pipeline each time it fills and once more when the read is used up.
+   See serve.mli for the flow control story. *)
 
 module Sink = Systrace_tracing.Sink
 module Parser = Systrace_tracing.Parser
@@ -42,26 +42,18 @@ type config = {
   tcp : (string * int) option;
   ctl_path : string option;
   workers : int;
-  queue_slots : int;
-  slot_words : int;
-  lossy : bool;
   pipeline : pipeline_factory;
 }
 
 let default_config pipeline =
-  {
-    unix_path = None;
-    tcp = None;
-    ctl_path = None;
-    workers = 2;
-    queue_slots = 4;
-    slot_words = 16384;
-    lossy = false;
-    pipeline;
-  }
+  { unix_path = None; tcp = None; ctl_path = None; workers = 2; pipeline }
 
 (* Socket read size: each [read] takes up to 256 KiB off the wire. *)
 let read_bytes = 1 lsl 18
+
+(* Chunk size: a read's words reach the pipeline at most 16384 at a
+   time. *)
+let chunk_words = 16384
 
 type snapshot = {
   streams_total : int;
@@ -111,9 +103,7 @@ type totals = {
   mutable streams_faulted : int;
   mutable words_in : int;
   mutable words_analyzed : int;
-  mutable words_dropped : int;
   mutable frames_in : int;
-  mutable frames_dropped : int;
   mutable diagnoses : int;
   mutable peak_resident : int;
   mutable drains : int;
@@ -130,9 +120,7 @@ let totals () =
     streams_faulted = 0;
     words_in = 0;
     words_analyzed = 0;
-    words_dropped = 0;
     frames_in = 0;
-    frames_dropped = 0;
     diagnoses = 0;
     peak_resident = 0;
     drains = 0;
@@ -155,18 +143,12 @@ let record_drain g dt =
 type conn = {
   fd : Unix.file_descr;
   dec : Wire.decoder;
-  q : Bqueue.t;
   pipe : pipeline;
   rbuf : Bytes.t;
-  mutable rpos : int;
-  mutable rlen : int;
+  mutable rlen : int;  (* bytes of the last read, not yet decoded *)
   mutable eof : bool;
-  scratch : int array;
-      (* lossy-mode decode target when the queue is full; empty when
-         lossless *)
-  mutable frame_had_drop : bool;
-  mutable dropped_words : int;
-  mutable dropped_frames : int;
+  chunk : int array;  (* decode target, handed to the pipeline *)
+  mutable peak : int;  (* largest chunk handed to the pipeline *)
   mutable analyzed : int;
   mutable sink_exn : bool;  (* a pipeline raised: counted as a diagnosis *)
 }
@@ -216,82 +198,37 @@ let write_reply fd s =
      done
    with Unix.Unix_error _ -> ())
 
-(* ---- decode: rbuf bytes -> bounded queue (or scratch when lossy) --- *)
+(* ---- decode: rbuf bytes -> chunk -> pipeline ---------------------- *)
 
-let on_frame_end c =
-  if c.frame_had_drop then c.dropped_frames <- c.dropped_frames + 1;
-  c.frame_had_drop <- false
+let deliver t c len =
+  if len > 0 then begin
+    let t0 = Unix.gettimeofday () in
+    (try c.pipe.sink.Sink.on_words c.chunk ~len with _ -> c.sink_exn <- true);
+    record_drain t.g (Unix.gettimeofday () -. t0);
+    c.analyzed <- c.analyzed + len;
+    if len > c.peak then c.peak <- len
+  end
 
-let decode_pending t c =
-  let src_pos = ref c.rpos in
-  let continue = ref true in
-  while !continue && !src_pos < c.rlen && Wire.fault c.dec = None do
-    match Bqueue.reserve c.q with
-    | Some (buf, off, space) ->
-      let dst_pos = ref off in
-      let st =
-        Wire.decode c.dec ~src:c.rbuf ~src_pos ~src_len:c.rlen ~dst:buf
-          ~dst_pos ~dst_len:(off + space)
-      in
-      Bqueue.commit c.q (!dst_pos - off);
-      (match st with
-      | Wire.Need_more -> continue := false
-      | Wire.Dst_full -> () (* slot closed by commit; reserve the next *)
-      | Wire.Frame_end -> on_frame_end c
-      | Wire.Stream_end | Wire.Fault _ -> ())
-    | None ->
-      if t.cfg.lossy then begin
-        (* Queue full and the client keeps sending: the paper's lost
-           references, one level up — decode to scratch and count. *)
-        let dst_pos = ref 0 in
-        let st =
-          Wire.decode c.dec ~src:c.rbuf ~src_pos ~src_len:c.rlen
-            ~dst:c.scratch ~dst_pos ~dst_len:(Array.length c.scratch)
-        in
-        if !dst_pos > 0 then begin
-          c.dropped_words <- c.dropped_words + !dst_pos;
-          c.frame_had_drop <- true
-        end;
-        (match st with
-        | Wire.Need_more -> continue := false
-        | Wire.Frame_end -> on_frame_end c
-        | Wire.Dst_full | Wire.Stream_end | Wire.Fault _ -> ())
-      end
-      else
-        (* Lossless backpressure: stop decoding; unread bytes pile up in
-           the kernel socket buffer and the client blocks. *)
-        continue := false
-  done;
-  c.rpos <- !src_pos
-
-let drain_all t c =
-  let rec go () =
-    match Bqueue.pop c.q with
-    | None -> ()
-    | Some (buf, len) ->
-      let t0 = Unix.gettimeofday () in
-      (try c.pipe.sink.Sink.on_words buf ~len with _ -> c.sink_exn <- true);
-      record_drain t.g (Unix.gettimeofday () -. t0);
-      c.analyzed <- c.analyzed + len;
-      go ()
-  in
-  go ()
-
-(* Decode what we have, drain what we queued; loop because a drained
-   queue reopens space for the lossless decoder.  Terminates: every
-   iteration consumes source bytes (the queue is empty after drain, so
-   reserve always succeeds) or ends the stream. *)
+(* Decode the last read into the chunk, handing the chunk to the
+   pipeline each time it fills and once more when the read is used up.
+   The worker reads the socket again only after this, so a client that
+   outruns its pipeline fills the kernel's socket buffer and blocks.
+   After END, leftover bytes are decoded once more, which diagnoses
+   them as trailing garbage; after a fault they are ignored. *)
 let service_io t c =
-  let continue = ref true in
-  while !continue do
-    decode_pending t c;
-    if wire_done c then c.rpos <- c.rlen (* residue after END/fault *);
-    if c.rpos >= c.rlen then begin
-      Bqueue.flush c.q;
-      continue := false
-    end;
-    drain_all t c
-  done
+  let src_pos = ref 0 and dst_pos = ref 0 in
+  while !src_pos < c.rlen && Wire.fault c.dec = None do
+    match
+      Wire.decode c.dec ~src:c.rbuf ~src_pos ~src_len:c.rlen ~dst:c.chunk
+        ~dst_pos ~dst_len:chunk_words
+    with
+    | Wire.Dst_full ->
+      deliver t c !dst_pos;
+      dst_pos := 0
+    | Wire.Need_more | Wire.Stream_end | Wire.Fault _ -> ()
+  done;
+  deliver t c !dst_pos;
+  c.rlen <- 0
 
 let finish_conn t c =
   (try c.pipe.sink.Sink.finish () with _ -> c.sink_exn <- true);
@@ -313,40 +250,34 @@ let finish_conn t c =
   if wire_diag <> None then g.streams_faulted <- g.streams_faulted + 1;
   g.words_in <- g.words_in + Wire.words c.dec;
   g.words_analyzed <- g.words_analyzed + c.analyzed;
-  g.words_dropped <- g.words_dropped + c.dropped_words;
   g.frames_in <- g.frames_in + Wire.frames c.dec;
-  g.frames_dropped <- g.frames_dropped + c.dropped_frames;
   g.diagnoses <- g.diagnoses + ndiag;
-  let pk = Bqueue.peak_words c.q in
-  if pk > g.peak_resident then g.peak_resident <- pk;
+  if c.peak > g.peak_resident then g.peak_resident <- c.peak;
   Mutex.unlock g.mu;
   (match wire_diag with
   | None ->
     write_reply c.fd
       (Printf.sprintf
-         "ok words=%d frames=%d dropped_words=%d dropped_frames=%d \
+         "ok words=%d frames=%d dropped_words=0 dropped_frames=0 \
           diagnoses=%d\n"
-         (Wire.words c.dec) (Wire.frames c.dec) c.dropped_words
-         c.dropped_frames ndiag)
+         (Wire.words c.dec) (Wire.frames c.dec) ndiag)
   | Some e -> write_reply c.fd (Printf.sprintf "err %s\n" (Wire.describe e)));
   (try Unix.close c.fd with Unix.Unix_error _ -> ())
 
 (* Returns true when the connection is finished and closed. *)
 let service t c =
   service_io t c;
-  if (c.eof || wire_done c) && c.rpos >= c.rlen && Bqueue.is_empty c.q then begin
+  if c.eof || wire_done c then begin
     finish_conn t c;
     true
   end
   else false
 
 let read_conn c =
-  if (not c.eof) && c.rpos >= c.rlen then
+  if not c.eof then
     match Unix.read c.fd c.rbuf 0 (Bytes.length c.rbuf) with
     | 0 -> c.eof <- true
-    | n ->
-      c.rpos <- 0;
-      c.rlen <- n
+    | n -> c.rlen <- n
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
@@ -357,16 +288,12 @@ let make_conn t fd =
   {
     fd;
     dec = Wire.decoder ();
-    q = Bqueue.create ~slots:t.cfg.queue_slots ~slot_words:t.cfg.slot_words;
     pipe = t.cfg.pipeline ();
     rbuf = Bytes.create read_bytes;
-    rpos = 0;
     rlen = 0;
     eof = false;
-    scratch = (if t.cfg.lossy then Array.make t.cfg.slot_words 0 else [||]);
-    frame_had_drop = false;
-    dropped_words = 0;
-    dropped_frames = 0;
+    chunk = Array.make chunk_words 0;
+    peak = 0;
     analyzed = 0;
     sink_exn = false;
   }
@@ -425,9 +352,9 @@ let snapshot_of t =
       streams_faulted = g.streams_faulted;
       words_in = g.words_in;
       words_analyzed = g.words_analyzed;
-      words_dropped = g.words_dropped;
+      words_dropped = 0;
       frames_in = g.frames_in;
-      frames_dropped = g.frames_dropped;
+      frames_dropped = 0;
       diagnoses = g.diagnoses;
       peak_resident_words = g.peak_resident;
       drains = g.drains;
@@ -541,8 +468,6 @@ let max_workers = 64
 let start cfg =
   if cfg.unix_path = None && cfg.tcp = None then
     invalid_arg "Serve.start: no listener configured";
-  if cfg.queue_slots < 2 then invalid_arg "Serve.start: queue_slots < 2";
-  if cfg.slot_words < 1 then invalid_arg "Serve.start: slot_words < 1";
   if cfg.workers > max_workers then
     invalid_arg
       (Printf.sprintf "Serve.start: workers %d > %d" cfg.workers max_workers);

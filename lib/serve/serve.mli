@@ -1,27 +1,25 @@
 (** The trace-ingest daemon behind `systrace serve`.
 
-    The paper's §4 bargain — analysis must keep pace with generation or
-    references are lost — restated as a serving problem: many producers
-    stream trace words at one daemon, which runs a per-connection
-    analysis pipeline ({!Systrace_tracing.Sink}) online.  The server
-    accepts streams over Unix-domain and loopback TCP sockets, spreads
-    connections across worker domains, and per connection decodes
-    batched socket reads straight into a bounded {!Bqueue} — no
-    intermediate copies ({!Wire}) — then drains queued chunks through
-    the pipeline.
+    The paper's §4 bargain — analysis must keep pace with generation —
+    restated as a serving problem: many producers stream trace words at
+    one daemon, which runs a per-connection analysis pipeline
+    ({!Systrace_tracing.Sink}) online.  The server accepts streams over
+    Unix-domain and loopback TCP sockets, spreads connections across
+    worker domains, and per connection decodes batched socket reads
+    straight into one chunk of at most 16384 words — no intermediate
+    copies ({!Wire}) — handing the chunk to the pipeline each time it
+    fills and once more when the read is used up.
 
-    Flow control is the paper's, one level up.  Lossless (default): when
-    a client outruns its pipeline the bounded queue fills and the server
-    simply reads that socket more slowly — kernel socket buffers fill
-    and the client blocks, exactly the generation phase suspending until
-    ANALYZE catches up.  [lossy]: the server never stalls the client;
-    words arriving against a full queue are discarded and counted
-    per-stream (dropped words and dropped drains), the lost-reference
-    accounting of paper §4.2.
+    Flow control is the paper's, one level up: the traced system never
+    loses a reference, because generation stops until ANALYZE has
+    drained the buffer (§4.2–4.3).  A worker reads a connection's socket
+    again only after the pipeline has taken every word of the previous
+    read, so when a client outruns its pipeline the kernel socket
+    buffers fill and the client blocks.  No word is dropped.
 
     A control socket answers [stats] with aggregated counters — streams,
-    per-stream loss, peak resident words, fault diagnoses, drain-latency
-    percentiles — and [shutdown] with a graceful stop. *)
+    words in and analyzed, peak resident words, fault diagnoses,
+    drain-latency percentiles — and [shutdown] with a graceful stop. *)
 
 (** One connection's analysis side: a sink fed the decoded word chunks,
     and a count of pipeline-level diagnoses to fold into the stream's
@@ -36,7 +34,7 @@ type pipeline_factory = unit -> pipeline
     Anything shared across factory results must be domain-safe. *)
 
 val null_pipeline : pipeline_factory
-(** Ingest and discard — the decode/queue plumbing at full speed. *)
+(** Ingest and discard — the read/decode plumbing at full speed. *)
 
 val scan_pipeline : pipeline_factory
 (** Structural trace check: {!Systrace_tracing.Parser.scanner} per
@@ -53,29 +51,30 @@ type config = {
   tcp : (string * int) option;  (** TCP listener; port 0 = ephemeral *)
   ctl_path : string option;  (** control socket ([stats] / [shutdown]) *)
   workers : int;  (** worker domains (clamped to at least 1) *)
-  queue_slots : int;  (** bounded-queue ring slots per connection *)
-  slot_words : int;  (** words per slot; queue capacity = slots*words *)
-  lossy : bool;  (** drop-and-count instead of backpressure *)
   pipeline : pipeline_factory;
 }
 
 val default_config : pipeline_factory -> config
-(** No listeners configured (set at least one); 2 workers, 4 slots of
-    16384 words (one v3 block resident per full queue), lossless.  Each
-    connection reads the socket 256 KiB at a time. *)
+(** No listeners configured (set at least one); 2 workers.  Each
+    connection reads the socket 256 KiB at a time and hands its pipeline
+    chunks of at most 16384 words. *)
 
 (** Aggregated counters, as served on the control socket. *)
 type snapshot = {
   streams_total : int;
   streams_active : int;
   streams_faulted : int;  (** wire fault or cut before END *)
-  words_in : int;  (** decoded off the wire, dropped ones included *)
-  words_analyzed : int;  (** delivered to pipelines *)
-  words_dropped : int;  (** lossy mode: lost-reference count *)
+  words_in : int;  (** decoded off the wire *)
+  words_analyzed : int;
+      (** delivered to pipelines: every decoded word, so [words_in] *)
+  words_dropped : int;
+      (** always 0: no word is dropped.  Kept, with [frames_dropped], so
+          that readers of the [stats] reply still find the field. *)
   frames_in : int;
-  frames_dropped : int;  (** frames that lost at least one word *)
+  frames_dropped : int;  (** always 0 *)
   diagnoses : int;  (** wire + eof + pipeline diagnoses *)
-  peak_resident_words : int;  (** max over streams of queue high-water *)
+  peak_resident_words : int;
+      (** the largest chunk handed to a pipeline (at most 16384) *)
   drains : int;  (** chunk deliveries to pipelines *)
   drain_p50 : float;  (** seconds in the pipeline per delivery *)
   drain_p99 : float;
@@ -95,9 +94,8 @@ val start : config -> t
 (** Bind the configured listeners, spawn the acceptor and worker
     domains, and return immediately.  Ignores [SIGPIPE] process-wide (a
     dying client must not kill the daemon).
-    @raise Invalid_argument if no listener is configured, or if
-      [queue_slots < 2], [slot_words < 1] or [workers > max_workers];
-      nothing is bound or spawned then.
+    @raise Invalid_argument if no listener is configured or if
+      [workers > max_workers]; nothing is bound or spawned then.
     @raise Unix.Unix_error if a bind fails (e.g. path in use). *)
 
 val tcp_port : t -> int option

@@ -21,7 +21,6 @@ let describe e =
 type status =
   | Need_more
   | Dst_full
-  | Frame_end
   | Stream_end
   | Fault of error
 
@@ -104,10 +103,9 @@ let decode d ~src ~src_pos ~src_len ~dst ~dst_pos ~dst_len =
           d.remaining <- d.remaining - 1;
           if d.remaining = 0 then begin
             d.phase <- 1;
-            d.frames_in <- d.frames_in + 1;
-            Frame_end
-          end
-          else go ()
+            d.frames_in <- d.frames_in + 1
+          end;
+          go ()
         end
       else begin
         let src_words = (src_len - !src_pos) / 4 in
@@ -128,7 +126,7 @@ let decode d ~src ~src_pos ~src_len ~dst ~dst_pos ~dst_len =
         if d.remaining = 0 then begin
           d.phase <- 1;
           d.frames_in <- d.frames_in + 1;
-          Frame_end
+          go ()
         end
         else if !dst_pos >= dst_len then Dst_full
         else begin
@@ -156,7 +154,7 @@ let decode d ~src ~src_pos ~src_len ~dst ~dst_pos ~dst_len =
             if n = 0 then begin
               (* an empty drain is legal, just pointless *)
               d.frames_in <- d.frames_in + 1;
-              Frame_end
+              go ()
             end
             else begin
               d.remaining <- n;

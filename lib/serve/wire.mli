@@ -6,12 +6,13 @@
     byte, word count in the low 24 bits — followed by that many trace
     words.  Kind 0 carries words (a client-side drain, the serving analog
     of one ANALYZE phase); kind 1 with count 0 is the END frame, after
-    which the server drains its queue and replies with a summary line.
+    which the server hands its pipeline the last words and replies with
+    a summary line.
 
     The decoder is incremental and copy-free: {!decode} consumes raw
     socket bytes and writes trace words straight into a caller-supplied
-    destination — in the server, the bounded queue's current slot — so a
-    batched read becomes queued chunk words with no intermediate array.
+    destination — in the server, the connection's chunk — so a batched
+    read becomes the pipeline's chunk words with no intermediate array.
     Partial words and headers split across reads are carried in the
     decoder (at most 3 bytes), so feeding any byte-level re-chunking of a
     stream decodes to the identical word sequence.
@@ -39,9 +40,6 @@ val describe : error -> string
 type status =
   | Need_more  (** source exhausted mid-stream; feed more bytes *)
   | Dst_full  (** destination filled; provide fresh space and continue *)
-  | Frame_end
-      (** a words frame just completed (the caller sees every frame
-          boundary, so lossy-mode drain accounting can be exact) *)
   | Stream_end  (** the END frame was decoded; the stream is complete *)
   | Fault of error  (** protocol violation; sticky — decoding is over *)
 
@@ -61,11 +59,12 @@ val decode :
 (** Consume bytes [src.(!src_pos .. src_len-1)] (advancing [src_pos]) and
     write decoded trace words to [dst.(!dst_pos .. dst_len-1)] (advancing
     [dst_pos]), stopping at the first of: source exhausted, destination
-    full, a frame boundary, the END frame, or a protocol fault.  Total on
-    any byte sequence; never raises.  After [Stream_end], further bytes
-    are themselves a fault (trailing garbage).  Words are the full 32-bit
-    range; the decoder applies no trace-format interpretation — that is
-    the downstream pipeline's job. *)
+    full, the END frame, or a protocol fault; frame boundaries do not
+    stop it.  Total on any byte sequence; never raises.  After
+    [Stream_end], further bytes are themselves a fault (trailing
+    garbage).  Words are the full 32-bit range; the decoder applies no
+    trace-format interpretation — that is the downstream pipeline's
+    job. *)
 
 val words : decoder -> int
 (** Trace words decoded so far (delivered to any destination). *)

@@ -61,8 +61,6 @@ let cases () =
     (2, [ "serve"; "--send"; v3; "--connect"; "tcp:localhost:1" ]);
     (2, [ "serve"; "--send"; v3; "--connect"; "tcp:127.0.0.1:99999" ]);
     (2, [ "serve"; "--stats"; "--ctl"; file ]);
-    (2, [ "serve"; "--unix"; file; "--queue-slots"; "1" ]);
-    (2, [ "serve"; "--unix"; file; "--slot-words"; "0" ]);
     (2, [ "serve"; "--unix"; sock; "--workers"; "1000" ]);
     (2, [ "serve"; "--unix"; sock; "--pipeline"; "parse" ]);
     (2, [ "serve"; "--unix"; sock; "--pipeline"; "bogus" ]);

@@ -1,137 +1,17 @@
-(* The trace-ingest daemon: wire protocol totality, bounded-queue
-   backpressure, loopback round trips, lossy-mode loss accounting, and
-   the fault-injection client suite (torn frames, truncation, abrupt
-   disconnect) — the daemon must survive all of it with structured
-   diagnoses, no exceptions, no hangs, and no leaked descriptors. *)
+(* The trace-ingest daemon: wire protocol totality, lossless
+   backpressure, loopback round trips, and the fault-injection client
+   suite (torn frames, truncation, abrupt disconnect) — the daemon must
+   survive all of it with structured diagnoses, no exceptions, no
+   hangs, and no leaked descriptors. *)
 
 open Systrace
 
 module Wire = Serve.Wire
-module Bqueue = Serve.Bqueue
 module Server = Serve.Server
 module Client = Serve.Client
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-(* ------------------------------------------------------------------ *)
-(* Bqueue                                                              *)
-
-let test_bqueue_basics () =
-  let q = Bqueue.create ~slots:4 ~slot_words:8 in
-  check_int "capacity" 32 (Bqueue.capacity_words q);
-  check_bool "fresh empty" true (Bqueue.is_empty q);
-  check_bool "fresh pop" true (Bqueue.pop q = None);
-  (* fill one slot exactly: it queues itself *)
-  (match Bqueue.reserve q with
-  | Some (buf, off, space) ->
-    check_int "fresh offset" 0 off;
-    check_int "fresh space" 8 space;
-    for i = 0 to 7 do
-      buf.(i) <- 100 + i
-    done;
-    Bqueue.commit q 8
-  | None -> Alcotest.fail "fresh queue full");
-  check_int "one queued" 1 (Bqueue.queued q);
-  (* partial tail is invisible until flush *)
-  (match Bqueue.reserve q with
-  | Some (buf, off, _) ->
-    buf.(off) <- 200;
-    Bqueue.commit q 1
-  | None -> Alcotest.fail "queue full at 1/4");
-  check_int "still one queued" 1 (Bqueue.queued q);
-  check_int "resident" 9 (Bqueue.resident_words q);
-  Bqueue.flush q;
-  check_int "flushed tail queued" 2 (Bqueue.queued q);
-  (match Bqueue.pop q with
-  | Some (buf, len) ->
-    check_int "first len" 8 len;
-    check_int "first word" 100 buf.(0)
-  | None -> Alcotest.fail "nothing to pop");
-  (match Bqueue.pop q with
-  | Some (buf, len) ->
-    check_int "second len" 1 len;
-    check_int "second word" 200 buf.(0)
-  | None -> Alcotest.fail "no second chunk");
-  check_bool "drained empty" true (Bqueue.is_empty q);
-  check_int "peak" 9 (Bqueue.peak_words q);
-  (* fill to the brim: reserve must refuse *)
-  let wrote = ref 0 in
-  let rec fill () =
-    match Bqueue.reserve q with
-    | Some (_, _, space) ->
-      Bqueue.commit q space;
-      wrote := !wrote + space;
-      fill ()
-    | None -> ()
-  in
-  fill ();
-  check_int "full at capacity" 32 !wrote;
-  check_int "full resident" 32 (Bqueue.resident_words q);
-  check_bool "full refuses" true (Bqueue.reserve q = None);
-  ignore (Bqueue.pop q);
-  check_bool "pop reopens" true (Bqueue.reserve q <> None)
-
-(* Random interleaving of produce/pop against a reference model: FIFO
-   word order exactly preserved, resident words never above capacity. *)
-let prop_bqueue_order =
-  QCheck.Test.make ~count:200 ~name:"bqueue preserves order within bounds"
-    QCheck.(
-      pair
-        (pair (int_range 2 5) (int_range 1 16))
-        (list_of_size Gen.(int_range 1 60) (int_range 0 20)))
-    (fun ((slots, slot_words), ops) ->
-      let q = Bqueue.create ~slots ~slot_words in
-      let next = ref 0 in
-      let popped = ref [] in
-      let pop1 () =
-        match Bqueue.pop q with
-        | Some (buf, len) ->
-          for i = 0 to len - 1 do
-            popped := buf.(i) :: !popped
-          done
-        | None -> ()
-      in
-      List.iter
-        (fun op ->
-          if op = 0 then Bqueue.flush q
-          else if op mod 2 = 1 then pop1 ()
-          else begin
-            (* produce up to [op] words, stopping at backpressure *)
-            let want = ref op in
-            let stop = ref false in
-            while !want > 0 && not !stop do
-              match Bqueue.reserve q with
-              | Some (buf, off, space) ->
-                let k = min space !want in
-                for i = 0 to k - 1 do
-                  buf.(off + i) <- !next + i
-                done;
-                Bqueue.commit q k;
-                next := !next + k;
-                want := !want - k
-              | None -> stop := true
-            done
-          end;
-          if Bqueue.resident_words q > Bqueue.capacity_words q then
-            QCheck.Test.fail_reportf "resident %d > capacity %d"
-              (Bqueue.resident_words q)
-              (Bqueue.capacity_words q))
-        ops;
-      Bqueue.flush q;
-      let rec drain () =
-        match Bqueue.pop q with
-        | Some (buf, len) ->
-          for i = 0 to len - 1 do
-            popped := buf.(i) :: !popped
-          done;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      let got = List.rev !popped in
-      got = List.init !next (fun i -> i)
-      && Bqueue.peak_words q <= Bqueue.capacity_words q)
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol                                                       *)
@@ -177,7 +57,7 @@ let decode_pieces ?(dst_cap = 97) bytes sizes =
       | Wire.Need_more -> continue := false
       | Wire.Fault _ -> continue := false
       | Wire.Stream_end -> if !src_pos >= src_len then continue := false
-      | Wire.Dst_full | Wire.Frame_end -> ()
+      | Wire.Dst_full -> ()
     done;
     pos := !src_pos
   done;
@@ -334,9 +214,9 @@ let test_loopback_roundtrip () =
       check_int "scan diagnoses match offline scan" (2 * offline)
         s.Server.diagnoses)
 
-(* A deliberately slow consumer: the bounded queue must cap resident
-   words, and lossless mode must deliver every word in order however
-   hard the client pushes. *)
+(* A deliberately slow consumer: the server must deliver every word in
+   order however hard the client pushes, in chunks of at most 16384
+   words, each socket read handed over before the next is taken. *)
 let test_backpressure_lossless () =
   let received = Buffer.create 4096 in
   let mu = Mutex.create () in
@@ -362,12 +242,10 @@ let test_backpressure_lossless () =
       (Server.default_config factory) with
       Server.unix_path = Some path;
       workers = 1;
-      queue_slots = 2;
-      slot_words = 256;
     }
   in
   with_server cfg (fun t ->
-      let n = 20_000 in
+      let n = 1 lsl 18 in
       let words = Array.init n (fun i -> (i * 7) land 0xFFFFFFFF) in
       (match Client.run (Client.Unix_path path) words with
       | Some r ->
@@ -376,51 +254,18 @@ let test_backpressure_lossless () =
       | None -> Alcotest.fail "stream rejected");
       let s = quiesce t in
       check_int "analyzed everything" n s.Server.words_analyzed;
+      check_int "every decoded word analyzed" s.Server.words_in
+        s.Server.words_analyzed;
       check_bool
-        (Printf.sprintf "peak resident %d within queue capacity %d"
-           s.Server.peak_resident_words (2 * 256))
+        (Printf.sprintf "peak resident %d within one chunk of 16384"
+           s.Server.peak_resident_words)
         true
-        (s.Server.peak_resident_words <= 2 * 256);
+        (s.Server.peak_resident_words <= 16384);
       let expect =
         String.concat "" (List.init n (fun i -> string_of_int words.(i) ^ ","))
       in
       check_bool "delivered in order, nothing lost" true
         (Buffer.contents received = expect))
-
-(* Lossy mode: a client outrunning a slow pipeline loses words, but the
-   books balance — words in = analyzed + dropped, and dropped frames are
-   flagged (the paper's lost-reference accounting, one level up). *)
-let test_lossy_accounting () =
-  let factory () =
-    {
-      Server.sink = Tracing.Sink.make (fun _ ~len:_ -> Unix.sleepf 0.005);
-      diagnoses = (fun () -> 0);
-    }
-  in
-  let path = tmp_name "lossy" in
-  let cfg =
-    {
-      (Server.default_config factory) with
-      Server.unix_path = Some path;
-      workers = 1;
-      queue_slots = 2;
-      slot_words = 64;
-      lossy = true;
-    }
-  in
-  with_server cfg (fun t ->
-      let n = 50_000 in
-      let words = Array.init n (fun i -> i land 0xFFFFFFFF) in
-      (match Client.run (Client.Unix_path path) words with
-      | Some r ->
-        check_int "every sent word decoded" n r.Client.r_words;
-        check_bool "some words dropped" true (r.Client.r_dropped_words > 0);
-        check_bool "dropped frames flagged" true
-          (r.Client.r_dropped_frames > 0)
-      | None -> Alcotest.fail "stream rejected");
-      let s = quiesce t in
-      check_int "loss accounting balances" s.Server.words_in
-        (s.Server.words_analyzed + s.Server.words_dropped))
 
 (* The fault-injection client suite: torn frames (byte-level cuts at
    Rng-chosen offsets), abrupt disconnects, and word-level truncation
@@ -581,8 +426,6 @@ let test_ctl_stats_shutdown () =
 
 let tests =
   [
-    Alcotest.test_case "bqueue basics" `Quick test_bqueue_basics;
-    QCheck_alcotest.to_alcotest prop_bqueue_order;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_torn;
     Alcotest.test_case "wire faults are structured" `Quick test_wire_faults;
@@ -590,8 +433,6 @@ let tests =
       test_loopback_roundtrip;
     Alcotest.test_case "lossless backpressure bounds residency" `Quick
       test_backpressure_lossless;
-    Alcotest.test_case "lossy mode balances the books" `Quick
-      test_lossy_accounting;
     Alcotest.test_case "torn frames, disconnects, no fd leaks" `Quick
       test_torn_frames_and_disconnects;
     Alcotest.test_case "control socket stats and shutdown" `Quick
