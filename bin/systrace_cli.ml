@@ -135,20 +135,14 @@ let run_cmd =
 let trace_cmd =
   let run name os seed nshow trace_out compress =
     let e = find_workload name in
-    let shown = ref 0 in
-    let on_event ev =
-      if !shown < nshow then begin
-        incr shown;
-        match ev with
-        | Inst { addr; pid; kernel } ->
-          Printf.printf "I %08x pid=%d%s\n" addr pid
-            (if kernel then " K" else "")
-        | Data { addr; pid; kernel; is_load; _ } ->
-          Printf.printf "%c %08x pid=%d%s\n"
-            (if is_load then 'L' else 'S')
-            addr pid
-            (if kernel then " K" else "")
-      end
+    let on_event = function
+      | Inst { addr; pid; kernel } ->
+        Printf.printf "I %08x pid=%d%s\n" addr pid (if kernel then " K" else "")
+      | Data { addr; pid; kernel; is_load; _ } ->
+        Printf.printf "%c %08x pid=%d%s\n"
+          (if is_load then 'L' else 'S')
+          addr pid
+          (if kernel then " K" else "")
     in
     (* --trace-out captures the raw words as they are drained, through the
        streaming file sink: the whole trace is never resident. *)
@@ -157,10 +151,10 @@ let trace_cmd =
       | None -> Tracing.Sink.null
       | Some path -> Tracing.Sink.to_file ~compress path
     in
-    (* without -n, no reference record need be built *)
+    (* no reference record is built without -n, nor after the N-th *)
     let on_event = if nshow > 0 then Some on_event else None in
     let r =
-      run_traced ~os:(os_of os) ~seed ?on_event ~sink
+      run_traced ~os:(os_of os) ~seed ?on_event ~max_events:nshow ~sink
         [ e.Workloads.Suite.program () ]
         e.Workloads.Suite.files
     in

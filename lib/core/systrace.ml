@@ -118,18 +118,21 @@ type traced_run = {
     not in the trace, and the kernel's still are.  The system is the one
     {!Validate.system} boots; [?machine_cfg] replaces its machine
     configuration.  [on_event] is optional: without it the parser only
-    counts, and no reference record is built.
+    counts, and no reference record is built.  With [?max_events] it
+    sees only the first [max_events] references: its handlers are then
+    dropped, and no further record is built.
 
     [?sink] attaches a streaming consumer ({!Tracing.Sink}) to the raw
     word stream: it receives each ANALYZE phase's chunk before the
     parser does, and its [finish] runs after the final drain — so a
     whole run can be counted, written to disk, or fed to a second
     analysis online, in O(chunk) memory. *)
-let run_traced ?(os = Ultrix) ?(seed = 1) ?on_event
+let run_traced ?(os = Ultrix) ?(seed = 1) ?on_event ?(max_events = max_int)
     ?(sink = Systrace_tracing.Sink.null) ?machine_cfg
     (programs : Systrace_kernel.Builder.program list)
     (files : Systrace_kernel.Builder.file_spec list) : traced_run =
   let open Systrace_kernel in
+  let module P = Systrace_tracing.Parser in
   let t =
     Validate.system ?machine_cfg ~seed ~traced:true os
       { Validate.wname = ""; files; programs }
@@ -137,14 +140,23 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?on_event
   let parser = Builder.trace_parser t in
   Option.iter
     (fun on_event ->
-      Systrace_tracing.Parser.set_handlers parser
-        {
-          Systrace_tracing.Parser.on_inst =
-            (fun addr pid kernel -> on_event (Inst { addr; pid; kernel }));
-          on_data =
-            (fun addr pid kernel is_load bytes ->
-              on_event (Data { addr; pid; kernel; is_load; bytes }));
-        })
+      let left = ref max_events in
+      let seen () =
+        decr left;
+        if !left = 0 then P.set_handlers parser P.null_handlers
+      in
+      if max_events > 0 then
+        P.set_handlers parser
+          {
+            P.on_inst =
+              (fun addr pid kernel ->
+                on_event (Inst { addr; pid; kernel });
+                seen ());
+            on_data =
+              (fun addr pid kernel is_load bytes ->
+                on_event (Data { addr; pid; kernel; is_load; bytes });
+                seen ());
+          })
     on_event;
   Validate.run
     ~sink:

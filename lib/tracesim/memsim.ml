@@ -100,7 +100,12 @@ let asid_of_pid pid = pid + 1
    - The write buffer depends on everything above plus the penalties, but
      its clock is a pure sum of counted events: rather than ticking every
      lane's buffer on every reference, each lane derives its clock from
-     the shared counters on demand and only pays per store ({!Sim_wb}).
+     the shared counters on demand ({!Sim_wb}).  Most stores do not even
+     touch the lanes: a group whose shared clock part has advanced since
+     the previous store by at least its bound (how long any of its
+     buffers can stay busy) knows that every buffer has emptied, so none
+     can stall and each holds just the store's own entry; only a store
+     closer than that rebuilds the rings and runs them ([g_store]).
 
    Per-configuration [stats] are assembled at the end as arithmetic over
    the unit counters; a qcheck property in the test suite holds them
@@ -108,27 +113,56 @@ let asid_of_pid pid = pid + 1
    the per-reference path allocates: plain [for] loops and top-level
    recursive functions, never closures over the reference. *)
 
+(* The engine's trace stores so far, shared by its counters.  It is the
+   engine's own, not the module's: sweeps run on several domains at
+   once. *)
+type epoch = { mutable stores : int }
+
 (* miss counters split by what the one-configuration simulator would have
    charged: synthesized-handler references are never charged to
-   kernel/user stall, trace references are charged by mode *)
+   kernel/user stall, trace references are charged by mode.  [c_total]
+   as it was at the last trace store is kept too, for a write buffer
+   rebuilt from that store's clock: the first change after a store saves
+   it. *)
 type miss_ctr = {
   mutable c_synth : int;
   mutable c_kernel : int;
   mutable c_user : int;
   mutable c_total : int;
+  c_epoch : epoch;
+  mutable c_seen : int;     (* the store count at the last change *)
+  mutable c_at_seen : int;  (* [c_total] when that count was reached *)
 }
 
-let ctr () = { c_synth = 0; c_kernel = 0; c_user = 0; c_total = 0 }
+let ctr epoch =
+  {
+    c_synth = 0;
+    c_kernel = 0;
+    c_user = 0;
+    c_total = 0;
+    c_epoch = epoch;
+    c_seen = -1;
+    c_at_seen = 0;
+  }
 
 let ctx_synth = 0
 let ctx_kernel = 1
 let ctx_user = 2
 
 let add m ctx d =
+  let stores = m.c_epoch.stores in
+  if m.c_seen <> stores then begin
+    m.c_seen <- stores;
+    m.c_at_seen <- m.c_total
+  end;
   m.c_total <- m.c_total + d;
   if ctx = ctx_synth then m.c_synth <- m.c_synth + d
   else if ctx = ctx_kernel then m.c_kernel <- m.c_kernel + d
   else m.c_user <- m.c_user + d
+
+(* [c_total] as the last trace store saw it *)
+let[@inline] total_at_store m =
+  if m.c_seen = m.c_epoch.stores then m.c_at_seen else m.c_total
 
 (* add [d] to the counter of every stack member whose bit is set in
    [mask] (a plain cache is a one-member family: mask 1 is a miss) *)
@@ -406,10 +440,18 @@ type group = {
   gr_dc : Sim_cache_assoc.t cunit array;
   gr_dc_user : int array;
   mutable gr_lanes : lane array;
+  gr_drain : int;             (* its lanes' largest drain *)
   mutable gr_utlb : int;
   mutable gr_ktlb : int;
   mutable gr_synth : int;
   mutable gr_unmapped : int;  (* synthesized PTE loads off the page map *)
+  (* the write buffers as of the last trace store ([g_store]): the
+     lanes' shared clock part then, the most that any lane's newest
+     entry can outlast its lane's clock, and whether the rings were
+     left behind (each buffer then holds that store's entry alone) *)
+  mutable gr_wb_base : int;
+  mutable gr_wb_bound : int;
+  mutable gr_wb_stale : bool;
 }
 
 (* one configuration's view: its group, its cache-unit counters, and its
@@ -435,6 +477,9 @@ type engine = {
   e_lanes : lane array;  (* in configuration order *)
   e_pagemap : int -> int -> int;
   e_pt_base : int -> int;
+  e_epoch : epoch;                (* the trace stores, shared by counters *)
+  mutable e_unc_at_store : int;   (* the uncached events at the last one *)
+  mutable e_lane_runs : int;      (* group stores that ran the lanes *)
   (* trace-only counters, identical for every configuration *)
   mutable sv_insts : int;
   mutable sv_datas : int;
@@ -466,6 +511,10 @@ let nsets_of ~what ~bytes ~line ~ways =
 
 let gkey c = (c.tlb_entries, c.utlb_handler_insns, c.ktlb_handler_insns)
 
+(* [gkey c = gk], without building the key *)
+let in_group (tlb, uh, kh) c =
+  c.tlb_entries = tlb && c.utlb_handler_insns = uh && c.ktlb_handler_insns = kh
+
 let ic_geom c =
   ( c.icache_line,
     nsets_of ~what:"icache" ~bytes:c.icache_bytes ~line:c.icache_line
@@ -495,7 +544,7 @@ let rec index_of x = function
    first; a copy's owner is a bit of an int, so a unit serves at most 62
    groups and more take further units.  [make ()] builds one cache of the
    geometry, [members] is the family's size. *)
-let rec cunits users ~line ~nsets ~members make =
+let rec cunits epoch users ~line ~nsets ~members make =
   let rec take n = function
     | x :: l when n > 0 ->
       let a, b = take (n - 1) l in
@@ -506,7 +555,7 @@ let rec cunits users ~line ~nsets ~members make =
   | [], _ -> []
   | mine, rest ->
     let n = List.length mine in
-    let counters () = Array.init members (fun _ -> ctr ()) in
+    let counters () = Array.init members (fun _ -> ctr epoch) in
     let shared = make () in
     ( mine,
       {
@@ -522,11 +571,15 @@ let rec cunits users ~line ~nsets ~members make =
         u_gline = Array.make n (-1);
         u_gseq = Array.make n (-1);
       } )
-    :: cunits rest ~line ~nsets ~members make
+    :: cunits epoch rest ~line ~nsets ~members make
+
+let nonnegative field v =
+  if v < 0 then invalid_arg (Printf.sprintf "Memsim.sweep: %s %d < 0" field v)
 
 (* The engine over [cfgs], which share one page map. *)
 let engine cfgs =
   let c0 = List.hd cfgs in
+  let epoch = { stores = 0 } in
   (* the groups, largest TLB first: each unit's owner is the first group
      that names it, and the groups run in this order *)
   let order =
@@ -536,10 +589,12 @@ let engine cfgs =
   in
   (* each unit as (key, its groups, its state) *)
   let units key_of ~line ~nsets ~members make key =
-    let names gk = List.exists (fun c -> gkey c = gk && key_of c = key) cfgs in
+    let names gk =
+      List.exists (fun c -> in_group gk c && key_of c = key) cfgs
+    in
     List.map
       (fun (users, u) -> (key, users, u))
-      (cunits (List.filter names order) ~line ~nsets ~members make)
+      (cunits epoch (List.filter names order) ~line ~nsets ~members make)
   in
   (* the icache geometries first: a grid varies both caches together,
      and its bad line or size is reported as the icache's *)
@@ -618,10 +673,17 @@ let engine cfgs =
             gr_dc = states dc;
             gr_dc_user = indices gk dc;
             gr_lanes = [||];
+            gr_drain =
+              List.fold_left
+                (fun d c -> if in_group gk c then max d c.wb_drain else d)
+                0 cfgs;
             gr_utlb = 0;
             gr_ktlb = 0;
             gr_synth = 0;
             gr_unmapped = 0;
+            gr_wb_base = 0;
+            gr_wb_bound = 0;
+            gr_wb_stale = false;
           } ))
       order
   in
@@ -636,6 +698,10 @@ let engine cfgs =
         if c.wb_depth < 1 then
           invalid_arg
             (Printf.sprintf "Memsim.sweep: write-buffer depth %d < 1" c.wb_depth);
+        (* a lane's clock never runs backwards, which [g_store] relies on *)
+        nonnegative "read_miss_penalty" c.read_miss_penalty;
+        nonnegative "uncached_penalty" c.uncached_penalty;
+        nonnegative "wb_drain" c.wb_drain;
         let gk = gkey c and fam = ic_family c in
         let la_ic, la_icx =
           match family_ways fam with
@@ -671,6 +737,9 @@ let engine cfgs =
     e_lanes = Array.of_list lanes;
     e_pagemap = c0.pagemap;
     e_pt_base = c0.pt_base;
+    e_epoch = epoch;
+    e_unc_at_store = 0;
+    e_lane_runs = 0;
     sv_insts = 0;
     sv_datas = 0;
     sv_kernel_insts = 0;
@@ -748,28 +817,63 @@ let g_synth_utlb e g pid vpn =
   g_kseg2_load e g pid (e.e_pt_base pid + (vpn * 4))
 
 (* Issue a store to the write buffer of every lane of [g], once the
-   caches are current for the reference.  A lane's clock is derived on
-   demand: the one-configuration simulator ticks 1 per instruction
-   (trace and synthesized, plus one extra before each KTLB root-table
-   load), the uncached penalty per uncached event, and the read-miss
-   penalty per cache read miss; stalls advance the clock too.  All of
-   those are already counted, so the clock is a sum. *)
-let g_store e g kernel =
-  let base = e.sv_insts + g.gr_synth + g.gr_ktlb
-  and unc = e.sv_unc_ifetch + e.sv_unc_dload + e.sv_unc_dstore in
-  let lanes = g.gr_lanes in
-  for i = 0 to Array.length lanes - 1 do
-    let l = Array.unsafe_get lanes i in
-    let misses =
-      l.la_ic.c_total + l.la_icx.c_total + l.la_dc.c_total + l.la_dcx.c_total
-    in
-    let clock = base + (unc * l.la_up) + (misses * l.la_rmp) + l.la_stall in
-    let stall = Sim_wb.store l.la_wb ~clock in
-    if stall > 0 then begin
-      l.la_stall <- l.la_stall + stall;
-      if kernel then l.la_stall_k <- l.la_stall_k + stall
-    end
-  done
+   caches are current for the reference, and [unc] uncached events have
+   been counted.  A lane's clock is derived on demand: the
+   one-configuration simulator ticks 1 per instruction (trace and
+   synthesized, plus one extra before each KTLB root-table load), the
+   uncached penalty per uncached event, and the read-miss penalty per
+   cache read miss; stalls advance the clock too.  All of those are
+   already counted, so the clock is a sum.
+
+   Most stores need no lane at all.  Between two stores each lane's
+   clock advances by at least the group's shared part [base], as no
+   penalty is negative.  If [base] has advanced since the group's last
+   store by at least [gr_wb_bound], the most that any lane's newest entry
+   outlasted its lane's clock then, every entry has retired: no lane
+   stalls, and each buffer holds this store's entry alone, [drain]
+   cycles after its lane's clock.  The rings are left stale and the
+   bound becomes the largest drain.  A store closer than that rebuilds
+   each stale ring from its lane's clock at the last store (the counts
+   [total_at_store] gives and the uncached count saved then; the stall
+   has not moved since), runs every lane exactly, and bounds the next
+   store by the rings. *)
+let g_store e g kernel unc =
+  let base = e.sv_insts + g.gr_synth + g.gr_ktlb in
+  if base - g.gr_wb_base >= g.gr_wb_bound then begin
+    g.gr_wb_bound <- g.gr_drain;
+    g.gr_wb_stale <- true
+  end
+  else begin
+    e.e_lane_runs <- e.e_lane_runs + 1;
+    let lanes = g.gr_lanes and stale = g.gr_wb_stale in
+    let base0 = g.gr_wb_base and unc0 = e.e_unc_at_store in
+    let bound = ref 0 in
+    for i = 0 to Array.length lanes - 1 do
+      let l = Array.unsafe_get lanes i in
+      if stale then begin
+        let misses =
+          total_at_store l.la_ic + total_at_store l.la_icx
+          + total_at_store l.la_dc + total_at_store l.la_dcx
+        in
+        Sim_wb.restart l.la_wb
+          ~clock:(base0 + (unc0 * l.la_up) + (misses * l.la_rmp) + l.la_stall)
+      end;
+      let misses =
+        l.la_ic.c_total + l.la_icx.c_total + l.la_dc.c_total + l.la_dcx.c_total
+      in
+      let clock = base + (unc * l.la_up) + (misses * l.la_rmp) + l.la_stall in
+      let stall = Sim_wb.store l.la_wb ~clock in
+      if stall > 0 then begin
+        l.la_stall <- l.la_stall + stall;
+        if kernel then l.la_stall_k <- l.la_stall_k + stall
+      end;
+      let busy = Sim_wb.busy l.la_wb ~clock:(clock + stall) in
+      if busy > !bound then bound := busy
+    done;
+    g.gr_wb_bound <- !bound;
+    g.gr_wb_stale <- false
+  end;
+  g.gr_wb_base <- base
 
 (* a trace reference's physical address, from the page-map lookup made
    when it was batched *)
@@ -874,9 +978,12 @@ let e_data e addr pid kernel is_load pa =
     if is_load then plain_reads e.e_dc pa ctx
     else begin
       plain_writes e.e_dc pa;
+      let unc = e.sv_unc_ifetch + e.sv_unc_dload + e.sv_unc_dstore in
       for i = 0 to Array.length groups - 1 do
-        g_store e (Array.unsafe_get groups i) kernel
-      done
+        g_store e (Array.unsafe_get groups i) kernel unc
+      done;
+      e.e_unc_at_store <- unc;
+      e.e_epoch.stores <- e.e_epoch.stores + 1
     end
   end
 
@@ -978,6 +1085,11 @@ let sweep_private_sets sw =
   let e = sw.sw_engine in
   let held units = Array.fold_left (fun n u -> n + u.u_ndiv) 0 units in
   held e.e_icp + held e.e_ics + held e.e_dc
+
+let sweep_lane_work sw =
+  flush sw;
+  let e = sw.sw_engine in
+  (e.e_lane_runs, e.e_epoch.stores * Array.length e.e_groups)
 
 (* per-lane results, in configuration order *)
 let per_lane sw f =

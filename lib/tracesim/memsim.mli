@@ -62,7 +62,9 @@ type stats = {
     single Mattson LRU stack ({!Sim_stack}).  Trace references update a
     geometry's one shared state, which is the largest TLB's own; another
     TLB group keeps a private copy of a set only while the synthesized
-    handler references make its set differ.
+    handler references make its set differ.  A TLB group runs its
+    configurations' write buffers only at a trace store where one of
+    them can still be busy ({!sweep_lane_work} counts them).
 
     References are batched, 2{^12} at a time; a batch is simulated on
     the domain that feeds it, when it fills and before any statistic is
@@ -81,10 +83,11 @@ val sweep : config list -> sweep
     so a bad configuration is refused before any reference is fed.
     @raise Invalid_argument on an empty list, a degenerate cache
     geometry (including a line size that is not a power of two), TLB
-    size or write-buffer depth, or configurations that do not share
-    (physically, [==]) the same [pagemap] and [pt_base] — translation
-    is done once per reference, so per-configuration page maps cannot
-    be honoured. *)
+    size or write-buffer depth, a negative penalty or write-buffer
+    drain (the message names the field), or configurations that do not
+    share (physically, [==]) the same [pagemap] and [pt_base] —
+    translation is done once per reference, so per-configuration page
+    maps cannot be honoured. *)
 
 val sweep_stats : sweep -> stats array
 (** Per-configuration stats, in the order the configs were given. *)
@@ -96,6 +99,13 @@ val sweep_accesses : sweep -> (int * int) array
 val sweep_private_sets : sweep -> int
 (** The private set copies the TLB groups hold now, over every cache
     unit: 0 when each group's caches equal the shared state. *)
+
+val sweep_lane_work : sweep -> int * int
+(** [(ran, stores)]: every trace store so far counted once per TLB
+    group, [stores] of them, and the [ran] at which the group ran its
+    configurations' write buffers.  At the others, no buffer of the
+    group could still be busy, so none was touched.  Host work only: no
+    statistic depends on it. *)
 
 val sweep_on_inst : sweep -> int -> int -> bool -> unit
 val sweep_on_data : sweep -> int -> int -> bool -> bool -> int -> unit

@@ -13,9 +13,12 @@
    never more than [depth] of them.  A store first retires every entry at
    or before the clock; if the buffer is still full, it stalls until the
    oldest entry retires; then it queues its own retirement [drain] cycles
-   after the later of the clock and the newest entry.  The eager
-   list-based model this replaced lives on in the test suite as its
-   oracle. *)
+   after the later of the clock and the newest entry.  So a store whose
+   clock is past the newest entry leaves that store's entry alone, which
+   [restart] sets directly: a caller that knows the buffer had emptied
+   may skip such a store and rebuild the ring only when it needs it.
+   The eager list-based model this replaced lives on in the test suite
+   as its oracle. *)
 
 type t = {
   depth : int;
@@ -59,6 +62,14 @@ let store t ~clock =
   t.count <- t.count + 1;
   stall
 
-let reset t =
+(* the buffer a store at [clock] leaves when every entry has retired *)
+let restart t ~clock =
+  Array.unsafe_set t.buf 0 (clock + t.drain);
   t.head <- 0;
-  t.count <- 0
+  t.count <- 1
+
+let busy t ~clock =
+  if t.count = 0 then 0
+  else
+    let last = Array.unsafe_get t.buf (wrap t (t.head + t.count - 1)) in
+    if last > clock then last - clock else 0

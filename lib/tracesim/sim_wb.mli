@@ -6,8 +6,11 @@
     every read-miss, uncached and stall penalty, derived from counters it
     keeps anyway, so a buffer that sees no store costs nothing.  After a
     stall the caller must advance its clock by the returned stall.  A
-    qcheck property in the test suite holds this model to an eagerly
-    ticked reference. *)
+    store whose clock is at least {!busy} cycles past the previous
+    store's (its stall included) finds the buffer empty: the sweep skips
+    such stores and {!restart}s the buffer only before a store that may
+    stall.  A qcheck property in the test suite holds this model to an
+    eagerly ticked reference. *)
 
 type t
 
@@ -18,4 +21,13 @@ val store : t -> clock:int -> int
 (** Issue a store at [clock]; returns the stall charged (0 if a slot was
     free).  Allocation-free. *)
 
-val reset : t -> unit
+val busy : t -> clock:int -> int
+(** How many cycles after [clock] the newest entry retires: 0 when none
+    is pending then.  A store at a clock at least this much later finds
+    the buffer empty, so it cannot stall. *)
+
+val restart : t -> clock:int -> unit
+(** Leave the buffer as a store at [clock] leaves an empty one: that
+    store's entry alone, retiring [drain_cycles] later.  A caller that
+    skipped a store it knew found the buffer empty rebuilds the buffer
+    with this before its next exact {!store}. *)

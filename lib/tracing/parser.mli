@@ -96,6 +96,10 @@ val create : ?recover:bool -> kernel_bbs:Bbtable.t -> unit -> t
     {!error} diagnoses followed by resynchronization, instead of a
     {!Corrupt} exception. *)
 
+val null_handlers : handlers
+(** Handlers that ignore every reference: a parser's own until
+    {!set_handlers}. *)
+
 val set_handlers : t -> handlers -> unit
 
 val register_pid : t -> pid:int -> Bbtable.t -> unit

@@ -185,6 +185,30 @@ let test_run_traced_notrace () =
     (run.parse_stats.Tracing.Parser.words
     < (snd (Lazy.force captured)).parse_stats.Tracing.Parser.words)
 
+let test_run_traced_max_events () =
+  (* [~max_events] hands [on_event] the unlimited run's first N
+     references and no more; the parse itself is unchanged *)
+  let e = Workloads.Suite.find "egrep" in
+  let first ?max_events n =
+    let seen = ref [] and count = ref 0 in
+    let on_event ev =
+      incr count;
+      if !count <= n then seen := ev :: !seen
+    in
+    let run =
+      run_traced ~on_event ?max_events
+        [ e.Workloads.Suite.program () ]
+        e.Workloads.Suite.files
+    in
+    (List.rev !seen, !count, run.parse_stats)
+  in
+  let limited, n_limited, stats = first ~max_events:25 25 in
+  let leading, n_all, all_stats = first 25 in
+  check_int "on_event saw 25 references" 25 n_limited;
+  Alcotest.(check bool) "the unlimited run saw more" true (n_all > 25);
+  Alcotest.(check bool) "the same first 25" true (limited = leading);
+  Alcotest.(check bool) "the same parse" true (stats = all_stats)
+
 let tests =
   [
     Alcotest.test_case "replay_file == replay (both formats)" `Quick
@@ -199,4 +223,6 @@ let tests =
       test_run_traced_sink_tee;
     Alcotest.test_case "run_traced: an untraced program, kernel-only parse"
       `Quick test_run_traced_notrace;
+    Alcotest.test_case "run_traced: max_events drops the handlers" `Quick
+      test_run_traced_max_events;
   ]

@@ -676,6 +676,22 @@ let test_sweep_rejects_bad_wb_depth () =
         (Memsim.sweep
            [ sweep_base_cfg; { sweep_base_cfg with Memsim.wb_depth = 0 } ]))
 
+(* The group test of the write-buffer lanes assumes no lane's clock runs
+   backwards: a negative penalty or drain is refused as the depth is *)
+let test_sweep_rejects_negative_cycles () =
+  List.iter
+    (fun (field, cfg) ->
+      Alcotest.check_raises (field ^ " -1 rejected")
+        (Invalid_argument (Printf.sprintf "Memsim.sweep: %s -1 < 0" field))
+        (fun () -> ignore (Memsim.sweep [ sweep_base_cfg; cfg ])))
+    [
+      ( "read_miss_penalty",
+        { sweep_base_cfg with Memsim.read_miss_penalty = -1 } );
+      ( "uncached_penalty",
+        { sweep_base_cfg with Memsim.uncached_penalty = -1 } );
+      ("wb_drain", { sweep_base_cfg with Memsim.wb_drain = -1 });
+    ]
+
 let test_sweep_batch_boundary () =
   (* more references than one batch holds, fed reference by reference:
      the batch is simulated mid-stream, then again when stats are read *)
@@ -900,6 +916,119 @@ let test_sweep_many_groups () =
   check "sweep == singles over 70 TLB groups" true
     (check_sweep_matches_singles cfgs events)
 
+(* --- write-buffer lanes, run only where a buffer can still be busy --- *)
+
+(* A TLB group skips its lanes at a store that comes at least its bound
+   (at most the largest drain, after a store that emptied every buffer)
+   past the previous one; a closer store rebuilds the rings from each
+   lane's clock at the previous store and runs them.  Configurations
+   draw every buffer shape that test meets, over two TLB groups. *)
+let lane_cfg_gen =
+  QCheck.Gen.(
+    let* depth = int_range 1 4 and* drain = oneofl [ 0; 1; 6; 25 ] in
+    let* rmp = oneofl [ 0; 15 ] and* up = oneofl [ 0; 15 ] in
+    let* tlb = oneofl [ 16; 64 ] and* size = oneofl [ 1024; 4096 ] in
+    return
+      {
+        sweep_base_cfg with
+        Memsim.icache_bytes = size;
+        dcache_bytes = size;
+        read_miss_penalty = rmp;
+        uncached_penalty = up;
+        wb_depth = depth;
+        wb_drain = drain;
+        tlb_entries = tlb;
+      })
+
+(* One reference between two stores: mostly instructions, the clock's
+   shared part; some on 32 user pages, which a 16-entry TLB misses;
+   loads that miss a 1 KB dcache (read-miss penalties); uncached
+   references (uncached penalties) *)
+let between_gen =
+  QCheck.Gen.(
+    let* kind = int_range 0 9 and* k = int_bound 31 and* pid = int_range 0 2 in
+    return
+      (match kind with
+      | 0 | 1 | 2 | 3 -> (true, 0x80000000 + (k * 68), 0, true, false)
+      | 4 | 5 -> (true, 0x00400000 + (k * 0x1000), pid, false, false)
+      | 6 -> (false, 0x80020000 + (k * 1040), 0, true, true)
+      | 7 -> (false, 0x10000000 + (k * 0x1000), pid, false, true)
+      | 8 -> (true, 0xA0000000 + (k * 4), 0, true, false)
+      | _ -> (false, 0xA0001000 + (k * 4), 0, true, k land 1 = 0)))
+
+(* a store to kseg0, a user page or kseg2 (the last two through the TLB) *)
+let store_gen =
+  QCheck.Gen.(
+    let* seg = int_range 0 2 and* k = int_bound 31 and* pid = int_range 0 2 in
+    return
+      (match seg with
+      | 0 -> (false, 0x80030000 + (k * 20), 0, true, false)
+      | 1 -> (false, 0x10000000 + (k * 0x1000) + 8, pid, false, false)
+      | _ -> (false, 0xC0000000 + (k * 0x1000), pid, true, false)))
+
+(* stores 0 to 2 x drain references apart, the drain drawn per store, so
+   the group test passes and fails and flips both ways *)
+let lane_events_gen =
+  QCheck.Gen.(
+    let segment =
+      let* drain = oneofl [ 1; 6; 25 ] in
+      let* gap = int_bound (2 * drain) in
+      let* between = list_repeat gap between_gen and* st = store_gen in
+      return (between @ [ st ])
+    in
+    map List.concat (list_size (int_range 1 40) segment))
+
+let prop_sweep_lanes_equal_independent =
+  QCheck.Test.make ~count:150
+    ~name:"sweep == singles with lazily run write buffers"
+    (QCheck.make ~print:(fun (cfgs, events) ->
+         Printf.sprintf "%s; %d events"
+           (String.concat ", "
+              (List.map
+                 (fun c ->
+                   Printf.sprintf "depth %d drain %d rmp %d up %d tlb %d"
+                     c.Memsim.wb_depth c.Memsim.wb_drain
+                     c.Memsim.read_miss_penalty c.Memsim.uncached_penalty
+                     c.Memsim.tlb_entries)
+                 cfgs))
+           (List.length events))
+       QCheck.Gen.(
+         let* cfgs = list_size (int_range 1 6) lane_cfg_gen in
+         let* events = lane_events_gen in
+         return (cfgs, events)))
+    (fun (cfgs, events) -> check_sweep_matches_singles cfgs events)
+
+let test_sweep_lane_work () =
+  (* drain 6: stores 7 instructions apart never run the lanes, a burst of
+     back-to-back stores runs them at every store, in both TLB groups *)
+  let cfgs =
+    List.map snd
+      (Memsim.grid ~base:sweep_base_cfg ~sizes:[ 1024; 2048 ] ~lines:[ 16 ]
+         ~tlb_entries:[ 16; 64 ] ~wb_depths:[ 1; 4 ] ())
+  in
+  let fetch k = (true, 0x80000000 + (k * 4), 0, true, false)
+  and store k = (false, 0x80010000 + (k * 4), 0, true, false) in
+  let spaced =
+    List.concat
+      (List.init 100 (fun s ->
+           List.init 7 (fun k -> fetch ((s * 7) + k)) @ [ store s ]))
+  and burst = List.init 4 store in
+  let sw = Memsim.sweep cfgs in
+  let feed =
+    drive_events (Memsim.sweep_on_inst sw) (Memsim.sweep_on_data sw)
+  in
+  feed spaced;
+  Alcotest.(check (pair int int)) "spaced stores: no lane runs" (0, 200)
+    (Memsim.sweep_lane_work sw);
+  feed burst;
+  Alcotest.(check (pair int int))
+    "a burst runs the lanes at each store" (8, 208)
+    (Memsim.sweep_lane_work sw);
+  check "the burst stalls the depth-1 buffers" true
+    (Array.exists (fun s -> s.Memsim.wb_stalls > 0) (Memsim.sweep_stats sw));
+  check "sweep == singles" true
+    (check_sweep_matches_singles cfgs (spaced @ burst))
+
 let test_grid_shape () =
   let g =
     Memsim.grid ~base:sweep_base_cfg ~sizes:[ 1024; 4096 ] ~lines:[ 16; 32 ]
@@ -926,6 +1055,9 @@ let tests =
         `Quick test_sweep_rejects_bad_geometry;
       Alcotest.test_case "sweep: rejects a write-buffer depth of 0 at creation"
         `Quick test_sweep_rejects_bad_wb_depth;
+      Alcotest.test_case
+        "sweep: rejects a negative penalty or drain at creation" `Quick
+        test_sweep_rejects_negative_cycles;
       Alcotest.test_case "sweep: rejects mixed pagemaps" `Quick
         test_sweep_rejects_mixed_pagemaps;
       Alcotest.test_case "grid: shape and nesting" `Quick test_grid_shape;
@@ -939,4 +1071,7 @@ let tests =
         test_sweep_many_groups;
       Alcotest.test_case "sweep: batch boundary mid-stream" `Quick
         test_sweep_batch_boundary;
+      QCheck_alcotest.to_alcotest prop_sweep_lanes_equal_independent;
+      Alcotest.test_case "sweep: lanes run only at stores within the drain"
+        `Quick test_sweep_lane_work;
     ]
