@@ -13,6 +13,14 @@
 
 open Systrace
 
+(* one pass of [words] through every configuration of [cfgs] at once:
+   per configuration, in list order, its stats; and the parse's *)
+let replay_all ~system cfgs words =
+  let sink, result = replay_sweep_sink ~system ~memsim_cfgs:cfgs () in
+  sink.Tracing.Sink.on_words words ~len:(Array.length words);
+  let mems, _, parse = result () in
+  (Array.to_list mems, parse)
+
 let () =
   let e = Workloads.Suite.find "compress" in
   Printf.printf "capturing the %s system trace...\n%!" e.Workloads.Suite.name;
@@ -37,16 +45,21 @@ let () =
   let base = default_memsim_cfg ~system:run.system in
   Printf.printf "%-10s %-12s %-12s %-14s %-10s\n" "cache" "I-misses"
     "D-read-misses" "miss/1k-insn" "";
-  List.iter
-    (fun kb ->
-      let cfg =
-        {
-          base with
-          Tracesim.Memsim.icache_bytes = kb * 1024;
-          dcache_bytes = kb * 1024;
-        }
-      in
-      let mem, parse = replay ~system:run.system ~memsim_cfg:cfg words in
+  let sizes = [ 4; 8; 16; 32; 64; 128 ] in
+  let mems, parse =
+    replay_all ~system:run.system
+      (List.map
+         (fun kb ->
+           {
+             base with
+             Tracesim.Memsim.icache_bytes = kb * 1024;
+             dcache_bytes = kb * 1024;
+           })
+         sizes)
+      words
+  in
+  List.iter2
+    (fun kb mem ->
       let misses =
         mem.Tracesim.Memsim.icache_misses
         + mem.Tracesim.Memsim.dcache_read_misses
@@ -56,24 +69,29 @@ let () =
         mem.Tracesim.Memsim.dcache_read_misses
         (1000.0 *. float_of_int misses
         /. float_of_int parse.Tracing.Parser.insts))
-    [ 4; 8; 16; 32; 64; 128 ];
+    sizes mems;
 
   (* Part 2: hold the D-cache at 16KB and sweep associativity over the
      same captured trace — conflict misses melt away, the remainder is
      capacity+compulsory.  (Sim_cache_assoc can also be driven directly
-     for custom streams; replay's [dcache_ways] is the packaged path.) *)
+     for custom streams; a configuration's [dcache_ways] is the packaged
+     path.) *)
   Printf.printf "\n16 KB D-cache, associativity sweep (LRU):\n";
   Printf.printf "%-8s %-14s %-14s\n" "ways" "D-read misses" "miss/1k-insn";
-  List.iter
-    (fun ways ->
-      let cfg = { base with Tracesim.Memsim.dcache_ways = ways } in
-      let mem, parse = replay ~system:run.system ~memsim_cfg:cfg words in
+  let ways = [ 1; 2; 4; 8 ] in
+  let mems, parse =
+    replay_all ~system:run.system
+      (List.map (fun w -> { base with Tracesim.Memsim.dcache_ways = w }) ways)
+      words
+  in
+  List.iter2
+    (fun ways mem ->
       Printf.printf "%-8d %-14d %-14.2f\n" ways
         mem.Tracesim.Memsim.dcache_read_misses
         (1000.0
         *. float_of_int mem.Tracesim.Memsim.dcache_read_misses
         /. float_of_int parse.Tracing.Parser.insts))
-    [ 1; 2; 4; 8 ];
+    ways mems;
 
   (* Part 3: write policy.  The machine (and the paper's DECstation) is
      write-through with a 4-deep write buffer; write-back/write-allocate

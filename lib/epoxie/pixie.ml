@@ -7,44 +7,18 @@
    The result is the 4-6x text growth the paper contrasts with epoxie's
    1.9-2.3x.
 
-   We emulate the cost structure honestly with a runnable rewriter:
+   The rewriter emits pixie's cost structure:
      - per basic block: an 8-instruction preamble that spills two
        registers, loads the buffer cursor from memory, stores the block id,
        bumps and writes back the cursor, and reloads the spills;
      - per memory instruction: a 6-instruction sequence doing the same
        dance to record the effective address.
 
-   The pixie trace buffer is a bump-pointer region whose cursor lives in
-   memory (no stolen register to keep it in).  The output format is
-   pixie-private; the experiments only use pixie for its text-growth
-   numbers and for arithmetic-stall estimation (see
-   [Systrace_validate.Predict]), mirroring the paper's use. *)
+   The cursor lives in memory (no stolen register to keep it in).  The
+   output is measured for its text growth only: it is never linked or
+   run. *)
 
 open Systrace_isa
-
-let sym_cursor = "pixie_cursor"
-let sym_spill = "pixie_spill"
-
-(* Runtime support module: cursor + spill slots + a buffer pointer.  The
-   buffer region is set up by the harness before running. *)
-let runtime ~buf_va ~buf_bytes : Objfile.t =
-  let a = Asm.create ~no_instrument:true "pixie_rt" in
-  let open Asm in
-  global a sym_cursor;
-  global a sym_spill;
-  global a "pixie_reset";
-  dlabel a sym_cursor;
-  word a buf_va;
-  dlabel a "pixie_limit";
-  word a (buf_va + buf_bytes);
-  dlabel a sym_spill;
-  space a 16;
-  (* pixie_reset: rewind the cursor (called by harness shims). *)
-  leaf a "pixie_reset" (fun () ->
-      la a Reg.t0 sym_cursor;
-      li a Reg.t1 buf_va;
-      sw a Reg.t1 0 Reg.t0);
-  to_obj a
 
 (* The per-block sequence.  [id] is the block's ordinal — pixie has no
    link-time labels to anchor to, which is the point. *)

@@ -7,10 +7,6 @@
 
 open Systrace_isa
 
-val runtime : buf_va:int -> buf_bytes:int -> Objfile.t
-(** Cursor, spill slots and a reset helper (the cursor lives in memory —
-    no stolen register to keep it in). *)
-
 val instrument_obj : Objfile.t -> first_id:int -> Objfile.t * int
 (** Returns the rewritten module and the next free block id. *)
 

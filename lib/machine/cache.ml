@@ -37,11 +37,6 @@ let create ~size_bytes ~line_bytes =
     misses = 0;
   }
 
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  t.hits <- 0;
-  t.misses <- 0
-
 let line_index t pa = (pa lsr t.line_shift) land (t.nlines - 1)
 let tag t pa = pa lsr t.line_shift
 

@@ -10,7 +10,6 @@ type t = {
 }
 
 val create : size_bytes:int -> line_bytes:int -> t
-val reset : t -> unit
 
 val read : t -> int -> bool
 (** [true] on hit; misses fill the line and count. *)

@@ -31,12 +31,6 @@ let compare_latency = 2
 let create () =
   { ready = Array.make Reg.nfregs 0; unit_free = 0; arith_stalls = 0; ops = 0 }
 
-let reset t =
-  Array.fill t.ready 0 (Array.length t.ready) 0;
-  t.unit_free <- 0;
-  t.arith_stalls <- 0;
-  t.ops <- 0
-
 (* Wait (at absolute cycle [now]) until [regs] are all ready; returns the
    stall. Used for FP operands and for mfc1/stores of FP registers. *)
 let wait_regs t ~now regs =

@@ -13,7 +13,6 @@ type t = {
 val latency : Systrace_isa.Insn.fop -> int
 
 val create : unit -> t
-val reset : t -> unit
 
 val wait_regs : t -> now:int -> int list -> int
 (** Stall until the listed FP registers are ready. *)

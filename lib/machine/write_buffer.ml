@@ -33,12 +33,6 @@ let create ?(depth = 4) ?(drain_cycles = 6) () =
     stores = 0;
   }
 
-let reset t =
-  t.head <- 0;
-  t.count <- 0;
-  t.stall_cycles <- 0;
-  t.stores <- 0
-
 (* Ring index arithmetic uses compare-and-subtract, not [mod]: integer
    division by the run-time [depth] costs more than everything else the
    store path does.  All indices stay in [0, 2*depth), so one subtract
@@ -76,7 +70,3 @@ let store t ~now =
   t.count <- t.count + 1;
   t.stall_cycles <- t.stall_cycles + stall;
   stall
-
-let pending t ~now =
-  expire t now;
-  t.count

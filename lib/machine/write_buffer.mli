@@ -15,9 +15,6 @@ type t = {
 }
 
 val create : ?depth:int -> ?drain_cycles:int -> unit -> t
-val reset : t -> unit
 
 val store : t -> now:int -> int
 (** Issue a store at absolute cycle [now]; returns the stall suffered. *)
-
-val pending : t -> now:int -> int

@@ -81,8 +81,8 @@ let asid_of_pid pid = pid + 1
 
    - Reference classification (kuseg/kseg0/kseg1/kseg2) and the per-mode
      instruction counts depend only on the trace: they are computed once
-     per engine.  The page-map lookup is made once per reference, when
-     the reference is batched (below).
+     per engine.  The page map is read once per kuseg or kseg2 reference,
+     in the branch that classifies it.
    - The TLB access stream — including the synthesized handler references
      a miss injects — depends only on the trace and the TLB parameters,
      so configurations sharing (tlb_entries, handler lengths) share one
@@ -207,8 +207,6 @@ type 'c cunit = {
   u_views : 'c array;             (* per user, owner (0) first: private sets *)
   u_corr : miss_ctr array array;  (* per user: its counts - the shared *)
   u_div : int array;              (* per set: bit i = user i has a copy *)
-  u_gline : int array;            (* per user: its last synthesized line *)
-  u_gseq : int array;             (* and the handler sequence it was in *)
 }
 
 let plain_read c pa = if Sim_cache_assoc.read c pa then 0 else 1
@@ -274,19 +272,6 @@ let owner_synth at_front copy_set u set pa =
     Array.unsafe_set u.u_div set u.u_guests
   end
 
-(* Guest [i]'s last synthesized line in this unit leads the set it sees
-   while the group's handler sequence [seq] runs: no trace reference
-   comes between, and no other group's synthesized reference does (the
-   owner's ran before, and copies whatever it changes).  A repeat is not
-   read at all. *)
-let[@inline] guest_repeat u i seq ln =
-  Array.unsafe_get u.u_gline i = ln && Array.unsafe_get u.u_gseq i = seq
-  || begin
-    Array.unsafe_set u.u_gline i ln;
-    Array.unsafe_set u.u_gseq i seq;
-    false
-  end
-
 let plain_guests u pa ctx miss =
   let set = Sim_cache_assoc.set_of u.u_cache pa in
   guests_read plain_read Sim_cache_assoc.same_set u set pa ctx miss
@@ -324,11 +309,10 @@ let plain_reads units pa ctx =
     end
   done
 
-(* A synthesized read by one group during its handler sequence [seq],
-   its user index in each unit in [users].  The owner's read leaves the
-   last line to units with no guest: where a guest holds a copy, the
-   line does not lead it. *)
-let plain_synths units users seq pa =
+(* A synthesized read by one group, its user index in each unit in
+   [users].  The owner's read leaves the last line to units with no
+   guest: where a guest holds a copy, the line does not lead it. *)
+let plain_synths units users pa =
   for i = 0 to Array.length units - 1 do
     let u = Array.unsafe_get units i in
     let ln = pa lsr u.u_shift and k = Array.unsafe_get users i in
@@ -343,12 +327,12 @@ let plain_synths units users seq pa =
           add (Array.unsafe_get (Array.unsafe_get u.u_corr 0) 0) ctx_synth 1
       end
     end
-    else if not (guest_repeat u k seq ln) then
+    else
       guest_synth plain_read Sim_cache_assoc.at_front Sim_cache_assoc.copy_set
         Sim_cache_assoc.same_set u k (Sim_cache_assoc.set_of u.u_cache pa) pa
   done
 
-let stack_synths units users seq pa =
+let stack_synths units users pa =
   for i = 0 to Array.length units - 1 do
     let u = Array.unsafe_get units i in
     let ln = pa lsr u.u_shift and k = Array.unsafe_get users i in
@@ -364,7 +348,7 @@ let stack_synths units users seq pa =
           add_mask (Array.unsafe_get u.u_corr 0) ctx_synth 1 mask 0
       end
     end
-    else if not (guest_repeat u k seq ln) then
+    else
       guest_synth Sim_stack.read Sim_stack.at_front Sim_stack.copy_set
         Sim_stack.same_set u k (Sim_stack.set_of u.u_cache pa) pa
   done
@@ -469,7 +453,7 @@ and lane = {
   mutable la_stall_k : int;  (* the kernel's share of [la_stall] *)
 }
 
-type engine = {
+type sweep = {
   e_groups : group array;
   e_icp : Sim_cache_assoc.t cunit array;
   e_ics : Sim_stack.t cunit array;
@@ -568,17 +552,26 @@ let rec cunits epoch users ~line ~nsets ~members make =
         u_views = Array.init n (fun i -> if i = 0 then shared else make ());
         u_corr = Array.init n (fun _ -> counters ());
         u_div = Array.make (if n > 1 then nsets else 0) 0;
-        u_gline = Array.make n (-1);
-        u_gseq = Array.make n (-1);
       } )
     :: cunits epoch rest ~line ~nsets ~members make
 
 let nonnegative field v =
   if v < 0 then invalid_arg (Printf.sprintf "Memsim.sweep: %s %d < 0" field v)
 
-(* The engine over [cfgs], which share one page map. *)
-let engine cfgs =
-  let c0 = List.hd cfgs in
+(* The engine over [cfgs], which must share one page map. *)
+let sweep cfgs =
+  let c0 =
+    match cfgs with
+    | [] -> invalid_arg "Memsim.sweep: no configurations"
+    | c0 :: _ -> c0
+  in
+  List.iter
+    (fun c ->
+      if c.pagemap != c0.pagemap || c.pt_base != c0.pt_base then
+        invalid_arg
+          "Memsim.sweep: all configurations must share pagemap and pt_base \
+           (translation is done once per reference)")
+    cfgs;
   let epoch = { stores = 0 } in
   (* the groups, largest TLB first: each unit's owner is the first group
      that names it, and the groups run in this order *)
@@ -771,14 +764,12 @@ let[@inline] g_tlb g m ~vpn ~asid ~global ~user =
     hit
   end
 
-(* A synthesized read by every unit of group [g].  Each TLB miss starts a
-   handler sequence, so the group's miss count numbers them. *)
+(* a synthesized read by every unit of group [g] *)
 let g_ic_read g pa =
-  let seq = g.gr_utlb + g.gr_ktlb in
-  plain_synths g.gr_icp g.gr_icp_user seq pa;
-  stack_synths g.gr_ics g.gr_ics_user seq pa
+  plain_synths g.gr_icp g.gr_icp_user pa;
+  stack_synths g.gr_ics g.gr_ics_user pa
 
-let g_dc_read g pa = plain_synths g.gr_dc g.gr_dc_user (g.gr_utlb + g.gr_ktlb) pa
+let g_dc_read g pa = plain_synths g.gr_dc g.gr_dc_user pa
 
 (* The synthesized handler paths: the KTLB refill fast path (ifetches at
    the general vector plus the kseg0 root-table load, approximated by a
@@ -875,9 +866,9 @@ let g_store e g kernel unc =
   end;
   g.gr_wb_base <- base
 
-(* a trace reference's physical address, from the page-map lookup made
-   when it was batched *)
-let trace_pa e addr pa =
+(* a mapped trace reference's physical address, read from the page map *)
+let trace_pa e pid addr =
+  let pa = e.e_pagemap pid addr in
   if pa >= 0 then pa
   else begin
     e.sv_unmapped <- e.sv_unmapped + 1;
@@ -908,7 +899,7 @@ let e_ic_read e pa ctx =
 
 (* Every group's TLB sees the reference (and synthesizes its handler
    references) before the caches see the reference itself. *)
-let e_inst e addr pid kernel pa =
+let sweep_on_inst e addr pid kernel =
   e.sv_insts <- e.sv_insts + 1;
   if kernel then e.sv_kernel_insts <- e.sv_kernel_insts + 1
   else e.sv_user_insts <- e.sv_user_insts + 1;
@@ -916,7 +907,7 @@ let e_inst e addr pid kernel pa =
   let groups = e.e_groups in
   if addr < kuseg_limit then begin
     let vpn = addr lsr 12 and asid = asid_of_pid pid in
-    let pa = trace_pa e addr pa in
+    let pa = trace_pa e pid addr in
     for i = 0 to Array.length groups - 1 do
       let g = Array.unsafe_get groups i in
       if not (g_tlb g g.gr_mi ~vpn ~asid ~global:false ~user:true)
@@ -932,7 +923,7 @@ let e_inst e addr pid kernel pa =
   end
   else begin
     let vpn = addr lsr 12 in
-    let pa = trace_pa e addr pa in
+    let pa = trace_pa e pid addr in
     for i = 0 to Array.length groups - 1 do
       let g = Array.unsafe_get groups i in
       if not (g_tlb g g.gr_mk ~vpn ~asid:0 ~global:true ~user:false)
@@ -941,7 +932,7 @@ let e_inst e addr pid kernel pa =
     e_ic_read e pa ctx
   end
 
-let e_data e addr pid kernel is_load pa =
+let sweep_on_data e addr pid kernel is_load _bytes =
   e.sv_datas <- e.sv_datas + 1;
   if addr >= kseg1_base && addr < kseg2_base then begin
     (* uncached: classification and charge are trace-only, no per-group
@@ -958,7 +949,7 @@ let e_data e addr pid kernel is_load pa =
     let kseg2 = addr >= kseg2_base in
     let vpn = addr lsr 12 in
     let pa =
-      if kuseg || kseg2 then trace_pa e addr pa else addr - 0x80000000
+      if kuseg || kseg2 then trace_pa e pid addr else addr - 0x80000000
     in
     let groups = e.e_groups in
     if kuseg then begin
@@ -987,87 +978,6 @@ let e_data e addr pid kernel is_load pa =
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* The reference batch.
-
-   The parser's handlers only append: each reference becomes three words
-   of a fixed batch — its address, its packed pid/mode/kind, and the
-   page-map translation (-1 unmapped; read once per reference, whatever
-   the number of configurations).  The batch is simulated when it fills
-   and before any statistic is read.  It holds 2^12 references (96 KB),
-   small enough to stay in cache. *)
-
-let batch_refs = 1 lsl 12
-
-let k_inst = 0
-let k_load = 1
-let k_store = 2
-
-(* kind in bits 0-1, kernel in bit 2, pid above: [asr] gives back the
-   pid, including the -1 of kernel boot references *)
-let pack pid kernel kind = (pid lsl 3) lor (if kernel then 4 else 0) lor kind
-
-let run_batch e b n =
-  for i = 0 to n - 1 do
-    let j = 3 * i in
-    let addr = Array.unsafe_get b j
-    and meta = Array.unsafe_get b (j + 1)
-    and pa = Array.unsafe_get b (j + 2) in
-    let kernel = meta land 4 <> 0 and pid = meta asr 3 in
-    let kind = meta land 3 in
-    if kind = k_inst then e_inst e addr pid kernel pa
-    else e_data e addr pid kernel (kind = k_load) pa
-  done
-
-type sweep = {
-  sw_engine : engine;
-  sw_batch : int array;
-  mutable sw_n : int;
-}
-
-let sweep cfgs : sweep =
-  match cfgs with
-  | [] -> invalid_arg "Memsim.sweep: no configurations"
-  | c0 :: _ ->
-    List.iter
-      (fun c ->
-        if c.pagemap != c0.pagemap || c.pt_base != c0.pt_base then
-          invalid_arg
-            "Memsim.sweep: all configurations must share pagemap and pt_base \
-             (translation is done once per reference)")
-      cfgs;
-    { sw_engine = engine cfgs; sw_batch = Array.make (3 * batch_refs) 0; sw_n = 0 }
-
-let flush sw =
-  if sw.sw_n > 0 then begin
-    run_batch sw.sw_engine sw.sw_batch sw.sw_n;
-    sw.sw_n <- 0
-  end
-
-let push sw addr meta pa =
-  let n = sw.sw_n in
-  let b = sw.sw_batch and j = 3 * n in
-  Array.unsafe_set b j addr;
-  Array.unsafe_set b (j + 1) meta;
-  Array.unsafe_set b (j + 2) pa;
-  sw.sw_n <- n + 1;
-  if n + 1 = batch_refs then flush sw
-
-(* only kuseg and kseg2 references are translated through the page map *)
-let lookup sw pid addr =
-  if addr < kuseg_limit || addr >= kseg2_base then
-    sw.sw_engine.e_pagemap pid addr
-  else 0
-
-let sweep_on_inst sw addr pid kernel =
-  push sw addr (pack pid kernel k_inst) (lookup sw pid addr)
-
-let sweep_on_data sw addr pid kernel is_load _bytes =
-  let pa =
-    if addr >= kseg1_base && addr < kseg2_base then 0 else lookup sw pid addr
-  in
-  push sw addr (pack pid kernel (if is_load then k_load else k_store)) pa
-
 let sweep_handlers sw : Parser.handlers =
   {
     Parser.on_inst = (fun addr pid kernel -> sweep_on_inst sw addr pid kernel);
@@ -1080,24 +990,17 @@ let sweep_sink ?live sw parser : Sink.t =
   Parser.set_handlers parser (sweep_handlers sw);
   Sink.to_parser ?live parser
 
-let sweep_private_sets sw =
-  flush sw;
-  let e = sw.sw_engine in
+let sweep_private_sets e =
   let held units = Array.fold_left (fun n u -> n + u.u_ndiv) 0 units in
   held e.e_icp + held e.e_ics + held e.e_dc
 
-let sweep_lane_work sw =
-  flush sw;
-  let e = sw.sw_engine in
+let sweep_lane_work e =
   (e.e_lane_runs, e.e_epoch.stores * Array.length e.e_groups)
 
 (* per-lane results, in configuration order *)
-let per_lane sw f =
-  flush sw;
-  Array.map (f sw.sw_engine) sw.sw_engine.e_lanes
-
-let sweep_stats sw =
-  per_lane sw (fun e l ->
+let sweep_stats e =
+  Array.map
+    (fun l ->
       let g = l.la_group and rmp = l.la_rmp and up = l.la_up in
       {
         insts = e.sv_insts;
@@ -1124,12 +1027,15 @@ let sweep_stats sw =
         ktlb_misses = g.gr_ktlb;
         unmapped = e.sv_unmapped + g.gr_unmapped;
       })
+    e.e_lanes
 
-let sweep_accesses sw =
-  per_lane sw (fun e l ->
+let sweep_accesses e =
+  Array.map
+    (fun l ->
       let g = l.la_group in
       ( e.sv_insts - e.sv_unc_ifetch + g.gr_synth,
         e.sv_dloads_cached + g.gr_utlb + g.gr_ktlb ))
+    e.e_lanes
 
 (* A (size x line x TLB entries x WB depth) geometry grid over [base].
    With [nested] (the default) associativity scales with size at a fixed

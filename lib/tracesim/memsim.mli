@@ -66,15 +66,12 @@ type stats = {
     configurations' write buffers only at a trace store where one of
     them can still be busy ({!sweep_lane_work} counts them).
 
-    References are batched, 2{^12} at a time; a batch is simulated on
-    the domain that feeds it, when it fills and before any statistic is
-    read.
-
-    [sweep_stats] returns, per configuration and in list order,
+    Each reference is simulated as it is fed, on the domain that feeds
+    it.  [sweep_stats] returns, per configuration and in list order,
     {b byte-identical} stats to an independent one-configuration
-    simulation of the same trace, whatever the batch boundaries and the
-    chunk boundaries (qcheck properties in the test suite hold it to the
-    one-configuration oracle kept there). *)
+    simulation of the same trace, whatever the chunk boundaries (qcheck
+    properties in the test suite hold it to the one-configuration oracle
+    kept there). *)
 
 type sweep
 
@@ -108,7 +105,11 @@ val sweep_lane_work : sweep -> int * int
     statistic depends on it. *)
 
 val sweep_on_inst : sweep -> int -> int -> bool -> unit
+(** [sweep_on_inst sw addr pid kernel] simulates one instruction fetch. *)
+
 val sweep_on_data : sweep -> int -> int -> bool -> bool -> int -> unit
+(** [sweep_on_data sw addr pid kernel is_load bytes] simulates one data
+    reference; the size does not change what it touches. *)
 
 val sweep_handlers : sweep -> Systrace_tracing.Parser.handlers
 (** Plug directly into the trace parser. *)

@@ -185,11 +185,3 @@ let rec same_from (x : int array) (y : int array) i stop =
 let same_set a b set =
   let base = set * a.ways in
   same_from a.slots b.slots base (base + a.ways)
-
-let reset t =
-  Array.fill t.slots 0 (Array.length t.slots) (-1);
-  t.read_hits <- 0;
-  t.read_misses <- 0;
-  t.write_hits <- 0;
-  t.write_misses <- 0;
-  t.writebacks <- 0

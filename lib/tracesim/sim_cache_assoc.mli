@@ -55,5 +55,3 @@ val copy_set : t -> t -> int -> unit
 val same_set : t -> t -> int -> bool
 (** [same_set a b set]: set [set] holds the same lines in the same order
     in [a] and in [b] (of the same geometry). *)
-
-val reset : t -> unit

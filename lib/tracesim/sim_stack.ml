@@ -102,5 +102,3 @@ let rec same_from (x : int array) (y : int array) i stop =
 let same_set a b set =
   let base = set * a.maxw in
   same_from a.stacks b.stacks base (base + a.maxw)
-
-let reset t = Array.fill t.stacks 0 (Array.length t.stacks) (-1)

@@ -26,5 +26,3 @@ val same_set : t -> t -> int -> bool
 (** Per-set access, as {!Sim_cache_assoc.set_of} and its neighbours; the
     two stacks of [copy_set] and [same_set] must share [line_bytes],
     [nsets] and [ways]. *)
-
-val reset : t -> unit

@@ -55,14 +55,6 @@ let create ?(size = 64) ?(wired = 8) () =
     hits = 0;
   }
 
-let reset t =
-  Array.fill t.vpns 0 t.size (-1);
-  Array.fill t.memo_vpns 0 memo_slots (-1);
-  t.refcount <- 0;
-  t.user_misses <- 0;
-  t.kernel_misses <- 0;
-  t.hits <- 0
-
 (* The associative scan, as a top-level loop: a local recursive closure
    over [t]/[vpn]/[asid] would be heap-allocated on every memo miss. *)
 let rec find t vpn asid i =

@@ -22,7 +22,5 @@ type t = {
 val create : ?size:int -> ?wired:int -> unit -> t
 (** Defaults: 64 entries, 8 wired (the DECstation's R3000). *)
 
-val reset : t -> unit
-
 val access : t -> vpn:int -> asid:int -> global:bool -> user:bool -> bool
 (** [true] on hit; misses refill one entry at the random point. *)

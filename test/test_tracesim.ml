@@ -668,7 +668,7 @@ let test_sweep_rejects_bad_geometry () =
       Sim_cache_assoc.create ~size_bytes:3072 ~line_bytes:24 ~ways:1 ())
 
 (* a zero-depth write buffer is refused when the sweep is created, not
-   at its first batch, after the parser has already consumed words *)
+   at its first store, after the parser has already consumed words *)
 let test_sweep_rejects_bad_wb_depth () =
   Alcotest.check_raises "write-buffer depth 0 rejected"
     (Invalid_argument "Memsim.sweep: write-buffer depth 0 < 1") (fun () ->
@@ -692,9 +692,10 @@ let test_sweep_rejects_negative_cycles () =
       ("wb_drain", { sweep_base_cfg with Memsim.wb_drain = -1 });
     ]
 
-let test_sweep_batch_boundary () =
-  (* more references than one batch holds, fed reference by reference:
-     the batch is simulated mid-stream, then again when stats are read *)
+let test_sweep_long_stream () =
+  (* the suite's longest random stream, 2^18 + 5000 references, over
+     four configurations: two TLB groups, one nested icache family and
+     two dcache geometries *)
   let events =
     QCheck.Gen.generate ~rand:(Random.State.make [| 11 |])
       ~n:((1 lsl 18) + 5000) event_gen
@@ -704,7 +705,7 @@ let test_sweep_batch_boundary () =
       (Memsim.grid ~base:sweep_base_cfg ~sizes:[ 1024; 4096 ] ~lines:[ 16 ]
          ~tlb_entries:[ 16; 64 ] ~wb_depths:[ 2 ] ())
   in
-  check "sweep == singles across a batch boundary" true
+  check "sweep == singles over a long random stream" true
     (check_sweep_matches_singles cfgs events)
 
 let prop_assoc_equals_stamp_lru =
@@ -1069,8 +1070,8 @@ let tests =
         test_sweep_set_diverges_and_converges;
       Alcotest.test_case "sweep: more TLB groups than copy bits" `Quick
         test_sweep_many_groups;
-      Alcotest.test_case "sweep: batch boundary mid-stream" `Quick
-        test_sweep_batch_boundary;
+      Alcotest.test_case "sweep == singles over a long random stream" `Quick
+        test_sweep_long_stream;
       QCheck_alcotest.to_alcotest prop_sweep_lanes_equal_independent;
       Alcotest.test_case "sweep: lanes run only at stores within the drain"
         `Quick test_sweep_lane_work;

@@ -104,9 +104,7 @@ let test_sweep_real_trace_faulty () =
   in
   sweep_vs_singles ~recover:true ~rng_seed:7 b words (sweep_grid b)
 
-(* egrep under Mach: the UX server, the random page map, and over 2^18
-   references, so a whole-trace chunk crosses many sweep batch
-   boundaries. *)
+(* egrep under Mach: the UX server and the random page map. *)
 let captured_mach =
   lazy
     (capture
@@ -134,25 +132,18 @@ let faulty words =
    the oracle's answer, computed once *)
 let oracle_cases =
   lazy
-    (let cases =
-       List.concat_map
-         (fun (b, words) ->
-           let cfgs = sweep_grid b in
-           List.map
-             (fun words -> (b, words, cfgs, oracle_stats b words cfgs))
-             [ words; faulty words ])
-         [ Lazy.force captured; Lazy.force captured_mach ]
-     in
-     (match List.nth cases 2 with
-     | _, _, _, s :: _ when s.Systrace_tracesim.Memsim.insts + s.datas > 1 lsl 18 -> ()
-     | _ -> failwith "the Mach trace no longer holds 2^18 references");
-     cases)
+    (List.concat_map
+       (fun (b, words) ->
+         let cfgs = sweep_grid b in
+         List.map
+           (fun words -> (b, words, cfgs, oracle_stats b words cfgs))
+           [ words; faulty words ])
+       [ Lazy.force captured; Lazy.force captured_mach ])
 
 let prop_sweep_equals_oracle =
-  (* The batched engine against the one-configuration oracle on real
-     traces: any chunking (one whole-trace chunk included, which on the
-     Mach trace puts many batch boundaries inside the chunk), clean or
-     fault-injected words. *)
+  (* The engine against the one-configuration oracle on real traces: any
+     chunking (one whole-trace chunk included), clean or fault-injected
+     words. *)
   QCheck.Test.make ~count:8
     ~name:"sweep == one-config oracle on real traces (chunks, faults)"
     QCheck.(triple (int_range 0 3) bool (int_bound 1_000_000))
