@@ -34,10 +34,13 @@ let check_floor ok msg =
   Printf.printf "  %s %s\n%!" (if ok then "ok  " else "FAIL") msg;
   if not ok then incr breaches
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
+(* [f ()] and its wall time, or with [~clock:Sys.time] its host CPU time
+   in this process, which does not count time the host gave to other
+   work *)
+let timed ?(clock = Unix.gettimeofday) f =
+  let t0 = clock () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, clock () -. t0)
 
 let run_matrix ~jobs () =
   let t0 = Unix.gettimeofday () in
@@ -141,7 +144,7 @@ let exp_trace_format () =
   Table.add_row t
     [ "record + length (Tunix)"; string_of_int tunix;
       Printf.sprintf "%.2f" (4.0 *. float_of_int tunix /. insts) ];
-  (* and the stored-trace density of the v3 file `dump -z` writes ("the
+  (* and the stored-trace density of the v3 file `dump` writes ("the
      trace takes less space and less time to write", 3.5 — here applied
      to the tape of 3.4) *)
   let zbytes =
@@ -149,7 +152,7 @@ let exp_trace_format () =
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
-        Tracing.Tracefile.save ~compress:true path words;
+        Tracing.Tracefile.save path words;
         (Unix.stat path).Unix.st_size)
   in
   Table.add_row t
@@ -273,23 +276,33 @@ let exp_stream () =
    generation dominates the wall).  Evaluating K configurations the old
    way costs K such passes; the sweep costs one generation plus a
    one-pass multi-configuration analysis.  "work saved"
-   = K * single-pass wall / sweep wall is the wall-clock reduction over
-   the K independent runs the sweep replaces.  Both analyses (parse
-   included) take the best of 5 alternating repeats each, so "engine
-   work" — the K-configuration analysis over one configuration's —
-   measures what the engine shares.  Its floor is set per trace from
-   runs on a 2-core container, with margin: the engine read 2.22-2.35x
-   on egrep and 3.72-3.93x on tomcatv, and the one that kept a copy of
-   every cache per TLB size read 2.63-2.80x and 4.33-4.42x, failing
-   both.  Running the write buffers only at stores where one can still
-   be busy took tomcatv to 2.49-3.33x (five runs), and the share of
-   stores that ran them is printed beside it. *)
+   = K * single-pass time / sweep time is the reduction over the K
+   independent runs the sweep replaces.  Every time here is host CPU
+   time of this process, so the host's other work does not count.
+
+   "Engine work" is the K-configuration analysis (parse included) over
+   one configuration's: what the engine shares.  One analysis of egrep
+   takes 6-20 ms, so single analyses let a slow phase of a shared host
+   decide the ratio.  Each of 5 repeats therefore runs the two analyses
+   back to back, each time the one that has run for less, until each
+   has run [min_side_s]: both sides see the same phases of the host.
+   A repeat's ratio divides its two per-analysis times, and the floor
+   reads the median of the five.  The pass and work-saved floors take
+   each side's best per-analysis time.  The engine floor is set per
+   trace from runs on a 2-core container, with margin: the engine read
+   2.14-2.36x on egrep over 200 runs and 3.16-3.44x on tomcatv over
+   three, while on egrep an engine that shares no cache geometry across
+   TLB sizes read 3.63-3.87x and one that runs every write buffer at
+   every store 2.55-2.74x, 20 runs each (EXPERIMENTS.md).  The share of
+   stores that ran the write buffers is printed beside it. *)
+let min_side_s = 0.25
+
 let exp_sweep () =
   heading "Multi-configuration sweep: one trace pass vs per-config passes";
   let wname = if !quick then "egrep" else "tomcatv" in
   let e = Workloads.Suite.find wname in
   let (words, run), t_capture =
-    timed (fun () ->
+    timed ~clock:Sys.time (fun () ->
         capture_trace [ e.Workloads.Suite.program () ] e.Workloads.Suite.files)
   in
   let base = default_memsim_cfg ~system:run.system in
@@ -311,16 +324,37 @@ let exp_sweep () =
     sink.Tracing.Sink.on_words words ~len:(Array.length words);
     (Tracesim.Memsim.sweep_stats sw, Tracesim.Memsim.sweep_lane_work sw)
   in
+  (* One repeat: the last K-configuration result, and each side's time
+     per analysis and count. *)
+  let repeat () =
+    let t1 = ref 0.0 and n1 = ref 0 and tk = ref 0.0 and nk = ref 0 in
+    let last = ref None in
+    while !t1 < min_side_s || !tk < min_side_s do
+      if !t1 <= !tk then begin
+        let _, dt = timed ~clock:Sys.time (fun () -> analyse [ base ]) in
+        t1 := !t1 +. dt;
+        incr n1
+      end
+      else begin
+        let r, dt = timed ~clock:Sys.time (fun () -> analyse cfgs) in
+        tk := !tk +. dt;
+        incr nk;
+        last := Some r
+      end
+    done;
+    (Option.get !last, !t1 /. float_of_int !n1, !n1, !tk /. float_of_int !nk, !nk)
+  in
   let t_replay = ref infinity and t_sweep_replay = ref infinity in
-  let swept = ref [||] and lane_work = ref (0, 0) in
+  let ratios = ref [] and swept = ref [||] and lane_work = ref (0, 0) in
   for r = 1 to 5 do
-    let _, t1 = timed (fun () -> analyse [ base ]) in
-    let (stats, work), tk = timed (fun () -> analyse cfgs) in
+    let (stats, work), t1, n1, tk, nk = repeat () in
     Printf.printf
-      "  repeat %d: one configuration %.3fs, %d configurations %.3fs\n" r t1
-      k tk;
+      "  repeat %d: one configuration %.4fs (%d analyses), %d configurations \
+       %.4fs (%d analyses): %.2fx\n"
+      r t1 n1 k tk nk (tk /. t1);
     t_replay := Float.min !t_replay t1;
     t_sweep_replay := Float.min !t_sweep_replay tk;
+    ratios := (tk /. t1) :: !ratios;
     swept := stats;
     lane_work := work
   done;
@@ -343,17 +377,18 @@ let exp_sweep () =
   let t_sweep_pass = t_capture +. t_sweep_replay in
   let ratio = t_sweep_pass /. t_single_pass in
   let saved = float_of_int k *. t_single_pass /. t_sweep_pass in
-  let engine = t_sweep_replay /. t_replay in
+  let engine = List.nth (List.sort compare !ratios) 2 in
   Printf.printf
-    "workload %s: %d trace words, %d configurations\n\
-    \  single-config pass: generate %.2fs + analyse %.3fs = %.2fs\n\
-    \  sweep pass:         generate %.2fs + analyse %.3fs = %.2fs (%.2fx one \
+    "workload %s: %d trace words, %d configurations; 5 repeats of >= %.2fs \
+     of analysis a side, host CPU\n\
+    \  single-config pass: generate %.2fs + analyse %.4fs = %.2fs\n\
+    \  sweep pass:         generate %.2fs + analyse %.4fs = %.2fs (%.2fx one \
      pass)\n\
-    \  engine work: %.3fs for %d configs = %.2fx one config's analysis\n\
+    \  engine work: %d configs = %.2fx one config's analysis (median repeat)\n\
     \  write buffers run at %d of %d trace stores x TLB groups (%.1f%%)\n\
     \  work saved over %d independent passes: %.1fx\n"
-    wname (Array.length words) k t_capture t_replay t_single_pass t_capture
-    t_sweep_replay t_sweep_pass ratio t_sweep_replay k engine ran stores
+    wname (Array.length words) k min_side_s t_capture t_replay t_single_pass
+    t_capture t_sweep_replay t_sweep_pass ratio k engine ran stores
     (100.0 *. float_of_int ran /. float_of_int (max 1 stores))
     k saved;
   check_floor (ratio <= 2.0)
@@ -396,7 +431,7 @@ let exp_store () =
       in
       let t_pack =
         best (fun () ->
-            Tracing.Tracefile.save ~compress:true path words)
+            Tracing.Tracefile.save path words)
       in
       let bytes =
         let ic = open_in_bin path in
@@ -482,7 +517,7 @@ let exp_serve () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Tracing.Tracefile.save ~compress:true path words;
+      Tracing.Tracefile.save path words;
       let cfg =
         {
           (Serve.Server.default_config Serve.Server.scan_pipeline) with

@@ -7,6 +7,10 @@
      systrace validate WORKLOAD          -- measured vs predicted, one workload
      systrace matrix [-j N]              -- the full validation matrix on a
                                             pool of N domains
+     systrace dump WORKLOAD [-o FILE]    -- traced run, trace stored to a
+                                            format-v3 file
+     systrace analyze WORKLOAD FILE      -- replay a stored trace through
+                                            the memory-system simulator
      systrace sweep WORKLOAD FILE        -- evaluate a geometry grid over a
                                             stored trace in one pass
      systrace check FILE [-w WORKLOAD]   -- validate a stored trace; print
@@ -133,7 +137,7 @@ let run_cmd =
     Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg)
 
 let trace_cmd =
-  let run name os seed nshow trace_out compress =
+  let run name os seed nshow =
     let e = find_workload name in
     let on_event = function
       | Inst { addr; pid; kernel } ->
@@ -144,27 +148,15 @@ let trace_cmd =
           addr pid
           (if kernel then " K" else "")
     in
-    (* --trace-out captures the raw words as they are drained, through the
-       streaming file sink: the whole trace is never resident. *)
-    let sink =
-      match trace_out with
-      | None -> Tracing.Sink.null
-      | Some path -> Tracing.Sink.to_file ~compress path
-    in
     (* no reference record is built without -n, nor after the N-th *)
     let on_event = if nshow > 0 then Some on_event else None in
     let r =
-      run_traced ~os:(os_of os) ~seed ?on_event ~max_events:nshow ~sink
+      run_traced ~os:(os_of os) ~seed ?on_event ~max_events:nshow
         [ e.Workloads.Suite.program () ]
         e.Workloads.Suite.files
     in
     let s = r.parse_stats in
     Printf.printf "console: %S\n" r.console;
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-      Printf.printf "trace words streamed to %s%s\n" path
-        (if compress then " (compressed, format v3)" else ""));
     Printf.printf
       "trace: %d words, %d block records, %d markers\n\
        references: %d instructions (%d user / %d kernel, %d idle), %d data\n\
@@ -182,27 +174,11 @@ let trace_cmd =
       value & opt int 0
       & info [ "n"; "show" ] ~doc:"Print the first N reconstructed references.")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Stream the raw trace words to $(docv) while the run executes \
-             (chunk by chunk; the whole trace is never held in memory).")
-  in
-  let compress =
-    Arg.(
-      value & flag
-      & info [ "z"; "compress" ]
-          ~doc:
-            "Compress the $(b,--trace-out) file (format v3: indexed \
-             semantically-preconditioned blocks).")
-  in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Run a workload traced; print trace statistics.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ nshow $ trace_out
-          $ compress)
+    (Cmd.info "trace"
+       ~doc:"Run a workload traced; print trace statistics.  To store the \
+             trace, use $(b,systrace dump).")
+    Term.(const run $ workload_arg $ os_arg $ seed_arg $ nshow)
 
 let profile_cmd =
   (* The paper's "reference counting tools ... dynamic count of the number
@@ -353,47 +329,35 @@ let matrix_cmd =
 
 let dump_cmd =
   (* Capture a workload's system trace to a file (the "traces on tape"
-     of paper 3.4).  The file sink consumes each ANALYZE phase's chunk as
-     it is drained, so the dump runs in O(chunk) memory whatever the
-     trace length. *)
-  let run name os seed out compress =
+     of paper 3.4), as format v3.  The file sink consumes each ANALYZE
+     phase's chunk as it is drained, so the dump runs in O(block) memory
+     whatever the trace length. *)
+  let run name os seed out =
     let e = find_workload name in
     let r =
-      run_traced ~os:(os_of os) ~seed
-        ~sink:(Tracing.Sink.to_file ~compress out)
+      run_traced ~os:(os_of os) ~seed ~sink:(Tracing.Sink.to_file out)
         [ e.Workloads.Suite.program () ]
         e.Workloads.Suite.files
     in
     let words = r.parse_stats.Tracing.Parser.words in
-    Printf.printf "wrote %d trace words (%d references) to %s%s\n" words
+    (* whole-file ratio: header, blocks and index trailer all count *)
+    let file_bytes = (Unix.stat out).Unix.st_size in
+    Printf.printf "wrote %d trace words (%d references) to %s (%.1fx smaller \
+                   than raw words)\n"
+      words
       (r.parse_stats.Tracing.Parser.insts + r.parse_stats.Tracing.Parser.datas)
       out
-      (if compress then
-         (* whole-file ratio: header, blocks and index trailer all count *)
-         let file_bytes =
-           let ic = open_in_bin out in
-           Fun.protect
-             ~finally:(fun () -> close_in ic)
-             (fun () -> in_channel_length ic)
-         in
-         Printf.sprintf " (compressed, %.1fx smaller)"
-           (float_of_int (4 * words) /. float_of_int file_bytes)
-       else "")
+      (float_of_int (4 * words) /. float_of_int file_bytes)
   in
   let out =
     Arg.(value & opt string "trace.strc"
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output trace file.")
   in
-  let compress =
-    Arg.(value & flag
-         & info [ "z"; "compress" ]
-             ~doc:
-               "Compress the stored trace (format v3: indexed \
-                semantically-preconditioned blocks).")
-  in
   Cmd.v
-    (Cmd.info "dump" ~doc:"Capture a workload's system trace to a file.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ out $ compress)
+    (Cmd.info "dump"
+       ~doc:"Capture a workload's system trace to a file (format v3: \
+             indexed, semantically preconditioned blocks).")
+    Term.(const run $ workload_arg $ os_arg $ seed_arg $ out)
 
 let analyze_cmd =
   (* Offline analysis of a stored trace: rebuild the same traced system

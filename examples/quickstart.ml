@@ -58,7 +58,7 @@ let () =
   let counter, words_seen = Tracing.Sink.counting () in
   let peak, peak_words = Tracing.Sink.peak () in
   let sink =
-    Tracing.Sink.tee [ Tracing.Sink.to_file ~compress:true tmp; counter; peak ]
+    Tracing.Sink.tee [ Tracing.Sink.to_file tmp; counter; peak ]
   in
   let run = run_traced ~on_event ~sink [ greeting_program () ] [] in
   let s = run.parse_stats in

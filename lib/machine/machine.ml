@@ -37,8 +37,15 @@ exception Trap of { code : int; badva : int; refill : bool }
 let trap ?(badva = -1) ?(refill = false) code =
   raise (Trap { code; badva; refill })
 
+(* The physical memory and the disk are the same on every machine: 16 MB
+   of RAM, and a 2048-block disk whose seek and per-block transfer costs
+   are in cycles. *)
+let mem_bytes = 16 * 1024 * 1024
+let disk_blocks = 2048
+let disk_seek = 20000
+let disk_per_block = 4000
+
 type config = {
-  mem_bytes : int;
   icache_bytes : int;
   icache_line : int;
   dcache_bytes : int;
@@ -47,16 +54,12 @@ type config = {
   uncached_penalty : int;      (* cycles per uncached access *)
   wb_depth : int;
   wb_drain : int;
-  disk_blocks : int;
-  disk_seek : int;
-  disk_per_block : int;
   count_exec : bool;           (* per-instruction-word execution counts *)
   tier : Uop.tier;    (* interpreter tier: step|bcache *)
 }
 
 let default_config =
   {
-    mem_bytes = 16 * 1024 * 1024;
     icache_bytes = 16384;
     icache_line = 16;
     dcache_bytes = 16384;
@@ -65,9 +68,6 @@ let default_config =
     uncached_penalty = 15;
     wb_depth = 4;
     wb_drain = 6;
-    disk_blocks = 2048;
-    disk_seek = 20000;
-    disk_per_block = 4000;
     count_exec = false;
     tier = Uop.Bcache;
   }
@@ -244,16 +244,16 @@ type t = {
 }
 
 let create ?(cfg = default_config) () =
-  let words = cfg.mem_bytes / 4 in
+  let words = mem_bytes / 4 in
   {
     cfg;
-    mem = Bytes.make cfg.mem_bytes '\000';
-    dec = Array.make ((cfg.mem_bytes + Addr.page_mask) lsr Addr.page_shift) [||];
+    mem = Bytes.make mem_bytes '\000';
+    dec = Array.make ((mem_bytes + Addr.page_mask) lsr Addr.page_shift) [||];
     bcache_tab =
       (if cfg.tier = Uop.Bcache then
          Array.make bcache_slots Uop.dummy_block
        else [||]);
-    bgen = Uop.Gens.create ~mem_bytes:cfg.mem_bytes;
+    bgen = Uop.Gens.create ~mem_bytes;
     regs = Array.make 32 0;
     fregs = Array.make Reg.nfregs 0.0;
     fcc = false;
@@ -296,8 +296,8 @@ let create ?(cfg = default_config) () =
     wb = Write_buffer.create ~depth:cfg.wb_depth ~drain_cycles:cfg.wb_drain ();
     fpu = Fpu.create ();
     disk =
-      Disk.create ~blocks:cfg.disk_blocks ~seek_cycles:cfg.disk_seek
-        ~per_block_cycles:cfg.disk_per_block ();
+      Disk.create ~blocks:disk_blocks ~seek_cycles:disk_seek
+        ~per_block_cycles:disk_per_block ();
     clock_interval = 0;
     next_clock = max_int;
     ip = 0;
@@ -321,7 +321,7 @@ let asid t = (t.entryhi lsr 6) land 0x3F
 (* ------------------------------------------------------------------ *)
 (* Raw physical memory access (host-side too)                          *)
 
-let phys_ok t pa len = pa >= 0 && pa + len <= t.cfg.mem_bytes
+let phys_ok pa len = pa >= 0 && pa + len <= mem_bytes
 
 (* Every physical write advances the page's store generation
    ({!Uop.Gens} owns the contract), which invalidates any cached basic
@@ -625,7 +625,7 @@ let[@inline] ram_pa t va ~write:w =
     if pte < 0 || pte land 1 <> 0 then -1
     else begin
       let pa = pte lor (va land Addr.page_mask) in
-      if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then pa else -1
+      if pa + 4 <= mem_bytes && not (is_device_pa pa) then pa else -1
     end
   end
 
@@ -700,7 +700,7 @@ let load_word_timed t va =
     device_read t pa
   end
   else begin
-    if not (phys_ok t pa 4) then trap ~badva:va Exc.adel;
+    if not (phys_ok pa 4) then trap ~badva:va Exc.adel;
     if cached then bb_dload t pa
     else begin
       t.c.uncached_reads <- t.c.uncached_reads + 1;
@@ -716,7 +716,7 @@ let load_timed t va bytes =
     if va land 1 <> 0 then trap ~badva:va Exc.adel;
     let pa = translate_i t va ~write:false ~fetch:false in
     let cached = t.tr_cached in
-    if not (phys_ok t pa 2) then trap ~badva:va Exc.adel;
+    if not (phys_ok pa 2) then trap ~badva:va Exc.adel;
     if cached then begin
       if not (Cache.read t.dcache pa) then
         t.cycles <- t.cycles + t.cfg.read_miss_penalty
@@ -729,7 +729,7 @@ let load_timed t va bytes =
   | 1 ->
     let pa = translate_i t va ~write:false ~fetch:false in
     let cached = t.tr_cached in
-    if not (phys_ok t pa 1) then trap ~badva:va Exc.adel;
+    if not (phys_ok pa 1) then trap ~badva:va Exc.adel;
     if cached then begin
       if not (Cache.read t.dcache pa) then
         t.cycles <- t.cycles + t.cfg.read_miss_penalty
@@ -753,7 +753,7 @@ let store_timed t va bytes v =
     device_write t pa v
   end
   else begin
-    if not (phys_ok t pa bytes) then trap ~badva:va Exc.ades;
+    if not (phys_ok pa bytes) then trap ~badva:va Exc.ades;
     (* write-through no-allocate: a store changes no d-cache state, cached
        or not *)
     match bytes with
@@ -771,7 +771,7 @@ let load_double_timed t va =
   if va land 7 <> 0 then trap ~badva:va Exc.adel;
   let pa = translate_i t va ~write:false ~fetch:false in
   let cached = t.tr_cached in
-  if not (phys_ok t pa 8) then trap ~badva:va Exc.adel;
+  if not (phys_ok pa 8) then trap ~badva:va Exc.adel;
   if cached then begin
     if not (Cache.read t.dcache pa) then
       t.cycles <- t.cycles + t.cfg.read_miss_penalty
@@ -786,7 +786,7 @@ let store_double_timed t va f =
   if va land 7 <> 0 then trap ~badva:va Exc.ades;
   let pa = translate_i t va ~write:true ~fetch:false in
   let cached = t.tr_cached in
-  if not (phys_ok t pa 8) then trap ~badva:va Exc.ades;
+  if not (phys_ok pa 8) then trap ~badva:va Exc.ades;
   if cached then ignore (Cache.write t.dcache pa);
   (* A double store occupies two write-buffer slots. *)
   t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
@@ -802,7 +802,7 @@ let fetch_timed t va =
   if va land 3 <> 0 then trap ~badva:va Exc.adel;
   let pa = translate_i t va ~write:false ~fetch:true in
   let cached = t.tr_cached in
-  if not (phys_ok t pa 4) then trap ~badva:va Exc.adel;
+  if not (phys_ok pa 4) then trap ~badva:va Exc.adel;
   if cached then begin
     if not (Cache.read t.icache pa) then
       t.cycles <- t.cycles + t.cfg.read_miss_penalty
@@ -1240,7 +1240,7 @@ let[@inline always] bb_load_word t rt va =
   if va land 3 = 0 && va lsr Addr.page_shift = tcc.r_vpn && tcc.r_cached
   then begin
     let pa = tcc.r_frame lor (va land Addr.page_mask) in
-    if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then begin
+    if pa + 4 <= mem_bytes && not (is_device_pa pa) then begin
       let v = bb_dload t pa in
       (match t.ref_tracer with Some f -> f 1 va | None -> ());
       reg_set t rt v
@@ -1262,7 +1262,7 @@ let[@inline always] bb_store_word t v va =
   if va land 3 = 0 && va lsr Addr.page_shift = tcc.w_vpn && tcc.w_cached
   then begin
     let pa = tcc.w_frame lor (va land Addr.page_mask) in
-    if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then begin
+    if pa + 4 <= mem_bytes && not (is_device_pa pa) then begin
       bb_dstore t pa v;
       (match t.ref_tracer with Some f -> f 2 va | None -> ())
     end
@@ -1369,7 +1369,7 @@ let[@inline always] ram_pa_near t pa0 va0 va ~write =
   if pa0 >= 0 && va lsr Addr.page_shift = va0 lsr Addr.page_shift && va land 3 = 0
   then begin
     let pa = pa0 + (va - va0) in
-    if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then pa else -1
+    if pa + 4 <= mem_bytes && not (is_device_pa pa) then pa else -1
   end
   else ram_pa t va ~write
 
@@ -2059,7 +2059,7 @@ and bb_chain t bprev budget next_ev ptag =
     match
       (if va land 3 <> 0 then trap ~badva:va Exc.adel;
        let pa = translate_i t va ~write:false ~fetch:true in
-       if not (phys_ok t pa 4) then trap ~badva:va Exc.adel;
+       if not (phys_ok pa 4) then trap ~badva:va Exc.adel;
        pa)
     with
     | exception Trap { code; badva; refill } ->
@@ -2130,7 +2130,7 @@ let bb_step t ~budget =
         match
           (if va land 3 <> 0 then trap ~badva:va Exc.adel;
            let pa = translate_i t va ~write:false ~fetch:true in
-           if not (phys_ok t pa 4) then trap ~badva:va Exc.adel;
+           if not (phys_ok pa 4) then trap ~badva:va Exc.adel;
            pa)
         with
         | pa ->

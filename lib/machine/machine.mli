@@ -29,7 +29,6 @@ end
 exception Trap of { code : int; badva : int; refill : bool }
 
 type config = {
-  mem_bytes : int;
   icache_bytes : int;
   icache_line : int;
   dcache_bytes : int;
@@ -38,9 +37,6 @@ type config = {
   uncached_penalty : int;
   wb_depth : int;
   wb_drain : int;
-  disk_blocks : int;
-  disk_seek : int;
-  disk_per_block : int;
   count_exec : bool;  (** per-instruction-word execution counts (§4.3) *)
   tier : Uop.tier;
       (** Interpreter tier (default {!Uop.Bcache}): [Step] is the

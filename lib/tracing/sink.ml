@@ -62,8 +62,9 @@ let to_array () =
     },
     fun () -> Array.concat (List.rev !chunks) )
 
-let to_file ?compress path =
-  let w = Tracefile.open_writer ?compress path in
+(* [?compress] is accepted and ignored: every trace file is version 3. *)
+let to_file ?compress:_ path =
+  let w = Tracefile.open_writer path in
   {
     on_words = (fun words ~len -> Tracefile.write w words ~len);
     finish = (fun () -> ignore (Tracefile.close_writer w : int));

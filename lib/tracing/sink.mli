@@ -55,9 +55,14 @@ val to_array : unit -> t * (unit -> int array)
     concatenation — deliberately O(trace) memory. *)
 
 val to_file : ?compress:bool -> string -> t
-(** Streams chunks to a trace file through {!Tracefile.open_writer};
-    [finish] flushes and closes it (patching the header word count).
-    Each chunk goes straight to {!Tracefile.write}: version 1 appends
-    through the channel's buffer, and [~compress:true] (version 3)
-    gathers words into whole blocks whatever the chunking, so memory
-    stays bounded by one block. *)
+(** Streams chunks to a version-3 trace file through
+    {!Tracefile.open_writer}; [finish] flushes and closes it (writing
+    the index trailer and patching the header counts).  Each chunk goes
+    straight to {!Tracefile.write}, which gathers words into whole
+    blocks whatever the chunking, so memory stays bounded by one block.
+
+    [?compress] is accepted and ignored: version 3 is the one format
+    written.  It is kept for the journey benchmark's [offline] workload
+    (perfbench/wl_offline.ml), which passes [~compress:true]; the
+    benchmark's files change only together with the benchmark, and
+    ROADMAP item 2 drops both. *)

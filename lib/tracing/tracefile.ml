@@ -18,9 +18,9 @@
                 packed length, codec byte, CRC-32 of the packed bytes)
                 followed by a 12-byte footer (block count, CRC-32 of the
                 index bytes, "SIDX").
-   One streaming writer writes versions 1 and 3; version 2 is read-only.
+   One streaming writer writes version 3; versions 1 and 2 are read-only.
    One reader, [fold_words], dispatches on the version, and [load] is a
-   whole-file fold, so consumers never care which way a trace was dumped
+   whole-file fold, so consumers never care which writer made a trace
    and v1/v2 files keep loading byte-identically forever.
 
    Version 3 exists because v2 is decode-forward-only: one sequential
@@ -222,52 +222,48 @@ let v3_read_block ic entries ~n ~path k =
 (* ------------------------------------------------------------------ *)
 (* Streaming writer.
 
-   The writer accepts ANALYZE-phase chunks as they arrive and patches
-   the header counts on close, so peak memory is O(block), not
-   O(trace); [save] is the same writer fed one chunk.  Version 1
-   appends the raw words.  Version 3 buffers words (not bytes): every
-   [v3_block_words] it packs a self-contained block, appends it to the
-   file and its entry to the in-memory index, which [close_writer]
-   writes as the trailer.  Block boundaries depend only on the word
-   stream, never on how calls chunked it, so the streamed file is
-   byte-identical to [save] of the concatenation. *)
+   Version 3 is the one format written.  The writer accepts
+   ANALYZE-phase chunks as they arrive and buffers words (not bytes):
+   every [v3_block_words] it packs a self-contained block, appends it to
+   the file and its entry to the in-memory index, which [close_writer]
+   writes as the trailer before it patches the header counts.  Peak
+   memory is O(block), not O(trace), and [save] is the same writer fed
+   one chunk.  Block boundaries depend only on the word stream, never
+   on how calls chunked it, so the streamed file is byte-identical to
+   [save] of the concatenation. *)
 
 type writer = {
   w_oc : out_channel;
-  w_compress : bool;  (* version 3 if set, else version 1 *)
-  (* v3 state *)
   w_block : int array;  (* words awaiting a block flush *)
   mutable w_fill : int;
   w_index : Buffer.t;  (* index entries of the flushed blocks *)
   mutable w_nblocks : int;
   mutable w_payload : int;  (* payload bytes written so far *)
-  (* common *)
   mutable w_words : int;
   mutable w_closed : bool;
 }
 
-let writer_of_channel ~compress oc =
+let writer_of_channel oc =
   output_string oc magic;
-  (* word count (and v3 payload size) are patched by [close_writer] *)
-  let hdr = Bytes.make (if compress then 12 else 8) '\000' in
-  Bytes.set_int32_le hdr 0 (if compress then 3l else 1l);
+  (* version; the word count and payload size are patched by
+     [close_writer] *)
+  let hdr = Bytes.make 12 '\000' in
+  Bytes.set_int32_le hdr 0 3l;
   output_bytes oc hdr;
   {
     w_oc = oc;
-    w_compress = compress;
-    w_block = (if compress then Array.make v3_block_words 0 else [||]);
+    w_block = Array.make v3_block_words 0;
     w_fill = 0;
-    w_index = Buffer.create (if compress then 1024 else 16);
+    w_index = Buffer.create 1024;
     w_nblocks = 0;
     w_payload = 0;
     w_words = 0;
     w_closed = false;
   }
 
-let open_writer ?(compress = false) path =
-  writer_of_channel ~compress (open_out_bin path)
+let open_writer path = writer_of_channel (open_out_bin path)
 
-let writer_flush_v3 w =
+let flush_block w =
   if w.w_fill > 0 then begin
     let len = w.w_fill in
     w.w_fill <- 0;
@@ -302,27 +298,17 @@ let write w (words : int array) ~len =
     invalid_arg
       (Printf.sprintf "Tracefile.write: trace exceeds the %d-word cap"
          max_words);
-  if w.w_compress then begin
-    (* fill the pending block; flush whenever it reaches the block size,
-       so boundaries depend only on the word stream *)
-    let pos = ref 0 in
-    while !pos < len do
-      let k = min (v3_block_words - w.w_fill) (len - !pos) in
-      Array.blit words !pos w.w_block w.w_fill k;
-      w.w_fill <- w.w_fill + k;
-      w.w_words <- w.w_words + k;
-      pos := !pos + k;
-      if w.w_fill = v3_block_words then writer_flush_v3 w
-    done
-  end
-  else begin
-    let buf = Bytes.create (len * 4) in
-    for i = 0 to len - 1 do
-      Bytes.set_int32_le buf (i * 4) (Int32.of_int words.(i))
-    done;
-    output_bytes w.w_oc buf;
-    w.w_words <- w.w_words + len
-  end
+  (* fill the pending block; flush whenever it reaches the block size,
+     so boundaries depend only on the word stream *)
+  let pos = ref 0 in
+  while !pos < len do
+    let k = min (v3_block_words - w.w_fill) (len - !pos) in
+    Array.blit words !pos w.w_block w.w_fill k;
+    w.w_fill <- w.w_fill + k;
+    w.w_words <- w.w_words + k;
+    pos := !pos + k;
+    if w.w_fill = v3_block_words then flush_block w
+  done
 
 let close_writer w =
   if not w.w_closed then begin
@@ -330,34 +316,31 @@ let close_writer w =
     Fun.protect
       ~finally:(fun () -> close_out w.w_oc)
       (fun () ->
-        if w.w_compress then begin
-          writer_flush_v3 w;
-          (* trailer: index entries, then block count + index CRC + magic
-             — so an empty trace is a header plus an empty trailer, and
-             still a structurally valid v3 file *)
-          let ib = Buffer.contents w.w_index in
-          output_string w.w_oc ib;
-          let fb = Bytes.create v3_footer_bytes in
-          Bytes.set_int32_le fb 0 (Int32.of_int w.w_nblocks);
-          Bytes.set_int32_le fb 4 (Int32.of_int (Compress.crc32 ib));
-          Bytes.blit_string index_magic 0 fb 8 4;
-          output_bytes w.w_oc fb
-        end;
+        flush_block w;
+        (* trailer: index entries, then block count + index CRC + magic
+           — so an empty trace is a header plus an empty trailer, and
+           still a structurally valid v3 file *)
+        let ib = Buffer.contents w.w_index in
+        output_string w.w_oc ib;
+        let fb = Bytes.create v3_footer_bytes in
+        Bytes.set_int32_le fb 0 (Int32.of_int w.w_nblocks);
+        Bytes.set_int32_le fb 4 (Int32.of_int (Compress.crc32 ib));
+        Bytes.blit_string index_magic 0 fb 8 4;
+        output_bytes w.w_oc fb;
         seek_out w.w_oc 8;
-        let tl = Bytes.create (if w.w_compress then 8 else 4) in
+        let tl = Bytes.create 8 in
         Bytes.set_int32_le tl 0 (Int32.of_int w.w_words);
-        if w.w_compress then
-          Bytes.set_int32_le tl 4 (Int32.of_int w.w_payload);
+        Bytes.set_int32_le tl 4 (Int32.of_int w.w_payload);
         output_bytes w.w_oc tl)
   end;
   w.w_words
 
-let save ?compress path (words : int array) =
+let save path (words : int array) =
   (* checked before the file is created, so a bad word leaves no file *)
   Array.iteri
     (fun i w -> if w < 0 || w > 0xFFFFFFFF then out_of_range ~what:"save" i w)
     words;
-  let w = open_writer ?compress path in
+  let w = open_writer path in
   Fun.protect
     ~finally:(fun () -> ignore (close_writer w : int))
     (fun () -> write w words ~len:(Array.length words))
@@ -556,7 +539,7 @@ let load path : int array =
    else there (a device, a pipe, a symbolic link) is written in place. *)
 let slice ?from ?until src dst =
   let write_to oc =
-    let w = writer_of_channel ~compress:true oc in
+    let w = writer_of_channel oc in
     Fun.protect
       ~finally:(fun () -> ignore (close_writer w : int))
       (fun () ->

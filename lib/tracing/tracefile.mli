@@ -1,11 +1,11 @@
 (** On-disk trace files — the "traces on tape" of the paper's §3.4, for
     sharing and offline replay studies.  Three wire formats: raw words
-    (version 1), {!Compress} delta/varint (version 2, read-only), and
-    indexed self-contained compressed blocks (version 3 — seekable,
-    semantically preconditioned).  One streaming
-    writer writes versions 1 and 3; {!fold_words} reads all three, and
-    {!load} is a whole-file fold, so v1/v2 files keep loading
-    byte-identically. *)
+    (version 1, read-only), {!Compress} delta/varint (version 2,
+    read-only), and indexed self-contained compressed blocks (version 3
+    — seekable, semantically preconditioned).  One streaming writer
+    writes version 3, so every file it makes can be sought through its
+    index; {!fold_words} reads all three, and {!load} is a whole-file
+    fold, so v1/v2 files keep loading byte-identically. *)
 
 exception Bad_file of string
 
@@ -21,10 +21,10 @@ val v3_block_words : int
     with the semantic codec, or raw words when that is smaller; the
     reader also decodes the delta/varint blocks of earlier writers. *)
 
-val save : ?compress:bool -> string -> int array -> unit
-(** Write a captured trace through the streaming writer in one chunk:
-    raw words (version 1) by default, or with [~compress:true] indexed
-    blocks (version 3, typically 4-100x smaller on real system traces).
+val save : string -> int array -> unit
+(** Write a captured trace through the streaming writer in one chunk, as
+    indexed blocks (version 3, typically 4-100x smaller than the raw
+    words on real system traces).
     @raise Invalid_argument naming the offending index if any word is
     outside the 32-bit trace-word range (a corrupted in-memory buffer
     must not round-trip into a "valid" file); the check runs before the
@@ -51,11 +51,10 @@ val load : string -> int array
 
 type writer
 
-val open_writer : ?compress:bool -> string -> writer
-(** Start a trace file (the header's word count is patched on close, so
-    the destination must be seekable — a regular file, not a pipe):
-    version 1 by default, version 3 with [~compress:true].  Version 3 is
-    compressed incrementally: a self-contained block every
+val open_writer : string -> writer
+(** Start a version-3 trace file (the header's counts are patched on
+    close, so the destination must be seekable — a regular file, not a
+    pipe).  It is compressed incrementally: a self-contained block every
     {!v3_block_words} words, and the index appended as a trailer on
     close.  Block boundaries depend only on the word stream, never on
     call chunking, so the streamed file is byte-identical to [save] of
@@ -72,7 +71,7 @@ val close_writer : writer -> int
 (** Flush the pending block, write the v3 index trailer, patch the
     header counts, close the file; returns the total words written.
     Idempotent.  A writer closed after zero words produces a valid
-    empty trace file (v3: header plus empty index trailer) that
+    empty trace file (a header plus an empty index trailer) that
     round-trips through {!load} and {!fold_words}. *)
 
 val fold_words :

@@ -5,16 +5,6 @@ let mean xs =
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let variance xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let n = float_of_int (List.length xs) in
-    List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs /. (n -. 1.0)
-
-let stddev xs = sqrt (variance xs)
-
 let minimum xs = List.fold_left min infinity xs
 let maximum xs = List.fold_left max neg_infinity xs
 
@@ -24,24 +14,3 @@ let percent_error ~measured ~predicted =
   if measured = 0.0 then if predicted = 0.0 then 0.0 else infinity
   else abs_float (predicted -. measured) /. abs_float measured *. 100.0
 
-let geometric_mean xs =
-  match xs with
-  | [] -> nan
-  | _ ->
-    let n = float_of_int (List.length xs) in
-    exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs /. n)
-
-(* Histogram of [xs] into [bins] equal-width buckets over [lo, hi). *)
-let histogram ~lo ~hi ~bins xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  let place x =
-    if x >= lo && x < hi then begin
-      let i = int_of_float ((x -. lo) /. width) in
-      let i = if i >= bins then bins - 1 else i in
-      counts.(i) <- counts.(i) + 1
-    end
-  in
-  List.iter place xs;
-  counts

@@ -1,14 +1,8 @@
 (** Statistics helpers for the validation harness. *)
 
 val mean : float list -> float
-val variance : float list -> float
-val stddev : float list -> float
 val minimum : float list -> float
 val maximum : float list -> float
 
 val percent_error : measured:float -> predicted:float -> float
 (** [|predicted - measured| / measured * 100], the quantity in Figure 3. *)
-
-val geometric_mean : float list -> float
-
-val histogram : lo:float -> hi:float -> bins:int -> float list -> int array

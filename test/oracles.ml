@@ -541,9 +541,27 @@ module Delta = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Trace-file version 1: "STRC", version, word count, then the words as
+   little-endian 32-bit integers.  The library reads v1 but writes only
+   v3; this is the writer that made the v1 files, kept so the reader's
+   v1 arm, its direct seek to a window included, stays under test. *)
+module Tracefile_v1 = struct
+  let save path words =
+    let n = Array.length words in
+    let b = Bytes.create (12 + (4 * n)) in
+    Bytes.blit_string "STRC" 0 b 0 4;
+    Bytes.set_int32_le b 4 1l;
+    Bytes.set_int32_le b 8 (Int32.of_int n);
+    Array.iteri
+      (fun i w -> Bytes.set_int32_le b (12 + (4 * i)) (Int32.of_int w))
+      words;
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+end
+
+(* ------------------------------------------------------------------ *)
 (* Trace-file version 2: "STRC", version, word count, payload byte
    count, then the delta/varint token stream through the LZSS stage.
-   The library reads v2 but writes only v1 and v3; this is the writer
+   The library reads v2 but writes only v3; this is the writer
    that made the v2 files, kept so the readers keep being tested on
    both shapes v2 files take on disk.  A write that leaves [block_bytes]
    or more token bytes pending (default ~1 MB, the streaming writer's

@@ -56,7 +56,7 @@ let cases () =
     (2, [ "slice"; file; "--from"; "0"; "--until"; "10"; "-o"; file ]);
     (2, [ "slice"; file; "-o"; slice_out ]);
     (1, [ "slice"; v3; "--from"; "10"; "--until"; "5"; "-o"; slice_out ]);
-    (2, [ "trace"; "egrep"; "--trace-out"; file ]);
+    (2, [ "dump"; "egrep"; "-o"; file ]);
     (2, [ "serve"; "--send"; v3; "--connect"; "unix:" ^ file ]);
     (2, [ "serve"; "--send"; v3; "--connect"; "tcp:localhost:1" ]);
     (2, [ "serve"; "--send"; v3; "--connect"; "tcp:127.0.0.1:99999" ]);
@@ -115,8 +115,24 @@ let test_profile_traced () =
   Alcotest.(check bool) "traced header" true (has "(Ultrix, traced):\n");
   Alcotest.(check bool) "lists the drain copy loop" true (has "ktraceops::$kd_loop")
 
+(* Removed flags are refused by Cmdliner before anything runs: [dump] is
+   the one command that stores a trace, always as format v3, and a sweep
+   runs on one domain. *)
+let test_removed_flags () =
+  List.iter
+    (fun args ->
+      let code, _ = run args in
+      Alcotest.(check int) (String.concat " " args ^ ": exit code") 124 code)
+    [
+      [ "dump"; "egrep"; "-z" ];
+      [ "trace"; "egrep"; "-z" ];
+      [ "trace"; "egrep"; "--trace-out"; tmp_path "trace-out.strc" ];
+      [ "sweep"; "egrep"; v3; "-j"; "2" ];
+    ]
+
 let tests =
   [
     Alcotest.test_case "bad invocations exit 1 or 2 with a message" `Quick test_bad_invocations;
     Alcotest.test_case "profile --traced lists the drain copy" `Quick test_profile_traced;
+    Alcotest.test_case "removed flags exit 124" `Quick test_removed_flags;
   ]

@@ -24,27 +24,31 @@ let baseline () =
 let test_replay_file_matches_replay () =
   let words, run, base = baseline () in
   List.iter
-    (fun compress ->
+    (fun v3 ->
       let path = Filename.temp_file "systrace_stream" ".strc" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          (* store through the streaming writer, replay through the
-             chunked reader: no whole-array round trip on either side *)
-          let sink = Tracing.Sink.to_file ~compress path in
-          List.iter
-            (fun pos ->
-              let len = min 10_000 (Array.length words - pos) in
-              sink.Tracing.Sink.on_words (Array.sub words pos len) ~len)
-            (List.init
-               ((Array.length words + 9_999) / 10_000)
-               (fun i -> i * 10_000));
-          sink.Tracing.Sink.finish ();
+          (* v3: store through the streaming writer, replay through the
+             chunked reader, no whole-array round trip on either side;
+             v1 (read-only) from the reference writer *)
+          if v3 then begin
+            let sink = Tracing.Sink.to_file path in
+            List.iter
+              (fun pos ->
+                let len = min 10_000 (Array.length words - pos) in
+                sink.Tracing.Sink.on_words (Array.sub words pos len) ~len)
+              (List.init
+                 ((Array.length words + 9_999) / 10_000)
+                 (fun i -> i * 10_000));
+            sink.Tracing.Sink.finish ()
+          end
+          else Oracles.Tracefile_v1.save path words;
           let streamed =
             replay_file ~system:run.system ~memsim_cfg:(memsim_cfg run) path
           in
           Alcotest.(check bool)
-            (Printf.sprintf "replay_file == replay (compress=%b)" compress)
+            (Printf.sprintf "replay_file == replay (v%d)" (if v3 then 3 else 1))
             true (streamed = base)))
     [ false; true ]
 
@@ -143,7 +147,7 @@ let test_v3_replay_matches_v2 () =
   with_tmp (fun p2 ->
       with_tmp (fun p3 ->
           Oracles.Tracefile_v2.save p2 words;
-          Tracing.Tracefile.save ~compress:true p3 words;
+          Tracing.Tracefile.save p3 words;
           let r2 = replay_file ~system:run.system ~memsim_cfg:(memsim_cfg run) p2 in
           let r3 = replay_file ~system:run.system ~memsim_cfg:(memsim_cfg run) p3 in
           Alcotest.(check bool) "v2 replay == baseline" true (r2 = base);

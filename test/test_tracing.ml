@@ -435,10 +435,10 @@ let test_tracefile_compressed () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Tracefile.save ~compress:true path words;
+      Tracefile.save path words;
       Alcotest.(check (array int)) "v3 roundtrip" words (Tracefile.load path);
       let compressed_size = (Unix.stat path).Unix.st_size in
-      Tracefile.save path words;
+      Oracles.Tracefile_v1.save path words;
       Alcotest.(check (array int)) "v1 roundtrip" words (Tracefile.load path);
       let raw_size = (Unix.stat path).Unix.st_size in
       Alcotest.(check bool) "v3 smaller" true (compressed_size < raw_size))
@@ -1071,7 +1071,7 @@ let test_tracefile_load_hardening () =
       write_file path (Bytes.to_string under);
       expect_bad_file path;
       (* truncating a real file anywhere must give Bad_file *)
-      Tracefile.save path (Array.init 100 (fun i -> i * 3));
+      Oracles.Tracefile_v1.save path (Array.init 100 (fun i -> i * 3));
       let full = read_file path in
       List.iter
         (fun k ->
@@ -1094,7 +1094,9 @@ let prop_tracefile_load_total =
         else
           with_temp (fun path ->
               let words = Array.init 60 (fun i -> (i * 2654435761) land 0xFFFFFFFF) in
-              Tracefile.save ~compress:(seed mod 2 = 0) path words;
+              (if seed mod 2 = 0 then Tracefile.save
+               else Oracles.Tracefile_v1.save)
+                path words;
               Faults.mangle rng (read_file path))
       in
       with_temp (fun path ->
@@ -1489,22 +1491,34 @@ let tests =
 (* ------------------------------------------------------------------ *)
 (* Streaming trace files: incremental writer + chunked reader.         *)
 
+(* A v3 file comes from the library's writer fed in chunks; a v1 file,
+   which the library only reads, from the reference writer. *)
 let prop_writer_fold_roundtrip =
   QCheck.Test.make ~count:200
     ~name:"tracefile: chunked write + fold_words == save + load (both formats)"
     (QCheck.make
-       ~print:(fun (ws, _, _, z) ->
-         Printf.sprintf "<%d words, compress=%b>" (Array.length ws) z)
+       ~print:(fun (ws, _, _, v3) ->
+         Printf.sprintf "<%d words, v%d>" (Array.length ws)
+           (if v3 then 3 else 1))
        (QCheck.Gen.quad gen_words_arr gen_sizes
           QCheck.Gen.(int_range 1 97)
           QCheck.Gen.bool))
-    (fun (words, sizes, chunk_words, compress) ->
+    (fun (words, sizes, chunk_words, v3) ->
       with_temp (fun path ->
-          let w = Tracefile.open_writer ~compress path in
-          List.iter
-            (fun (pos, len) -> Tracefile.write w (Array.sub words pos len) ~len)
-            (cuts_of sizes (Array.length words));
-          let n = Tracefile.close_writer w in
+          let n =
+            if v3 then begin
+              let w = Tracefile.open_writer path in
+              List.iter
+                (fun (pos, len) ->
+                  Tracefile.write w (Array.sub words pos len) ~len)
+                (cuts_of sizes (Array.length words));
+              Tracefile.close_writer w
+            end
+            else begin
+              Oracles.Tracefile_v1.save path words;
+              Array.length words
+            end
+          in
           let folded = ref [] in
           let total =
             Tracefile.fold_words ~chunk_words path ~init:0
@@ -1518,29 +1532,23 @@ let prop_writer_fold_roundtrip =
           && Tracefile.load path = words))
 
 let test_writer_byte_identical_to_save () =
-  (* chunked writes produce byte-for-byte what the batch writer produces:
-     always for v1 and v3 (v3 block boundaries depend only on the word
-     stream, never on call chunking) *)
+  (* chunked writes produce byte-for-byte what the batch writer produces
+     (block boundaries depend only on the word stream, never on call
+     chunking) *)
   let words =
     Array.init 5000 (fun i ->
         if i mod 7 = 0 then 0xBFFF0000 + (8 * (i mod 6))
         else 0x40001000 + (4 * (i mod 257)))
   in
-  List.iter
-    (fun compress ->
-      with_temp (fun p1 ->
-          with_temp (fun p2 ->
-              Tracefile.save ~compress p1 words;
-              let w = Tracefile.open_writer ~compress p2 in
-              List.iter
-                (fun (pos, len) ->
-                  Tracefile.write w (Array.sub words pos len) ~len)
-                (cuts_of [ 33; 1; 500 ] (Array.length words));
-              ignore (Tracefile.close_writer w);
-              Alcotest.(check string)
-                (if compress then "v3" else "v1")
-                (read_file p1) (read_file p2))))
-    [ false; true ]
+  with_temp (fun p1 ->
+      with_temp (fun p2 ->
+          Tracefile.save p1 words;
+          let w = Tracefile.open_writer p2 in
+          List.iter
+            (fun (pos, len) -> Tracefile.write w (Array.sub words pos len) ~len)
+            (cuts_of [ 33; 1; 500 ] (Array.length words));
+          ignore (Tracefile.close_writer w);
+          Alcotest.(check string) "v3" (read_file p1) (read_file p2)))
 
 let test_writer_multiblock_v2 () =
   (* a delta stream larger than the ~1MB block size forces the v2
@@ -1584,7 +1592,7 @@ let test_fold_words_callback_exn () =
   (* the reader's totality contract wraps ITS failures in Bad_file but
      must let the callback's own exceptions through untouched *)
   with_temp (fun path ->
-      Tracefile.save path (Array.init 10 (fun i -> i));
+      Oracles.Tracefile_v1.save path (Array.init 10 (fun i -> i));
       match Tracefile.fold_words path ~init:() ~f:(fun () _ ~len:_ -> raise Exit) with
       | () -> Alcotest.fail "callback exception swallowed"
       | exception Exit -> ())
@@ -1604,7 +1612,9 @@ let prop_fold_words_total =
               let words =
                 Array.init 60 (fun i -> (i * 2654435761) land 0xFFFFFFFF)
               in
-              Tracefile.save ~compress:(seed mod 2 = 0) path words;
+              (if seed mod 2 = 0 then Tracefile.save
+               else Oracles.Tracefile_v1.save)
+                path words;
               Faults.mangle rng (read_file path))
       in
       with_temp (fun path ->
@@ -1661,9 +1671,9 @@ let gen_v3_words =
               map (fun i -> i land 0xFFFFFFFF) (int_bound max_int);
             ])))
 
-(* The forms a stored trace takes: v1 and v3 from the library's writer,
-   v2 from the reference writer, as one LZSS stream or as LZSS blocks
-   flushed every few words. *)
+(* The forms a stored trace takes: v3 from the library's writer, v1 and
+   v2 from the reference writers, v2 as one LZSS stream or as LZSS
+   blocks flushed every few words. *)
 type stored = V1 | V2 | V2_blocks | V3
 
 let gen_stored = QCheck.Gen.oneofl [ V1; V2; V2_blocks; V3 ]
@@ -1676,11 +1686,11 @@ let stored_name = function
 
 let save_stored stored path words =
   match stored with
-  | V1 -> Tracefile.save path words
+  | V1 -> Oracles.Tracefile_v1.save path words
   | V2 -> Oracles.Tracefile_v2.save path words
   | V2_blocks ->
     Oracles.Tracefile_v2.save ~block_bytes:64 ~chunk_words:16 path words
-  | V3 -> Tracefile.save ~compress:true path words
+  | V3 -> Tracefile.save path words
 
 let prop_semantic_roundtrip =
   QCheck.Test.make ~count:300
@@ -1713,8 +1723,8 @@ let prop_v3_version_roundtrip =
                 save_stored V2_blocks p2 words
               end
               else begin
-                Tracefile.save ~compress:true p1 words;
-                let w = Tracefile.open_writer ~compress:true p2 in
+                Tracefile.save p1 words;
+                let w = Tracefile.open_writer p2 in
                 List.iter
                   (fun (pos, len) ->
                     Tracefile.write w (Array.sub words pos len) ~len)
@@ -1743,7 +1753,7 @@ let multiblock_file =
   lazy
     (let path = Filename.temp_file "systrace_v3multi" ".strc" in
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-     Tracefile.save ~compress:true path (Lazy.force multiblock_words);
+     Tracefile.save path (Lazy.force multiblock_words);
      path)
 
 let test_v3_multiblock () =
@@ -1755,7 +1765,7 @@ let test_v3_multiblock () =
   (* byte identity of save and an arbitrarily chunked writer across
      block boundaries *)
   with_temp (fun p2 ->
-      let w = Tracefile.open_writer ~compress:true p2 in
+      let w = Tracefile.open_writer p2 in
       List.iter
         (fun (pos, len) -> Tracefile.write w (Array.sub words pos len) ~len)
         (cuts_of [ 40_000; 1; 65536; 13 ] (Array.length words));
@@ -1832,7 +1842,7 @@ let test_slice_failure_keeps_dst () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      Tracefile.save ~compress:true src words;
+      Tracefile.save src words;
       let b = Bytes.of_string (read_file src) in
       (* entry 1 is the last index entry before the 12-byte footer; its
          file offset is its second field *)
@@ -1904,10 +1914,12 @@ let test_empty_writer_roundtrip () =
   List.iter
     (fun version ->
       with_temp (fun path ->
-          (if version = 2 then save_stored V2 path [||]
-           else
-             let w = Tracefile.open_writer ~compress:(version = 3) path in
-             check_int "zero words" 0 (Tracefile.close_writer w));
+          (match version with
+          | 1 -> save_stored V1 path [||]
+          | 2 -> save_stored V2 path [||]
+          | _ ->
+            let w = Tracefile.open_writer path in
+            check_int "zero words" 0 (Tracefile.close_writer w));
           check "empty load" true (Tracefile.load path = [||]);
           ignore
             (Tracefile.fold_words path ~init:() ~f:(fun () _ ~len:_ ->
@@ -1964,7 +1976,7 @@ let prop_v3_fuzz_total =
                 (200 + Systrace_util.Rng.int rng 400)
                 (fun i -> (i * 2654435761) land 0xFFFFFFFF)
             in
-            Tracefile.save ~compress:true path words;
+            Tracefile.save path words;
             read_file path)
       in
       let mangled, _what = Faults.mangle_v3 rng base in
@@ -2079,8 +2091,8 @@ let test_backward_compat_fixtures () =
       check (Printf.sprintf "v%d fixture folds identically" version) true
         (Array.concat (List.rev !folded) = fixture_words))
     [ ("fixture_v1.strc", 1); ("fixture_v2.strc", 2); ("fixture_v3.strc", 3) ];
-  (* the writers still produce the fixtures' bytes: v1 and v3 through
-     the library, v2 through the reference writer *)
+  (* the writers still produce the fixtures' bytes: v3 through the
+     library, v1 and v2 through the reference writers *)
   List.iter
     (fun (file, stored) ->
       with_temp (fun path ->
