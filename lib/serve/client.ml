@@ -1,6 +1,8 @@
-(* Client side of the serve protocol: blocking sockets, words buffered
-   into frames in a Buffer and flushed in ~1 MiB writes so a stream of
-   many small sends still hits the kernel in large batches. *)
+(* Client side of the serve protocol: blocking sockets, and per stream
+   one 1 MiB byte buffer that [Wire]'s frame writer fills with headers
+   and words and writes to the socket whenever it is full, so a stream
+   of many small sends still hits the kernel in large batches and a
+   flush copies nothing into a fresh string. *)
 
 module Tracefile = Systrace_tracing.Tracefile
 
@@ -19,42 +21,26 @@ let connect = function
      with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
     fd
 
-let rec write_all fd s pos len =
+(* One [write] call at a time, so an EINTR means no byte of that call
+   went out and the retry resends none twice. *)
+let rec write_all fd b pos len =
   if len > 0 then begin
-    match Unix.write_substring fd s pos len with
-    | n -> write_all fd s (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s pos len
+    match Unix.single_write fd b pos len with
+    | n -> write_all fd b (pos + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b pos len
   end
 
-type stream = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  flush_bytes : int;
-}
-
-(* The largest frame one [send] range is split into. *)
-let frame_words = 65536
-
-let flush st =
-  if Buffer.length st.buf > 0 then begin
-    write_all st.fd (Buffer.contents st.buf) 0 (Buffer.length st.buf);
-    Buffer.clear st.buf
-  end
+type stream = { fd : Unix.file_descr; w : Wire.writer }
 
 let start fd =
-  let st = { fd; buf = Buffer.create (1 lsl 20); flush_bytes = 1 lsl 20 } in
-  Wire.put_magic st.buf;
-  st
+  {
+    fd;
+    w =
+      Wire.writer (Bytes.create (1 lsl 20)) ~flush:(fun b n ->
+          write_all fd b 0 n);
+  }
 
-let send st ws ~off ~len =
-  let sent = ref 0 in
-  while !sent < len do
-    let k = min frame_words (len - !sent) in
-    Wire.put_frame_header st.buf k;
-    Wire.put_words st.buf ws ~off:(off + !sent) ~len:k;
-    sent := !sent + k;
-    if Buffer.length st.buf >= st.flush_bytes then flush st
-  done
+let send st ws ~off ~len = Wire.write st.w ws ~off ~len
 
 type reply = {
   r_words : int;
@@ -64,21 +50,21 @@ type reply = {
   r_diagnoses : int;
 }
 
+(* The reply is one short line: read until its newline or EOF. *)
 let read_line_close fd =
-  let b = Buffer.create 128 in
   let one = Bytes.create 256 in
-  let rec go () =
+  let rec go acc =
     match Unix.read fd one 0 256 with
-    | 0 -> ()
+    | 0 -> acc
     | n ->
-      Buffer.add_subbytes b one 0 n;
-      if not (String.contains (Bytes.sub_string one 0 n) '\n') then go ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> ()
+      let chunk = Bytes.sub_string one 0 n in
+      if String.contains chunk '\n' then acc ^ chunk else go (acc ^ chunk)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc
+    | exception Unix.Unix_error _ -> acc
   in
-  go ();
+  let line = go "" in
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  match Buffer.contents b with "" -> None | s -> Some (String.trim s)
+  match line with "" -> None | s -> Some (String.trim s)
 
 let parse_reply line =
   try
@@ -96,8 +82,7 @@ let parse_reply line =
   with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
 let finish_stream st =
-  Wire.put_end st.buf;
-  match flush st with
+  match Wire.close st.w with
   | () ->
     (try Unix.shutdown st.fd Unix.SHUTDOWN_SEND
      with Unix.Unix_error _ -> ());
@@ -121,7 +106,7 @@ let run_file addr file =
 
 let send_raw addr bytes =
   let fd = connect addr in
-  (try write_all fd bytes 0 (String.length bytes)
+  (try write_all fd (Bytes.unsafe_of_string bytes) 0 (String.length bytes)
    with Unix.Unix_error _ -> ());
   (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
   read_line_close fd

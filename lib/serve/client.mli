@@ -9,8 +9,9 @@ type addr = Unix_path of string | Tcp of string * int
 val connect : addr -> Unix.file_descr
 (** A connected blocking socket.  @raise Unix.Unix_error on refusal. *)
 
-(** An open outgoing stream: magic already sent, words buffered into
-    frames and flushed in large writes. *)
+(** An open outgoing stream: one 1 MiB byte buffer, which
+    {!Wire.writer} fills with the magic, frame headers and words and
+    writes to the socket whenever it is full. *)
 type stream
 
 val start : Unix.file_descr -> stream
@@ -18,7 +19,9 @@ val start : Unix.file_descr -> stream
     into frames of at most 65536 words. *)
 
 val send : stream -> int array -> off:int -> len:int -> unit
-(** Stream [len] words as one or more frames — the client-side drain. *)
+(** Stream [len] words as one or more frames — the client-side drain.
+    @raise Invalid_argument on a word outside the 32-bit range
+      ({!Wire.write}). *)
 
 (** The server's end-of-stream summary line, parsed. *)
 type reply = {

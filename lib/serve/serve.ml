@@ -48,8 +48,10 @@ type config = {
 let default_config pipeline =
   { unix_path = None; tcp = None; ctl_path = None; workers = 2; pipeline }
 
-(* Socket read size: each [read] takes up to 256 KiB off the wire. *)
-let read_bytes = 1 lsl 18
+(* Socket read size: 64 KiB, the most one [Unix.read] returns (the
+   runtime reads through a buffer of that size), and 16384 words, one
+   chunk's worth. *)
+let read_bytes = 65536
 
 (* Chunk size: a read's words reach the pipeline at most 16384 at a
    time. *)

@@ -56,7 +56,7 @@ type config = {
 
 val default_config : pipeline_factory -> config
 (** No listeners configured (set at least one); 2 workers.  Each
-    connection reads the socket 256 KiB at a time and hands its pipeline
+    connection reads the socket 64 KiB at a time and hands its pipeline
     chunks of at most 16384 words. *)
 
 (** Aggregated counters, as served on the control socket. *)

@@ -211,38 +211,90 @@ let eof_error d =
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
 
-let put_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let put_magic b = put_u32 b magic
+(* The one frame writer: units go straight into the caller's byte
+   buffer, and [flush] takes the buffer's bytes whenever the next unit
+   does not fit.  A frame's words may straddle a flush; only the byte
+   stream is the protocol, not where it was cut into writes. *)
+type writer = {
+  buf : Bytes.t;
+  mutable len : int;  (* bytes of [buf] written, not yet flushed *)
+  frame_words : int;
+  flush : Bytes.t -> int -> unit;
+}
 
-let put_frame_header b n =
-  if n < 0 || n > max_frame_words then
-    invalid_arg (Printf.sprintf "Wire.put_frame_header: %d words" n);
-  put_u32 b ((kind_words lsl 24) lor n)
+let check_frame_words who n =
+  if n < 1 || n > max_frame_words then
+    invalid_arg (Printf.sprintf "Wire.%s: frame_words %d" who n)
 
-let put_words b ws ~off ~len =
-  for i = off to off + len - 1 do
-    let w = ws.(i) in
-    if w < 0 || w > 0xFFFFFFFF then
-      invalid_arg
-        (Printf.sprintf "Wire.put_words: word %d = 0x%x outside 32-bit range" i
-           w);
-    put_u32 b w
+let flush w =
+  if w.len > 0 then begin
+    w.flush w.buf w.len;
+    w.len <- 0
+  end
+
+let put_unit w u =
+  if w.len + 4 > Bytes.length w.buf then flush w;
+  Bytes.set_int32_le w.buf w.len (Int32.of_int u);
+  w.len <- w.len + 4
+
+let writer ?(frame_words = 65536) buf ~flush =
+  check_frame_words "writer" frame_words;
+  if Bytes.length buf < 4 then invalid_arg "Wire.writer: buffer under one unit";
+  let w = { buf; len = 0; frame_words; flush } in
+  put_unit w magic;
+  w
+
+(* Store [ws.(i .. fin-1)] in [buf] from byte [pos]: one range check
+   and one store per word.  A function of its own, with no call on its
+   path but the one that raises, so its loop keeps every variable in a
+   register. *)
+let rec copy_words (ws : int array) i fin buf pos =
+  if i < fin then begin
+    let x = Array.unsafe_get ws i in
+    if x < 0 || x > 0xFFFFFFFF then
+      raise
+        (Invalid_argument
+           (Printf.sprintf "Wire.put_words: word %d = 0x%x outside 32-bit range"
+              i x));
+    Bytes.set_int32_le buf pos (Int32.of_int x);
+    copy_words ws (i + 1) fin buf (pos + 4)
+  end
+
+(* [n] words of [ws] from [off] into the buffer, flushing it whenever it
+   is full. *)
+let put_words w ws ~off ~n =
+  let fin = off + n in
+  let i = ref off in
+  while !i < fin do
+    if w.len + 4 > Bytes.length w.buf then flush w;
+    let k = min (fin - !i) ((Bytes.length w.buf - w.len) / 4) in
+    copy_words ws !i (!i + k) w.buf w.len;
+    w.len <- w.len + (4 * k);
+    i := !i + k
   done
 
-let put_end b = put_u32 b (kind_end lsl 24)
+let write w ws ~off ~len =
+  if off < 0 || len < 0 || off > Array.length ws - len then
+    invalid_arg "Wire.write: range outside the array";
+  let sent = ref 0 in
+  while !sent < len do
+    let n = min w.frame_words (len - !sent) in
+    put_unit w ((kind_words lsl 24) lor n);
+    put_words w ws ~off:(off + !sent) ~n;
+    sent := !sent + n
+  done
+
+let close w =
+  put_unit w (kind_end lsl 24);
+  flush w
 
 let encode ?(frame_words = 65536) ws =
-  if frame_words < 1 || frame_words > max_frame_words then
-    invalid_arg (Printf.sprintf "Wire.encode: frame_words %d" frame_words);
+  check_frame_words "encode" frame_words;
   let n = Array.length ws in
-  let b = Buffer.create ((4 * n) + 16) in
-  put_magic b;
-  let off = ref 0 in
-  while !off < n do
-    let len = min frame_words (n - !off) in
-    put_frame_header b len;
-    put_words b ws ~off:!off ~len;
-    off := !off + len
-  done;
-  put_end b;
-  Buffer.contents b
+  let frames = (n + frame_words - 1) / frame_words in
+  (* room for the whole stream, so the writer flushes only at [close] *)
+  let b = Bytes.create (4 * (n + frames + 2)) in
+  let w = writer ~frame_words b ~flush:(fun _ _ -> ()) in
+  write w ws ~off:0 ~len:n;
+  close w;
+  Bytes.unsafe_to_string b

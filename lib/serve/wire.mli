@@ -87,25 +87,39 @@ val eof_error : decoder -> error option
     frame header (or: closed without an END frame), or mid-frame with the
     word shortfall.  Use when the peer closes the connection. *)
 
-(** {1 Encoding} — the client side writes with these. *)
+(** {1 Encoding}
 
-val put_magic : Buffer.t -> unit
+    One frame writer serves the client and {!encode}: it writes the
+    magic, frame headers, trace words and the END frame as 4-byte
+    little-endian units straight into a caller-supplied byte buffer,
+    and hands the buffer's bytes to a flush function whenever the next
+    unit does not fit, so a stream of any length goes out through one
+    reused buffer. *)
 
-val put_frame_header : Buffer.t -> int -> unit
-(** [put_frame_header b n] starts a words frame of [n] words.
-    @raise Invalid_argument if [n] is outside [0, {!max_frame_words}]. *)
+type writer
 
-val put_words : Buffer.t -> int array -> off:int -> len:int -> unit
-(** Append [len] words as little-endian units (no header).
-    @raise Invalid_argument on a word outside the 32-bit range, naming
-    its index — a corrupt in-memory buffer must not leave the machine
-    looking valid. *)
+val writer :
+  ?frame_words:int -> Bytes.t -> flush:(Bytes.t -> int -> unit) -> writer
+(** Begin a stream in [buf] and write its magic.  [flush buf n] must
+    take the first [n] bytes of [buf] (the client writes them to its
+    socket); the writer calls it whenever [buf] is full and at {!close}.
+    One {!write} range goes out in frames of at most [frame_words]
+    (default 65536) words.
+    @raise Invalid_argument if [frame_words] is outside
+      [1, {!max_frame_words}] or [buf] is shorter than 4 bytes. *)
 
-val put_end : Buffer.t -> unit
-(** Append the END frame. *)
+val write : writer -> int array -> off:int -> len:int -> unit
+(** Write words [off .. off+len-1] as one or more frames.
+    @raise Invalid_argument if the range is outside the array, or on a
+      word outside the 32-bit range, naming its index: a corrupt
+      in-memory buffer must not leave the machine looking valid. *)
+
+val close : writer -> unit
+(** Write the END frame and flush. *)
 
 val encode : ?frame_words:int -> int array -> string
 (** A whole stream — magic, frames of at most [frame_words] (default
-    65536), END — as one string.  For tests and fault-injection clients
-    that need byte-level control (e.g. cutting the stream at an arbitrary
+    65536), END — as one string, through one {!writer} on a buffer
+    sized to hold it.  For tests and fault-injection clients that need
+    byte-level control (e.g. cutting the stream at an arbitrary
     offset). *)

@@ -104,8 +104,10 @@ let positions_of cls want =
   Array.iteri (fun i c -> if c = want then acc := i :: !acc) cls;
   Array.of_list (List.rev !acc)
 
-(* Position of each DRAIN marker whose payload has at least 2 words (the
-   only drains a split can divide), as (marker_pos, count). *)
+(* Position of each DRAIN marker whose payload has at least 2 words, all
+   of them in the stream (the only drains a split can divide: a stream
+   cut inside a payload, by [Truncate] or as a prefix, holds none of the
+   words past the cut), as (marker_pos, count). *)
 let splittable_drains (words : int array) cls =
   let acc = ref [] in
   Array.iteri
@@ -116,6 +118,7 @@ let splittable_drains (words : int array) cls =
         && i + 1 < Array.length words
         && cls.(i + 1) = Drain_count_pos
         && words.(i + 1) >= 2
+        && i + 1 + words.(i + 1) < Array.length words
       then acc := (i, words.(i + 1)) :: !acc)
     cls;
   Array.of_list (List.rev !acc)

@@ -79,4 +79,5 @@ let decode_marker w =
 let marker_kind w = (w lsr 12) land 0xF
 let marker_arg w = w land 0xFFF
 
-let is_user_addr w = w < 0x80000000
+let user_limit = 0x80000000
+let is_user_addr w = w < user_limit

@@ -23,6 +23,15 @@ type marker =
 val is_marker : int -> bool
 val is_user_addr : int -> bool
 
+val marker_base : int
+val marker_limit : int
+(** Markers are the words [w] with [marker_base <= w < marker_limit]. *)
+
+val user_limit : int
+(** User addresses are the words below [user_limit].  The three bounds
+    let a loop over many words hoist them into locals instead of calling
+    {!is_marker} and {!is_user_addr} once per word. *)
+
 val marker_word : marker -> int
 (** Encode a marker as a trace word. *)
 

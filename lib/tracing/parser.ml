@@ -675,9 +675,61 @@ let scan_word c w =
     else if kind = Format_.kind_end then c.c_ended_at <- i
   end
 
+(* Most words cannot change the scan's state: a user address inside a
+   drain payload only counts the payload down, and a non-marker word
+   outside a drain changes nothing.  [scan_feed] hands each run of such
+   words to one of the two tight loops below, then advances [c_words]
+   and [c_drain_left] once per run.  The loops take the format's bounds
+   as arguments: a call to [Format_.is_marker] per word would cost more
+   than the test itself.  Every other word goes through
+   [scan_word]: markers, the drain count, any word it would diagnose,
+   and everything after END.  So a feed reports what a feed of one word
+   at a time reports, in any chunking; the test suite holds it to that
+   word-at-a-time oracle. *)
+
+(* The end of the run of user addresses in [words.(j .. stop-1)]. *)
+let rec user_run (words : int array) j stop (limit : int) =
+  if j < stop && Array.unsafe_get words j < limit then
+    user_run words (j + 1) stop limit
+  else j
+
+(* The end of the run of non-marker words in [words.(j .. stop-1)]. *)
+let rec plain_run (words : int array) j stop (lo : int) (hi : int) =
+  if
+    j < stop
+    &&
+    let w = Array.unsafe_get words j in
+    w < lo || w >= hi
+  then plain_run words (j + 1) stop lo hi
+  else j
+
 let scan_feed c (words : int array) ~len =
-  for k = 0 to len - 1 do
-    scan_word c words.(k)
+  if len < 0 || len > Array.length words then
+    invalid_arg "Parser.scan_feed: len outside the chunk";
+  let k = ref 0 in
+  while !k < len do
+    let i = !k in
+    let j =
+      if c.c_ended_at >= 0 then i
+      else if c.c_drain_left > 0 then begin
+        let stop = if len - i < c.c_drain_left then len else i + c.c_drain_left in
+        let j = user_run words i stop Format_.user_limit in
+        c.c_drain_left <- c.c_drain_left - (j - i);
+        if c.c_drain_left = 0 then c.c_drain_pid <- -1;
+        j
+      end
+      else if c.c_drain_left = 0 then
+        plain_run words i len Format_.marker_base Format_.marker_limit
+      else i
+    in
+    if j > i then begin
+      c.c_words <- c.c_words + (j - i);
+      k := j
+    end
+    else begin
+      scan_word c (Array.unsafe_get words i);
+      k := i + 1
+    end
   done
 
 let scan_finish c : error list =

@@ -662,3 +662,128 @@ module Tracefile_v3_codec0 = struct
     output_bytes oc tl;
     close_out oc
 end
+
+(* ------------------------------------------------------------------ *)
+(* The structural scan one word at a time: every word through the one
+   state machine, as [Parser.scan_feed] ran before it handed runs of
+   words that cannot change the state to a tight loop.  The library's
+   feed must report exactly this error list, positions, sources and
+   messages alike, in any chunking. *)
+module Scan_word = struct
+  module Format_ = Systrace_tracing.Format_
+  module Parser = Systrace_tracing.Parser
+
+  type t = {
+    mutable errs : Parser.error list;  (* newest first *)
+    mutable drain_pid : int;
+    mutable drain_left : int;  (* -2: expecting the count word *)
+    mutable depth : int;
+    mutable ended_at : int;
+    mutable flagged_after_end : bool;
+    mutable words : int;
+  }
+
+  let create () =
+    {
+      errs = [];
+      drain_pid = -1;
+      drain_left = 0;
+      depth = 0;
+      ended_at = -1;
+      flagged_after_end = false;
+      words = 0;
+    }
+
+  let add c ~at ~source ~expected ~got message =
+    c.errs <-
+      {
+        Parser.at;
+        source;
+        expected;
+        got;
+        in_drain = c.drain_pid;
+        exc_depth = c.depth;
+        message;
+      }
+      :: c.errs
+
+  let word c w =
+    let i = c.words in
+    c.words <- i + 1;
+    if c.ended_at >= 0 then begin
+      if not c.flagged_after_end then begin
+        add c ~at:i ~source:Parser.Stream
+          ~expected:"no words after the END marker" ~got:w
+          (Printf.sprintf "word %d: trace continues after END marker (at word %d)"
+             i c.ended_at);
+        c.flagged_after_end <- true
+      end
+    end
+    else if c.drain_left = -2 then begin
+      if w < 0 || w > 1 lsl 24 then begin
+        add c ~at:i ~source:(Parser.User c.drain_pid)
+          ~expected:"a drain payload count below 2^24" ~got:w
+          (Printf.sprintf "word %d: implausible drain count %d" i w);
+        c.drain_left <- 0;
+        c.drain_pid <- -1
+      end
+      else begin
+        c.drain_left <- w;
+        if w = 0 then c.drain_pid <- -1
+      end
+    end
+    else if c.drain_left > 0 then begin
+      c.drain_left <- c.drain_left - 1;
+      if Format_.is_marker w then
+        add c ~at:i ~source:(Parser.User c.drain_pid)
+          ~expected:"user words inside the drain payload" ~got:w
+          (Printf.sprintf "word %d: marker 0x%x inside a drain block" i w)
+      else if not (Format_.is_user_addr w) then
+        add c ~at:i ~source:(Parser.User c.drain_pid)
+          ~expected:"user-space addresses inside the drain payload" ~got:w
+          (Printf.sprintf "word %d: kernel address 0x%x inside a user drain \
+                           block" i w);
+      if c.drain_left = 0 then c.drain_pid <- -1
+    end
+    else if Format_.is_marker w then begin
+      let kind = Format_.marker_kind w in
+      if kind > Format_.kind_end then
+        add c ~at:i ~source:Parser.Stream
+          ~expected:"a marker kind the format defines" ~got:w
+          (Printf.sprintf "word %d: unknown marker kind in 0x%x" i w)
+      else if kind = Format_.kind_drain then begin
+        c.drain_pid <- Format_.marker_arg w;
+        c.drain_left <- -2
+      end
+      else if kind = Format_.kind_exc_enter then c.depth <- c.depth + 1
+      else if kind = Format_.kind_exc_exit then begin
+        if c.depth = 0 then
+          add c ~at:i ~source:Parser.Stream ~expected:"a matching EXC_ENTER"
+            ~got:w (Printf.sprintf "word %d: exception exit at depth 0" i)
+        else c.depth <- c.depth - 1
+      end
+      else if kind = Format_.kind_end then c.ended_at <- i
+    end
+
+  let finish c =
+    let n = c.words in
+    if c.drain_left > 0 || c.drain_left = -2 then
+      add c ~at:n ~source:(Parser.User c.drain_pid)
+        ~expected:"a complete drain payload" ~got:c.drain_left
+        (Printf.sprintf "end of trace: drain for pid %d truncated (%s)"
+           c.drain_pid
+           (if c.drain_left = -2 then "count word missing"
+            else Printf.sprintf "%d payload words missing" c.drain_left));
+    if c.depth > 0 then
+      add c ~at:n ~source:(Parser.Kernel c.depth)
+        ~expected:"exception depth 0 at end of trace" ~got:c.depth
+        (Printf.sprintf "end of trace: %d exception level(s) never exited"
+           c.depth);
+    List.rev c.errs
+
+  (* Every diagnosis of [words], in stream order. *)
+  let scan words =
+    let c = create () in
+    Array.iter (word c) words;
+    finish c
+end

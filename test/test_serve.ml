@@ -114,7 +114,7 @@ let test_wire_faults () =
   | _ -> Alcotest.fail "bad magic not a fault");
   (* unknown frame kind *)
   let b = Buffer.create 16 in
-  Wire.put_magic b;
+  Buffer.add_int32_le b (Int32.of_int Wire.magic);
   Buffer.add_int32_le b (Int32.of_int ((7 lsl 24) lor 3));
   let _, st, _ = decode_pieces (Buffer.contents b) [ 3 ] in
   (match st with
@@ -122,7 +122,7 @@ let test_wire_faults () =
   | _ -> Alcotest.fail "unknown kind not a fault");
   (* END with a nonzero count *)
   let b = Buffer.create 16 in
-  Wire.put_magic b;
+  Buffer.add_int32_le b (Int32.of_int Wire.magic);
   Buffer.add_int32_le b (Int32.of_int ((1 lsl 24) lor 5));
   let _, st, _ = decode_pieces (Buffer.contents b) [ 5 ] in
   (match st with
@@ -141,6 +141,100 @@ let test_wire_faults () =
     (Invalid_argument
        "Wire.put_words: word 0 = 0x100000000 outside 32-bit range")
     (fun () -> ignore (Wire.encode [| 1 lsl 32 |]))
+
+(* The client's bytes for a sequence of sends, captured through a
+   socketpair: a reader domain takes everything until the client
+   half-closes, then closes its end, so the client reads no reply. *)
+let client_bytes words sends =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        let out = Buffer.create 65536 in
+        let chunk = Bytes.create 65536 in
+        let rec go () =
+          match Unix.read b chunk 0 65536 with
+          | 0 -> ()
+          | n ->
+            Buffer.add_subbytes out chunk 0 n;
+            go ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        in
+        go ();
+        Unix.close b;
+        Buffer.contents out)
+  in
+  let st = Client.start a in
+  List.iter (fun (off, len) -> Client.send st words ~off ~len) sends;
+  let reply = Client.finish_stream st in
+  (reply, Domain.join reader)
+
+(* The framing spelled out: the magic, each send's words in frames of at
+   most 65536, then END. *)
+let expected_stream words sends =
+  let b = Buffer.create 1024 in
+  let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+  u32 Wire.magic;
+  List.iter
+    (fun (off, len) ->
+      let sent = ref 0 in
+      while !sent < len do
+        let k = min 65536 (len - !sent) in
+        u32 k;
+        for i = off + !sent to off + !sent + k - 1 do
+          u32 words.(i)
+        done;
+        sent := !sent + k
+      done)
+    sends;
+  u32 (1 lsl 24);
+  Buffer.contents b
+
+(* Sends of these lengths, laid end to end over one array of random
+   32-bit words. *)
+let check_client_framing ~seed lens =
+  let rng = Systrace_util.Rng.create seed in
+  let total = List.fold_left ( + ) 0 lens in
+  let words =
+    Array.init (total + 3) (fun _ ->
+        (Systrace_util.Rng.int rng 0x10000 lsl 16)
+        lor Systrace_util.Rng.int rng 0x10000)
+  in
+  let sends =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (off, acc) len -> (off + len, (off, len) :: acc))
+            (0, []) lens))
+  in
+  let reply, bytes = client_bytes words sends in
+  let got, _, eof = decode_pieces bytes [ 65536 ] in
+  reply = None
+  && bytes = expected_stream words sends
+  && got = Array.sub words 0 total
+  && eof = None
+
+let test_client_framing () =
+  check_bool "sends of 0, 1, 65536 and 65537 words" true
+    (check_client_framing ~seed:1 [ 0; 1; 65536; 65537 ])
+
+let prop_client_framing =
+  QCheck.Test.make ~count:25
+    ~name:"client bytes: magic, frames of at most 65536 per send, END"
+    (QCheck.make
+       ~print:(fun (lens, seed) ->
+         Printf.sprintf "<sends %s, seed %d>"
+           (String.concat "," (List.map string_of_int lens))
+           seed)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 4)
+              (oneof
+                 [
+                   oneofl [ 0; 1; 65535; 65536; 65537; 131073 ];
+                   int_range 0 70_000;
+                 ]))
+           (int_bound 1_000_000)))
+    (fun (lens, seed) -> check_client_framing ~seed lens)
 
 (* ------------------------------------------------------------------ *)
 (* The daemon over loopback sockets                                    *)
@@ -429,6 +523,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_torn;
     Alcotest.test_case "wire faults are structured" `Quick test_wire_faults;
+    Alcotest.test_case "client framing of edge-length sends" `Quick
+      test_client_framing;
+    QCheck_alcotest.to_alcotest prop_client_framing;
     Alcotest.test_case "loopback roundtrip (unix + tcp)" `Quick
       test_loopback_roundtrip;
     Alcotest.test_case "lossless backpressure bounds residency" `Quick

@@ -213,6 +213,105 @@ let test_run_traced_max_events () =
   Alcotest.(check bool) "the same first 25" true (limited = leading);
   Alcotest.(check bool) "the same parse" true (stats = all_stats)
 
+(* The three trace fixtures and the egrep capture: real traces for the
+   scan and fault-injection properties below. *)
+let real_traces =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun f -> Tracing.Tracefile.load (Fixture.path f))
+          [ "fixture_v1.strc"; "fixture_v2.strc"; "fixture_v3.strc" ]
+       @ [ fst (Lazy.force captured) ]))
+
+let real_trace_names = [| "fixture_v1"; "fixture_v2"; "fixture_v3"; "egrep" |]
+
+(* Faults.inject takes its sites only from the words it is given: on any
+   prefix of a real trace, including one cut inside a drain payload, no
+   kind raises, whether drawn mixed or applied alone. *)
+let prop_faults_total_on_prefixes =
+  QCheck.Test.make ~count:200
+    ~name:"faults: inject never raises on a prefix of a real trace"
+    (QCheck.make
+       ~print:(fun (t, cut, seed) ->
+         Printf.sprintf "<%s, cut %d, seed %d>" real_trace_names.(t) cut seed)
+       QCheck.Gen.(
+         triple (int_bound 3) (int_bound 1_000_000) (int_bound 1_000_000)))
+    (fun (t, cut, seed) ->
+      let words = (Lazy.force real_traces).(t) in
+      let prefix = Array.sub words 0 (cut mod (Array.length words + 1)) in
+      let rng = Systrace_util.Rng.create seed in
+      ignore (Tracing.Faults.inject rng ~n:20 prefix);
+      List.iter
+        (fun kind -> ignore (Tracing.Faults.inject_one rng kind prefix))
+        Tracing.Faults.all_kinds;
+      true)
+
+(* What [prop_scan_feed_oracle] scans. *)
+type scan_input =
+  | Salad of int list
+  | Synthetic of int array  (* a valid trace from the tracing tests *)
+  | Faulted of int * int * int  (* real trace, seed, faults injected *)
+
+let scan_input_words = function
+  | Salad l -> Array.of_list l
+  | Synthetic ws -> ws
+  | Faulted (t, seed, n) ->
+    fst
+      (Tracing.Faults.inject (Systrace_util.Rng.create seed) ~n
+         (Lazy.force real_traces).(t))
+
+let print_scan_input = function
+  | Salad l -> Printf.sprintf "<salad of %d words>" (List.length l)
+  | Synthetic ws -> Printf.sprintf "<valid trace of %d words>" (Array.length ws)
+  | Faulted (t, seed, n) ->
+    Printf.sprintf "<%s, %d faults, seed %d>" real_trace_names.(t) n seed
+
+let gen_scan_input =
+  let open QCheck.Gen in
+  oneof
+    [
+      map
+        (fun l -> Salad l)
+        (list_size (int_range 0 300)
+           (oneof
+              [
+                map (fun i -> i land 0xFFFFFFFF) (int_bound max_int);
+                map (fun i -> 0xBFFF0000 lor (i land 0xFFFF)) (int_bound max_int);
+                map (fun i -> i land 0x7FFFFFFF) (int_bound max_int);
+                int_range 0 20;
+              ]));
+      map (fun ws -> Synthetic ws) Test_tracing.gen_mixed_words;
+      map
+        (fun (t, seed, n) -> Faulted (t, seed, n))
+        (triple (int_bound 3) (int_bound 1_000_000) (int_range 1 20));
+    ]
+
+(* The run loops of [Parser.scan_feed] report exactly what the
+   word-at-a-time scanner reports: every diagnosis, with its position,
+   source, drain, depth and message, whatever the chunking.  Each chunk
+   is fed as the rest of the array with [~len] marking its end, so a
+   feed that reads past [len] shows too. *)
+let prop_scan_feed_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"scanner: chunked scan_feed == word-at-a-time oracle"
+    (QCheck.make
+       ~print:(fun (input, sizes) ->
+         Printf.sprintf "%s, chunks %s" (print_scan_input input)
+           (String.concat "," (List.map string_of_int sizes)))
+       QCheck.Gen.(
+         pair gen_scan_input
+           (list_size (int_range 1 6)
+              (oneof [ int_range 1 13; int_range 1 5_000 ]))))
+    (fun (input, sizes) ->
+      let words = scan_input_words input in
+      let n = Array.length words in
+      let c = Tracing.Parser.scanner () in
+      List.iter
+        (fun (pos, len) ->
+          Tracing.Parser.scan_feed c (Array.sub words pos (n - pos)) ~len)
+        (Test_tracing.cuts_of sizes n);
+      Tracing.Parser.scan_finish c = Oracles.Scan_word.scan words)
+
 let tests =
   [
     Alcotest.test_case "replay_file == replay (both formats)" `Quick
@@ -229,4 +328,6 @@ let tests =
       `Quick test_run_traced_notrace;
     Alcotest.test_case "run_traced: max_events drops the handlers" `Quick
       test_run_traced_max_events;
+    QCheck_alcotest.to_alcotest prop_faults_total_on_prefixes;
+    QCheck_alcotest.to_alcotest prop_scan_feed_oracle;
   ]
