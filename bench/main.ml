@@ -137,6 +137,9 @@ let exp_trace_format () =
   in
   let insts = float_of_int s.Tracing.Parser.insts in
   let one_word = Array.length words in
+  (* A Tunix record is the block's word plus its inline length: one
+     extra word per block record, the law test_epoxie's "mahler: trace
+     fatter than epoxie" checks on Mahler's own instrumentation. *)
   let tunix = one_word + s.Tracing.Parser.bb_records in
   Table.add_row t
     [ "one-word records (Ultrix/Mach)"; string_of_int one_word;
@@ -496,12 +499,14 @@ let exp_store () =
 (* Trace-ingest daemon: loopback load generator                         *)
 
 (* The serving analog of the paper's keep-up problem, measured: N
-   concurrent clients replay a captured v3 trace file at `systrace
-   serve` over loopback TCP, each stream scanned online as its socket
-   reads arrive.  Reports single-stream vs aggregate ingest (the
-   multiplexing win), streams/s, p99 drain latency, and peak resident
-   words, then runs a torn-frame fault suite against the live daemon
-   and checks the daemon's floors on what it measured. *)
+   concurrent clients send a captured trace, held in memory, at
+   `systrace serve` over loopback TCP, each stream scanned online as its
+   socket reads arrive.  The clients only frame words, so the rates are
+   the daemon's (wire decode, scan and socket), not a stored file's
+   decode.  Reports single-stream vs aggregate ingest (the multiplexing
+   win), streams/s, p99 drain latency, and peak resident words, then
+   runs a torn-frame fault suite against the live daemon and checks the
+   daemon's floors on what it measured. *)
 let exp_serve () =
   heading "Trace-ingest daemon: concurrent loopback streams";
   let wname = if !quick then "egrep" else "tomcatv" in
@@ -513,123 +518,116 @@ let exp_serve () =
   let n = Array.length words in
   let nstreams = 8 in
   let workers = Pool.effective_jobs ~jobs:(max 2 !jobs) nstreams in
-  let path = Filename.temp_file "systrace_serve" ".strc" in
+  let cfg =
+    {
+      (Serve.Server.default_config Serve.Server.scan_pipeline) with
+      Serve.Server.tcp = Some ("127.0.0.1", 0);
+      workers;
+    }
+  in
+  let t = Serve.Server.start cfg in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () -> Serve.Server.stop t)
     (fun () ->
-      Tracing.Tracefile.save path words;
-      let cfg =
-        {
-          (Serve.Server.default_config Serve.Server.scan_pipeline) with
-          Serve.Server.tcp = Some ("127.0.0.1", 0);
-          workers;
-        }
+      let port = Option.get (Serve.Server.tcp_port t) in
+      let addr = Serve.Client.Tcp ("127.0.0.1", port) in
+      let stream () =
+        match Serve.Client.run addr words with
+        | Some r when r.Serve.Client.r_words = n -> r
+        | Some r ->
+          failwith
+            (Printf.sprintf "serve: stream echoed %d of %d words"
+               r.Serve.Client.r_words n)
+        | None -> failwith "serve: stream rejected"
       in
-      let t = Serve.Server.start cfg in
-      Fun.protect
-        ~finally:(fun () -> Serve.Server.stop t)
-        (fun () ->
-          let port = Option.get (Serve.Server.tcp_port t) in
-          let addr = Serve.Client.Tcp ("127.0.0.1", port) in
-          let stream_file () =
-            match Serve.Client.run_file addr path with
-            | Some r when r.Serve.Client.r_words = n -> r
-            | Some r ->
-              failwith
-                (Printf.sprintf "serve: stream echoed %d of %d words"
-                   r.Serve.Client.r_words n)
-            | None -> failwith "serve: stream rejected"
-          in
-          (* single stream, best of 3: the per-connection pipeline's own
-             ingest ceiling *)
-          let t_single = ref infinity in
-          for _ = 1 to 3 do
-            let _, dt = timed stream_file in
-            if dt < !t_single then t_single := dt
-          done;
-          (* N concurrent clients, one domain each, all replaying the
-             same stored trace *)
-          let _, t_concurrent =
-            timed (fun () ->
-                let doms =
-                  List.init nstreams (fun _ -> Domain.spawn stream_file)
-                in
-                List.map Domain.join doms)
-          in
-          (* fault suite against the live daemon: truncated streams cut
-             at deterministic byte offsets must come back as structured
-             wire diagnoses, with clean streams still served after *)
-          let rng = Systrace_util.Rng.create 7 in
-          let bytes = Serve.Wire.encode ~frame_words:4096 words in
-          let faults = 10 in
-          for _ = 1 to faults do
-            let cut = Systrace_util.Rng.int rng (String.length bytes) in
-            ignore
-              (Serve.Client.send_raw addr (String.sub bytes 0 cut)
-                : string option)
-          done;
-          ignore (stream_file () : Serve.Client.reply);
-          (* wait for the fault-suite connections to finish server-side *)
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          let rec quiesce () =
-            let s = Serve.Server.stats t in
-            if s.Serve.Server.streams_active = 0 then s
-            else if Unix.gettimeofday () > deadline then
-              failwith "serve: daemon did not quiesce"
-            else begin
-              Unix.sleepf 0.02;
-              quiesce ()
-            end
-          in
-          let s = quiesce () in
-          let nf = float_of_int n in
-          let single_wps = nf /. !t_single in
-          let agg_wps = float_of_int (nstreams * n) /. t_concurrent in
-          let sps = float_of_int nstreams /. t_concurrent in
-          Printf.printf
-            "workload %s: %d trace words (capture %.2fs), %d workers\n\
-            \  single stream: %.3fs (%.2f Mwords/s)\n\
-            \  %d concurrent streams: %.3fs -> %.2f streams/s, %.2f \
-             Mwords/s aggregate (%.2fx single)\n\
-            \  drain latency p50 %.3fms p99 %.3fms max %.3fms\n\
-            \  peak resident %d words/stream, %d drains, %d torn streams \
-             diagnosed\n"
-            wname n t_capture workers !t_single (single_wps /. 1e6) nstreams
-            t_concurrent sps (agg_wps /. 1e6) (agg_wps /. single_wps)
-            (1e3 *. s.Serve.Server.drain_p50)
-            (1e3 *. s.Serve.Server.drain_p99)
-            (1e3 *. s.Serve.Server.drain_max)
-            s.Serve.Server.peak_resident_words s.Serve.Server.drains
-            s.Serve.Server.streams_faulted;
-          (* the daemon's totals cover every stream above, so a decoded
-             word that any of them failed to hand its pipeline shows here *)
-          check_floor
-            (s.Serve.Server.words_analyzed = s.Serve.Server.words_in)
-            (Printf.sprintf "serve words analyzed %d = words in %d"
-               s.Serve.Server.words_analyzed s.Serve.Server.words_in);
-          check_floor (s.Serve.Server.drain_p99 <= 0.5)
-            (Printf.sprintf "serve p99 drain latency %.1fms <= 500.0ms"
-               (1e3 *. s.Serve.Server.drain_p99));
-          check_floor (sps >= 0.5)
-            (Printf.sprintf "serve %.2f streams/s >= 0.50 streams/s" sps);
-          (* concurrent scaling needs cores to scale onto: with fewer
-             workers the aggregate measures multiplexing overhead, not
-             parallel ingest *)
-          if workers < 4 then
-            Printf.printf
-              "  skip serve aggregate/single floor (ran with %d worker(s); \
-               needs >= 4)\n"
-              workers
-          else
-            check_floor (agg_wps /. single_wps >= 2.0)
-              (Printf.sprintf
-                 "serve aggregate ingest %.2fx >= 2.00x single stream (%d \
-                  workers)"
-                 (agg_wps /. single_wps) workers);
-          check_floor (s.Serve.Server.streams_faulted >= faults)
-            (Printf.sprintf
-               "serve fault suite: %d torn stream(s) diagnosed >= %d"
-               s.Serve.Server.streams_faulted faults)))
+      (* single stream, best of 3: the per-connection pipeline's own
+         ingest ceiling *)
+      let t_single = ref infinity in
+      for _ = 1 to 3 do
+        let _, dt = timed stream in
+        if dt < !t_single then t_single := dt
+      done;
+      (* N concurrent clients, one domain each, all sending the same
+         trace *)
+      let _, t_concurrent =
+        timed (fun () ->
+            let doms = List.init nstreams (fun _ -> Domain.spawn stream) in
+            List.map Domain.join doms)
+      in
+      (* fault suite against the live daemon: truncated streams cut
+         at deterministic byte offsets must come back as structured
+         wire diagnoses, with clean streams still served after *)
+      let rng = Systrace_util.Rng.create 7 in
+      let bytes = Serve.Wire.encode ~frame_words:4096 words in
+      let faults = 10 in
+      for _ = 1 to faults do
+        let cut = Systrace_util.Rng.int rng (String.length bytes) in
+        ignore
+          (Serve.Client.send_raw addr (String.sub bytes 0 cut)
+            : string option)
+      done;
+      ignore (stream () : Serve.Client.reply);
+      (* wait for the fault-suite connections to finish server-side *)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec quiesce () =
+        let s = Serve.Server.stats t in
+        if s.Serve.Server.streams_active = 0 then s
+        else if Unix.gettimeofday () > deadline then
+          failwith "serve: daemon did not quiesce"
+        else begin
+          Unix.sleepf 0.02;
+          quiesce ()
+        end
+      in
+      let s = quiesce () in
+      let nf = float_of_int n in
+      let single_wps = nf /. !t_single in
+      let agg_wps = float_of_int (nstreams * n) /. t_concurrent in
+      let sps = float_of_int nstreams /. t_concurrent in
+      Printf.printf
+        "workload %s: %d trace words (capture %.2fs), %d workers\n\
+        \  single stream: %.3fs (%.2f Mwords/s)\n\
+        \  %d concurrent streams: %.3fs -> %.2f streams/s, %.2f \
+         Mwords/s aggregate (%.2fx single)\n\
+        \  drain latency p50 %.3fms p99 %.3fms max %.3fms\n\
+        \  peak resident %d words/stream, %d drains, %d torn streams \
+         diagnosed\n"
+        wname n t_capture workers !t_single (single_wps /. 1e6) nstreams
+        t_concurrent sps (agg_wps /. 1e6) (agg_wps /. single_wps)
+        (1e3 *. s.Serve.Server.drain_p50)
+        (1e3 *. s.Serve.Server.drain_p99)
+        (1e3 *. s.Serve.Server.drain_max)
+        s.Serve.Server.peak_resident_words s.Serve.Server.drains
+        s.Serve.Server.streams_faulted;
+      (* the daemon's totals cover every stream above, so a decoded
+         word that any of them failed to hand its pipeline shows here *)
+      check_floor
+        (s.Serve.Server.words_analyzed = s.Serve.Server.words_in)
+        (Printf.sprintf "serve words analyzed %d = words in %d"
+           s.Serve.Server.words_analyzed s.Serve.Server.words_in);
+      check_floor (s.Serve.Server.drain_p99 <= 0.5)
+        (Printf.sprintf "serve p99 drain latency %.1fms <= 500.0ms"
+           (1e3 *. s.Serve.Server.drain_p99));
+      check_floor (sps >= 0.5)
+        (Printf.sprintf "serve %.2f streams/s >= 0.50 streams/s" sps);
+      (* concurrent scaling needs cores to scale onto: with fewer
+         workers the aggregate measures multiplexing overhead, not
+         parallel ingest *)
+      if workers < 4 then
+        Printf.printf
+          "  skip serve aggregate/single floor (ran with %d worker(s); \
+           needs >= 4)\n"
+          workers
+      else
+        check_floor (agg_wps /. single_wps >= 2.0)
+          (Printf.sprintf
+             "serve aggregate ingest %.2fx >= 2.00x single stream (%d \
+              workers)"
+             (agg_wps /. single_wps) workers);
+      check_floor (s.Serve.Server.streams_faulted >= faults)
+        (Printf.sprintf
+           "serve fault suite: %d torn stream(s) diagnosed >= %d"
+           s.Serve.Server.streams_faulted faults))
 
 let experiments =
   [

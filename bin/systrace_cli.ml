@@ -48,28 +48,6 @@ let os_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Page-map / RNG seed.")
 
-let tier_conv =
-  Arg.enum
-    (List.map (fun t -> (Machine.Uop.tier_name t, t)) Machine.Uop.all_tiers)
-
-let tier_arg =
-  Arg.(
-    value
-    & opt tier_conv Machine.Machine.default_config.Machine.Machine.tier
-    & info [ "interp-tier" ] ~docv:"TIER"
-        ~doc:
-          "Interpreter execution tier: $(b,step) (step-at-a-time oracle, \
-           full TLB walk per access) or $(b,bcache) (translation cache, \
-           decode-once basic-block execution cache and the tracing \
-           runtime's stub uops; the default).  Purely a host-side \
-           accelerator choice: simulation results are identical at \
-           both tiers.")
-
-(* The tier is purely a host-side accelerator, so the only thing the
-   flag changes is the machine config the system is built with. *)
-let machine_cfg_of tier =
-  { Machine.Machine.default_config with Machine.Machine.tier }
-
 let workload_arg =
   Arg.(
     required
@@ -106,10 +84,10 @@ let list_cmd =
     Term.(const run $ const ())
 
 let run_cmd =
-  let run name os seed tier =
+  let run name os seed =
     let e = find_workload name in
     let sys =
-      run_measured ~os:(os_of os) ~seed ~machine_cfg:(machine_cfg_of tier)
+      run_measured ~os:(os_of os) ~seed
         [ e.Workloads.Suite.program () ]
         e.Workloads.Suite.files
     in
@@ -134,7 +112,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload untraced; print measured counters.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg)
+    Term.(const run $ workload_arg $ os_arg $ seed_arg)
 
 let trace_cmd =
   let run name os seed nshow =
@@ -267,10 +245,9 @@ let profile_cmd =
     Term.(const run $ workload_arg $ os_arg $ seed_arg $ topn $ traced)
 
 let validate_cmd =
-  let run name os seed tier =
+  let run name os seed =
     let row =
-      Validate.run_workload ~machine_cfg:(machine_cfg_of tier) ~seed os
-        (Experiments.spec_of (find_workload name))
+      Validate.run_workload ~seed os (Experiments.spec_of (find_workload name))
     in
     let m = row.Validate.r_measured and p = row.Validate.r_predicted in
     Printf.printf "%s under %s:\n" name (Validate.os_name os);
@@ -286,7 +263,7 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Measured vs predicted execution time for one workload.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg)
+    Term.(const run $ workload_arg $ os_arg $ seed_arg)
 
 let matrix_cmd =
   (* The full measured-vs-predicted matrix behind Tables 2/3 and Figure 3,

@@ -35,12 +35,3 @@ let build ~(instrumented : Exe.t) ~(original : Exe.t)
         ds)
     descs;
   table
-
-(* Add a hand-traced routine's record (paper, §3.3: the block lookup
-   "creates an opportunity for implementing special behaviors", e.g. for
-   hand-traced code).  The record address is where the hand-written code's
-   trace word points; the entry describes what the routine does per
-   invocation. *)
-let add_hand_traced table ~record_addr ~orig_addr ~ninsns ~mems =
-  Bbtable.add table ~record_addr
-    { Bbtable.orig_addr; ninsns; mems; flags = Bbtable.flag_hand }

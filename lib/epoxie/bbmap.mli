@@ -13,14 +13,3 @@ val build :
 (** [build ~instrumented ~original descs] requires both links to use the
     same module names; record addresses come from the instrumented image,
     original block addresses from the original one. *)
-
-val add_hand_traced :
-  Bbtable.t ->
-  record_addr:int ->
-  orig_addr:int ->
-  ninsns:int ->
-  mems:(int * int * bool) array ->
-  unit
-(** Register a hand-traced routine's record (paper §3.3): hand-written
-    trace code reports [record_addr]; the entry describes the routine's
-    references per invocation. *)

@@ -39,20 +39,21 @@ let trap ?(badva = -1) ?(refill = false) code =
 
 (* The physical memory and the disk are the same on every machine: 16 MB
    of RAM, and a 2048-block disk whose seek and per-block transfer costs
-   are in cycles. *)
+   are in cycles.  So are the cache lines (16-byte icache lines, 4-byte
+   dcache lines) and the 4-entry write buffer. *)
 let mem_bytes = 16 * 1024 * 1024
 let disk_blocks = 2048
 let disk_seek = 20000
 let disk_per_block = 4000
+let icache_line = 16
+let dcache_line = 4
+let wb_depth = 4
 
 type config = {
   icache_bytes : int;
-  icache_line : int;
   dcache_bytes : int;
-  dcache_line : int;
   read_miss_penalty : int;     (* cycles per cached read miss *)
   uncached_penalty : int;      (* cycles per uncached access *)
-  wb_depth : int;
   wb_drain : int;
   count_exec : bool;           (* per-instruction-word execution counts *)
   tier : Uop.tier;    (* interpreter tier: step|bcache *)
@@ -61,12 +62,9 @@ type config = {
 let default_config =
   {
     icache_bytes = 16384;
-    icache_line = 16;
     dcache_bytes = 16384;
-    dcache_line = 4;
     read_miss_penalty = 15;
     uncached_penalty = 15;
-    wb_depth = 4;
     wb_drain = 6;
     count_exec = false;
     tier = Uop.Bcache;
@@ -291,9 +289,9 @@ let create ?(cfg = default_config) () =
     stub_runs = 0;
     stub_falls = 0;
     stub_kind_runs = Array.make (Array.length Uop.stub_kinds) 0;
-    icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.icache_line;
-    dcache = Cache.create ~size_bytes:cfg.dcache_bytes ~line_bytes:cfg.dcache_line;
-    wb = Write_buffer.create ~depth:cfg.wb_depth ~drain_cycles:cfg.wb_drain ();
+    icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:icache_line;
+    dcache = Cache.create ~size_bytes:cfg.dcache_bytes ~line_bytes:dcache_line;
+    wb = Write_buffer.create ~depth:wb_depth ~drain_cycles:cfg.wb_drain ();
     fpu = Fpu.create ();
     disk =
       Disk.create ~blocks:disk_blocks ~seek_cycles:disk_seek
@@ -1316,7 +1314,7 @@ let[@inline] stub_fits t n nl ns next_ev =
   let cfg = t.cfg in
   t.cycles + n
   + ((n - 1 + nl) * cfg.read_miss_penalty)
-  + (ns * cfg.wb_depth * cfg.wb_drain)
+  + (ns * wb_depth * cfg.wb_drain)
   < next_ev
 
 (* True when every icache line holding slots [1, n) of the block at [pa]
@@ -1532,7 +1530,7 @@ let stub_run t (b : Uop.block) (s : Uop.stub) budget next_ev ptag =
     let spa = ram_pa t s0 ~write:false in
     let dpa = ram_pa t d0 ~write:true in
     let cfg = t.cfg in
-    let worst = cfg.read_miss_penalty + (cfg.wb_depth * cfg.wb_drain) in
+    let worst = cfg.read_miss_penalty + (wb_depth * cfg.wb_drain) in
     if spa < 0 || dpa < 0
        || not (stub_off_page b dpa && t.cycles + 6 + worst < next_ev
                && lines_resident t (pa - 8) (pa + 20))

@@ -28,14 +28,17 @@ end
 
 exception Trap of { code : int; badva : int; refill : bool }
 
+(** The same on every machine: 16-byte icache lines, 4-byte dcache
+    lines and a 4-entry write buffer. *)
+val icache_line : int
+val dcache_line : int
+val wb_depth : int
+
 type config = {
   icache_bytes : int;
-  icache_line : int;
   dcache_bytes : int;
-  dcache_line : int;
   read_miss_penalty : int;
   uncached_penalty : int;
-  wb_depth : int;
   wb_drain : int;
   count_exec : bool;  (** per-instruction-word execution counts (§4.3) *)
   tier : Uop.tier;

@@ -7,12 +7,6 @@ open Systrace_isa
 
 type tier = Step | Bcache
 
-let all_tiers = [ Step; Bcache ]
-
-let tier_name = function
-  | Step -> "step"
-  | Bcache -> "bcache"
-
 (* The four user-variant blocks of the tracing runtime (epoxie's
    runtime.ml) and the kernel's two trace-buffer loops (ktraceops.ml),
    with the registers and bookkeeping offsets they use.  See the mli for

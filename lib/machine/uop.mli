@@ -21,9 +21,6 @@ open Systrace_isa
       tracing runtime's blocks. *)
 type tier = Step | Bcache
 
-val all_tiers : tier list
-val tier_name : tier -> string
-
 (** {2 Stub shapes}
 
     The four blocks of epoxie's tracing runtime ([lib/epoxie/runtime.ml])

@@ -8,9 +8,7 @@
    and the position/size/direction of every memory reference.
 
    Entries can be flagged: IDLE blocks drive the idle-loop instruction
-   counters used to estimate I/O time (paper, sections 3.5 and 5.1);
-   HAND marks hand-traced routines, whose records are built manually rather
-   than by epoxie. *)
+   counters used to estimate I/O time (paper, sections 3.5 and 5.1). *)
 
 type entry = {
   orig_addr : int;                    (* block address in the original binary *)
@@ -20,10 +18,8 @@ type entry = {
 }
 
 let flag_idle = 1
-let flag_hand = 2
 
 let is_idle e = e.flags land flag_idle <> 0
-let is_hand = fun e -> e.flags land flag_hand <> 0
 
 type t = {
   entries : (int, entry) Hashtbl.t;

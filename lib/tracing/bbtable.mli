@@ -18,11 +18,7 @@ val flag_idle : int
 (** Blocks of the kernel idle loop: drive the idle-instruction counters
     used to estimate I/O time (§3.5, §5.1). *)
 
-val flag_hand : int
-(** Hand-traced routines, whose records are built manually (§3.3). *)
-
 val is_idle : entry -> bool
-val is_hand : entry -> bool
 
 type t
 

@@ -342,9 +342,13 @@ let pagemap_table ?(jobs = 1) () =
   let times =
     Pool.map ~jobs
       (fun (policy, seed) ->
-        (Validate.measure ~machine_cfg:mcfg ~pagemap:policy ~seed
-           Validate.Ultrix spec)
-          .Validate.m_seconds)
+        let b =
+          Validate.system ~pagemap:policy ~machine_cfg:mcfg ~seed ~traced:false
+            Validate.Ultrix spec
+        in
+        Validate.run b;
+        float_of_int b.Builder.machine.Systrace_machine.Machine.cycles
+        /. Systrace_tracesim.Predict.clock_hz)
       cells
   in
   List.iteri

@@ -1,5 +1,5 @@
 (* The validation harness (paper §5): run each workload on each system
-   twice —
+   twice (three times where a program holds FP code: see [measure]) —
 
    MEASURED: the uninstrumented binaries on the untraced kernel, using the
    machine simulator's ground-truth counters as the paper used its
@@ -114,24 +114,44 @@ let run ?(sink = Sink.null) (t : Builder.t) =
 
 (* ------------------------------------------------------------------ *)
 
-let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
-  let t = system ?pagemap ?machine_cfg ~seed ~traced:false os spec in
+(* Only an FP arithmetic or compare op can stall: each waits for a
+   register an earlier one is still writing, or for the unit one holds
+   (lib/machine/fpu.ml); loads and moves into FP registers make them
+   ready at once.  crt0 holds none, and the kernel's one is the fcmp
+   with which a context switch restores the condition flag, which frees
+   the unit 2 cycles later.  So where no program's modules hold one, the
+   ideal-memory run would read 0 arithmetic stalls at any miss penalty. *)
+let holds_fp_arith (t : Builder.t) =
+  let fp = function Systrace_isa.Insn.Fop _ | Fcmp _ -> true | _ -> false in
+  List.exists
+    (fun (pi : Builder.proc_info) ->
+      List.exists
+        (fun m -> List.exists fp (Systrace_isa.Objfile.insns m))
+        pi.Builder.prog.Builder.modules)
+    t.Builder.procs
+
+let measure ?(seed = 1) os spec : measurement =
+  let t = system ~seed ~traced:false os spec in
   run t;
   let c = t.Builder.machine.Systrace_machine.Machine.c in
   (* pixie-style arithmetic stall estimate: a functional run with an ideal
      memory system, so FP interlocks are the only stalls. *)
-  let ideal_cfg =
-    {
-      t.Builder.cfg.Builder.machine_cfg with
-      Systrace_machine.Machine.read_miss_penalty = 0;
-      uncached_penalty = 0;
-      wb_drain = 0;
-    }
+  let arith_ideal =
+    if not (holds_fp_arith t) then 0
+    else begin
+      let ideal_cfg =
+        {
+          t.Builder.cfg.Builder.machine_cfg with
+          Systrace_machine.Machine.read_miss_penalty = 0;
+          uncached_penalty = 0;
+          wb_drain = 0;
+        }
+      in
+      let ti = system ~machine_cfg:ideal_cfg ~seed ~traced:false os spec in
+      run ti;
+      Systrace_machine.Machine.arith_stalls ti.Builder.machine
+    end
   in
-  let ti =
-    system ?pagemap ~machine_cfg:ideal_cfg ~seed ~traced:false os spec
-  in
-  run ti;
   {
     m_cycles = t.Builder.machine.Systrace_machine.Machine.cycles;
     m_seconds =
@@ -142,8 +162,7 @@ let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
     m_user_insts = c.Systrace_machine.Machine.user_instructions;
     m_kernel_insts = c.Systrace_machine.Machine.kernel_instructions;
     m_insts = c.Systrace_machine.Machine.instructions;
-    m_arith_ideal =
-      Systrace_machine.Machine.arith_stalls ti.Builder.machine;
+    m_arith_ideal = arith_ideal;
     m_console = Builder.console t;
     m_disk_reads = t.Builder.machine.Systrace_machine.Machine.disk.Systrace_machine.Disk.reads;
     m_disk_writes = t.Builder.machine.Systrace_machine.Machine.disk.Systrace_machine.Disk.writes;
@@ -156,14 +175,14 @@ let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
 let memsim_cfg ~pagemap (mcfg : Systrace_machine.Machine.config) =
   {
     Memsim.icache_bytes = mcfg.Systrace_machine.Machine.icache_bytes;
-    icache_line = mcfg.Systrace_machine.Machine.icache_line;
+    icache_line = Systrace_machine.Machine.icache_line;
     icache_ways = 1;
     dcache_bytes = mcfg.Systrace_machine.Machine.dcache_bytes;
-    dcache_line = mcfg.Systrace_machine.Machine.dcache_line;
+    dcache_line = Systrace_machine.Machine.dcache_line;
     dcache_ways = 1;
     read_miss_penalty = mcfg.Systrace_machine.Machine.read_miss_penalty;
     uncached_penalty = mcfg.Systrace_machine.Machine.uncached_penalty;
-    wb_depth = mcfg.Systrace_machine.Machine.wb_depth;
+    wb_depth = Systrace_machine.Machine.wb_depth;
     wb_drain = mcfg.Systrace_machine.Machine.wb_drain;
     pagemap;
     pt_base = Kcfg.pt_base_va;
@@ -218,8 +237,8 @@ type row = {
   r_predicted : prediction;
 }
 
-let run_workload ?machine_cfg ?(seed = 1) os spec : row =
-  let m = measure ?machine_cfg ~seed os spec in
+let run_workload ?(seed = 1) os spec : row =
+  let m = measure ~seed os spec in
   let p = predict ~seed ~arith_stalls:m.m_arith_ideal os spec in
   if m.m_console <> p.p_console then
     failwith

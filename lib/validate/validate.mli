@@ -3,8 +3,10 @@
     machine's ground-truth counters standing in for the paper's
     high-resolution timer and TLB-counting kernel) and PREDICTED (traced
     system, with the collected trace driven through the memory-system
-    simulator and the four-component time model).  Comparing the two
-    reproduces Table 2, Figure 3 and Table 3. *)
+    simulator and the four-component time model).  Where a program
+    holds FP code, a third, ideal-memory run estimates its arithmetic
+    stalls.  Comparing MEASURED with PREDICTED reproduces Table 2,
+    Figure 3 and Table 3. *)
 
 open Systrace_tracing
 open Systrace_kernel
@@ -30,7 +32,8 @@ type measurement = {
   m_kernel_insts : int;
   m_insts : int;
   m_arith_ideal : int;
-      (** pixie-style arithmetic-stall estimate (ideal-memory run) *)
+      (** pixie-style arithmetic-stall estimate (ideal-memory run; 0
+          where no program holds FP code) *)
   m_console : string;
   m_disk_reads : int;
   m_disk_writes : int;
@@ -76,7 +79,12 @@ val run : ?sink:Sink.t -> Builder.t -> unit
     @raise Builder.Panic if the kernel panics.  If the run raises,
     [finish] does not run. *)
 
-val measure : ?pagemap:Kcfg.pagemap -> ?machine_cfg:Systrace_machine.Machine.config -> ?seed:int -> os -> spec -> measurement
+val measure : ?seed:int -> os -> spec -> measurement
+(** The measured pass: {!system} untraced, run to its halt.  The
+    arithmetic-stall estimate is a second untraced system's, with zero
+    miss penalties and drain, booted only if some program (the UX
+    server included) holds an [Insn.Fop] or [Insn.Fcmp]: only those
+    can stall the FPU, so elsewhere it is 0 without a run. *)
 
 val memsim_cfg :
   pagemap:(int -> int -> int) ->
@@ -99,16 +107,11 @@ type row = {
   r_predicted : prediction;
 }
 
-val run_workload :
-  ?machine_cfg:Systrace_machine.Machine.config ->
-  ?seed:int ->
-  os ->
-  spec ->
-  row
-(** Measured and predicted passes; fails if traced and untraced runs
-    disagree on program output.  [machine_cfg] overrides the measured
-    pass's machine configuration (e.g. [tier = Uop.Step]); the
-    predicted pass is a trace-driven model and takes no machine. *)
+val run_workload : ?seed:int -> os -> spec -> row
+(** {!measure}, then {!predict} with its arithmetic-stall estimate: an
+    untraced and a traced system on the default machine configuration,
+    plus the ideal-memory system where a program holds FP code.  Fails
+    if the traced and untraced runs disagree on program output. *)
 
 val percent_error : row -> float
 (** The Figure 3 quantity. *)

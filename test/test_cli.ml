@@ -116,8 +116,9 @@ let test_profile_traced () =
   Alcotest.(check bool) "lists the drain copy loop" true (has "ktraceops::$kd_loop")
 
 (* Removed flags are refused by Cmdliner before anything runs: [dump] is
-   the one command that stores a trace, always as format v3, and a sweep
-   runs on one domain. *)
+   the one command that stores a trace, always as format v3, a sweep
+   runs on one domain, and [run] and [validate] run at the default
+   interpreter tier. *)
 let test_removed_flags () =
   List.iter
     (fun args ->
@@ -128,6 +129,8 @@ let test_removed_flags () =
       [ "trace"; "egrep"; "-z" ];
       [ "trace"; "egrep"; "--trace-out"; tmp_path "trace-out.strc" ];
       [ "sweep"; "egrep"; v3; "-j"; "2" ];
+      [ "run"; "tomcatv"; "--interp-tier"; "step" ];
+      [ "validate"; "liv"; "--interp-tier"; "bcache" ];
     ]
 
 let tests =

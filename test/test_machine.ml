@@ -1474,7 +1474,7 @@ let pg_scenario tier =
         pg_dma_routine a "dma_a" ~block:5 ~pa:pg_a;
         pg_dma_routine a "dma_c" ~block:6 ~pa:pg_c)
   in
-  let what = Uop.tier_name tier ^ ": " in
+  let what = match tier with Uop.Step -> "step: " | Uop.Bcache -> "bcache: " in
   let call va =
     m.Machine.pc <- va;
     m.Machine.npc <- va + 4;

@@ -324,19 +324,67 @@ let test_run_contract () =
   Validate.run ~sink u;
   Alcotest.(check bool) "untraced: no words, finish once" true (log () = [ Finish ])
 
-(* The FP uops at system scale: liv is the Table 1 code with the most FP
-   work per instruction (3.45M instructions untraced), so its arithmetic
-   stalls and FP operation count, not just its cycles, must come out of
-   the block cache as step-at-a-time computes them. *)
+(* The machine [Validate.measure]'s arithmetic-stall estimate runs on:
+   no miss, uncached or write-buffer drain penalty. *)
+let ideal_machine_cfg tier =
+  let module M = Systrace_machine.Machine in
+  { M.default_config with
+    M.tier; read_miss_penalty = 0; uncached_penalty = 0; wb_drain = 0 }
+
+(* The FP uops at system scale, on the untraced runs whose FP counters
+   the validation reads: liv, the Table 1 code with the most FP work
+   per instruction (3.45M instructions untraced); tomcatv, the largest
+   FP run; and liv on the ideal-memory machine.  Their arithmetic stalls
+   and FP operation counts, not just their cycles, must come out of the
+   block cache as step-at-a-time computes them. *)
 let test_fp_tier_oracle () =
   let module E = Experiments in
-  let _, step = E.tier_run ~traced:false "liv" Systrace_machine.Uop.Step in
-  let _, bc = E.tier_run ~traced:false "liv" Systrace_machine.Uop.Bcache in
-  Alcotest.(check (list int)) "liv: counters, arith stalls, FP ops" step.E.f_counters
-    bc.E.f_counters;
-  Alcotest.(check string) "liv: console" step.E.f_console bc.E.f_console;
-  Alcotest.(check bool) "liv: FP ops counted" true
-    (List.nth step.E.f_counters (List.length step.E.f_counters - 1) > 0)
+  let ideal wname tier =
+    E.tier_fingerprint
+      (Validate.system ~machine_cfg:(ideal_machine_cfg tier) ~traced:false
+         Validate.Ultrix (E.spec_of (Suite.find wname)))
+  in
+  List.iter
+    (fun (what, run) ->
+      let step = run Systrace_machine.Uop.Step in
+      let bc = run Systrace_machine.Uop.Bcache in
+      Alcotest.(check (list int)) (what ^ ": counters, arith stalls, FP ops")
+        step.E.f_counters bc.E.f_counters;
+      Alcotest.(check string) (what ^ ": console") step.E.f_console bc.E.f_console;
+      let n = List.length step.E.f_counters in
+      Alcotest.(check bool) (what ^ ": arith stalls counted") true
+        (List.nth step.E.f_counters (n - 2) > 0);
+      Alcotest.(check bool) (what ^ ": FP ops counted") true
+        (List.nth step.E.f_counters (n - 1) > 0))
+    [
+      ("liv", fun tier -> snd (E.tier_run ~traced:false "liv" tier));
+      ("tomcatv", fun tier -> snd (E.tier_run ~traced:false "tomcatv" tier));
+      ("liv, ideal memory", ideal "liv");
+    ]
+
+(* [Validate.measure] boots its ideal-memory system only where some
+   program holds an FP arithmetic or compare instruction, and reports 0
+   elsewhere.  That must be what the run would have read: for every
+   Table 1 workload under Ultrix, and gcc and fpppp under Mach (where
+   the UX server is one of the programs), the estimate equals the
+   arithmetic stalls of the ideal-memory system booted and run here. *)
+let test_arith_estimate_exact () =
+  let module M = Systrace_machine.Machine in
+  List.iter
+    (fun (wname, os) ->
+      let spec = Experiments.spec_of (Suite.find wname) in
+      let b =
+        Validate.system ~machine_cfg:(ideal_machine_cfg M.default_config.M.tier)
+          ~traced:false os spec
+      in
+      Validate.run b;
+      Alcotest.(check int)
+        (Printf.sprintf "%s/%s: arithmetic-stall estimate" wname
+           (Validate.os_name os))
+        (M.arith_stalls b.Systrace_kernel.Builder.machine)
+        (Validate.measure os spec).Validate.m_arith_ideal)
+    (List.map (fun (e : Suite.entry) -> (e.Suite.name, Validate.Ultrix)) Suite.all
+    @ [ ("gcc", Validate.Mach); ("fpppp", Validate.Mach) ])
 
 let tests =
   [
@@ -354,6 +402,8 @@ let tests =
       test_run_contract;
     Alcotest.test_case "untraced liv: step == bcache, FP counters" `Quick
       test_fp_tier_oracle;
+    Alcotest.test_case "measure's arith estimate == ideal-memory run" `Quick
+      test_arith_estimate_exact;
     Alcotest.test_case "sweep == singles on a real trace" `Quick
       test_sweep_real_trace;
     Alcotest.test_case "sweep == singles on a fault-injected trace" `Quick
